@@ -8,6 +8,7 @@ in the far tails where a cumulative construction would not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,13 +139,34 @@ def pmf_row(params: PMFParams) -> PMFRow:
     return PMFRow(params, _row_mass(params.n, params.p))
 
 
-def tail_mass_outside(params: PMFParams, radius: float) -> float:
-    """Total mass at indices i with |i - n p| >= radius."""
-    if radius < 0:
+@functools.lru_cache(maxsize=1)
+def _tail_row(n: int, p: float):
+    """Read-only PMF row of (n, p) with the distances |i - n p|.
+
+    One slot: a sweep of tail queries at one (n, p) builds the row once, and
+    the last row queried stays in memory until another (n, p) replaces it.
+    """
+    mass = _row_mass(n, p)
+    dist = np.abs(np.arange(n + 1, dtype=float) - n * p)
+    mass.flags.writeable = dist.flags.writeable = False
+    return mass, dist
+
+
+def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | np.ndarray:
+    """Total mass at indices i with |i - n p| >= radius.
+
+    ``radius`` may be an array of radii; the result is then an array of the
+    same shape whose entries equal the scalar calls bit for bit.
+    """
+    radii = np.asarray(radius, dtype=float)
+    # sweeps make many scalar calls: skip the array reduction for them
+    if (radius < 0) if radii.ndim == 0 else (radii < 0).any():
         raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
-    mass = _row_mass(params.n, params.p)
-    dist = np.abs(np.arange(params.n + 1, dtype=float) - params.n * params.p)
-    return float(mass[dist >= radius].sum())
+    mass, dist = _tail_row(params.n, params.p)
+    if radii.ndim == 0:
+        return float(mass[dist >= radii].sum())
+    tails = [mass[dist >= r].sum() for r in radii.flat]
+    return np.array(tails, dtype=float).reshape(radii.shape)
 
 
 def chernoff_bound(params: PMFParams, alpha: float) -> float:

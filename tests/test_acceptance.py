@@ -92,7 +92,7 @@ def test_criterion_04_chernoff_grid():
                 checks += 1
                 alpha += 0.5
     elapsed = time.perf_counter() - start
-    ok = violations == 0 and elapsed < 60.0
+    ok = violations == 0 and elapsed < 20.0
     _report(4, "Chernoff bound dominates every measured tail",
             ok, f"({checks} checks, {violations} violations, {elapsed:.1f}s)")
 

@@ -18,6 +18,8 @@ from summakit import (
     tail_mass_outside,
 )
 
+from summakit.binomial_kernel import _row_mass, _tail_row
+
 from oracles import pmf_exact_double, pmf_row_exact_doubles
 
 P_GRID = [k / 10 for k in range(1, 10)]
@@ -157,6 +159,51 @@ class TestTailMass:
         expected = math.fsum(ref[dist >= radius])
         assert abs(got - expected) <= 1e-13
         assert got <= 2.0 * math.exp(-(8.0 / 3.0))
+
+
+def uncached_tail(n, p, radius):
+    mass = _row_mass(n, p)
+    dist = np.abs(np.arange(n + 1, dtype=float) - n * p)
+    return float(mass[dist >= radius].sum())
+
+
+class TestTailMassSweeps:
+    def test_array_equals_scalar_loop(self):
+        for n, p in [(0, 0.3), (1, 0.5), (400, 0.5), (2000, 0.17), (1999, 0.9)]:
+            params = PMFParams(n, p)
+            radii = np.concatenate([[0.0, 0.25, math.inf], np.sqrt(n) * np.arange(0.5, 6.0, 0.5)])
+            got = tail_mass_outside(params, radii)
+            assert isinstance(got, np.ndarray) and got.shape == radii.shape
+            loop = [tail_mass_outside(params, float(r)) for r in radii]
+            assert np.array_equal(got, loop)
+            grid = radii[:12].reshape(3, 4)
+            assert np.array_equal(tail_mass_outside(params, grid), got[:12].reshape(3, 4))
+
+    def test_scalar_returns_float(self):
+        got = tail_mass_outside(PMFParams(50, 0.4), 3)
+        assert type(got) is float
+        assert got == uncached_tail(50, 0.4, 3.0)
+
+    def test_negative_radius_in_array_rejected(self):
+        with pytest.raises(ParameterDomainError):
+            tail_mass_outside(PMFParams(10, 0.5), np.array([1.0, -0.5]))
+
+    def test_interleaved_calls_match_uncached(self):
+        pairs = [(300, 0.2), (301, 0.2), (300, 0.7), (300, 0.2), (5, 0.5), (301, 0.2)]
+        _tail_row.cache_clear()
+        for n, p in pairs * 2:
+            for radius in (0.0, 1.5, 7.0, 30.0):
+                assert tail_mass_outside(PMFParams(n, p), radius) == uncached_tail(n, p, radius)
+
+    def test_cached_row_is_read_only(self):
+        tail_mass_outside(PMFParams(120, 0.35), 4.0)
+        mass, dist = _tail_row(120, 0.35)
+        assert _tail_row.cache_info().hits >= 1
+        with pytest.raises(ValueError):
+            mass[0] = 1.0
+        with pytest.raises(ValueError):
+            dist[:] = 0.0
+        assert tail_mass_outside(PMFParams(120, 0.35), 4.0) == uncached_tail(120, 0.35, 4.0)
 
 
 class TestChernoff:

@@ -10,6 +10,7 @@ from summakit import (
     HorizonError,
     ParameterDomainError,
     RealSequence,
+    binomial_mean_at,
     binomial_prefix,
     cesaro_prefix,
     compose_check,
@@ -20,8 +21,12 @@ from summakit import (
     split_xyz,
     weights,
 )
+from summakit import transforms
+from summakit.binomial_kernel import _row_mass
 
 from oracles import weights_double_sum
+
+EPS = np.finfo(float).eps
 
 
 def constant(c, length=1001):
@@ -117,6 +122,136 @@ class TestBinomial:
         got = binomial_prefix(sparse, 0.35, 400).values
         ref = binomial_prefix(dense, 0.35, 400).values
         assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def full_row_loop(values, p):
+    """The per-row reference: a full PMF row dotted with the terms, for every n."""
+    out = np.empty(len(values))
+    out[0] = values[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, len(values)):
+            out[n] = _row_mass(n, p) @ values[: n + 1]
+    return out
+
+
+def full_row_exact(values, p):
+    """Full-row means summed exactly (math.fsum), with sum_i B(n,i,p) |a_i|."""
+    means, scales = [values[0]], [abs(values[0])]
+    for n in range(1, len(values)):
+        row = _row_mass(n, p)
+        means.append(math.fsum(row * values[: n + 1]))
+        scales.append(math.fsum(row * np.abs(values[: n + 1])))
+    return np.array(means), np.array(scales)
+
+
+def count_full_rows(monkeypatch):
+    """Record the n of every full PMF row the dense kernel falls back to."""
+    calls = []
+
+    def counted(n, p):
+        calls.append(n)
+        return _row_mass(n, p)
+
+    monkeypatch.setattr(transforms, "_row_mass", counted)
+    return calls
+
+
+class TestWindowedKernel:
+    # The reference is the per-row _row_mass dot summed exactly: the BLAS dot
+    # of a full row carries a few eps of summation error of its own.
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(0, 400),
+        p=st.floats(0.01, 0.99),
+        signed=st.booleans(),
+    )
+    def test_matches_full_rows(self, seed, horizon, p, signed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0 if signed else 0.0, 1.0, horizon + 1)
+        got = binomial_prefix(RealSequence.from_values(values), p, horizon).values
+        ref, scale = full_row_exact(values, p)
+        assert np.all(np.abs(got - ref) <= 4 * EPS * scale)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 300])
+    @pytest.mark.parametrize("p", [1e-6, 0.003, 0.997, 1 - 1e-6])
+    def test_edge_horizons_and_extreme_p(self, horizon, p):
+        values = np.random.default_rng(horizon).uniform(-1.0, 1.0, horizon + 1)
+        got = binomial_prefix(RealSequence.from_values(values), p, horizon).values
+        ref, scale = full_row_exact(values, p)
+        assert np.all(np.abs(got - ref) <= 4 * EPS * scale)
+        assert np.all(np.abs(got - full_row_loop(values, p)) <= 4 * EPS * scale)
+
+    def test_bounded_rows_skip_the_full_row(self, monkeypatch):
+        calls = count_full_rows(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("alternating01"))
+        got = binomial_prefix(seq, 0.3, 3000).values
+        n = np.arange(3001, dtype=float)
+        assert np.max(np.abs(got - (1.0 + 0.4**n) / 2.0)) <= 1e-15
+        assert calls == []
+
+    def test_unbounded_fallback_is_bit_identical(self, monkeypatch):
+        # (-3)**n overflows at n = 647, so later rows are inf or nan and must
+        # all fall back; earlier rows certify only while the tail the window
+        # drops, times 3**n, stays below 2**-53 of (1 + 2p)**n.
+        calls = count_full_rows(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("geometric", a=-3.0))
+        values = seq.prefix(2000)
+        for p in (0.25, 0.6):
+            calls.clear()
+            got = binomial_prefix(seq, p, 2000).values
+            ref = full_row_loop(values, p)
+            fallback = np.zeros(2001, dtype=bool)
+            fallback[calls] = True
+            assert fallback[647:].all()
+            assert not np.all(np.isfinite(ref[fallback]))
+            np.testing.assert_array_equal(got[fallback], ref[fallback])
+            windowed = np.flatnonzero(~fallback)
+            scale = (1.0 + 2.0 * p) ** windowed
+            assert np.all(np.abs(got[windowed] - ref[windowed]) <= 4 * EPS * scale)
+
+    def test_non_finite_term_reaches_only_later_rows(self, monkeypatch):
+        calls = count_full_rows(monkeypatch)
+        values = np.concatenate([np.ones(150), [math.inf, 1.0]])
+        got = binomial_prefix(RealSequence.from_values(values), 0.5, 151).values
+        assert np.all(np.abs(got[:150] - 1.0) <= 4 * EPS)
+        assert calls == [150, 151]
+        assert np.isinf(got[150]) and np.isinf(got[151])
+
+    def test_tilted_sequence_takes_the_fallback(self, monkeypatch):
+        calls = count_full_rows(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("geometric", a=0.3))
+        for p in (0.3, 0.7):
+            calls.clear()
+            got = binomial_prefix(seq, p, 1000).values
+            # a > 0, so the closed form is also sum_i B(n,i,p) |a_i|
+            expected = (p * (0.3 - 1.0) + 1.0) ** np.arange(1001, dtype=float)
+            assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+            assert 1000 in calls and len(calls) >= 500
+
+    def test_mean_at_uses_the_windowed_kernel(self, monkeypatch):
+        calls = count_full_rows(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("alternating01"))
+        for n in (1, 2, 17, 5000, 200_001):
+            for p in (0.2, 0.5):
+                expected = (1.0 + (1.0 - 2.0 * p) ** n) / 2.0
+                assert abs(binomial_mean_at(seq, p, n) - expected) <= 4 * EPS
+        assert calls == []
+        geo = sequence_from_spec(GeneratorSpec("geometric", a=0.5))
+        got = binomial_mean_at(geo, 0.4, 3000)
+        assert calls == [3000]
+        assert math.isclose(got, 0.8**3000, rel_tol=1e-12)
+
+    def test_mean_at_matches_prefix(self):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(-1.0, 1.0, 1201)
+        seq = RealSequence.from_values(values)
+        prefix = binomial_prefix(seq, 0.45, 1200).values
+        ref, scale = full_row_exact(values, 0.45)
+        for n in (0, 1, 150, 700, 1200):
+            got = binomial_mean_at(seq, 0.45, n)
+            assert abs(got - ref[n]) <= 4 * EPS * scale[n]
+            assert abs(got - prefix[n]) <= 8 * EPS * scale[n]
 
 
 class TestCompose:
