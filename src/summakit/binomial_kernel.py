@@ -77,15 +77,24 @@ def pmf(params: PMFParams, i: int) -> float:
     return math.exp(log_pmf(params, i))
 
 
-def log_pmf_many(n: int, p: float, indices) -> np.ndarray:
+def log_pmf_many(n, p: float, indices) -> np.ndarray:
     """Vectorized log_pmf over an array of indices inside the support.
 
-    Used by the sparse transform paths, where a handful of nonzero sequence
-    positions must be weighted for many different n.
+    ``n`` is a trial count or an integer array broadcast against
+    ``indices``; lgamma(n + 1) is taken with math.lgamma once per distinct
+    n, so every entry equals the scalar-n call bit for bit.  Used by the
+    sparse transform paths, where the nonzero sequence positions must be
+    weighted for many different n.
     """
     i = np.asarray(indices, dtype=float)
+    if np.ndim(n) == 0:
+        head = math.lgamma(n + 1)
+    else:
+        distinct, where = np.unique(n, return_inverse=True)
+        head = np.array([math.lgamma(m + 1) for m in distinct.tolist()])[where]
+        n = np.asarray(n, dtype=float)
     return (
-        math.lgamma(n + 1)
+        head
         - gammaln(i + 1.0)
         - gammaln(n - i + 1.0)
         + i * math.log(p)

@@ -13,15 +13,17 @@ evidence and never flags.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .binomial_kernel import log_pmf_many
+# unused here; bench/tracing.py patches sequences.log_pmf_many by name
+from .binomial_kernel import log_pmf_many  # noqa: F401
 from .exceptions import HorizonError, ParameterDomainError
-from .transforms import RealSequence, binomial_prefix
+from .transforms import RealSequence, _binomial_means_sparse, binomial_prefix
 from .summation import running_mean
 
 __all__ = [
@@ -112,17 +114,34 @@ def islets_count_upto(n: int) -> int:
     return sum(hi - lo + 1 for lo, hi in islet_ranges(n))
 
 
+class _SpikeChain:
+    """Spike positions of one spike sequence, extended on demand: each
+    horizon reads a prefix of the chain, so a sequence walks it only once."""
+
+    def __init__(self, C: float):
+        self._C = C
+        self._chain = [1]  # always runs one position past the largest horizon seen
+        self._array = np.ones(1, dtype=np.int64)
+
+    def upto(self, horizon: int) -> np.ndarray:
+        """Positions <= horizon, as a read-only view of the chain."""
+        chain = self._chain
+        if chain[-1] <= horizon:
+            j, C, ceil, sqrt, append = chain[-1], self._C, math.ceil, math.sqrt, chain.append
+            while j <= horizon:
+                j += ceil(C * sqrt(j))
+                append(j)
+            self._array = np.array(chain, dtype=np.int64)
+            self._array.flags.writeable = False
+        return self._array[: bisect.bisect_right(chain, horizon)]
+
+
 def spike_indices(C: float, horizon: int) -> np.ndarray:
     """Spike positions n_1 < n_2 < ... <= horizon with gaps ceil(C*sqrt(n_j)).
 
     The chain starts at n_1 = 1.
     """
-    idx = []
-    j = 1
-    while j <= horizon:
-        idx.append(j)
-        j += math.ceil(C * math.sqrt(j))
-    return np.asarray(idx, dtype=np.int64)
+    return _SpikeChain(C).upto(horizon).copy()
 
 
 def generate(spec: GeneratorSpec, i: int) -> float:
@@ -204,10 +223,12 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
             support_values=lambda idx: np.ones(len(idx)),
             name=spec.label,
         )
-    # spikes
+    # spikes: one chain per sequence serves every horizon asked of it
+    chain = _SpikeChain(spec.C)
+
     def prefix(h):
         out = np.zeros(h + 1)
-        idx = spike_indices(spec.C, h)
+        idx = chain.upto(h)
         out[idx] = spec.height_scale * np.sqrt(idx.astype(float))
         return out
 
@@ -215,7 +236,7 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
         lambda i: generate(spec, i),
         nonneg=spec.height_scale >= 0,
         prefix=prefix,
-        support=lambda h: spike_indices(spec.C, h),
+        support=chain.upto,
         support_values=lambda idx: spec.height_scale * np.sqrt(idx.astype(float)),
         name=spec.label,
     )
@@ -501,23 +522,19 @@ def probe_open_problem(p, q, C, horizon, height_scale=1.0) -> OpenProblemReport:
     spec = GeneratorSpec("spikes", C=float(C), height_scale=float(height_scale))
     seq = sequence_from_spec(spec)
     spikes = spike_indices(C, int(p * horizon))
-    # one support pass serves every probed index
+    # one support pass and one kernel call per probability serve every index
     idx, av = seq.support(int(horizon))
-
-    def mean_at(prob, m):
-        k = int(np.searchsorted(idx, m, side="right"))
-        if k == 0:
-            return 0.0
-        return float(np.exp(log_pmf_many(m, prob, idx[:k])) @ av[:k])
-
     samples = []
     for prob, tag in ((p, "p"), (q, "q")):
         aligned = [int(s // prob) for s in spikes]
+        mids = [(lo + hi) // 2 for lo, hi in zip(aligned, aligned[1:])]
+        values = _binomial_means_sparse(idx, av, prob, aligned + mids).tolist()
         for j, (s, m) in enumerate(zip(spikes, aligned)):
-            samples.append(ProbeSample(f"{tag}_aligned", j, int(s), m, mean_at(prob, m)))
-        for j in range(len(aligned) - 1):
-            mid = (aligned[j] + aligned[j + 1]) // 2
-            samples.append(ProbeSample(f"{tag}_mid", j, int(spikes[j]), mid, mean_at(prob, mid)))
+            samples.append(ProbeSample(f"{tag}_aligned", j, int(s), m, values[j]))
+        for j, mid in enumerate(mids):
+            samples.append(
+                ProbeSample(f"{tag}_mid", j, int(spikes[j]), mid, values[len(aligned) + j])
+            )
 
     def amplitude(tag):
         vals = [s.value for s in samples if s.series.startswith(tag)]

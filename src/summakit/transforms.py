@@ -9,9 +9,24 @@ Each row certifies its window: the mass it drops, bounded from the ratios at
 its edges, times the largest |a_i| so far must be at most 2**-53 of the
 window's sum_i B(n,i,p) |a_i|.  Rows that fail (tilted sequences such as
 a**n with |a| < 1, unbounded ones such as (-3)**n) or come out non-finite
-fall back to the full PMF row, O(n) each.  Sequences that declare a sparse
-support get a path that only touches their nonzero positions and scales to
-H ~ 1e6.
+fall back to the full PMF row, O(n) each.
+
+Sequences that declare a sparse support go through one kernel,
+_binomial_means_sparse, shared by sparse prefixes, sparse point means and
+the spike probe.  A row weights the support inside the same window around
+its mode plus, on each side, the nearest support index outside it and every
+index up to where the mass has fallen a further 2**-64 (worked out from the
+mass ratio at that index; ratios only fall moving outward), so rows whose
+window holds no support still certify.  The certificate is the dense one:
+the mass beyond the kept range, bounded by the edge mass times r / (1 - r),
+times the largest |a_i| so far must be at most 2**-53 of the kept sum
+B |a_i|.  Masses come from log_pmf_many, term for term as a whole-support
+sum would compute them, for blocks of up to 2**11 rows and about 2**13
+terms, which keeps peak memory small.  A row that fails or comes out non-finite is summed over its whole
+support <= n.  A row costs one mass per kept support index: a bounded
+number for spikes, O(sqrt(n)) inside an islet, so their prefixes cost O(H)
+and O(H sqrt(H)); each call also pays a fixed numpy overhead of about
+a tenth of a millisecond.
 """
 
 from __future__ import annotations
@@ -265,6 +280,17 @@ def _windowed_block(windows, pad, peak, p, ns):
     return value, certified & np.isfinite(value)
 
 
+def _first_nan_row(seq: np.ndarray) -> int:
+    """Smallest n whose seq[:n+1] holds a NaN, or both a +inf and a -inf
+    (len(seq) if there is none)."""
+
+    def first(mask):
+        i = int(np.argmax(mask))
+        return i if mask[i] else len(seq)
+
+    return min(first(np.isnan(seq)), max(first(seq == np.inf), first(seq == -np.inf)))
+
+
 def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarray:
     """sum_i B(n,i,p) * seq[i] for each n of the ascending array ns (1 <= n < len(seq)).
 
@@ -272,9 +298,11 @@ def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarr
     A row is kept only if the mass its window drops, times max |seq[i]| over
     i <= n, is at most 2**-53 of its window's sum_i B(n,i,p) |seq[i]|; any
     other row, and any row with a non-finite window value, is the full
-    _row_mass row dotted with seq[:n+1].
+    _row_mass row dotted with seq[:n+1].  A row whose seq[:n+1] holds a NaN,
+    or both a +inf and a -inf, is NaN whatever its masses, and is not built.
     """
-    out = np.empty(len(ns))
+    out = np.full(len(ns), np.nan)
+    ns = ns[: np.searchsorted(ns, _first_nan_row(seq))]
     if not len(ns):
         return out
     with np.errstate(over="ignore", invalid="ignore"):
@@ -307,21 +335,125 @@ def _binomial_prefix_dense(seq: np.ndarray, p: float) -> np.ndarray:
     return vals
 
 
+# Rows, and terms, per block of sparse rows; keep the block's arrays, and
+# peak memory, small.
+_BLOCK_ROWS = 2**11
+_BLOCK_TERMS = 2**13
+
+# Past the nearest support index outside a row's window, the kept range goes
+# on outward until the mass has fallen by 2**-64.
+_LOG_EXTEND = 64.0 * math.log(2.0)
+
+
+def _sparse_extension(ratio):
+    """Steps t past a support index with outward mass ratio ``ratio`` < 1
+    after which the mass has fallen by 2**-64, and the bound ratio**(t+1) /
+    (1 - ratio) on all the mass beyond them, relative to the mass at that
+    index (both 0 where ratio is 0)."""
+    with np.errstate(divide="ignore"):
+        t = np.ceil(_LOG_EXTEND / -np.log(ratio))
+    return t.astype(np.int64), np.power(ratio, t + 1.0) / (1.0 - ratio)
+
+
+def _sparse_terms(idx, av, p, ns, first, count):
+    """Means and sums of |terms| of the rows ns, row r weighting the support
+    slice idx[first[r]:first[r] + count[r]] (every count >= 1), with the
+    masses and the offset of each row's first term among them."""
+    offsets = np.zeros(len(ns), dtype=np.int64)
+    np.cumsum(count[:-1], out=offsets[1:])
+    pos = np.arange(offsets[-1] + count[-1]) + np.repeat(first - offsets, count)
+    # a lone row (point queries) skips log_pmf_many's per-distinct-n pass
+    rows_n = ns[0] if len(ns) == 1 else np.repeat(ns, count)
+    masses = np.exp(log_pmf_many(rows_n, p, idx[pos]))
+    weighted = masses * av[pos]
+    value = np.add.reduceat(weighted, offsets)
+    scale = np.add.reduceat(np.abs(weighted, out=weighted), offsets)
+    return value, scale, masses, offsets
+
+
+def _whole_support_mean(idx, av, p, n, k):
+    """sum_i B(n,i,p) * av[i] over the first k support indices, all <= n:
+    the sparse kernel's fallback for a row it cannot certify."""
+    return np.exp(log_pmf_many(n, p, idx[:k])) @ av[:k]
+
+
+def _sparse_rows(idx, av, peak, p, ns):
+    """_binomial_means_sparse for a block of rows; peak[j] = max |av[:j+1]|."""
+    out = np.zeros(len(ns))
+    size = np.searchsorted(idx, ns, side="right")  # support indices <= n
+    rows = np.flatnonzero(size)
+    if not len(rows):
+        return out
+    q = 1.0 - p
+    n, k = ns[rows], size[rows]
+    x = (n + 1.0) * p
+    m = np.floor(x)
+    m -= m == x  # mode_index
+    half = np.ceil(9.0 * np.sqrt(n * p * q)) + 30.0
+    lo = np.searchsorted(idx, (m - half).astype(np.int64), side="left")
+    hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), k)
+
+    # the nearest support index outside the window on each side, if any
+    left, right = lo > 0, hi < k
+    j_lo = idx[np.maximum(lo - 1, 0)].astype(float)
+    j_hi = idx[np.minimum(hi, k - 1)].astype(float)
+    t_lo, tail_lo = _sparse_extension(np.where(left, j_lo * q / ((n - j_lo + 1.0) * p), 0.0))
+    t_hi, tail_hi = _sparse_extension(np.where(right, (n - j_hi) * p / ((j_hi + 1.0) * q), 0.0))
+    first = np.where(left, np.searchsorted(idx, j_lo.astype(np.int64) - t_lo), lo)
+    last = np.searchsorted(idx, j_hi.astype(np.int64) + t_hi, side="right")
+    count = np.where(right, np.minimum(last, k), hi) - first
+    # where j_lo and j_hi sit among a row's terms (any term where absent)
+    at_lo = np.where(left, lo - 1 - first, 0)
+    at_hi = np.where(right, hi - first, 0)
+
+    ends = np.cumsum(count)
+    start = 0
+    while start < len(rows):
+        stop = np.searchsorted(ends, ends[start] - count[start] + _BLOCK_TERMS, "right")
+        block = slice(start, max(stop, start + 1))
+        value, scale, masses, offsets = _sparse_terms(
+            idx, av, p, n[block], first[block], count[block]
+        )
+        dropped = masses[offsets + at_lo[block]] * tail_lo[block]
+        dropped += masses[offsets + at_hi[block]] * tail_hi[block]
+        certified = (dropped * peak[k[block] - 1] <= 2.0**-53 * scale) & np.isfinite(value)
+        for r in np.flatnonzero(~certified):
+            value[r] = _whole_support_mean(idx, av, p, int(n[start + r]), int(k[start + r]))
+        out[rows[block]] = value
+        start = block.stop
+    return out
+
+
+def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.ndarray:
+    """sum_{i in idx, i <= n} B(n,i,p) * av[i] for each n of the array ns.
+
+    idx holds the sorted support indices, av their values; ns may come in
+    any order.  A row keeps the support inside the dense window m +- W
+    around its mode m and, on each side, the nearest support index j outside
+    it plus every index up to t steps further out, where the mass ratio r
+    one step outward from j gives r**t <= 2**-64 (ratios only fall moving
+    outward).  The mass beyond is at most B(n,j,p) r**(t+1) / (1 - r); a
+    row is kept only if that dropped mass, times max |av| over indices <= n,
+    is at most 2**-53 of its kept sum B |av|.  Other rows, and rows that
+    come out non-finite, are exp(log_pmf_many(n, p, idx[:k])) @ av[:k] over
+    the whole support <= n.  Rows go in blocks of _BLOCK_ROWS, their kept
+    terms through log_pmf_many in blocks of about _BLOCK_TERMS, each row
+    summed pairwise.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    out = np.empty(len(ns))
+    peak = np.abs(av)
+    np.maximum.accumulate(peak, out=peak)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(ns), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            out[block] = _sparse_rows(idx, av, peak, p, ns[block])
+    return out
+
+
 def _binomial_prefix_sparse(a: RealSequence, p: float, horizon: int) -> np.ndarray:
     idx, av = a.support(horizon)
-    vals = np.zeros(horizon + 1)
-    if horizon >= 0 and idx.size and idx[0] == 0:
-        vals[0] = av[0]
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, horizon + 1):
-            while k < idx.size and idx[k] <= n:
-                k += 1
-            if k == 0:
-                continue
-            logs = log_pmf_many(n, p, idx[:k])
-            vals[n] = np.exp(logs) @ av[:k]
-    return vals
+    return _binomial_means_sparse(idx, av, p, np.arange(horizon + 1))
 
 
 def binomial_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefix:
@@ -332,7 +464,8 @@ def binomial_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefi
     cannot be certified to drop less than 2**-53 of sum_i B(n,i,p) |a_i|
     use the full PMF row, as do rows with non-finite values, so unbounded or
     tilted sequences cost up to O(horizon^2).  Sparse sequences are weighted
-    only on their declared support.
+    only on their declared support, inside a certified window extended to the
+    nearest support index on each side (_binomial_means_sparse).
     """
     _check_prob(p)
     _check_horizon(horizon)
@@ -346,16 +479,13 @@ def binomial_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefi
 def binomial_mean_at(a: RealSequence, p: float, n: int) -> float:
     """Single binomial-mean value at index n, without building the prefix.
 
-    Dense sequences go through the same certified window as binomial_prefix.
+    Dense and sparse sequences go through the same certified windows as
+    binomial_prefix.
     """
     _check_prob(p)
     _check_horizon(n)
     if a.sparse:
-        idx, av = a.support(n)
-        if idx.size == 0:
-            return 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.exp(log_pmf_many(n, p, idx)) @ av)
+        return float(_binomial_means_sparse(*a.support(n), p, np.array([n]))[0])
     seq = a.prefix(n)
     if n == 0:
         return float(seq[0])

@@ -18,7 +18,7 @@ from summakit import (
     tail_mass_outside,
 )
 
-from summakit.binomial_kernel import _row_mass, _tail_row
+from summakit.binomial_kernel import _row_mass, _tail_row, log_pmf_many
 
 from oracles import pmf_exact_double, pmf_row_exact_doubles
 
@@ -73,6 +73,25 @@ class TestPmf:
         value = pmf(PMFParams(10_000_000, 0.5), 5_000_000)
         assert 0.0 < value < 1.0
         assert math.isfinite(value)
+
+
+class TestLogPmfMany:
+    def test_array_n_equals_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        ns = np.sort(rng.integers(0, 3_000_000, 40))
+        for p in (1e-6, 0.3, 0.5, 1 - 1e-6):
+            rows = np.repeat(ns, 7)
+            indices = (rng.random(rows.size) * (rows + 1)).astype(np.int64)
+            got = log_pmf_many(rows, p, indices)
+            ref = [log_pmf_many(int(n), p, [i])[0] for n, i in zip(rows, indices)]
+            np.testing.assert_array_equal(got, ref)
+
+    def test_array_n_broadcasts(self):
+        ns = np.array([[10], [20], [30]])
+        got = log_pmf_many(ns, 0.4, np.arange(5))
+        assert got.shape == (3, 5)
+        for r, n in enumerate((10, 20, 30)):
+            np.testing.assert_array_equal(got[r], log_pmf_many(n, 0.4, np.arange(5)))
 
 
 class TestPmfRow:

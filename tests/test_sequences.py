@@ -16,7 +16,10 @@ from summakit import (
     run_table1,
     sequence_from_spec,
 )
+from summakit.binomial_kernel import log_pmf_many
 from summakit.sequences import islet_ranges, islets_count_upto, spike_indices
+
+EPS = np.finfo(float).eps
 
 
 class TestGeneratorSpec:
@@ -75,6 +78,32 @@ class TestGenerate:
         for i in range(31):
             expected = 2.0 * math.sqrt(i) if i in set(idx.tolist()) else 0.0
             assert generate(spec, i) == expected
+
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [0, 1, 2, 3, 10, 500, 20_000],
+            [20_000, 500, 10, 3, 2, 1, 0],
+            [2, 2, 0, 0, 1, 1, 5000, 5000, 4999, 5001, 2],
+        ],
+    )
+    def test_spike_support_reuses_its_chain(self, order):
+        for C in (0.5, 1.0, 2.7):
+            seq = sequence_from_spec(GeneratorSpec("spikes", C=C, height_scale=3.0))
+            for h in order:
+                idx, vals = seq.support(h)
+                np.testing.assert_array_equal(idx, spike_indices(C, h))
+                np.testing.assert_array_equal(vals, 3.0 * np.sqrt(idx.astype(float)))
+                prefix = seq.prefix(h)
+                assert np.array_equal(np.flatnonzero(prefix), idx)
+
+    def test_spike_support_is_read_only(self):
+        seq = sequence_from_spec(GeneratorSpec("spikes", C=1.0))
+        idx, _ = seq.support(100)
+        with pytest.raises(ValueError):
+            idx[0] = 7
+        assert spike_indices(1.0, 100).flags.writeable
 
 
 class TestIsletStructure:
@@ -229,6 +258,19 @@ class TestProbeOpenProblem:
         assert time.perf_counter() - start < 30.0
         assert len(report.samples) > 1000
         assert report.amplitude_p > 0.0
+
+    def test_samples_match_per_sample_sums(self):
+        # the sum over the whole support <= n that each sample used to be
+        for C, horizon in ((1.0, 200_000), (0.5, 20_000), (40.0, 50_000)):
+            report = probe_open_problem(0.35, 0.8, C, horizon)
+            seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
+            idx, av = seq.support(horizon)
+            for s in report.samples:
+                prob = 0.35 if s.series.startswith("p_") else 0.8
+                k = int(np.searchsorted(idx, s.eval_index, side="right"))
+                terms = np.exp(log_pmf_many(s.eval_index, prob, idx[:k])) * av[:k]
+                old = float(np.exp(log_pmf_many(s.eval_index, prob, idx[:k])) @ av[:k])
+                assert abs(s.value - old) <= 4 * EPS * math.fsum(terms)
 
     def test_param_validation(self):
         with pytest.raises(ParameterDomainError):

@@ -22,9 +22,9 @@ from summakit import (
     weights,
 )
 from summakit import transforms
-from summakit.binomial_kernel import _row_mass
+from summakit.binomial_kernel import _row_mass, log_pmf_many
 
-from oracles import weights_double_sum
+from oracles import sparse_binomial_scipy, weights_double_sum
 
 EPS = np.finfo(float).eps
 
@@ -191,9 +191,10 @@ class TestWindowedKernel:
         assert calls == []
 
     def test_unbounded_fallback_is_bit_identical(self, monkeypatch):
-        # (-3)**n overflows at n = 647, so later rows are inf or nan and must
-        # all fall back; earlier rows certify only while the tail the window
-        # drops, times 3**n, stays below 2**-53 of (1 + 2p)**n.
+        # (-3)**n overflows at n = 647 (to -inf), so row 647 must fall back;
+        # from row 648 on both infinities are present and the rows are NaN
+        # without building a full row.  Earlier rows certify only while the
+        # tail the window drops, times 3**n, stays below 2**-53 of (1 + 2p)**n.
         calls = count_full_rows(monkeypatch)
         seq = sequence_from_spec(GeneratorSpec("geometric", a=-3.0))
         values = seq.prefix(2000)
@@ -203,8 +204,10 @@ class TestWindowedKernel:
             ref = full_row_loop(values, p)
             fallback = np.zeros(2001, dtype=bool)
             fallback[calls] = True
-            assert fallback[647:].all()
+            assert fallback[647] and not fallback[648:].any()
             assert not np.all(np.isfinite(ref[fallback]))
+            assert np.isnan(ref[648:]).all()
+            fallback[648:] = True
             np.testing.assert_array_equal(got[fallback], ref[fallback])
             windowed = np.flatnonzero(~fallback)
             scale = (1.0 + 2.0 * p) ** windowed
@@ -252,6 +255,149 @@ class TestWindowedKernel:
             got = binomial_mean_at(seq, 0.45, n)
             assert abs(got - ref[n]) <= 4 * EPS * scale[n]
             assert abs(got - prefix[n]) <= 8 * EPS * scale[n]
+
+
+    @pytest.mark.parametrize("p", [0.25, 0.6, 0.9])
+    def test_certain_nan_rows_match_full_rows(self, monkeypatch, p):
+        # (-3)**n overflows at n = 647; every later row holds both infinities
+        calls = count_full_rows(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("geometric", a=-3.0))
+        got = binomial_prefix(seq, p, 4000).values
+        ref = full_row_loop(seq.prefix(4000), p)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        assert np.isnan(got[648:]).all() and max(calls) == 647
+
+    def test_nan_term_skips_later_rows(self, monkeypatch):
+        calls = count_full_rows(monkeypatch)
+        values = np.ones(301)
+        values[200] = math.nan
+        got = binomial_prefix(RealSequence.from_values(values), 0.4, 300).values
+        assert np.all(np.abs(got[:200] - 1.0) <= 4 * EPS)
+        assert np.isnan(got[200:]).all() and calls == []
+
+
+def count_sparse_fallbacks(monkeypatch):
+    """Record the n of every row the sparse kernel sums over its whole support."""
+    calls = []
+    whole = transforms._whole_support_mean
+
+    def counted(idx, av, p, n, k):
+        calls.append(n)
+        return whole(idx, av, p, n, k)
+
+    monkeypatch.setattr(transforms, "_whole_support_mean", counted)
+    return calls
+
+
+def sparse_rows_old(idx, av, p, ns):
+    """Per row: the sum over the whole support <= n as the sparse path used to
+    compute it, the same terms summed exactly, and the exact sum of |terms|."""
+    old, exact, scale = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in ns:
+            k = int(np.searchsorted(idx, n, side="right"))
+            masses = np.exp(log_pmf_many(int(n), p, idx[:k]))
+            terms = masses * av[:k]
+            old.append(masses @ av[:k] if k else 0.0)
+            finite = np.isfinite(terms).all()
+            exact.append(math.fsum(terms) if finite else math.nan)
+            scale.append(math.fsum(np.abs(terms)) if finite else math.nan)
+    return np.array(old), np.array(exact), np.array(scale)
+
+
+@st.composite
+def sparse_supports(draw):
+    """Sorted supports made of islands (possibly none, possibly at index 0)
+    separated by gaps of any length, with bounded values."""
+    horizon = draw(st.integers(0, 2000))
+    islands = draw(
+        st.lists(st.tuples(st.integers(0, 2200), st.integers(1, 80)), min_size=0, max_size=5)
+    )
+    idx = sorted({i for start, length in islands for i in range(start, start + length)})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signed = draw(st.booleans())
+    av = rng.uniform(-1.0 if signed else 0.0, 1.0, len(idx))
+    return horizon, np.array(idx, dtype=np.int64), av
+
+
+class TestSparseKernel:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        support=sparse_supports(),
+        p=st.one_of(st.sampled_from([1e-6, 1e-3, 0.999, 1 - 1e-6]), st.floats(0.01, 0.99)),
+    )
+    def test_matches_whole_support_sums(self, support, p):
+        horizon, idx, av = support
+        ns = np.arange(horizon + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_sparse_fallbacks(mp)
+            got = transforms._binomial_means_sparse(idx, av, p, ns)
+        old, exact, scale = sparse_rows_old(idx, av, p, ns)
+        fallback = np.zeros(len(ns), dtype=bool)
+        fallback[calls] = True
+        np.testing.assert_array_equal(got[fallback], old[fallback])
+        kept = ~fallback
+        assert np.all(np.abs(got[kept] - exact[kept]) <= 4 * EPS * scale[kept])
+
+    def test_any_order_of_rows(self):
+        seq = sequence_from_spec(GeneratorSpec("islets"))
+        idx, av = seq.support(5000)
+        ns = np.random.default_rng(2).permutation(np.arange(5001))
+        ns = np.concatenate([ns, ns[:100]])
+        got = transforms._binomial_means_sparse(idx, av, 0.45, ns)
+        ref = binomial_prefix(seq, 0.45, 5000).values
+        np.testing.assert_array_equal(got, ref[ns])
+
+    def test_growing_values_fall_back_bit_identically(self, monkeypatch):
+        # 2**i grows faster than the masses fall past the window, so the
+        # dropped tail times max |a_i| cannot be certified for most rows
+        calls = count_sparse_fallbacks(monkeypatch)
+        idx = np.arange(0, 1000, 3)
+        av = 2.0**idx
+        ns = np.arange(1001)
+        got = transforms._binomial_means_sparse(idx, av, 0.3, ns)
+        old, exact, scale = sparse_rows_old(idx, av, 0.3, ns)
+        fallback = np.zeros(len(ns), dtype=bool)
+        fallback[calls] = True
+        assert fallback.sum() >= 500
+        np.testing.assert_array_equal(got[fallback], old[fallback])
+        assert np.all(np.abs(got[~fallback] - exact[~fallback]) <= 4 * EPS * scale[~fallback])
+
+    def test_non_finite_value_reaches_only_later_rows(self):
+        idx = np.arange(0, 401, 2)
+        av = np.ones(len(idx))
+        av[100] = math.inf  # index 200
+        ns = np.arange(401)
+        got = transforms._binomial_means_sparse(idx, av, 0.5, ns)
+        old, exact, scale = sparse_rows_old(idx, av, 0.5, ns)
+        assert np.all(np.abs(got[:200] - exact[:200]) <= 4 * EPS * scale[:200])
+        assert np.isinf(got[200:]).all()
+        np.testing.assert_array_equal(got[200:], old[200:])
+
+    def test_islet_gap_rows_against_scipy(self, monkeypatch):
+        # rows whose window falls in a gap between islets: only the nearest
+        # islet and its 2**-64 extension carry them, without a fallback
+        calls = count_sparse_fallbacks(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("islets"))
+        got = binomial_prefix(seq, 0.5, 14_000).values
+        assert calls == []
+        gap = np.flatnonzero((got > 1e-300) & (got < 1e-200))
+        assert len(gap) >= 500
+        idx, av = seq.support(14_000)
+        for n in gap[::25]:
+            ref = sparse_binomial_scipy(idx, av, int(n), 0.5)
+            assert abs(got[n] - ref) <= 1e-9 * ref
+
+    def test_mean_at_uses_the_sparse_kernel(self, monkeypatch):
+        calls = count_sparse_fallbacks(monkeypatch)
+        spikes = sequence_from_spec(GeneratorSpec("spikes", C=1.0))
+        islets = sequence_from_spec(GeneratorSpec("islets"))
+        for seq in (spikes, islets):
+            for n in (0, 1, 2, 77, 4**8 * 2, 2_000_001):
+                idx, av = seq.support(n)
+                old, exact, scale = sparse_rows_old(idx, av, 0.5, [n])
+                assert abs(binomial_mean_at(seq, 0.5, n) - exact[0]) <= 4 * EPS * scale[0]
+        assert calls == []
 
 
 class TestCompose:
