@@ -145,7 +145,8 @@ def spike_indices(C: float, horizon: int) -> np.ndarray:
 
 
 def generate(spec: GeneratorSpec, i: int) -> float:
-    """Term i of the family, evaluated pointwise."""
+    """Term i of the family, evaluated pointwise: the reference that the
+    vectorized rules of sequence_from_spec are tested against."""
     if i < 0:
         raise ParameterDomainError(f"sequence index must be >= 0, got {i}")
     f = spec.family
@@ -153,13 +154,10 @@ def generate(spec: GeneratorSpec, i: int) -> float:
         return 1.0 if i % 2 == 0 else 0.0
     if f == "geometric":
         a = float(spec.a)
-        if a == 0.0:
-            return 1.0 if i == 0 else 0.0
         try:
-            mag = math.exp(i * math.log(abs(a)))
+            return a**i
         except OverflowError:
-            mag = math.inf
-        return mag if (a > 0 or i % 2 == 0) else -mag
+            return math.inf if (a > 0 or i % 2 == 0) else -math.inf
     if f == "signed_linear":
         return float(-i if i % 2 else i)
     if f == "islets":
@@ -172,14 +170,13 @@ def generate(spec: GeneratorSpec, i: int) -> float:
 
 
 def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
-    """Wrap a family as a RealSequence, with vectorized materializers and,
-    for the sparse families, a declared support set."""
+    """Wrap a family as a RealSequence with a vectorized prefix rule and,
+    for the sparse families, a support rule."""
     f = spec.family
     if f == "alternating01":
         return RealSequence.from_function(
-            lambda i: generate(spec, i),
+            lambda h: np.where(np.arange(h + 1) % 2 == 0, 1.0, 0.0),
             nonneg=True,
-            prefix=lambda h: np.where(np.arange(h + 1) % 2 == 0, 1.0, 0.0),
             name=spec.label,
         )
     if f == "geometric":
@@ -189,18 +186,14 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.power(a, np.arange(h + 1, dtype=float))
 
-        return RealSequence.from_function(
-            lambda i: generate(spec, i), nonneg=a >= 0, prefix=prefix, name=spec.label
-        )
+        return RealSequence.from_function(prefix, nonneg=a >= 0, name=spec.label)
     if f == "signed_linear":
 
         def prefix(h):
             i = np.arange(h + 1, dtype=float)
             return np.where(np.arange(h + 1) % 2 == 0, i, -i)
 
-        return RealSequence.from_function(
-            lambda i: generate(spec, i), nonneg=False, prefix=prefix, name=spec.label
-        )
+        return RealSequence.from_function(prefix, name=spec.label)
     if f == "islets":
 
         def prefix(h):
@@ -212,33 +205,29 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
         def support(h):
             ranges = islet_ranges(h)
             if not ranges:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges])
+                return np.empty(0, dtype=np.int64), np.empty(0)
+            idx = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges])
+            return idx, np.ones(len(idx))
 
-        return RealSequence.from_function(
-            lambda i: generate(spec, i),
-            nonneg=True,
-            prefix=prefix,
-            support=support,
-            support_values=lambda idx: np.ones(len(idx)),
-            name=spec.label,
-        )
+        return RealSequence.from_function(prefix, support, nonneg=True, name=spec.label)
     # spikes: one chain per sequence serves every horizon asked of it
     chain = _SpikeChain(spec.C)
+
+    def heights(idx):
+        return spec.height_scale * np.sqrt(idx.astype(float))
 
     def prefix(h):
         out = np.zeros(h + 1)
         idx = chain.upto(h)
-        out[idx] = spec.height_scale * np.sqrt(idx.astype(float))
+        out[idx] = heights(idx)
         return out
 
+    def support(h):
+        idx = chain.upto(h)
+        return idx, heights(idx)
+
     return RealSequence.from_function(
-        lambda i: generate(spec, i),
-        nonneg=spec.height_scale >= 0,
-        prefix=prefix,
-        support=chain.upto,
-        support_values=lambda idx: spec.height_scale * np.sqrt(idx.astype(float)),
-        name=spec.label,
+        prefix, support, nonneg=spec.height_scale >= 0, name=spec.label
     )
 
 

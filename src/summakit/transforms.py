@@ -70,102 +70,63 @@ def _check_horizon(horizon):
 
 @dataclass
 class RealSequence:
-    """A real sequence indexed from 0.
+    """A real sequence indexed from 0, given by two rules.
 
-    Backed either by an explicit finite vector or by a term rule; rules may
-    additionally carry a vectorized materializer and a sparse-support
-    enumerator (sorted indices of the nonzero terms up to a horizon).  The
-    ``nonneg`` flag is a claim that every term is >= 0, checked lazily when
-    terms are materialized.
+    ``prefix(h)`` returns terms 0..h as a vector; an optional ``support(h)``
+    returns the sorted indices of the nonzero terms up to h with their
+    values, and marks the sequence sparse.  An explicit vector is a prefix
+    rule that raises HorizonError past its end.  The ``nonneg`` flag is a
+    claim that every term is >= 0, checked lazily on what either rule
+    returns.
     """
 
     name: str = "sequence"
     nonneg: bool = False
-    _values: Optional[np.ndarray] = field(default=None, repr=False)
-    _term: Optional[Callable[[int], float]] = field(default=None, repr=False)
     _prefix: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
-    _support: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
-    _support_values: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False
-    )
+    _support: Optional[Callable[[int], tuple]] = field(default=None, repr=False)
 
     @classmethod
     def from_values(cls, values, nonneg=False, name="explicit"):
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterDomainError("explicit sequences need a non-empty 1-d vector")
-        return cls(name=name, nonneg=nonneg, _values=arr)
+
+        def prefix(horizon):
+            if horizon >= len(arr):
+                raise HorizonError(
+                    f"horizon {horizon} beyond explicit sequence of length {len(arr)}"
+                )
+            return arr[: horizon + 1].copy()
+
+        return cls(name=name, nonneg=nonneg, _prefix=prefix)
 
     @classmethod
-    def from_function(
-        cls, term, nonneg=False, prefix=None, support=None, support_values=None, name="rule"
-    ):
-        return cls(
-            name=name,
-            nonneg=nonneg,
-            _term=term,
-            _prefix=prefix,
-            _support=support,
-            _support_values=support_values,
-        )
+    def from_function(cls, prefix, support=None, nonneg=False, name="rule"):
+        return cls(name=name, nonneg=nonneg, _prefix=prefix, _support=support)
 
     @property
     def sparse(self) -> bool:
         """True when the sequence declares its nonzero support."""
         return self._support is not None
 
-    def term(self, i: int) -> float:
-        if i < 0:
-            raise ParameterDomainError(f"sequence index must be >= 0, got {i}")
-        if self._values is not None:
-            if i >= len(self._values):
-                raise HorizonError(
-                    f"index {i} beyond explicit sequence of length {len(self._values)}"
-                )
-            value = float(self._values[i])
-        else:
-            value = float(self._term(i))
-        if self.nonneg and value < 0:
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        if self.nonneg and (values < 0).any():
             raise ParameterDomainError(
-                f"sequence {self.name!r} is declared non-negative but term {i} is {value}"
+                f"sequence {self.name!r} is declared non-negative but has a negative term"
             )
-        return value
+        return values
 
     def prefix(self, horizon: int) -> np.ndarray:
         """Terms 0..horizon as a vector."""
         _check_horizon(horizon)
-        if self._values is not None:
-            if horizon >= len(self._values):
-                raise HorizonError(
-                    f"horizon {horizon} beyond explicit sequence of length {len(self._values)}"
-                )
-            out = self._values[: horizon + 1].astype(float, copy=True)
-        elif self._prefix is not None:
-            out = np.asarray(self._prefix(horizon), dtype=float)
-        else:
-            out = np.array([float(self._term(i)) for i in range(horizon + 1)])
-        if self.nonneg:
-            finite = out[np.isfinite(out)]
-            if finite.size and finite.min() < 0:
-                raise ParameterDomainError(
-                    f"sequence {self.name!r} is declared non-negative but has a negative term"
-                )
-        return out
+        return self._checked(np.asarray(self._prefix(horizon), dtype=float))
 
     def support(self, horizon: int):
         """Sorted nonzero indices up to horizon, with their values."""
         if not self.sparse:
             raise ParameterDomainError(f"sequence {self.name!r} declares no support set")
-        idx = np.asarray(self._support(horizon), dtype=np.int64)
-        if self._support_values is not None:
-            vals = np.asarray(self._support_values(idx), dtype=float)
-            if self.nonneg and vals.size and vals.min() < 0:
-                raise ParameterDomainError(
-                    f"sequence {self.name!r} is declared non-negative but has a negative term"
-                )
-        else:
-            vals = np.array([self.term(int(i)) for i in idx])
-        return idx, vals
+        idx, vals = self._support(horizon)
+        return np.asarray(idx, dtype=np.int64), self._checked(np.asarray(vals, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -216,7 +177,11 @@ class SplitSums:
 def cesaro_prefix(a: RealSequence, horizon: int) -> TransformedPrefix:
     """Running arithmetic means: entry n is the mean of a_0..a_n.
 
-    One compensated pass, O(horizon) total.
+    One compensated pass, O(horizon) total: the prefix sums come from the
+    vectorised Sum2 scan of summation.compensated_cumsum, so each mean is
+    within about one rounding of the exact mean of the given terms.  A
+    term of inf makes every later mean inf, inf and -inf together make NaN,
+    and a NaN term makes every later mean NaN.
     """
     seq = a.prefix(horizon)
     return TransformedPrefix("cesaro", None, running_mean(seq))

@@ -252,33 +252,33 @@ class TestReportCommands:
         assert rows
 
 
+def _child_stdout(threads, code):
+    """Stdout of a fresh interpreter that imports this summakit with
+    SUMMAKIT_THREADS=threads and no *_NUM_THREADS set."""
+    import os
+    import subprocess
+    import sys
+
+    import summakit
+
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["SUMMAKIT_THREADS"] = threads
+    # the child finds the package where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(summakit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import summakit, os; print({code})"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
 class TestThreadCap:
     def test_env_var_propagates_to_blas_limits(self):
-        import os
-        import subprocess
-        import sys
-
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-        env["SUMMAKIT_THREADS"] = "2"
-        out = subprocess.run(
-            [sys.executable, "-c", "import summakit, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "2"
+        assert _child_stdout("2", "os.environ['OPENBLAS_NUM_THREADS']") == "2"
 
     def test_zero_means_automatic(self):
-        import os
-        import subprocess
-        import sys
-
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-        env["SUMMAKIT_THREADS"] = "0"
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import summakit, os; print(os.environ.get('OPENBLAS_NUM_THREADS', 'auto'))"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "auto"
+        assert _child_stdout("0", "os.environ.get('OPENBLAS_NUM_THREADS', 'auto')") == "auto"
 
 
 class TestOutputDiscipline:

@@ -67,6 +67,33 @@ class TestGenerate:
             brute = any(abs(i - 4**k) < 2**k * k for k in range(1, 40))
             assert generate(spec, i) == float(brute)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("alternating01"),
+            GeneratorSpec("geometric", a=-3.0),
+            GeneratorSpec("geometric", a=-0.7),
+            GeneratorSpec("geometric", a=0.999),
+            GeneratorSpec("geometric", a=0.0),
+            GeneratorSpec("signed_linear"),
+            GeneratorSpec("islets"),
+            GeneratorSpec("spikes", C=1.3, height_scale=2.5),
+        ],
+        ids=lambda spec: spec.label,
+    )
+    def test_prefix_rule_matches_pointwise(self, spec):
+        prefix = sequence_from_spec(spec).prefix(1200)
+        expected = np.array([generate(spec, i) for i in range(1201)])
+        if spec.family == "geometric":
+            # numpy's vectorised power and the C library's pow, which the
+            # pointwise rule uses, may differ in the last bit
+            finite = np.isfinite(expected)
+            np.testing.assert_array_equal(prefix[~finite], expected[~finite])
+            gap = np.abs(prefix[finite] - expected[finite])
+            assert np.all(gap <= np.spacing(np.abs(expected[finite])))
+        else:
+            np.testing.assert_array_equal(prefix, expected)
+
     def test_negative_index_rejected(self):
         with pytest.raises(ParameterDomainError):
             generate(GeneratorSpec("alternating01"), -1)

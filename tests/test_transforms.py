@@ -36,19 +36,34 @@ def constant(c, length=1001):
 class TestRealSequence:
     def test_horizon_beyond_explicit_length(self):
         seq = RealSequence.from_values([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(seq.prefix(2), [1.0, 2.0, 3.0])
         with pytest.raises(HorizonError):
             seq.prefix(3)
         with pytest.raises(HorizonError):
-            seq.term(5)
+            seq.prefix(5)
 
     def test_nonneg_claim_checked_lazily(self):
         seq = RealSequence.from_values([1.0, -1.0], nonneg=True)
         with pytest.raises(ParameterDomainError):
             seq.prefix(1)
+        # the claim is not checked at construction, nor on terms not asked for
+        np.testing.assert_array_equal(seq.prefix(0), [1.0])
+
+    def test_nonneg_claim_checked_on_support(self):
+        seq = RealSequence.from_function(
+            lambda h: np.zeros(h + 1),
+            support=lambda h: (np.array([1, 3]), np.array([2.0, -1.0])),
+            nonneg=True,
+        )
+        assert seq.sparse
         with pytest.raises(ParameterDomainError):
-            seq.term(1)
-        # the claim is not checked at construction
-        assert seq.term(0) == 1.0
+            seq.support(4)
+
+    def test_explicit_prefix_is_a_copy(self):
+        values = np.array([1.0, 2.0])
+        seq = RealSequence.from_values(values)
+        seq.prefix(1)[0] = 7.0
+        assert seq.prefix(1)[0] == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterDomainError):
