@@ -3,8 +3,9 @@ comparison, the Markov limit solver, and the two experiment reports.
 
 Output goes to stdout (or --out PATH) as CSV with a header line or as a
 single JSON object.  Floats are printed with 17 significant digits so file
-round-trips are lossless.  Exit status: 0 success, 1 usage error, 2
-domain/validation error, 3 non-convergence.
+round-trips are lossless.  Exit status: 0 success, 1 usage error (also an
+unreadable input or unwritable --out), 2 domain/validation error, 3
+non-convergence.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .exceptions import (
 from .markov import limit_matrix, load_matrix_csv, validate
 from .sequences import (
     GeneratorSpec,
+    ProbeSample,
     probe_open_problem,
     run_table1,
     sequence_from_spec,
@@ -57,47 +59,41 @@ class _Parser(argparse.ArgumentParser):
 class _Payload:
     command: str
     params: dict
-    columns: list
-    rows: list
-    report: dict | None = None
+    table: dict  # column name -> that column's cells (ndarray, range or list)
+    report: dict | None = None  # the JSON body in place of rows and columns
     notes: list = field(default_factory=list)  # informational stderr lines
 
 
+def _cells(column):
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
     if isinstance(value, str):
         return value
-    return format(float(value), ".17g")
+    return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _plain(value):
+    # json.dumps fallback; np.float64 is a float and never reaches it
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serialisable")
 
 
 def _render(payload: _Payload, fmt: str) -> str:
-    if fmt == "json":
-        body = {"command": payload.command, "params": _jsonable(payload.params)}
-        if payload.report is not None:
-            body["report"] = _jsonable(payload.report)
-        else:
-            body["rows"] = _jsonable([list(r) for r in payload.rows])
-            body["columns"] = list(payload.columns)
-        return json.dumps(body) + "\n"
-    lines = [",".join(payload.columns)]
-    for row in payload.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        cols = [map(_fmt, _cells(c)) for c in payload.table.values()]
+        return "\n".join([",".join(payload.table), *map(",".join, zip(*cols))]) + "\n"
+    body = {"command": payload.command, "params": payload.params}
+    if payload.report is not None:
+        body["report"] = payload.report
+    else:
+        body["rows"] = list(zip(*map(_cells, payload.table.values())))
+        body["columns"] = list(payload.table)
+    return json.dumps(body, default=_plain) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,15 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, metavar="PATH", help="write here instead of stdout")
 
-    sp = sub.add_parser("pmf", help="binomial mass table for fixed n, p")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    common(sp)
-
-    sp = sub.add_parser("weights", help="transform weight table for fixed n, p")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    common(sp)
+    for name, what in (("pmf", "binomial mass"), ("weights", "transform weight")):
+        sp = sub.add_parser(name, help=f"{what} table for fixed n, p")
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--p", type=float, required=True)
+        common(sp)
 
     sp = sub.add_parser("transform", help="transform prefix of a named sequence family")
     sp.add_argument(
@@ -164,21 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pmf(args) -> _Payload:
     row = pmf_row(PMFParams(args.n, args.p)).mass
-    return _Payload(
-        command="pmf",
-        params={"n": args.n, "p": args.p},
-        columns=["i", "mass"],
-        rows=[(i, row[i]) for i in range(args.n + 1)],
-    )
+    return _Payload("pmf", {"n": args.n, "p": args.p}, {"i": range(args.n + 1), "mass": row})
 
 
 def _cmd_weights(args) -> _Payload:
     table = weights(args.n, args.p)
     return _Payload(
-        command="weights",
-        params={"n": args.n, "p": args.p},
-        columns=["i", "weight"],
-        rows=[(i, table.weights[i]) for i in range(args.n + 1)],
+        "weights", {"n": args.n, "p": args.p}, {"i": range(args.n + 1), "weight": table.weights}
     )
 
 
@@ -199,142 +183,99 @@ def _family_spec(args) -> GeneratorSpec:
 def _cmd_transform(args) -> _Payload:
     spec = _family_spec(args)
     seq = sequence_from_spec(spec)
-    if args.kind == "cesaro":
-        prefix = cesaro_prefix(seq, args.horizon)
-    else:
-        if args.p is None:
-            raise _UsageError(f"--p is required for the {args.kind} transform")
-        fn = binomial_prefix if args.kind == "binomial" else pstar_prefix
-        prefix = fn(seq, args.p, args.horizon)
+    if args.kind != "cesaro" and args.p is None:
+        raise _UsageError(f"--p is required for the {args.kind} transform")
+    # overflow is reported below as a count, not as numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.kind == "cesaro":
+            prefix = cesaro_prefix(seq, args.horizon)
+        else:
+            fn = binomial_prefix if args.kind == "binomial" else pstar_prefix
+            prefix = fn(seq, args.p, args.horizon)
     params = {"family": spec.label, "kind": args.kind, "horizon": args.horizon}
     if prefix.p is not None:
         params["p"] = prefix.p
-    return _Payload(
-        command="transform",
-        params=params,
-        columns=["n", "value"],
-        rows=[(n, prefix.values[n]) for n in range(args.horizon + 1)],
-    )
+    notes = []
+    bad = np.flatnonzero(~np.isfinite(prefix.values))
+    if bad.size:
+        notes.append(
+            f"summakit: note: {bad.size} of {prefix.values.size} values are non-finite, "
+            f"the first at n={bad[0]}"
+        )
+    table = {"n": range(args.horizon + 1), "value": prefix.values}
+    return _Payload("transform", params, table, notes=notes)
 
 
 def _cmd_compare(args) -> _Payload:
     p, q, n = args.p, args.q, args.n
     if not p < q:
         raise _UsageError(f"compare requires p < q, got p={p!r}, q={q!r}")
-    row_p = pmf_row(PMFParams(int(n / p), p)).mass
-    row_q = pmf_row(PMFParams(int(n / q), q)).mass
+    if n < 0:
+        raise ParameterDomainError(f"--n must be non-negative, got {n!r}")
+    for flag, value in (("--p", p), ("--q", q)):
+        if not 0.0 < value < 1.0:
+            raise ParameterDomainError(f"{flag} must lie strictly inside (0, 1), got {value!r}")
     lo = max(0, math.floor(n - 5.0 * math.sqrt(n)))
     hi = math.ceil(n + 5.0 * math.sqrt(n))
-
-    def at(row, i):
-        return float(row[i]) if i < len(row) else 0.0
-
-    measured = max(at(row_p, i) for i in range(lo, hi + 1)) / max(
-        at(row_q, i) for i in range(lo, hi + 1)
-    )
+    rows = [pmf_row(PMFParams(int(n / prob), prob)).mass[lo : hi + 1] for prob in (p, q)]
+    # indices past a row's last trial have mass 0
+    mass_p, mass_q = (np.pad(row, (0, hi + 1 - lo - row.size)) for row in rows)
+    measured = float(mass_p.max() / mass_q.max())
     predicted = math.sqrt((1.0 - q) / (1.0 - p))
-    rows = [
-        (i, at(row_p, i), at(row_q, i), measured, predicted) for i in range(lo, hi + 1)
-    ]
-    return _Payload(
-        command="compare",
-        params={"p": p, "q": q, "n": n},
-        columns=["i", "mass_p", "mass_q", "peak_ratio_measured", "peak_ratio_predicted"],
-        rows=rows,
-    )
+    table = {
+        "i": range(lo, hi + 1),
+        "mass_p": mass_p,
+        "mass_q": mass_q,
+        "peak_ratio_measured": [measured] * mass_p.size,
+        "peak_ratio_predicted": [predicted] * mass_p.size,
+    }
+    return _Payload("compare", {"p": p, "q": q, "n": n}, table)
 
 
 def _cmd_markov_limit(args) -> _Payload:
     P = validate(load_matrix_csv(args.matrix_csv), row_tol=args.row_tol)
     report = limit_matrix(P, tol=args.tol, max_squarings=args.max_squarings)
     A = report.A.matrix
-    dim = report.A.dim
     diag = (
         f"iterations={report.iterations} residual_fix={report.residual_fix:.3e} "
         f"residual_idem={report.residual_idem:.3e}"
     )
     return _Payload(
-        command="markov-limit",
-        params={
-            "matrix_csv": args.matrix_csv,
-            "tol": args.tol,
-            "max_squarings": args.max_squarings,
-        },
-        columns=[f"c{j}" for j in range(dim)],
-        rows=[tuple(A[i]) for i in range(dim)],
-        report={
-            "A": A,
-            "iterations": report.iterations,
-            "residual_fix": report.residual_fix,
-            "residual_idem": report.residual_idem,
-        },
+        "markov-limit",
+        {"matrix_csv": args.matrix_csv, "tol": args.tol, "max_squarings": args.max_squarings},
+        {f"c{j}": col for j, col in enumerate(A.T)},
+        report=vars(report) | {"A": A},
         notes=[diag],
     )
 
 
-def _verdict_dict(v):
-    return {"status": v.status, "value": v.value, "window": v.window, "tol": v.tol}
+def _pick(obj, names):
+    return {k: getattr(obj, k) for k in names}
+
+
+_CELL_FIELDS = ("family", "source", "target", "relation", "outcome")
 
 
 def _cmd_table1(args) -> _Payload:
     if not args.p < args.q:
         raise _UsageError(f"table1 requires p < q, got p={args.p!r}, q={args.q!r}")
     report = run_table1(args.p, args.q, args.horizon)
-    columns = [
-        "family",
-        "source",
-        "target",
-        "relation",
-        "outcome",
-        "source_status",
-        "source_value",
-        "target_status",
-        "target_value",
-    ]
-    rows = [
-        (
-            c.family,
-            c.source,
-            c.target,
-            c.relation,
-            c.outcome,
-            c.source_verdict.status,
-            "" if c.source_verdict.value is None else c.source_verdict.value,
-            c.target_verdict.status,
-            "" if c.target_verdict.value is None else c.target_verdict.value,
-        )
-        for c in report.cells
-    ]
-    body = {
-        "p": report.p,
-        "q": report.q,
-        "horizon": report.horizon,
-        "contradictions": report.contradictions,
+    cells = report.cells
+    table = {k: [getattr(c, k) for c in cells] for k in _CELL_FIELDS}
+    for side in ("source", "target"):
+        verdicts = [getattr(c, f"{side}_verdict") for c in cells]
+        table[f"{side}_status"] = [v.status for v in verdicts]
+        table[f"{side}_value"] = ["" if v.value is None else v.value for v in verdicts]
+    body = _pick(report, ("p", "q", "horizon", "contradictions")) | {
         "verdicts": {
-            fam: {t: _verdict_dict(v) for t, v in per.items()}
-            for fam, per in report.verdicts.items()
+            fam: {t: asdict(v) for t, v in per.items()} for fam, per in report.verdicts.items()
         },
-        "cells": [
-            {
-                "family": c.family,
-                "source": c.source,
-                "target": c.target,
-                "relation": c.relation,
-                "outcome": c.outcome,
-            }
-            for c in report.cells
-        ],
-        "witnesses": [
-            {"family": c.family, "source": c.source, "target": c.target} for c in report.witnesses
-        ],
+        "cells": [_pick(c, _CELL_FIELDS) for c in cells],
+        "witnesses": [_pick(c, _CELL_FIELDS[:3]) for c in report.witnesses],
         "pq_witness": report.pq_witness,
     }
     return _Payload(
-        command="table1",
-        params={"p": args.p, "q": args.q, "horizon": args.horizon},
-        columns=columns,
-        rows=rows,
-        report=body,
+        "table1", {"p": args.p, "q": args.q, "horizon": args.horizon}, table, report=body
     )
 
 
@@ -344,39 +285,14 @@ def _cmd_explore(args) -> _Payload:
     report = probe_open_problem(
         args.p, args.q, args.C, args.horizon, height_scale=args.height_scale
     )
-    rows = [
-        (s.series, s.ordinal, s.spike_index, s.eval_index, s.value) for s in report.samples
-    ]
-    body = {
-        "p": report.p,
-        "q": report.q,
-        "C": report.C,
-        "height_scale": report.height_scale,
-        "horizon": report.horizon,
-        "amplitude_p": report.amplitude_p,
-        "amplitude_q": report.amplitude_q,
-        "samples": [
-            {
-                "series": s.series,
-                "ordinal": s.ordinal,
-                "spike_index": s.spike_index,
-                "eval_index": s.eval_index,
-                "value": s.value,
-            }
-            for s in report.samples
-        ],
-    }
+    samples = report.samples
+    # vars(), not asdict(): asdict deep-copies every sample
+    body = {k: v for k, v in vars(report).items() if k != "samples"}
+    body["samples"] = [vars(s) for s in samples]
     return _Payload(
-        command="explore",
-        params={
-            "p": args.p,
-            "q": args.q,
-            "C": args.C,
-            "height_scale": args.height_scale,
-            "horizon": args.horizon,
-        },
-        columns=["series", "ordinal", "spike_index", "eval_index", "value"],
-        rows=rows,
+        "explore",
+        _pick(args, ("p", "q", "C", "height_scale", "horizon")),
+        {f.name: [getattr(s, f.name) for s in samples] for f in fields(ProbeSample)},
         report=body,
     )
 
@@ -396,7 +312,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         payload = _HANDLERS[args.command](args)
-    except _UsageError as exc:
+        text = _render(payload, args.output)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (_UsageError, OSError) as exc:  # OSError: unreadable input, unwritable --out
         print(f"summakit: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParameterDomainError, PreconditionError, MatrixValidationError, HorizonError) as exc:
@@ -406,12 +326,8 @@ def main(argv=None) -> int:
         print(f"summakit: no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    text = _render(payload, args.output)
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     for note in payload.notes:
         print(note, file=sys.stderr)
     return EXIT_OK

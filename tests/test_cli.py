@@ -166,6 +166,20 @@ class TestCompareCommand:
         code, _, _ = run_cli(capsys, "compare", "--p", "0.5", "--q", "0.5", "--n", "100")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "10", "--p", "0", "--q", "0.5"), "--p must lie strictly inside (0, 1), got 0.0"),
+            (("--n", "-5", "--p", "0.2", "--q", "0.5"), "--n must be non-negative, got -5"),
+            (("--n", "10", "--p", "0.4", "--q", "1.5"), "--q must lie strictly inside (0, 1), got 1.5"),
+        ],
+    )
+    def test_domain_checked_before_trial_counts(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "compare", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"summakit: error: {message}\n"
+
 
 class TestMarkovLimitCommand:
     def test_identity(self, capsys, tmp_path):
@@ -288,6 +302,35 @@ class TestOutputDiscipline:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_unreadable_input(self, capsys, tmp_path):
+        path = tmp_path / "missing.csv"
+        code, out, err = run_cli(capsys, "markov-limit", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("summakit: usage error: ")
+        assert str(path) in err and err.count("\n") == 1
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, "pmf", "--n", "2", "--p", "0.5", "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("summakit: usage error: ")
+        assert str(path) in err and err.count("\n") == 1
+
+    def test_non_finite_transform_note(self, capsys):
+        argv = ("transform", "--family", "geometric", "--a", "3", "--kind", "cesaro")
+        code, out, err = run_cli(capsys, *argv, "--horizon", "700")
+        assert code == 0
+        _, rows = csv_rows(out)
+        bad = [int(n) for n, v in rows if not math.isfinite(float(v))]
+        assert bad and bad == list(range(bad[0], 701))
+        assert err == (
+            f"summakit: note: {len(bad)} of 701 values are non-finite, the first at n={bad[0]}\n"
+        )
+        _, _, err = run_cli(capsys, *argv, "--horizon", "600")
+        assert err == ""
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, out, _ = run_cli(
@@ -296,3 +339,159 @@ class TestOutputDiscipline:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("i,mass\n")
+
+
+# -- byte format -------------------------------------------------------------
+# Each case returns (argv, params, columns, rows, report) built from the
+# library objects; the expected stdout is rendered row by row below, so the
+# CLI's columnar renderer is checked against an independent reference.
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _case_pmf(tmp_path):
+    from summakit import PMFParams, pmf_row
+
+    mass = pmf_row(PMFParams(5, 0.3)).mass
+    rows = [(i, float(m)) for i, m in enumerate(mass)]
+    return ("pmf", "--n", "5", "--p", "0.3"), {"n": 5, "p": 0.3}, ["i", "mass"], rows, None
+
+
+def _case_weights(tmp_path):
+    from summakit import weights
+
+    table = weights(5, 0.3).weights
+    rows = [(i, float(w)) for i, w in enumerate(table)]
+    return ("weights", "--n", "5", "--p", "0.3"), {"n": 5, "p": 0.3}, ["i", "weight"], rows, None
+
+
+def _case_transform(tmp_path):
+    from summakit import GeneratorSpec, cesaro_prefix, sequence_from_spec
+
+    spec = GeneratorSpec("geometric", a=3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = cesaro_prefix(sequence_from_spec(spec), 700).values
+    assert not np.isfinite(values[-1])  # the inf cells are part of the format
+    argv = ("transform", "--family", "geometric", "--a", "3", "--kind", "cesaro",
+            "--horizon", "700")
+    params = {"family": spec.label, "kind": "cesaro", "horizon": 700}
+    return argv, params, ["n", "value"], [(n, float(v)) for n, v in enumerate(values)], None
+
+
+def _case_compare(tmp_path):
+    from summakit import PMFParams, pmf_row
+
+    n, p, q = 9, 0.4, 0.7
+    row_p = pmf_row(PMFParams(int(n / p), p)).mass
+    row_q = pmf_row(PMFParams(int(n / q), q)).mass
+    span = range(max(0, math.floor(n - 5 * math.sqrt(n))), math.ceil(n + 5 * math.sqrt(n)) + 1)
+    at = [[float(row[i]) if i < len(row) else 0.0 for i in span] for row in (row_p, row_q)]
+    measured = max(at[0]) / max(at[1])
+    predicted = math.sqrt((1 - q) / (1 - p))
+    rows = [(i, mp, mq, measured, predicted) for i, mp, mq in zip(span, *at)]
+    columns = ["i", "mass_p", "mass_q", "peak_ratio_measured", "peak_ratio_predicted"]
+    argv = ("compare", "--p", "0.4", "--q", "0.7", "--n", "9")
+    return argv, {"p": p, "q": q, "n": n}, columns, rows, None
+
+
+def _case_markov_limit(tmp_path):
+    from summakit import limit_matrix, load_matrix_csv, validate
+
+    path = tmp_path / "m.csv"
+    path.write_text("0.5,0.5,0\n0.25,0.5,0.25\n0,0.5,0.5\n")
+    report = limit_matrix(validate(load_matrix_csv(str(path))))
+    A = report.A.matrix.tolist()
+    body = {
+        "A": A,
+        "iterations": report.iterations,
+        "residual_fix": float(report.residual_fix),
+        "residual_idem": float(report.residual_idem),
+    }
+    params = {"matrix_csv": str(path), "tol": 1e-12, "max_squarings": 64}
+    return ("markov-limit", str(path)), params, ["c0", "c1", "c2"], A, body
+
+
+def _case_table1(tmp_path):
+    from summakit.sequences import run_table1
+
+    rep = run_table1(0.25, 0.75, 40)
+    rows = [
+        (c.family, c.source, c.target, c.relation, c.outcome,
+         c.source_verdict.status, c.source_verdict.value,
+         c.target_verdict.status, c.target_verdict.value)
+        for c in rep.cells
+    ]
+    assert any(r[6] is None for r in rows)  # the "" cell is part of the format
+    columns = ["family", "source", "target", "relation", "outcome",
+               "source_status", "source_value", "target_status", "target_value"]
+    body = {
+        "p": rep.p,
+        "q": rep.q,
+        "horizon": rep.horizon,
+        "contradictions": rep.contradictions,
+        "verdicts": {
+            fam: {t: {"status": v.status, "value": v.value, "window": v.window, "tol": v.tol}
+                  for t, v in per.items()}
+            for fam, per in rep.verdicts.items()
+        },
+        "cells": [
+            {"family": c.family, "source": c.source, "target": c.target,
+             "relation": c.relation, "outcome": c.outcome}
+            for c in rep.cells
+        ],
+        "witnesses": [
+            {"family": c.family, "source": c.source, "target": c.target} for c in rep.witnesses
+        ],
+        "pq_witness": rep.pq_witness,
+    }
+    argv = ("table1", "--p", "0.25", "--q", "0.75", "--horizon", "40")
+    return argv, {"p": 0.25, "q": 0.75, "horizon": 40}, columns, rows, body
+
+
+def _case_explore(tmp_path):
+    from summakit.sequences import probe_open_problem
+
+    rep = probe_open_problem(0.4, 0.7, 1.0, 200)
+    names = ["series", "ordinal", "spike_index", "eval_index", "value"]
+    rows = [tuple(getattr(s, k) for k in names) for s in rep.samples]
+    body = {
+        "p": rep.p, "q": rep.q, "C": rep.C, "height_scale": rep.height_scale,
+        "horizon": rep.horizon, "amplitude_p": rep.amplitude_p,
+        "amplitude_q": rep.amplitude_q,
+        "samples": [dict(zip(names, r)) for r in rows],
+    }
+    argv = ("explore", "--p", "0.4", "--q", "0.7", "--C", "1", "--horizon", "200")
+    params = {"p": 0.4, "q": 0.7, "C": 1.0, "height_scale": 1.0, "horizon": 200}
+    return argv, params, names, rows, body
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "case",
+    [_case_pmf, _case_weights, _case_transform, _case_compare, _case_markov_limit,
+     _case_table1, _case_explore],
+    ids=lambda f: f.__name__[len("_case_"):],
+)
+def test_output_bytes(capsys, tmp_path, case, fmt):
+    argv, params, columns, rows, report = case(tmp_path)
+    code, out, _ = run_cli(capsys, *argv, "--output", fmt)
+    assert code == 0
+    if fmt == "csv":
+        expected = "".join(",".join(map(_cell, r)) + "\n" for r in [columns, *rows])
+    else:
+        body = {"command": argv[0], "params": params}
+        if report is None:
+            body["rows"] = [list(r) for r in rows]
+            body["columns"] = columns
+        else:
+            body["report"] = report
+        expected = json.dumps(body) + "\n"
+    assert out == expected
