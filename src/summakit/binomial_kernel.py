@@ -102,18 +102,35 @@ def log_pmf_many(n, p: float, indices) -> np.ndarray:
     )
 
 
+def _mode(n, p: float):
+    """mode_index of row n, for a float n or an array of them, as floats.
+
+    For 0 < p < 1 it lies in [0, n]: (n+1)p > 0 cannot round to 0, and
+    where it rounds up to n + 1 the tie rule takes it back to n.
+    """
+    x = (n + 1.0) * p
+    m = np.floor(x)
+    return m - (m == x)
+
+
+def _ratio_up(n, i, p: float):
+    """mass[i] / mass[i-1] of row n; 0 at i = n + 1.  n + 1 - i and i are
+    exact integer floats, so one (n, i) gives one double for every caller."""
+    return (n + 1.0 - i) * p / (i * (1.0 - p))
+
+
+def _ratio_down(n, i, p: float):
+    """mass[i-1] / mass[i] of row n; 0 at i = 0."""
+    return i * (1.0 - p) / ((n + 1.0 - i) * p)
+
+
 def mode_index(params: PMFParams) -> int:
     """Smallest index maximizing the mass.
 
     Equals floor((n+1)p), except when (n+1)p is an integer m: then mass[m]
     ties mass[m-1] and the smaller index wins.
     """
-    n, p = params.n, params.p
-    x = (n + 1) * p
-    m = math.floor(x)
-    if m == x:
-        m -= 1
-    return min(max(m, 0), n)
+    return int(_mode(params.n, params.p))
 
 
 def _row_mass(n: int, p: float) -> np.ndarray:
@@ -121,22 +138,15 @@ def _row_mass(n: int, p: float) -> np.ndarray:
     # from a log-gamma seed at the mode; products only shrink moving away
     # from the peak, so there is no overflow and tails keep relative accuracy.
     mass = np.empty(n + 1)
-    m = mode_index(PMFParams(n, p))
-    mass[m] = math.exp(
-        math.lgamma(n + 1)
-        - math.lgamma(m + 1)
-        - math.lgamma(n - m + 1)
-        + m * math.log(p)
-        + (n - m) * math.log1p(-p)
-    )
+    params = PMFParams(n, p)
+    m = mode_index(params)
+    mass[m] = math.exp(log_pmf(params, m))
     if m < n:
-        i = np.arange(m + 1, n + 1, dtype=float)
-        ratio_up = (n - i + 1.0) * p / (i * (1.0 - p))
-        mass[m + 1 :] = mass[m] * np.cumprod(ratio_up)
+        up = _ratio_up(n, np.arange(m + 1, n + 1, dtype=float), p)
+        mass[m + 1 :] = mass[m] * np.cumprod(up)
     if m > 0:
-        i = np.arange(m, 0, -1, dtype=float)
-        ratio_down = i * (1.0 - p) / ((n - i + 1.0) * p)
-        mass[m - 1 :: -1] = mass[m] * np.cumprod(ratio_down)
+        down = _ratio_down(n, np.arange(m, 0, -1, dtype=float), p)
+        mass[m - 1 :: -1] = mass[m] * np.cumprod(down)
     # the recurrence drifts by ~n*eps in total mass; rescaling pins the sum
     # without disturbing relative tail accuracy
     mass /= mass.sum()

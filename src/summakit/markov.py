@@ -145,7 +145,11 @@ def load_matrix_csv(path) -> np.ndarray:
     """Read a header-free CSV matrix: one row per line, comma-separated decimals."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise MatrixValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+        for lineno, line in enumerate(lines):
             line = line.strip()
             if not line:
                 continue

@@ -23,7 +23,7 @@ import numpy as np
 # unused here; bench/tracing.py patches sequences.log_pmf_many by name
 from .binomial_kernel import log_pmf_many  # noqa: F401
 from .exceptions import HorizonError, ParameterDomainError
-from .transforms import RealSequence, _binomial_means_sparse, binomial_prefix
+from .transforms import RealSequence, binomial_mean_at, binomial_prefix
 from .summation import running_mean
 
 __all__ = [
@@ -510,14 +510,12 @@ def probe_open_problem(p, q, C, horizon, height_scale=1.0) -> OpenProblemReport:
         raise ParameterDomainError(f"horizon must be at least 4, got {horizon!r}")
     spec = GeneratorSpec("spikes", C=float(C), height_scale=float(height_scale))
     seq = sequence_from_spec(spec)
-    spikes = spike_indices(C, int(p * horizon))
-    # one support pass and one kernel call per probability serve every index
-    idx, av = seq.support(int(horizon))
+    spikes, _ = seq.support(int(p * horizon))
     samples = []
     for prob, tag in ((p, "p"), (q, "q")):
         aligned = [int(s // prob) for s in spikes]
         mids = [(lo + hi) // 2 for lo, hi in zip(aligned, aligned[1:])]
-        values = _binomial_means_sparse(idx, av, prob, aligned + mids).tolist()
+        values = binomial_mean_at(seq, prob, aligned + mids).tolist()
         for j, (s, m) in enumerate(zip(spikes, aligned)):
             samples.append(ProbeSample(f"{tag}_aligned", j, int(s), m, values[j]))
         for j, mid in enumerate(mids):

@@ -2,31 +2,34 @@
 and the weight-table representation of the Cesaro-of-binomial transform.
 
 A transform prefix of horizon H is the vector of transform values at indices
-0..H.  Dense binomial prefixes weight each row only inside a window of
-ceil(9 sqrt(n p q)) + 30 indices either side of its mode, rows batched into
-blocks, so a bounded sequence costs O(H sqrt(H)) instead of O(H^2).
-Each row certifies its window: the mass it drops, bounded from the ratios at
-its edges, times the largest |a_i| so far must be at most 2**-53 of the
-window's sum_i B(n,i,p) |a_i|.  Rows that fail (tilted sequences such as
-a**n with |a| < 1, unbounded ones such as (-3)**n) or come out non-finite
-fall back to the full PMF row, O(n) each.
+0..H.  Every p-binomial mean sum_i B(n,i,p) a_i, a prefix or point queries,
+goes through one dispatch, _binomial_means: it reads the sequence once up to
+the largest n and makes one call to one of two kernels, chosen by whether
+the sequence declares a sparse support.
 
-Sequences that declare a sparse support go through one kernel,
-_binomial_means_sparse, shared by sparse prefixes, sparse point means and
-the spike probe.  A row weights the support inside the same window around
-its mode plus, on each side, the nearest support index outside it and every
-index up to where the mass has fallen a further 2**-64 (worked out from the
-mass ratio at that index; ratios only fall moving outward), so rows whose
-window holds no support still certify.  The certificate is the dense one:
-the mass beyond the kept range, bounded by the edge mass times r / (1 - r),
-times the largest |a_i| so far must be at most 2**-53 of the kept sum
-B |a_i|.  Masses come from log_pmf_many, term for term as a whole-support
-sum would compute them, for blocks of up to 2**11 rows and about 2**13
-terms, which keeps peak memory small.  A row that fails or comes out non-finite is summed over its whole
-support <= n.  A row costs one mass per kept support index: a bounded
-number for spikes, O(sqrt(n)) inside an islet, so their prefixes cost O(H)
-and O(H sqrt(H)); each call also pays a fixed numpy overhead of about
-a tenth of a millisecond.
+Both kernels weight a row only near its mode m, inside the window m +- W
+with W = ceil(9 sqrt(n p q)) + 30, and certify it: the mass a row drops,
+bounded by the mass at its outermost kept index times r / (1 - r), r the
+mass ratio one step further out (ratios only fall moving away from the
+mode), times the largest |a_i| for i <= n, must be at most 2**-53 of the
+row's kept sum_i B(n,i,p) |a_i|.  A row that fails, or comes out
+non-finite, is recomputed over every index <= n exactly as a whole sum.
+
+* Dense (_binomial_means_dense): rows are batched into blocks and weighted
+  from unit-seeded ratio products over the window, so a bounded sequence
+  costs O(H sqrt(H)) instead of O(H^2).  The fallback is the full PMF row,
+  O(n) each, taken by tilted sequences such as a**n with |a| < 1 and
+  unbounded ones such as (-3)**n.
+* Sparse (_binomial_means_sparse): a row weights only the support indices
+  in its window plus, on each side, the nearest support index outside it
+  and every index up to where the mass has fallen a further 2**-64, so
+  rows whose window holds no support still certify.  Masses come from
+  log_pmf_many, term for term as the whole-support fallback computes them,
+  for blocks of up to 2**11 rows and about 2**13 terms, which keeps peak
+  memory small.  A row costs one mass per kept support index: a bounded
+  number for spikes, O(sqrt(n)) inside an islet, so their prefixes cost
+  O(H) and O(H sqrt(H)); each call also pays a fixed numpy overhead of
+  about a tenth of a millisecond.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .binomial_kernel import _row_mass, log_pmf_many
+from .binomial_kernel import _mode, _ratio_down, _ratio_up, _row_mass, log_pmf_many
 from .exceptions import HorizonError, ParameterDomainError
 from .summation import running_mean, suffix_sums
 
@@ -191,58 +194,50 @@ def cesaro_prefix(a: RealSequence, horizon: int) -> TransformedPrefix:
 _BLOCK_MASSES = 2**15
 
 
-def _window_halfwidth(n: int, p: float) -> int:
-    """Half-width W = ceil(9 sqrt(n p q)) + 30 of a row's window around its mode."""
-    return math.ceil(9.0 * math.sqrt(n * p * (1.0 - p))) + 30
+def _window_halfwidth(n, p: float):
+    """Half-width W = ceil(9 sqrt(n p q)) + 30 of the window around row n's
+    mode, as a float (an array for an array n)."""
+    return np.ceil(9.0 * np.sqrt(n * p * (1.0 - p))) + 30.0
 
 
-def _window_width(n: int, p: float) -> int:
-    return 2 * _window_halfwidth(n, p) + 1
+def _certified(value, scale, dropped, peak):
+    """Rows whose dropped mass times peak, the largest |a_i| for i <= n, is
+    at most 2**-53 of their kept sum B |a_i|, and whose value is finite."""
+    return (dropped * peak <= 2.0**-53 * scale) & np.isfinite(value)
 
 
-def _windowed_block(windows, pad, peak, p, ns):
+def _windowed_block(windows, pad, peak, p, ns, half):
     """Windowed means for the rows ns, with a mask of the rows it certifies.
 
     Each row runs the ratios of _row_mass outward from a unit seed at the
-    mode over offsets -W..W (W taken at the block's largest n) and is
-    renormalised by its window sum.  The ratio into index -1 or n+1 is 0, so
-    weights past the support vanish; terms below 0 come from the zero
-    padding and terms past n are zeroed, so a non-finite term beyond n
-    cannot leak in.
+    mode over offsets -half..half and is renormalised by its window sum.
+    The ratio into index -1 or n+1 is 0, so weights past the support
+    vanish; terms below 0 come from the zero padding and terms past n are
+    zeroed, so a non-finite term beyond n cannot leak in.
     """
-    q = 1.0 - p
-    half = _window_halfwidth(ns[-1], p)
     n = ns.astype(float)
-    x = (n + 1.0) * p
-    m = np.floor(x)
-    m -= m == x  # mode_index: a tie goes to the smaller index; m <= n
-    # n - i + 1 and i as exact integers, so the ratios are bit for bit those
-    # of _row_mass: i = m + k going up, i = m - k going down
-    top = (n + 1.0 - m)[:, None]
-    mode = m[:, None]
+    m = _mode(n, p)
+    # i = m + k going up, i = m - k going down
+    col, mode = n[:, None], m[:, None]
     k = np.arange(1.0, half + 1.0)
     w = np.empty((len(ns), 2 * half + 1))
     w[:, half] = 1.0
-    np.cumprod((top - k) * p / ((mode + k) * q), axis=1, out=w[:, half + 1 :])
+    np.cumprod(_ratio_up(col, mode + k, p), axis=1, out=w[:, half + 1 :])
     k -= 1.0
-    np.cumprod((mode - k) * q / ((top + k) * p), axis=1, out=w[:, half - 1 :: -1])
+    np.cumprod(_ratio_down(col, mode - k, p), axis=1, out=w[:, half - 1 :: -1])
 
     terms = windows[(m - half).astype(np.int64) + pad, : 2 * half + 1]
     if (m + half > n).any():
-        terms[np.arange(-half, half + 1.0) > n[:, None] - mode] = 0.0
+        terms[np.arange(-half, half + 1.0) > col - mode] = 0.0
     weighted = w * terms
     value = weighted.sum(axis=1) / w.sum(axis=1)
 
-    # Dropped mass past each edge is at most edge mass * r / (1 - r), r the
-    # next ratio outward: ratios only fall moving away from the mode.
     lo, hi = m - half, m + half
-    r_lo = lo * q / ((n - lo + 1.0) * p)
-    r_hi = (n - hi) * p / ((hi + 1.0) * q)
+    r_lo, r_hi = _ratio_down(n, lo, p), _ratio_up(n, hi + 1.0, p)
     dropped = np.where(lo > 0.0, w[:, 0] * r_lo / (1.0 - r_lo), 0.0)
     dropped += np.where(hi < n, w[:, -1] * r_hi / (1.0 - r_hi), 0.0)
     scale = np.abs(weighted, out=weighted).sum(axis=1)
-    certified = dropped * peak[ns] <= 2.0**-53 * scale
-    return value, certified & np.isfinite(value)
+    return value, _certified(value, scale, dropped, peak[ns])
 
 
 def _first_nan_row(seq: np.ndarray) -> int:
@@ -257,47 +252,48 @@ def _first_nan_row(seq: np.ndarray) -> int:
 
 
 def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarray:
-    """sum_i B(n,i,p) * seq[i] for each n of the ascending array ns (1 <= n < len(seq)).
+    """sum_i B(n,i,p) * seq[i] for each n of the array ns (0 <= n < len(seq),
+    any order, repeats allowed).
 
-    Rows go through _windowed_block in blocks of about _BLOCK_MASSES masses.
-    A row is kept only if the mass its window drops, times max |seq[i]| over
-    i <= n, is at most 2**-53 of its window's sum_i B(n,i,p) |seq[i]|; any
-    other row, and any row with a non-finite window value, is the full
-    _row_mass row dotted with seq[:n+1].  A row whose seq[:n+1] holds a NaN,
-    or both a +inf and a -inf, is NaN whatever its masses, and is not built.
+    Rows go through _windowed_block in ascending order, in blocks of about
+    _BLOCK_MASSES masses; rows it cannot certify are the full _row_mass row
+    dotted with seq[:n+1].  Row 0 is seq[0] itself (a window sum would turn
+    -0.0 into 0.0).  A row whose seq[:n+1] holds a NaN, or both a +inf and
+    a -inf, is NaN whatever its masses, and is not built.
     """
     out = np.full(len(ns), np.nan)
-    ns = ns[: np.searchsorted(ns, _first_nan_row(seq))]
-    if not len(ns):
+    # a lone row (a point query) skips the sort
+    order = np.argsort(ns, kind="stable") if len(ns) > 1 else np.arange(len(ns))
+    rows = ns[order]
+    zeros, first_nan = rows.searchsorted(1), rows.searchsorted(_first_nan_row(seq))
+    out[order[:zeros]] = seq[0]
+    order, rows = order[zeros:first_nan], rows[zeros:first_nan]
+    if not len(rows):
         return out
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.maximum.accumulate(np.abs(seq))
         # windows[pad + j] starts at seq[j]; 2 pad zeros on the right keep a
         # full-width window in range for rows whose block has a smaller W
-        pad = _window_halfwidth(ns[-1], p)
+        half = _window_halfwidth(rows, p).astype(np.int64)
+        pad = int(half[-1])
         padded = np.zeros(len(seq) + 3 * pad)
         padded[pad : pad + len(seq)] = seq
         windows = sliding_window_view(padded, 2 * pad + 1)
         start = 0
-        while start < len(ns):
+        while start < len(rows):
             # rows sized by the first row's window, then by the last row's
-            stop = start + _BLOCK_MASSES // _window_width(ns[start], p)
-            stop = start + _BLOCK_MASSES // _window_width(ns[min(stop, len(ns)) - 1], p)
-            stop = min(max(stop, start + 1), len(ns))
-            value, certified = _windowed_block(windows, pad, peak, p, ns[start:stop])
+            stop = start + _BLOCK_MASSES // (2 * half[start] + 1)
+            stop = start + _BLOCK_MASSES // (2 * half[min(stop, len(rows)) - 1] + 1)
+            stop = min(max(stop, start + 1), len(rows))
+            value, certified = _windowed_block(
+                windows, pad, peak, p, rows[start:stop], int(half[stop - 1])
+            )
             for k in np.flatnonzero(~certified):
-                n = int(ns[start + k])
+                n = int(rows[start + k])
                 value[k] = _row_mass(n, p) @ seq[: n + 1]
-            out[start:stop] = value
+            out[order[start:stop]] = value
             start = stop
     return out
-
-
-def _binomial_prefix_dense(seq: np.ndarray, p: float) -> np.ndarray:
-    vals = np.empty(len(seq))
-    vals[0] = seq[0]
-    vals[1:] = _binomial_means_dense(seq, p, np.arange(1, len(seq)))
-    return vals
 
 
 # Rows, and terms, per block of sparse rows; keep the block's arrays, and
@@ -314,9 +310,9 @@ def _sparse_extension(ratio):
     """Steps t past a support index with outward mass ratio ``ratio`` < 1
     after which the mass has fallen by 2**-64, and the bound ratio**(t+1) /
     (1 - ratio) on all the mass beyond them, relative to the mass at that
-    index (both 0 where ratio is 0)."""
-    with np.errstate(divide="ignore"):
-        t = np.ceil(_LOG_EXTEND / -np.log(ratio))
+    index (both 0 where ratio is 0, through log(0) = -inf: the caller
+    ignores divide errors)."""
+    t = np.ceil(_LOG_EXTEND / -np.log(ratio))
     return t.astype(np.int64), np.power(ratio, t + 1.0) / (1.0 - ratio)
 
 
@@ -349,12 +345,9 @@ def _sparse_rows(idx, av, peak, p, ns):
     rows = np.flatnonzero(size)
     if not len(rows):
         return out
-    q = 1.0 - p
     n, k = ns[rows], size[rows]
-    x = (n + 1.0) * p
-    m = np.floor(x)
-    m -= m == x  # mode_index
-    half = np.ceil(9.0 * np.sqrt(n * p * q)) + 30.0
+    m = _mode(n, p)
+    half = _window_halfwidth(n, p)
     lo = np.searchsorted(idx, (m - half).astype(np.int64), side="left")
     hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), k)
 
@@ -362,8 +355,8 @@ def _sparse_rows(idx, av, peak, p, ns):
     left, right = lo > 0, hi < k
     j_lo = idx[np.maximum(lo - 1, 0)].astype(float)
     j_hi = idx[np.minimum(hi, k - 1)].astype(float)
-    t_lo, tail_lo = _sparse_extension(np.where(left, j_lo * q / ((n - j_lo + 1.0) * p), 0.0))
-    t_hi, tail_hi = _sparse_extension(np.where(right, (n - j_hi) * p / ((j_hi + 1.0) * q), 0.0))
+    t_lo, tail_lo = _sparse_extension(np.where(left, _ratio_down(n, j_lo, p), 0.0))
+    t_hi, tail_hi = _sparse_extension(np.where(right, _ratio_up(n, j_hi + 1.0, p), 0.0))
     first = np.where(left, np.searchsorted(idx, j_lo.astype(np.int64) - t_lo), lo)
     last = np.searchsorted(idx, j_hi.astype(np.int64) + t_hi, side="right")
     count = np.where(right, np.minimum(last, k), hi) - first
@@ -381,7 +374,7 @@ def _sparse_rows(idx, av, peak, p, ns):
         )
         dropped = masses[offsets + at_lo[block]] * tail_lo[block]
         dropped += masses[offsets + at_hi[block]] * tail_hi[block]
-        certified = (dropped * peak[k[block] - 1] <= 2.0**-53 * scale) & np.isfinite(value)
+        certified = _certified(value, scale, dropped, peak[k[block] - 1])
         for r in np.flatnonzero(~certified):
             value[r] = _whole_support_mean(idx, av, p, int(n[start + r]), int(k[start + r]))
         out[rows[block]] = value
@@ -393,68 +386,61 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     """sum_{i in idx, i <= n} B(n,i,p) * av[i] for each n of the array ns.
 
     idx holds the sorted support indices, av their values; ns may come in
-    any order.  A row keeps the support inside the dense window m +- W
-    around its mode m and, on each side, the nearest support index j outside
-    it plus every index up to t steps further out, where the mass ratio r
-    one step outward from j gives r**t <= 2**-64 (ratios only fall moving
-    outward).  The mass beyond is at most B(n,j,p) r**(t+1) / (1 - r); a
-    row is kept only if that dropped mass, times max |av| over indices <= n,
-    is at most 2**-53 of its kept sum B |av|.  Other rows, and rows that
-    come out non-finite, are exp(log_pmf_many(n, p, idx[:k])) @ av[:k] over
-    the whole support <= n.  Rows go in blocks of _BLOCK_ROWS, their kept
-    terms through log_pmf_many in blocks of about _BLOCK_TERMS, each row
-    summed pairwise.
+    any order.  Rows go in blocks of _BLOCK_ROWS, their kept terms through
+    log_pmf_many in blocks of about _BLOCK_TERMS, each row summed pairwise;
+    rows it cannot certify are _whole_support_mean.
     """
     ns = np.asarray(ns, dtype=np.int64)
     out = np.empty(len(ns))
     peak = np.abs(av)
     np.maximum.accumulate(peak, out=peak)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, len(ns), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             out[block] = _sparse_rows(idx, av, peak, p, ns[block])
     return out
 
 
-def _binomial_prefix_sparse(a: RealSequence, p: float, horizon: int) -> np.ndarray:
-    idx, av = a.support(horizon)
-    return _binomial_means_sparse(idx, av, p, np.arange(horizon + 1))
+def _binomial_means(a: RealSequence, p: float, ns: np.ndarray) -> np.ndarray:
+    """sum_i B(n,i,p) * a_i for each n of the int64 array ns: the sequence
+    is read once up to max(ns) and goes through one kernel call."""
+    top = int(ns.max(initial=0))
+    if a.sparse:
+        return _binomial_means_sparse(*a.support(top), p, ns)
+    return _binomial_means_dense(a.prefix(top), p, ns)
 
 
 def binomial_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefix:
     """Binomially weighted means: entry n is sum_i B(n,i,p) * a_i.
 
-    Dense sequences are weighted inside a certified window around each row's
-    mode, O(horizon^1.5) total for bounded sequences; rows whose window
-    cannot be certified to drop less than 2**-53 of sum_i B(n,i,p) |a_i|
-    use the full PMF row, as do rows with non-finite values, so unbounded or
-    tilted sequences cost up to O(horizon^2).  Sparse sequences are weighted
-    only on their declared support, inside a certified window extended to the
-    nearest support index on each side (_binomial_means_sparse).
+    Bounded dense sequences cost O(horizon^1.5), sparse ones one mass per
+    kept support index per row; rows the certified windows cannot carry
+    cost O(n) each (see the module docstring).
     """
     _check_prob(p)
     _check_horizon(horizon)
-    if a.sparse:
-        vals = _binomial_prefix_sparse(a, p, horizon)
-    else:
-        vals = _binomial_prefix_dense(a.prefix(horizon), p)
-    return TransformedPrefix("binomial", p, vals)
+    return TransformedPrefix("binomial", p, _binomial_means(a, p, np.arange(horizon + 1)))
 
 
-def binomial_mean_at(a: RealSequence, p: float, n: int) -> float:
-    """Single binomial-mean value at index n, without building the prefix.
+def binomial_mean_at(a: RealSequence, p: float, n):
+    """Binomial means at n, without building the prefix.
 
-    Dense and sparse sequences go through the same certified windows as
-    binomial_prefix.
+    ``n`` is a non-negative integer, giving a float, or a 1-d array of them
+    in any order and with repeats, giving an array of the same length from
+    one read of the sequence and one kernel call.  Entries agree with entry
+    n of binomial_prefix up to rounding: dense rows batched differently
+    keep different windows.
     """
     _check_prob(p)
-    _check_horizon(n)
-    if a.sparse:
-        return float(_binomial_means_sparse(*a.support(n), p, np.array([n]))[0])
-    seq = a.prefix(n)
-    if n == 0:
-        return float(seq[0])
-    return float(_binomial_means_dense(seq, p, np.array([n]))[0])
+    if isinstance(n, (int, np.integer)):
+        _check_horizon(n)
+        return float(_binomial_means(a, p, np.array([n]))[0])
+    ns = np.asarray(n)
+    if ns.ndim == 1 and (ns.dtype.kind in "iu" or not ns.size):
+        ns = ns.astype(np.int64)  # a uint64 past 2**63 wraps negative: rejected below
+        if not (ns < 0).any():
+            return _binomial_means(a, p, ns)
+    raise ParameterDomainError(f"n must be a non-negative integer or a 1-d array, got {n!r}")
 
 
 def pstar_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefix:

@@ -187,7 +187,7 @@ def test_criterion_08_convergence_transfer_at_scale():
     converged_count = 0
     for spec in families:
         seq = sequence_from_spec(spec)
-        binom_values = np.array([binomial_mean_at(seq, p, int(n)) for n in checkpoints])
+        binom_values = binomial_mean_at(seq, p, checkpoints)
         binom = estimate_limit(binom_values, window=8)
         if not binom.converged:
             continue

@@ -18,7 +18,7 @@ from summakit import (
     tail_mass_outside,
 )
 
-from summakit.binomial_kernel import _row_mass, _tail_row, log_pmf_many
+from summakit.binomial_kernel import _mode, _row_mass, _tail_row, log_pmf_many
 
 from oracles import pmf_exact_double, pmf_row_exact_doubles
 
@@ -136,27 +136,44 @@ class TestPmfRow:
         assert abs(mass.sum() - 1.0) <= 1e-12
 
 
+def modes_scalar(ns, p):
+    return [mode_index(PMFParams(n, p)) for n in ns]
+
+
+def modes_vectorised(ns, p):
+    return _mode(np.array(ns, dtype=float), p).astype(np.int64).tolist()
+
+
+MODES = (modes_scalar, modes_vectorised)
+
+
 class TestMode:
     def test_examples(self):
-        assert mode_index(PMFParams(300, 0.2)) == 60
-        assert mode_index(PMFParams(1, 0.5)) == 0  # tie broken downward
-        assert mode_index(PMFParams(4, 0.5)) == 2
+        for modes in MODES:
+            assert modes([300], 0.2) == [60]
+            assert modes([1, 4], 0.5) == [0, 2]  # n = 1: tie broken downward
+            assert modes([0], 1e-300) == [0]
+            # (n+1)p rounds up to n + 1; the tie rule keeps the mode at n
+            assert modes([2**20], 1.0 - 2.0**-53) == [2**20]
 
     def test_matches_argmax(self):
-        for n in (300, 4, 17, 250):
-            for p in P_GRID:
-                row = pmf_row(PMFParams(n, p)).mass
-                m = mode_index(PMFParams(n, p))
-                assert row[m] >= row.max() * (1.0 - 1e-12)
-                assert np.all(row[:m] <= row[m] * (1.0 + 1e-12))
+        # odd n at p = 0.5, and n = 4, 99 at p = 0.2, put (n+1)p on an integer
+        ns = [1, 3, 4, 7, 17, 99, 250, 300]
+        for p in P_GRID:
+            rows = [pmf_row(PMFParams(n, p)).mass for n in ns]
+            for modes in MODES:
+                for row, m in zip(rows, modes(ns, p)):
+                    assert row[m] >= row.max() * (1.0 - 1e-12)
+                    assert np.all(row[:m] <= row[m] * (1.0 + 1e-12))
 
     def test_dyadic_ties_break_downward(self):
         # (n+1) p an exact integer: the two top masses tie, smaller index wins
-        for n, p in [(3, 0.5), (7, 0.25), (15, 0.5)]:
-            m = mode_index(PMFParams(n, p))
-            assert (n + 1) * p == m + 1
+        for n, p in [(3, 0.5), (7, 0.25), (15, 0.5), (99, 0.5), (4, 0.2)]:
             row = pmf_row(PMFParams(n, p)).mass
-            assert math.isclose(row[m], row[m + 1], rel_tol=1e-12)
+            for modes in MODES:
+                (m,) = modes([n], p)
+                assert (n + 1) * p == m + 1
+                assert math.isclose(row[m], row[m + 1], rel_tol=1e-12)
 
 
 class TestTailMass:

@@ -215,6 +215,15 @@ class TestMarkovLimitCommand:
         assert code == 2
         assert err.strip()
 
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(np.random.default_rng(0).bytes(200))
+        code, out, err = run_cli(capsys, "markov-limit", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("summakit: error: ") and "is not UTF-8 text" in err
+        assert str(path) in err and err.count("\n") == 1
+
     def test_non_convergence_exit_3(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.9999,0.0001\n0.0001,0.9999\n")

@@ -415,6 +415,75 @@ class TestSparseKernel:
         assert calls == []
 
 
+class TestMeanAtArray:
+    """binomial_mean_at over an array of n: any order, repeats, 0 and empty."""
+
+    NS = np.array([1200, 0, 3, 700, 3, 1, 0, 1199, 150, 1200, 2])
+
+    @pytest.mark.parametrize("p", [0.05, 0.45, 0.9])
+    def test_dense_matches_exact_sums(self, p):
+        values = np.random.default_rng(11).uniform(-1.0, 1.0, 1201)
+        got = binomial_mean_at(RealSequence.from_values(values), p, self.NS)
+        ref, scale = full_row_exact(values, p)
+        assert got.shape == self.NS.shape
+        assert np.all(np.abs(got - ref[self.NS]) <= 4 * EPS * scale[self.NS])
+
+    @pytest.mark.parametrize("spec", [GeneratorSpec("islets"), GeneratorSpec("spikes", C=1.0)])
+    @pytest.mark.parametrize("p", [0.05, 0.45, 0.9])
+    def test_sparse_matches_exact_sums(self, spec, p):
+        seq = sequence_from_spec(spec)
+        ns = np.concatenate([self.NS, [4**5 * 2, 4**5, 20_001, 20_001]])
+        got = binomial_mean_at(seq, p, ns)
+        idx, av = seq.support(int(ns.max()))
+        _, exact, scale = sparse_rows_old(idx, av, p, ns)
+        assert np.all(np.abs(got - exact) <= 4 * EPS * scale)
+
+    def test_dense_matches_scalar_calls(self):
+        seq = sequence_from_spec(GeneratorSpec("signed_linear"))
+        got = binomial_mean_at(seq, 0.3, self.NS)
+        scalar = [binomial_mean_at(seq, 0.3, int(n)) for n in self.NS]
+        ref, scale = full_row_exact(seq.prefix(1200), 0.3)
+        assert np.all(np.abs(got - scalar) <= 8 * EPS * scale[self.NS])
+
+    @pytest.mark.parametrize("family", ["alternating01", "islets"])
+    def test_empty(self, family):
+        seq = sequence_from_spec(GeneratorSpec(family))
+        for ns in ([], np.array([], dtype=np.int64)):
+            got = binomial_mean_at(seq, 0.5, ns)
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("n", [-1, np.array([3, -1]), 3.0, np.array([1.0, 2.0]),
+                                   np.array([[1, 2]]), np.int64(-2), [True],
+                                   np.array([2**63], dtype=np.uint64)])
+    def test_bad_n_rejected(self, n):
+        for seq in (constant(1.0), sequence_from_spec(GeneratorSpec("islets"))):
+            with pytest.raises(ParameterDomainError):
+                binomial_mean_at(seq, 0.5, n)
+
+    @pytest.mark.parametrize("a0", [-0.0, math.inf, math.nan])
+    def test_row_zero_is_a0_bit_for_bit(self, a0):
+        values = np.ones(50)
+        values[0] = a0
+        seq = RealSequence.from_values(values)
+        bits = np.float64(a0).tobytes()
+        scalar = binomial_mean_at(seq, 0.3, 0)
+        assert isinstance(scalar, float) and np.float64(scalar).tobytes() == bits
+        got = binomial_mean_at(seq, 0.3, np.array([7, 0, 49, 0]))
+        assert got[1].tobytes() == bits and got[3].tobytes() == bits
+        assert binomial_prefix(seq, 0.3, 49).values[0].tobytes() == bits
+
+    def test_scalar_call_neither_sorts_nor_dedups(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-row call sorted its rows")
+
+        monkeypatch.setattr(np, "argsort", refuse)
+        monkeypatch.setattr(np, "unique", refuse)
+        for spec in (GeneratorSpec("alternating01"), GeneratorSpec("spikes", C=1.0)):
+            seq = sequence_from_spec(spec)
+            assert isinstance(binomial_mean_at(seq, 0.5, 5000), float)
+            assert binomial_mean_at(seq, 0.5, np.array([5000])).shape == (1,)
+
+
 class TestCompose:
     def test_horizon_zero(self):
         assert compose_check(constant(3.0), 0.4, 0.6, 0) == 0.0
