@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,13 +27,7 @@ from .exceptions import (
     PreconditionError,
 )
 from .markov import limit_matrix, load_matrix_csv, validate
-from .sequences import (
-    GeneratorSpec,
-    ProbeSample,
-    probe_open_problem,
-    run_table1,
-    sequence_from_spec,
-)
+from .sequences import GeneratorSpec, probe_open_problem, run_table1, sequence_from_spec
 from .transforms import binomial_prefix, cesaro_prefix, pstar_prefix, weights
 
 __all__ = ["main", "build_parser"]
@@ -286,14 +280,10 @@ def _cmd_explore(args) -> _Payload:
         args.p, args.q, args.C, args.horizon, height_scale=args.height_scale
     )
     samples = report.samples
-    # vars(), not asdict(): asdict deep-copies every sample
     body = {k: v for k, v in vars(report).items() if k != "samples"}
-    body["samples"] = [vars(s) for s in samples]
+    body["samples"] = [dict(zip(samples, row)) for row in zip(*map(_cells, samples.values()))]
     return _Payload(
-        "explore",
-        _pick(args, ("p", "q", "C", "height_scale", "horizon")),
-        {f.name: [getattr(s, f.name) for s in samples] for f in fields(ProbeSample)},
-        report=body,
+        "explore", _pick(args, ("p", "q", "C", "height_scale", "horizon")), samples, report=body
     )
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "ConvergenceVerdict",
     "CellCheck",
     "ImplicationReport",
-    "ProbeSample",
     "OpenProblemReport",
     "generate",
     "sequence_from_spec",
@@ -471,28 +470,23 @@ def run_table1(p, q, horizon, families=None, window=None, value_tol=1e-3) -> Imp
     )
 
 
-@dataclass(frozen=True)
-class ProbeSample:
-    """One probed transform value of the spike-sequence explorer."""
-
-    series: str  # 'p_aligned' | 'p_mid' | 'q_aligned' | 'q_mid'
-    ordinal: int  # which spike (0-based), or the left spike for midpoints
-    spike_index: int
-    eval_index: int
-    value: float
-
-
 @dataclass
 class OpenProblemReport:
     """Probe data for the spike-spacing question; reports values only and
-    makes no truth claim about the underlying conjecture."""
+    makes no truth claim about the underlying conjecture.
+
+    ``samples`` maps each column name to an array with one entry per probed
+    value: ``series`` ('p_aligned' | 'p_mid' | 'q_aligned' | 'q_mid'),
+    ``ordinal`` (which spike, 0-based, or the left spike for midpoints),
+    ``spike_index``, ``eval_index`` and ``value``.
+    """
 
     p: float
     q: float
     C: float
     height_scale: float
     horizon: int
-    samples: list
+    samples: dict
     amplitude_p: float
     amplitude_q: float
 
@@ -501,7 +495,7 @@ def probe_open_problem(p, q, C, horizon, height_scale=1.0) -> OpenProblemReport:
     """Tabulate both binomial means of a spike sequence at spike-aligned
     indices (where the weighting window is centred on a spike) and at the
     midpoints between them, and report each transform's oscillation
-    amplitude over the probed values."""
+    amplitude (max - min) over its probed values."""
     if not (0.0 < p < q < 1.0):
         raise ParameterDomainError(f"need 0 < p < q < 1, got p={p!r}, q={q!r}")
     if C <= 0:
@@ -511,22 +505,23 @@ def probe_open_problem(p, q, C, horizon, height_scale=1.0) -> OpenProblemReport:
     spec = GeneratorSpec("spikes", C=float(C), height_scale=float(height_scale))
     seq = sequence_from_spec(spec)
     spikes, _ = seq.support(int(p * horizon))
-    samples = []
-    for prob, tag in ((p, "p"), (q, "q")):
-        aligned = [int(s // prob) for s in spikes]
-        mids = [(lo + hi) // 2 for lo, hi in zip(aligned, aligned[1:])]
-        values = binomial_mean_at(seq, prob, aligned + mids).tolist()
-        for j, (s, m) in enumerate(zip(spikes, aligned)):
-            samples.append(ProbeSample(f"{tag}_aligned", j, int(s), m, values[j]))
-        for j, mid in enumerate(mids):
-            samples.append(
-                ProbeSample(f"{tag}_mid", j, int(spikes[j]), mid, values[len(aligned) + j])
-            )
-
-    def amplitude(tag):
-        vals = [s.value for s in samples if s.series.startswith(tag)]
-        return float(max(vals) - min(vals)) if vals else 0.0
-
+    # each transform probes every spike, then every gap between two
+    k, gaps = len(spikes), len(spikes[1:])
+    ordinal = np.concatenate([np.arange(k), np.arange(gaps)])
+    eval_index, values = [], []
+    for prob in (p, q):
+        aligned = (spikes // prob).astype(np.int64)
+        mids = (aligned[:-1] + aligned[1:]) // 2
+        eval_index.append(np.concatenate([aligned, mids]))
+        values.append(binomial_mean_at(seq, prob, eval_index[-1]))
+    amplitude_p, amplitude_q = (float(v.max() - v.min()) if v.size else 0.0 for v in values)
+    samples = {
+        "series": np.repeat(["p_aligned", "p_mid", "q_aligned", "q_mid"], [k, gaps, k, gaps]),
+        "ordinal": np.tile(ordinal, 2),
+        "spike_index": np.tile(spikes[ordinal], 2),
+        "eval_index": np.concatenate(eval_index),
+        "value": np.concatenate(values),
+    }
     return OpenProblemReport(
         p=p,
         q=q,
@@ -534,6 +529,6 @@ def probe_open_problem(p, q, C, horizon, height_scale=1.0) -> OpenProblemReport:
         height_scale=float(height_scale),
         horizon=int(horizon),
         samples=samples,
-        amplitude_p=amplitude("p_"),
-        amplitude_q=amplitude("q_"),
+        amplitude_p=amplitude_p,
+        amplitude_q=amplitude_q,
     )

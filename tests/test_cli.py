@@ -465,28 +465,40 @@ def _case_table1(tmp_path):
     return argv, {"p": 0.25, "q": 0.75, "horizon": 40}, columns, rows, body
 
 
-def _case_explore(tmp_path):
+def _explore(p, q, C, horizon):
     from summakit.sequences import probe_open_problem
 
-    rep = probe_open_problem(0.4, 0.7, 1.0, 200)
+    rep = probe_open_problem(p, q, C, horizon)
     names = ["series", "ordinal", "spike_index", "eval_index", "value"]
-    rows = [tuple(getattr(s, k) for k in names) for s in rep.samples]
+    assert list(rep.samples) == names
+    rows = list(zip(*(rep.samples[k].tolist() for k in names)))
     body = {
         "p": rep.p, "q": rep.q, "C": rep.C, "height_scale": rep.height_scale,
         "horizon": rep.horizon, "amplitude_p": rep.amplitude_p,
         "amplitude_q": rep.amplitude_q,
         "samples": [dict(zip(names, r)) for r in rows],
     }
-    argv = ("explore", "--p", "0.4", "--q", "0.7", "--C", "1", "--horizon", "200")
-    params = {"p": 0.4, "q": 0.7, "C": 1.0, "height_scale": 1.0, "horizon": 200}
+    argv = ("explore", "--p", str(p), "--q", str(q), "--C", str(C), "--horizon", str(horizon))
+    params = {"p": p, "q": q, "C": C, "height_scale": 1.0, "horizon": horizon}
     return argv, params, names, rows, body
+
+
+def _case_explore(tmp_path):
+    return _explore(0.4, 0.7, 1.0, 200)
+
+
+def _case_explore_empty(tmp_path):
+    # no spike at or below int(0.1 * 4) = 0: a header-only CSV, "samples": []
+    case = _explore(0.1, 0.2, 1.0, 4)
+    assert case[3] == [] and case[4]["samples"] == []
+    return case
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "case",
     [_case_pmf, _case_weights, _case_transform, _case_compare, _case_markov_limit,
-     _case_table1, _case_explore],
+     _case_table1, _case_explore, _case_explore_empty],
     ids=lambda f: f.__name__[len("_case_"):],
 )
 def test_output_bytes(capsys, tmp_path, case, fmt):

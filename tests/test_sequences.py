@@ -259,17 +259,30 @@ class TestGrowthBound:
 class TestProbeOpenProblem:
     def test_zero_heights_give_zero_values(self):
         report = probe_open_problem(0.4, 0.7, 1.0, 5000, height_scale=0.0)
-        assert all(s.value == 0.0 for s in report.samples)
+        assert (report.samples["value"] == 0.0).all()
         assert report.amplitude_p == 0.0 and report.amplitude_q == 0.0
 
     def test_sample_structure(self):
         report = probe_open_problem(0.4, 0.7, 1.0, 20_000)
         spikes = spike_indices(1.0, int(0.4 * 20_000))
-        aligned_p = [s for s in report.samples if s.series == "p_aligned"]
-        mids_p = [s for s in report.samples if s.series == "p_mid"]
-        assert len(aligned_p) == len(spikes)
-        assert len(mids_p) == len(spikes) - 1
-        assert all(s.eval_index <= 20_000 for s in report.samples)
+        series = report.samples["series"]
+        assert np.count_nonzero(series == "p_aligned") == len(spikes)
+        assert np.count_nonzero(series == "p_mid") == len(spikes) - 1
+        assert (report.samples["eval_index"] <= 20_000).all()
+        # the columns against the per-sample loop they replace
+        cols = {k: v.tolist() for k, v in report.samples.items()}
+        ref = []
+        for prob, tag in ((0.4, "p"), (0.7, "q")):
+            aligned = [int(s // prob) for s in spikes]
+            for j, (s, m) in enumerate(zip(spikes, aligned)):
+                ref.append((f"{tag}_aligned", j, int(s), m))
+            for j, (lo, hi) in enumerate(zip(aligned, aligned[1:])):
+                ref.append((f"{tag}_mid", j, int(spikes[j]), (lo + hi) // 2))
+        names = ("series", "ordinal", "spike_index", "eval_index")
+        assert list(zip(*(cols[k] for k in names))) == ref
+        for tag, amplitude in (("p_", report.amplitude_p), ("q_", report.amplitude_q)):
+            vals = [v for t, v in zip(cols["series"], cols["value"]) if t.startswith(tag)]
+            assert amplitude == max(vals) - min(vals)
         assert report.amplitude_p >= 0.0 and report.amplitude_q >= 0.0
 
     def test_wide_spacing_reported_not_asserted(self):
@@ -283,7 +296,7 @@ class TestProbeOpenProblem:
         start = time.perf_counter()
         report = probe_open_problem(0.4, 0.7, 1.0, 10**6)
         assert time.perf_counter() - start < 30.0
-        assert len(report.samples) > 1000
+        assert len(report.samples["value"]) > 1000
         assert report.amplitude_p > 0.0
 
     def test_samples_match_per_sample_sums(self):
@@ -292,12 +305,13 @@ class TestProbeOpenProblem:
             report = probe_open_problem(0.35, 0.8, C, horizon)
             seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
             idx, av = seq.support(horizon)
-            for s in report.samples:
-                prob = 0.35 if s.series.startswith("p_") else 0.8
-                k = int(np.searchsorted(idx, s.eval_index, side="right"))
-                terms = np.exp(log_pmf_many(s.eval_index, prob, idx[:k])) * av[:k]
-                old = float(np.exp(log_pmf_many(s.eval_index, prob, idx[:k])) @ av[:k])
-                assert abs(s.value - old) <= 4 * EPS * math.fsum(terms)
+            cols = report.samples
+            for series, n, value in zip(cols["series"], cols["eval_index"], cols["value"]):
+                prob = 0.35 if series.startswith("p_") else 0.8
+                k = int(np.searchsorted(idx, n, side="right"))
+                terms = np.exp(log_pmf_many(n, prob, idx[:k])) * av[:k]
+                old = float(np.exp(log_pmf_many(n, prob, idx[:k])) @ av[:k])
+                assert abs(value - old) <= 4 * EPS * math.fsum(terms)
 
     def test_param_validation(self):
         with pytest.raises(ParameterDomainError):
