@@ -1,8 +1,9 @@
 """Numerically stable evaluation of the binomial probability mass function.
 
-Single masses are computed in log space through the log-gamma function, so
-trial counts up to 1e7 never overflow.  Full rows are built by a
-multiplicative recurrence seeded at the mode, which keeps relative accuracy
+Masses are computed in log space by one elementwise log-gamma formula,
+log_pmf_many, so trial counts up to 1e7 never overflow; log_pmf is its
+scalar form.  Full rows are built by a multiplicative recurrence from a
+unit seed at the mode and then normalised, which keeps relative accuracy
 in the far tails where a cumulative construction would not.
 """
 
@@ -57,17 +58,11 @@ class PMFRow:
 
 
 def log_pmf(params: PMFParams, i: int) -> float:
-    """Natural log of P[X = i], or -inf outside the support."""
-    n, p = params.n, params.p
-    if i < 0 or i > n:
+    """Natural log of P[X = i], or -inf outside the support; equals the
+    log_pmf_many entry bit for bit."""
+    if i < 0 or i > params.n:
         return -math.inf
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(i + 1)
-        - math.lgamma(n - i + 1)
-        + i * math.log(p)
-        + (n - i) * math.log1p(-p)
-    )
+    return float(log_pmf_many(params.n, params.p, i))
 
 
 def pmf(params: PMFParams, i: int) -> float:
@@ -78,23 +73,18 @@ def pmf(params: PMFParams, i: int) -> float:
 
 
 def log_pmf_many(n, p: float, indices) -> np.ndarray:
-    """Vectorized log_pmf over an array of indices inside the support.
+    """log P[X = i] for each index i inside the support of row n.
 
     ``n`` is a trial count or an integer array broadcast against
-    ``indices``; lgamma(n + 1) is taken with math.lgamma once per distinct
-    n, so every entry equals the scalar-n call bit for bit.  Used by the
-    sparse transform paths, where the nonzero sequence positions must be
-    weighted for many different n.
+    ``indices``.  One elementwise expression, so an entry depends only on
+    its own (n, i): a scalar n and an array of equal n give the same bits.
+    Used by the sparse transform paths, where the nonzero sequence
+    positions must be weighted for many different n.
     """
     i = np.asarray(indices, dtype=float)
-    if np.ndim(n) == 0:
-        head = math.lgamma(n + 1)
-    else:
-        distinct, where = np.unique(n, return_inverse=True)
-        head = np.array([math.lgamma(m + 1) for m in distinct.tolist()])[where]
-        n = np.asarray(n, dtype=float)
+    n = np.asarray(n, dtype=float)
     return (
-        head
+        gammaln(n + 1.0)
         - gammaln(i + 1.0)
         - gammaln(n - i + 1.0)
         + i * math.log(p)
@@ -135,20 +125,16 @@ def mode_index(params: PMFParams) -> int:
 
 def _row_mass(n: int, p: float) -> np.ndarray:
     # Multiplicative recurrence mass[i+1] = mass[i] * ratio(i+1), run outward
-    # from a log-gamma seed at the mode; products only shrink moving away
-    # from the peak, so there is no overflow and tails keep relative accuracy.
+    # from a unit seed at the mode; products only shrink moving away from
+    # the peak, so there is no overflow and tails keep relative accuracy.
     mass = np.empty(n + 1)
-    params = PMFParams(n, p)
-    m = mode_index(params)
-    mass[m] = math.exp(log_pmf(params, m))
-    if m < n:
-        up = _ratio_up(n, np.arange(m + 1, n + 1, dtype=float), p)
-        mass[m + 1 :] = mass[m] * np.cumprod(up)
-    if m > 0:
-        down = _ratio_down(n, np.arange(m, 0, -1, dtype=float), p)
-        mass[m - 1 :: -1] = mass[m] * np.cumprod(down)
-    # the recurrence drifts by ~n*eps in total mass; rescaling pins the sum
-    # without disturbing relative tail accuracy
+    m = int(_mode(n, p))
+    mass[m] = 1.0
+    np.cumprod(_ratio_up(n, np.arange(m + 1, n + 1, dtype=float), p), out=mass[m + 1 :])
+    np.cumprod(_ratio_down(n, np.arange(m, 0, -1, dtype=float), p), out=mass[:m][::-1])
+    # one division turns the unit-seeded row into masses; it also pins the
+    # sum against the recurrence's ~n*eps drift without disturbing
+    # relative tail accuracy
     mass /= mass.sum()
     return mass
 

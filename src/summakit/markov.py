@@ -57,11 +57,13 @@ def validate(matrix, row_tol: float = 1e-12) -> StochasticMatrix:
         raise MatrixValidationError(f"expected a non-empty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise MatrixValidationError("matrix contains non-finite entries")
-    for r in range(M.shape[0]):
-        if M[r].min() < -row_tol:
-            raise MatrixValidationError(
-                f"row {r} has a negative entry {M[r].min()!r} beyond tolerance {row_tol}"
-            )
+    lows = M.min(axis=1)
+    bad = lows < -row_tol
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise MatrixValidationError(
+            f"row {r} has a negative entry {lows[r]!r} beyond tolerance {row_tol}"
+        )
     M = np.clip(M, 0.0, None)
     sums = M.sum(axis=1)
     bad = np.abs(sums - 1.0) > row_tol

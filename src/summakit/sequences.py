@@ -168,6 +168,18 @@ def generate(spec: GeneratorSpec, i: int) -> float:
     return spec.height_scale * math.sqrt(i) if j == i else 0.0
 
 
+def _scattered(support):
+    """Prefix rule of a sparse family: its support rule scattered into zeros."""
+
+    def prefix(h):
+        out = np.zeros(h + 1)
+        idx, vals = support(h)
+        out[idx] = vals
+        return out
+
+    return prefix
+
+
 def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
     """Wrap a family as a RealSequence with a vectorized prefix rule and,
     for the sparse families, a support rule."""
@@ -195,12 +207,6 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
         return RealSequence.from_function(prefix, name=spec.label)
     if f == "islets":
 
-        def prefix(h):
-            out = np.zeros(h + 1)
-            for lo, hi in islet_ranges(h):
-                out[lo : hi + 1] = 1.0
-            return out
-
         def support(h):
             ranges = islet_ranges(h)
             if not ranges:
@@ -208,25 +214,18 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
             idx = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges])
             return idx, np.ones(len(idx))
 
-        return RealSequence.from_function(prefix, support, nonneg=True, name=spec.label)
+        return RealSequence.from_function(
+            _scattered(support), support, nonneg=True, name=spec.label
+        )
     # spikes: one chain per sequence serves every horizon asked of it
     chain = _SpikeChain(spec.C)
 
-    def heights(idx):
-        return spec.height_scale * np.sqrt(idx.astype(float))
-
-    def prefix(h):
-        out = np.zeros(h + 1)
-        idx = chain.upto(h)
-        out[idx] = heights(idx)
-        return out
-
     def support(h):
         idx = chain.upto(h)
-        return idx, heights(idx)
+        return idx, spec.height_scale * np.sqrt(idx.astype(float))
 
     return RealSequence.from_function(
-        prefix, support, nonneg=spec.height_scale >= 0, name=spec.label
+        _scattered(support), support, nonneg=spec.height_scale >= 0, name=spec.label
     )
 
 

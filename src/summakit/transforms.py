@@ -323,9 +323,7 @@ def _sparse_terms(idx, av, p, ns, first, count):
     offsets = np.zeros(len(ns), dtype=np.int64)
     np.cumsum(count[:-1], out=offsets[1:])
     pos = np.arange(offsets[-1] + count[-1]) + np.repeat(first - offsets, count)
-    # a lone row (point queries) skips log_pmf_many's per-distinct-n pass
-    rows_n = ns[0] if len(ns) == 1 else np.repeat(ns, count)
-    masses = np.exp(log_pmf_many(rows_n, p, idx[pos]))
+    masses = np.exp(log_pmf_many(np.repeat(ns, count), p, idx[pos]))
     weighted = masses * av[pos]
     value = np.add.reduceat(weighted, offsets)
     scale = np.add.reduceat(np.abs(weighted, out=weighted), offsets)

@@ -18,7 +18,7 @@ from summakit import (
     tail_mass_outside,
 )
 
-from summakit.binomial_kernel import _mode, _row_mass, _tail_row, log_pmf_many
+from summakit.binomial_kernel import _mode, _row_mass, _tail_row, log_pmf, log_pmf_many
 
 from oracles import pmf_exact_double, pmf_row_exact_doubles
 
@@ -92,6 +92,31 @@ class TestLogPmfMany:
         assert got.shape == (3, 5)
         for r, n in enumerate((10, 20, 30)):
             np.testing.assert_array_equal(got[r], log_pmf_many(n, 0.4, np.arange(5)))
+
+    def test_log_pmf_is_the_array_entry(self):
+        # one formula: the scalar log mass is log_pmf_many's entry bit for bit
+        for n in (0, 1, 7, 300, 2_000_000):
+            for p in (1e-6, 0.3, 1 - 1e-6):
+                for i in sorted({0, n // 3, mode_index(PMFParams(n, p)), n - 1, n} - {-1}):
+                    assert log_pmf(PMFParams(n, p), i) == log_pmf_many(n, p, [i])[0]
+
+    @pytest.mark.parametrize("n", [1_000, 100_000, 2_000_000, 10_000_000])
+    def test_matches_mpmath_within_9_sigma(self, n):
+        # log-gamma differences lose accuracy only through lgamma(n + 1)'s
+        # own size: at most 8 of its ulps, at the mode and out to +-9 sigma
+        mpmath = pytest.importorskip("mpmath")
+        tol = 8 * math.ulp(math.lgamma(n + 1))
+        with mpmath.workdps(40):
+            for p in (0.3, 0.5):
+                sigma = math.sqrt(n * p * (1 - p))
+                for k in (-9, -4.5, -1, 0, 1, 4.5, 9):
+                    i = round(n * p + k * sigma)
+                    mp_p = mpmath.mpf(p)
+                    exact = (
+                        mpmath.loggamma(n + 1) - mpmath.loggamma(i + 1) - mpmath.loggamma(n - i + 1)
+                        + i * mpmath.log(mp_p) + (n - i) * mpmath.log1p(-mp_p)
+                    )
+                    assert abs(log_pmf_many(n, p, [i])[0] - float(exact)) <= tol
 
 
 class TestPmfRow:

@@ -36,6 +36,10 @@ class TestValidate:
     def test_negative_entry_rejected(self):
         with pytest.raises(MatrixValidationError, match="row 0"):
             validate([[1.2, -0.2], [0.0, 1.0]])
+        # the first offending row is named with its own minimum, although
+        # row 2 holds a more negative entry
+        with pytest.raises(MatrixValidationError, match=r"row 1 .*-0\.3\b"):
+            validate([[0.5, 0.5, 0.0], [1.1, 0.2, -0.3], [1.5, -0.5, 0.0]])
 
     def test_tiny_negative_clamped(self):
         P = validate([[1.0 + 5e-13, -5e-13], [0.5, 0.5]])
