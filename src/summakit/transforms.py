@@ -17,19 +17,20 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
 
 * Dense (_binomial_means_dense): rows are batched into blocks and weighted
   from unit-seeded ratio products over the window, so a bounded sequence
-  costs O(H sqrt(H)) instead of O(H^2).  The fallback is the full PMF row,
-  O(n) each, taken by tilted sequences such as a**n with |a| < 1 and
-  unbounded ones such as (-3)**n.
+  costs O(H sqrt(H)) instead of O(H^2).  The fallback is the full PMF row
+  (_row_mass: the same unit-seeded products over the whole row), O(n)
+  each, taken by tilted sequences such as a**n with |a| < 1 and unbounded
+  ones such as (-3)**n.
 * Sparse (_binomial_means_sparse): a row weights only the support indices
   in its window plus, on each side, the nearest support index outside it
   and every index up to where the mass has fallen a further 2**-64, so
   rows whose window holds no support still certify.  Masses come from
-  log_pmf_many, term for term as the whole-support fallback computes them,
-  for blocks of up to 2**11 rows and about 2**13 terms, which keeps peak
-  memory small.  A row costs one mass per kept support index: a bounded
-  number for spikes, O(sqrt(n)) inside an islet, so their prefixes cost
-  O(H) and O(H sqrt(H)); each call also pays a fixed numpy overhead of
-  about a tenth of a millisecond.
+  log_pmf_many, one elementwise formula, so each term is the one the
+  whole-support fallback computes; rows go in blocks of up to 2**11 rows
+  and about 2**13 terms, which keeps peak memory small.  A row costs one
+  mass per kept support index: a bounded number for spikes, O(sqrt(n))
+  inside an islet, so their prefixes cost O(H) and O(H sqrt(H)); each call
+  also pays a fixed numpy overhead of about 0.2 ms.
 """
 
 from __future__ import annotations
