@@ -27,7 +27,7 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
   rows whose window holds no support still certify.  Masses come from
   log_pmf_many, one elementwise formula, so each term is the one the
   whole-support fallback computes; rows go in blocks of up to 2**11 rows
-  and about 2**13 terms, which keeps peak memory small.  A row costs one
+  and about 2**12 terms, which keeps peak memory small.  A row costs one
   mass per kept support index: a bounded number for spikes, O(sqrt(n))
   inside an islet, so their prefixes cost O(H) and O(H sqrt(H)); each call
   also pays a fixed numpy overhead of about 0.2 ms.
@@ -67,9 +67,9 @@ def _check_prob(p, name="p"):
         raise ParameterDomainError(f"{name} must lie strictly inside (0, 1), got {p!r}")
 
 
-def _check_horizon(horizon):
-    if not isinstance(horizon, (int, np.integer)) or horizon < 0:
-        raise ParameterDomainError(f"horizon must be a non-negative integer, got {horizon!r}")
+def _check_horizon(horizon, name="horizon"):
+    if not isinstance(horizon, (int, np.integer)) or isinstance(horizon, bool) or horizon < 0:
+        raise ParameterDomainError(f"{name} must be a non-negative integer, got {horizon!r}")
 
 
 @dataclass
@@ -263,8 +263,7 @@ def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarr
     a -inf, is NaN whatever its masses, and is not built.
     """
     out = np.full(len(ns), np.nan)
-    # a lone row (a point query) skips the sort
-    order = np.argsort(ns, kind="stable") if len(ns) > 1 else np.arange(len(ns))
+    order = np.argsort(ns, kind="stable")
     rows = ns[order]
     zeros, first_nan = rows.searchsorted(1), rows.searchsorted(_first_nan_row(seq))
     out[order[:zeros]] = seq[0]
@@ -298,9 +297,11 @@ def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarr
 
 
 # Rows, and terms, per block of sparse rows; keep the block's arrays, and
-# peak memory, small.
+# peak memory, small.  log_pmf_many's temporaries hold 3 doubles a term:
+# at 2**13 terms they pass 128 KB (glibc's default mmap threshold) and a
+# call cost about twice as much per term as at 2**12.
 _BLOCK_ROWS = 2**11
-_BLOCK_TERMS = 2**13
+_BLOCK_TERMS = 2**12
 
 # Past the nearest support index outside a row's window, the kept range goes
 # on outward until the mass has fallen by 2**-64.
@@ -432,7 +433,7 @@ def binomial_mean_at(a: RealSequence, p: float, n):
     """
     _check_prob(p)
     if isinstance(n, (int, np.integer)):
-        _check_horizon(n)
+        _check_horizon(n, "n")
         return float(_binomial_means(a, p, np.array([n]))[0])
     ns = np.asarray(n)
     if ns.ndim == 1 and (ns.dtype.kind in "iu" or not ns.size):
@@ -472,8 +473,7 @@ def weights(n: int, p: float) -> WeightTable:
     the right tail keeps relative accuracy (w[n] comes out as p**n instead of
     a cancelled 1 - 1).  Matches the direct double-sum definition.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ParameterDomainError(f"n must be a non-negative integer, got {n!r}")
+    _check_horizon(n, "n")
     _check_prob(p)
     mass = _row_mass(n + 1, p)
     # survival[i] = P[Y > i] for Y ~ Binomial(n+1, p), i = 0..n
@@ -499,7 +499,7 @@ def split_xyz(a: RealSequence, p: float, n: int) -> SplitSums:
     blocks contribute 0, so x + y + z always covers indices 0..n exactly once.
     """
     _check_prob(p)
-    _check_horizon(n)
+    _check_horizon(n, "n")
     table = weights(n, p)
     seq = a.prefix(n)
     eps = epsilon(n)

@@ -18,7 +18,15 @@ from summakit import (
     tail_mass_outside,
 )
 
-from summakit.binomial_kernel import _mode, _row_mass, _tail_row, log_pmf, log_pmf_many
+from summakit.binomial_kernel import (
+    _LOG_FACTORIALS,
+    _log_factorial,
+    _mode,
+    _row_mass,
+    _tail_row,
+    log_pmf,
+    log_pmf_many,
+)
 
 from oracles import pmf_exact_double, pmf_row_exact_doubles
 
@@ -73,6 +81,26 @@ class TestPmf:
         value = pmf(PMFParams(10_000_000, 0.5), 5_000_000)
         assert 0.0 < value < 1.0
         assert math.isfinite(value)
+
+
+class TestLogFactorial:
+    def test_table_is_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = [float(mpmath.loggamma(k + 1)) for k in range(len(_LOG_FACTORIALS))]
+        np.testing.assert_array_equal(_LOG_FACTORIALS, ref)
+
+    def test_within_2_ulp_of_mpmath(self):
+        # x = 0..5000 covers the table and the start of Stirling's series,
+        # where log x's rounding, times x, weighs most
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        x = np.concatenate([np.arange(5001.0), np.floor(rng.uniform(5001, 1e7, 1000))])
+        got = _log_factorial(x)
+        with mpmath.workdps(40):
+            for xi, gi in zip(x, got):
+                exact = mpmath.loggamma(mpmath.mpf(xi) + 1)
+                assert abs(gi - exact) <= 2 * math.ulp(float(exact)), xi
 
 
 class TestLogPmfMany:

@@ -304,6 +304,13 @@ class TestThreadCap:
         assert _child_stdout("0", "os.environ.get('OPENBLAS_NUM_THREADS', 'auto')") == "auto"
 
 
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the one runtime dependency; scipy is a test-only oracle
+        code = "__import__('summakit.cli') and 'scipy' in __import__('sys').modules"
+        assert _child_stdout("0", code) == "False"
+
+
 class TestOutputDiscipline:
     def test_byte_identical_reruns(self, capsys):
         args = ("table1", "--p", "0.3", "--q", "0.6", "--horizon", "300", "--output", "json")

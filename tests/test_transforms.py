@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summakit import (
@@ -24,7 +24,7 @@ from summakit import (
 from summakit import transforms
 from summakit.binomial_kernel import _row_mass, log_pmf_many
 
-from oracles import sparse_binomial_scipy, weights_double_sum
+from oracles import pmf_row_exact_doubles, sparse_binomial_scipy, weights_double_sum
 
 EPS = np.finfo(float).eps
 
@@ -173,7 +173,10 @@ def count_full_rows(monkeypatch):
 
 class TestWindowedKernel:
     # The reference is the per-row _row_mass dot summed exactly: the BLAS dot
-    # of a full row carries a few eps of summation error of its own.
+    # of a full row carries a few eps of summation error of its own.  The
+    # _row_mass masses carry a few eps too, so a row that misses the bound
+    # against them is checked again against exact-rational masses (too slow
+    # for every row: up to 5 s per example at horizon 400).
     @settings(deadline=None, max_examples=40)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -181,12 +184,16 @@ class TestWindowedKernel:
         p=st.floats(0.01, 0.99),
         signed=st.booleans(),
     )
+    # row 158: 4.10 eps from the _row_mass reference, 1.54 eps from the exact one
+    @example(seed=100, horizon=197, p=0.9261417986492599, signed=False)
     def test_matches_full_rows(self, seed, horizon, p, signed):
         rng = np.random.default_rng(seed)
         values = rng.uniform(-1.0 if signed else 0.0, 1.0, horizon + 1)
         got = binomial_prefix(RealSequence.from_values(values), p, horizon).values
         ref, scale = full_row_exact(values, p)
-        assert np.all(np.abs(got - ref) <= 4 * EPS * scale)
+        for n in np.flatnonzero(np.abs(got - ref) > 4 * EPS * scale):
+            exact = math.fsum(pmf_row_exact_doubles(int(n), p) * values[: n + 1])
+            assert abs(got[n] - exact) <= 4 * EPS * scale[n]
 
     @pytest.mark.parametrize("horizon", [0, 1, 2, 300])
     @pytest.mark.parametrize("p", [1e-6, 0.003, 0.997, 1 - 1e-6])
@@ -454,7 +461,7 @@ class TestMeanAtArray:
 
     @pytest.mark.parametrize("n", [-1, np.array([3, -1]), 3.0, np.array([1.0, 2.0]),
                                    np.array([[1, 2]]), np.int64(-2), [True],
-                                   np.array([2**63], dtype=np.uint64)])
+                                   np.array([2**63], dtype=np.uint64), True])
     def test_bad_n_rejected(self, n):
         for seq in (constant(1.0), sequence_from_spec(GeneratorSpec("islets"))):
             with pytest.raises(ParameterDomainError):
@@ -472,11 +479,10 @@ class TestMeanAtArray:
         assert got[1].tobytes() == bits and got[3].tobytes() == bits
         assert binomial_prefix(seq, 0.3, 49).values[0].tobytes() == bits
 
-    def test_scalar_call_neither_sorts_nor_dedups(self, monkeypatch):
+    def test_scalar_call_does_not_dedup(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a one-row call sorted its rows")
+            raise AssertionError("a one-row call deduplicated its rows")
 
-        monkeypatch.setattr(np, "argsort", refuse)
         monkeypatch.setattr(np, "unique", refuse)
         for spec in (GeneratorSpec("alternating01"), GeneratorSpec("spikes", C=1.0)):
             seq = sequence_from_spec(spec)
@@ -549,6 +555,8 @@ class TestWeights:
             weights(-1, 0.5)
         with pytest.raises(ParameterDomainError):
             weights(10, 0.0)
+        with pytest.raises(ParameterDomainError):
+            weights(True, 0.5)
 
 
 class TestEpsilon:
