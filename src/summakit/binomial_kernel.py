@@ -151,15 +151,20 @@ def _mode(n, p: float):
     return m - (m == x)
 
 
-def _ratio_up(n, i, p: float):
+def _ratio_up(n, i, p: float, q: float):
     """mass[i] / mass[i-1] of row n; 0 at i = n + 1.  n + 1 - i and i are
-    exact integer floats, so one (n, i) gives one double for every caller."""
-    return (n + 1.0 - i) * p / (i * (1.0 - p))
+    exact integer floats, so one (n, i) gives one double for every caller.
+
+    q is 1 - p, passed apart so that a p near 1 known with more accuracy
+    than its double (the tilted p of transforms) keeps an accurate q;
+    everywhere else it is the double 1.0 - p.
+    """
+    return (n + 1.0 - i) * p / (i * q)
 
 
-def _ratio_down(n, i, p: float):
-    """mass[i-1] / mass[i] of row n; 0 at i = 0."""
-    return i * (1.0 - p) / ((n + 1.0 - i) * p)
+def _ratio_down(n, i, p: float, q: float):
+    """mass[i-1] / mass[i] of row n; 0 at i = 0 (q as in _ratio_up)."""
+    return i * q / ((n + 1.0 - i) * p)
 
 
 def mode_index(params: PMFParams) -> int:
@@ -171,15 +176,17 @@ def mode_index(params: PMFParams) -> int:
     return int(_mode(params.n, params.p))
 
 
-def _row_mass(n: int, p: float) -> np.ndarray:
+def _row_mass(n: int, p: float, q: float | None = None) -> np.ndarray:
     # Multiplicative recurrence mass[i+1] = mass[i] * ratio(i+1), run outward
     # from a unit seed at the mode; products only shrink moving away from
     # the peak, so there is no overflow and tails keep relative accuracy.
+    # q defaults to 1.0 - p (see _ratio_up).
+    q = 1.0 - p if q is None else q
     mass = np.empty(n + 1)
     m = int(_mode(n, p))
     mass[m] = 1.0
-    np.cumprod(_ratio_up(n, np.arange(m + 1, n + 1, dtype=float), p), out=mass[m + 1 :])
-    np.cumprod(_ratio_down(n, np.arange(m, 0, -1, dtype=float), p), out=mass[:m][::-1])
+    np.cumprod(_ratio_up(n, np.arange(m + 1, n + 1, dtype=float), p, q), out=mass[m + 1 :])
+    np.cumprod(_ratio_down(n, np.arange(m, 0, -1, dtype=float), p, q), out=mass[:m][::-1])
     # one division turns the unit-seeded row into masses; it also pins the
     # sum against the recurrence's ~n*eps drift without disturbing
     # relative tail accuracy
@@ -209,11 +216,13 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
     """Total mass at indices i with |i - n p| >= radius.
 
     ``radius`` may be an array of radii; the result is then an array of the
-    same shape whose entries equal the scalar calls bit for bit.
+    same shape whose entries equal the scalar calls bit for bit.  A
+    negative or NaN radius is rejected.
     """
     radii = np.asarray(radius, dtype=float)
-    # sweeps make many scalar calls: skip the array reduction for them
-    if (radius < 0) if radii.ndim == 0 else (radii < 0).any():
+    # sweeps make many scalar calls: skip the array reduction for them;
+    # a NaN fails radius >= 0
+    if not ((radius >= 0) if radii.ndim == 0 else (radii >= 0).all()):
         raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
     mass, dist = _tail_row(params.n, params.p)
     if radii.ndim == 0:

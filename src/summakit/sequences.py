@@ -69,6 +69,10 @@ class GeneratorSpec:
             )
         if self.family == "geometric" and self.a is None:
             raise ParameterDomainError("geometric requires the ratio parameter a")
+        for name in ("a", "C", "height_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterDomainError(f"{name} must be finite, got {value!r}")
         if self.family == "spikes" and (self.C is None or self.C <= 0):
             raise ParameterDomainError("spikes requires a positive spacing factor C")
 
@@ -197,7 +201,9 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.power(a, np.arange(h + 1, dtype=float))
 
-        return RealSequence.from_function(prefix, nonneg=a >= 0, name=spec.label)
+        # a**i = t**i * b_i with t = a, b = 1: a decaying ratio declares its tilt
+        tilt = (a, lambda h: np.ones(h + 1)) if 0.0 < abs(a) < 1.0 else None
+        return RealSequence.from_function(prefix, nonneg=a >= 0, name=spec.label, tilt=tilt)
     if f == "signed_linear":
 
         def prefix(h):

@@ -10,9 +10,89 @@ u |S_k| + gamma_k**2 * sum_{i<=k} |v_i| of the exact prefix sum S_k
 twice the working precision and rounding once.  Where the plain cumulative
 sum is non-finite the scan returns it unchanged, with IEEE semantics: inf
 stays inf, inf + -inf is NaN, and NaN propagates.
+
+The same error-free transformations give double-double powers: power_dd
+raises a base held as an unevaluated sum hi + lo to integer powers by
+binary powering, each product exact up to about 2**-104 relative through
+Dekker's TwoProduct (T. J. Dekker, A floating-point technique for
+extending the available precision, Numer. Math. 1971), with the operands
+split by Veltkamp's 2**27 + 1 multiplier, since math.fma needs Python 3.13.
 """
 
 import numpy as np
+
+# Veltkamp's splitter: _split(x) cuts a double into two halves of at most
+# 26 significant bits each, so their pairwise products are exact.
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _two_sum_err(a, b, s):
+    """Knuth's TwoSum: the exact rounding error of s = fl(a + b)."""
+    z = s - a
+    return (a - (s - z)) + (b - z)
+
+
+def two_sum(a, b):
+    """s = fl(a + b) and err with s + err == a + b exactly."""
+    s = a + b
+    return s, _two_sum_err(a, b, s)
+
+
+def _split(x):
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def two_product(a, b):
+    """x = fl(a * b) and err with x + err == a * b exactly (Dekker), for
+    operands well inside the double range."""
+    x = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return x, al * bl - (((x - ah * bh) - al * bh) - ah * bl)
+
+
+def _mul_dd(ah, al, bh, bl):
+    """(ah + al)(bh + bl) as a renormalised double-double."""
+    x, err = two_product(ah, bh)
+    err += ah * bl + al * bh
+    s = x + err
+    return s, err - (s - x)
+
+
+def _normalised(hi, lo, e):
+    """(hi, lo, e) rescaled by a power of two so that hi lies in [1/2, 1)."""
+    hi, k = np.frexp(hi)
+    return hi, np.ldexp(lo, -k), e + k.astype(np.int64)
+
+
+def power_dd(hi: float, lo: float, ns: np.ndarray):
+    """(hi + lo)**n for each n of the non-negative integer array ns, as
+    mantissas (m_hi, m_lo) and int64 exponents e with
+    (hi + lo)**n = (m_hi + m_lo) * 2**e, m_hi in [1/2, 1).
+
+    hi + lo must be a positive normalised double-double.  Each product
+    adds a relative error of a few 2**-104 (exact TwoProduct plus rounded
+    cross terms), and a squaring doubles the error already present, so
+    m_hi + m_lo is within about n * 2**-102 relative: below one rounding to
+    double for every n under 2**40.  Mantissa and exponent are kept apart
+    at every step, so no intermediate overflows or underflows.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    m_hi, m_lo, e = np.full(len(ns), 0.5), np.zeros(len(ns)), np.ones(len(ns), np.int64)
+    b_hi, b_lo, b_e = _normalised(np.float64(hi), np.float64(lo), np.int64(0))
+    top = int(ns.max(initial=0))
+    bit = 1
+    while bit <= top:
+        odd = (ns & bit) != 0
+        x_hi, x_lo = _mul_dd(m_hi, m_lo, b_hi, b_lo)
+        x_hi, x_lo, x_e = _normalised(x_hi, x_lo, e + b_e)
+        m_hi, m_lo, e = np.where(odd, x_hi, m_hi), np.where(odd, x_lo, m_lo), np.where(odd, x_e, e)
+        bit <<= 1
+        if bit <= top:
+            b_hi, b_lo, b_e = _normalised(*_mul_dd(b_hi, b_lo, b_hi, b_lo), 2 * b_e)
+    return m_hi, m_lo, e
 
 
 def compensated_cumsum(values) -> np.ndarray:
@@ -22,8 +102,7 @@ def compensated_cumsum(values) -> np.ndarray:
     # the compensation's own inf - inf past a non-finite sum is not the data's
     with np.errstate(invalid="ignore"):
         # TwoSum: s[k] + err[k-1] == s[k-1] + v[k] exactly
-        z = s[1:] - s[:-1]
-        err = (s[:-1] - (s[1:] - z)) + (v[1:] - z)
+        err = _two_sum_err(s[:-1], v[1:], s[1:])
     # once a partial sum is non-finite every later one is, so s[-1] tells;
     # err is non-finite only where s already is, and zeroing it there
     # leaves those sums as they are

@@ -5,7 +5,10 @@ A transform prefix of horizon H is the vector of transform values at indices
 0..H.  Every p-binomial mean sum_i B(n,i,p) a_i, a prefix or point queries,
 goes through one dispatch, _binomial_means: it reads the sequence once up to
 the largest n and makes one call to one of two kernels, chosen by whether
-the sequence declares a sparse support.
+the sequence declares a sparse support.  A dense sequence that declares a
+tilt a_i = t**i b_i, 0 < |t| < 1 (geometric a**n with 0 < |a| < 1), goes
+through the dense kernel on s**i b_i (s = sign t) at the tilted p' = p|t| /
+(p|t| + q), times (p|t| + q)**n (_binomial_means_tilted).
 
 Both kernels weight a row only near its mode m, inside the window m +- W
 with W = ceil(9 sqrt(n p q)) + 30, and certify it: the mass a row drops,
@@ -19,8 +22,9 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
   from unit-seeded ratio products over the window, so a bounded sequence
   costs O(H sqrt(H)) instead of O(H^2).  The fallback is the full PMF row
   (_row_mass: the same unit-seeded products over the whole row), O(n)
-  each, taken by tilted sequences such as a**n with |a| < 1 and unbounded
-  ones such as (-3)**n.
+  each, taken by unbounded sequences such as (-3)**n and by explicit
+  vectors whose weighted mass sits far from n p, such as a**n with
+  |a| < 1 given term by term; declared tilts keep that mass in the window.
 * Sparse (_binomial_means_sparse): a row weights only the support indices
   in its window plus, on each side, the nearest support index outside it
   and every index up to where the mass has fallen a further 2**-64, so
@@ -44,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .binomial_kernel import _mode, _ratio_down, _ratio_up, _row_mass, log_pmf_many
 from .exceptions import HorizonError, ParameterDomainError
-from .summation import running_mean, suffix_sums
+from .summation import power_dd, running_mean, suffix_sums, two_product, two_sum
 
 __all__ = [
     "RealSequence",
@@ -74,20 +78,31 @@ def _check_horizon(horizon, name="horizon"):
 
 @dataclass
 class RealSequence:
-    """A real sequence indexed from 0, given by two rules.
+    """A real sequence indexed from 0, given by a prefix rule and two
+    optional ones.
 
     ``prefix(h)`` returns terms 0..h as a vector; an optional ``support(h)``
     returns the sorted indices of the nonzero terms up to h with their
-    values, and marks the sequence sparse.  An explicit vector is a prefix
-    rule that raises HorizonError past its end.  The ``nonneg`` flag is a
-    claim that every term is >= 0, checked lazily on what either rule
-    returns.
+    values, and marks the sequence sparse.  An optional tilt ``(t, b)``, a
+    ratio 0 < |t| < 1 and the prefix rule of a sequence b with a_i = t**i
+    b_i, marks it tilted: binomial means then weight b at a shifted p
+    (see _binomial_means_tilted).  An explicit vector is a prefix rule that
+    raises HorizonError past its end.  The ``nonneg`` flag is a claim that
+    every term is >= 0, checked lazily on what the prefix and support rules
+    return.
     """
 
     name: str = "sequence"
     nonneg: bool = False
     _prefix: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
     _support: Optional[Callable[[int], tuple]] = field(default=None, repr=False)
+    _tilt: Optional[tuple] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._tilt is not None and not 0.0 < abs(self._tilt[0]) < 1.0:
+            raise ParameterDomainError(
+                f"a tilt ratio must satisfy 0 < |t| < 1, got {self._tilt[0]!r}"
+            )
 
     @classmethod
     def from_values(cls, values, nonneg=False, name="explicit"):
@@ -105,13 +120,18 @@ class RealSequence:
         return cls(name=name, nonneg=nonneg, _prefix=prefix)
 
     @classmethod
-    def from_function(cls, prefix, support=None, nonneg=False, name="rule"):
-        return cls(name=name, nonneg=nonneg, _prefix=prefix, _support=support)
+    def from_function(cls, prefix, support=None, nonneg=False, name="rule", tilt=None):
+        return cls(name=name, nonneg=nonneg, _prefix=prefix, _support=support, _tilt=tilt)
 
     @property
     def sparse(self) -> bool:
         """True when the sequence declares its nonzero support."""
         return self._support is not None
+
+    @property
+    def tilted(self) -> bool:
+        """True when the sequence declares a tilt a_i = t**i b_i."""
+        return self._tilt is not None
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
         if self.nonneg and (values < 0).any():
@@ -131,6 +151,13 @@ class RealSequence:
             raise ParameterDomainError(f"sequence {self.name!r} declares no support set")
         idx, vals = self._support(horizon)
         return np.asarray(idx, dtype=np.int64), self._checked(np.asarray(vals, dtype=float))
+
+    def tilt(self, horizon: int):
+        """The tilt ratio t with terms 0..horizon of b, a_i = t**i b_i."""
+        if not self.tilted:
+            raise ParameterDomainError(f"sequence {self.name!r} declares no tilt")
+        t, b = self._tilt
+        return float(t), np.asarray(b(horizon), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -207,7 +234,7 @@ def _certified(value, scale, dropped, peak):
     return (dropped * peak <= 2.0**-53 * scale) & np.isfinite(value)
 
 
-def _windowed_block(windows, pad, peak, p, ns, half):
+def _windowed_block(windows, pad, peak, p, q, ns, half):
     """Windowed means for the rows ns, with a mask of the rows it certifies.
 
     Each row runs the ratios of _row_mass outward from a unit seed at the
@@ -223,9 +250,9 @@ def _windowed_block(windows, pad, peak, p, ns, half):
     k = np.arange(1.0, half + 1.0)
     w = np.empty((len(ns), 2 * half + 1))
     w[:, half] = 1.0
-    np.cumprod(_ratio_up(col, mode + k, p), axis=1, out=w[:, half + 1 :])
+    np.cumprod(_ratio_up(col, mode + k, p, q), axis=1, out=w[:, half + 1 :])
     k -= 1.0
-    np.cumprod(_ratio_down(col, mode - k, p), axis=1, out=w[:, half - 1 :: -1])
+    np.cumprod(_ratio_down(col, mode - k, p, q), axis=1, out=w[:, half - 1 :: -1])
 
     terms = windows[(m - half).astype(np.int64) + pad, : 2 * half + 1]
     if (m + half > n).any():
@@ -234,7 +261,7 @@ def _windowed_block(windows, pad, peak, p, ns, half):
     value = weighted.sum(axis=1) / w.sum(axis=1)
 
     lo, hi = m - half, m + half
-    r_lo, r_hi = _ratio_down(n, lo, p), _ratio_up(n, hi + 1.0, p)
+    r_lo, r_hi = _ratio_down(n, lo, p, q), _ratio_up(n, hi + 1.0, p, q)
     dropped = np.where(lo > 0.0, w[:, 0] * r_lo / (1.0 - r_lo), 0.0)
     dropped += np.where(hi < n, w[:, -1] * r_hi / (1.0 - r_hi), 0.0)
     scale = np.abs(weighted, out=weighted).sum(axis=1)
@@ -252,9 +279,10 @@ def _first_nan_row(seq: np.ndarray) -> int:
     return min(first(np.isnan(seq)), max(first(seq == np.inf), first(seq == -np.inf)))
 
 
-def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarray:
+def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray, q=None) -> np.ndarray:
     """sum_i B(n,i,p) * seq[i] for each n of the array ns (0 <= n < len(seq),
-    any order, repeats allowed).
+    any order, repeats allowed); q is 1 - p, by default the double 1.0 - p
+    (see binomial_kernel._ratio_up).
 
     Rows go through _windowed_block in ascending order, in blocks of about
     _BLOCK_MASSES masses; rows it cannot certify are the full _row_mass row
@@ -270,6 +298,7 @@ def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarr
     order, rows = order[zeros:first_nan], rows[zeros:first_nan]
     if not len(rows):
         return out
+    q = 1.0 - p if q is None else q
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.maximum.accumulate(np.abs(seq))
         # windows[pad + j] starts at seq[j]; 2 pad zeros on the right keep a
@@ -286,11 +315,11 @@ def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarr
             stop = start + _BLOCK_MASSES // (2 * half[min(stop, len(rows)) - 1] + 1)
             stop = min(max(stop, start + 1), len(rows))
             value, certified = _windowed_block(
-                windows, pad, peak, p, rows[start:stop], int(half[stop - 1])
+                windows, pad, peak, p, q, rows[start:stop], int(half[stop - 1])
             )
             for k in np.flatnonzero(~certified):
                 n = int(rows[start + k])
-                value[k] = _row_mass(n, p) @ seq[: n + 1]
+                value[k] = _row_mass(n, p, q) @ seq[: n + 1]
             out[order[start:stop]] = value
             start = stop
     return out
@@ -355,8 +384,9 @@ def _sparse_rows(idx, av, peak, p, ns):
     left, right = lo > 0, hi < k
     j_lo = idx[np.maximum(lo - 1, 0)].astype(float)
     j_hi = idx[np.minimum(hi, k - 1)].astype(float)
-    t_lo, tail_lo = _sparse_extension(np.where(left, _ratio_down(n, j_lo, p), 0.0))
-    t_hi, tail_hi = _sparse_extension(np.where(right, _ratio_up(n, j_hi + 1.0, p), 0.0))
+    q = 1.0 - p
+    t_lo, tail_lo = _sparse_extension(np.where(left, _ratio_down(n, j_lo, p, q), 0.0))
+    t_hi, tail_hi = _sparse_extension(np.where(right, _ratio_up(n, j_hi + 1.0, p, q), 0.0))
     first = np.where(left, np.searchsorted(idx, j_lo.astype(np.int64) - t_lo), lo)
     last = np.searchsorted(idx, j_hi.astype(np.int64) + t_hi, side="right")
     count = np.where(right, np.minimum(last, k), hi) - first
@@ -401,21 +431,63 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     return out
 
 
+def _binomial_means_tilted(t: float, b: np.ndarray, p: float, ns: np.ndarray):
+    """sum_i B(n,i,p) * t**i * b[i] for each n of ns, 0 < |t| < 1, by the
+    tilt identity of the Euler mean E_p (Hardy, Divergent Series, ch. 8):
+
+        sum_i B(n,i,p) t**i b_i = (p|t| + q)**n * sum_i B(n,i,p') s**i b_i,
+
+    p' = p|t| / (p|t| + q), s = sign(t).  The right-hand sum is the dense
+    kernel at p' on s**i b_i, whose windows sit at the tilted mode n p',
+    where the weighted mass of a**n lies.  It gets q' = q / (p|t| + q)
+    computed apart: 1.0 - p' would lose q' to the rounding of p' when p'
+    is near 1, and (1 - 2p')**n, the alternating sum, is sensitive to it.
+    The factor is power_dd of the base p|t| + q = 1 - p(1 - |t|) held as a
+    double-double (a rounded base would carry its rounding n-fold into the
+    factor).  None when p|t| underflows, as p' then does.
+    """
+    # q = 1 - p and p|t| are exact as sums of two doubles, their sum within
+    # about 2**-106 relative
+    q_hi, q_lo = two_sum(1.0, -p)
+    pt_hi, pt_lo = two_product(p, abs(t))
+    base_hi, base_lo = two_sum(q_hi, pt_hi)
+    base_hi, base_lo = two_sum(base_hi, base_lo + (q_lo + pt_lo))
+    p_t, q_t = pt_hi / base_hi, q_hi / base_hi
+    if not 0.0 < p_t < 1.0:
+        return None
+    if t < 0.0:
+        b = b.copy()
+        np.negative(b[1::2], out=b[1::2])
+    means = _binomial_means_dense(b, p_t, ns, q_t)
+    m_hi, m_lo, e = power_dd(base_hi, base_lo, ns)
+    # about one rounding of means * (m_hi + m_lo), one more only where
+    # ldexp goes subnormal; exponents below -2200 give 0 either way.  A
+    # non-finite mean skips m_lo, which can be 0 (inf * 0 would be NaN).
+    value = means * m_hi
+    value += np.multiply(means, m_lo, out=np.zeros(len(ns)), where=np.isfinite(means))
+    return np.ldexp(value, np.maximum(e, -2200))
+
+
 def _binomial_means(a: RealSequence, p: float, ns: np.ndarray) -> np.ndarray:
     """sum_i B(n,i,p) * a_i for each n of the int64 array ns: the sequence
     is read once up to max(ns) and goes through one kernel call."""
     top = int(ns.max(initial=0))
     if a.sparse:
         return _binomial_means_sparse(*a.support(top), p, ns)
+    if a.tilted:
+        means = _binomial_means_tilted(*a.tilt(top), p, ns)
+        if means is not None:
+            return means
     return _binomial_means_dense(a.prefix(top), p, ns)
 
 
 def binomial_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefix:
     """Binomially weighted means: entry n is sum_i B(n,i,p) * a_i.
 
-    Bounded dense sequences cost O(horizon^1.5), sparse ones one mass per
-    kept support index per row; rows the certified windows cannot carry
-    cost O(n) each (see the module docstring).
+    Bounded dense sequences and declared tilts (geometric a**n with
+    0 < |a| < 1) cost O(horizon^1.5), sparse ones one mass per kept support
+    index per row; rows the certified windows cannot carry cost O(n) each
+    (see the module docstring).
     """
     _check_prob(p)
     _check_horizon(horizon)

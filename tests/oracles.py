@@ -7,6 +7,7 @@ sparse brute-force sums.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -94,3 +95,36 @@ def sparse_binomial_scipy(indices, values, n, p):
     keep = indices <= n
     masses = binom.pmf(indices[keep], n, p)
     return math.fsum(m * v for m, v in zip(masses, np.asarray(values)[keep]))
+
+
+def geometric_binomial_errors(a, p, values, ns=None):
+    """Exact errors of values[j] against the p-binomial mean of a**n at
+    n = ns[j] (ns defaults to 0, 1, 2, ...; any order).
+
+    That mean is the exact rational r**n, r = p(a-1) + 1, and
+    sum_i B(n,i,p) |a|**i is s**n, s = p(|a|-1) + 1, with p and a at their
+    exact binary values.  Both are dyadic, so every row is done in integer
+    arithmetic (no gcd on the growing powers).  Returns two arrays:
+    |values[j] - r**n| and |values[j] - r**n| / s**n, each the correctly
+    rounded double of the exact rational.
+    """
+    ns = np.arange(len(values)) if ns is None else np.asarray(ns)
+    r = Fraction(p) * (Fraction(a) - 1) + 1
+    s = Fraction(p) * (abs(Fraction(a)) - 1) + 1
+    k = max(r.denominator, s.denominator).bit_length() - 1  # common 2**k
+    big_r, big_s = r * 2**k, s * 2**k
+    assert big_r.denominator == 1 and big_s.denominator == 1
+    big_r, big_s = big_r.numerator, big_s.numerator
+    err, rel = np.empty(len(values)), np.empty(len(values))
+    prev, r_n, s_n = 0, 1, 1  # R**n and S**n: r**n = R**n / 2**(k n)
+    for j in np.argsort(ns, kind="stable"):
+        n = int(ns[j])
+        r_n *= big_r ** (n - prev)
+        s_n *= big_s ** (n - prev)
+        prev = n
+        num, den = float(values[j]).as_integer_ratio()
+        g = den.bit_length() - 1
+        diff = abs((num << (k * n)) - (r_n << g))
+        err[j] = diff / (1 << (g + k * n))
+        rel[j] = diff / (s_n << g)
+    return err, rel

@@ -240,6 +240,12 @@ class TestTailMass:
         with pytest.raises(ParameterDomainError):
             tail_mass_outside(PMFParams(10, 0.5), -1.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, np.float64(math.nan), np.array(math.nan)])
+    def test_nan_radius_rejected(self, radius):
+        # NaN >= r is false for every r: it used to select no mass and return 0
+        with pytest.raises(ParameterDomainError):
+            tail_mass_outside(PMFParams(10, 0.5), radius)
+
     def test_matches_exact_summation(self):
         n, p, radius = 400, 0.5, 40.0
         got = tail_mass_outside(PMFParams(n, p), radius)
@@ -276,6 +282,10 @@ class TestTailMassSweeps:
     def test_negative_radius_in_array_rejected(self):
         with pytest.raises(ParameterDomainError):
             tail_mass_outside(PMFParams(10, 0.5), np.array([1.0, -0.5]))
+
+    def test_nan_radius_in_array_rejected(self):
+        with pytest.raises(ParameterDomainError):
+            tail_mass_outside(PMFParams(10, 0.5), np.array([[1.0, 2.0], [math.nan, 0.5]]))
 
     def test_interleaved_calls_match_uncached(self):
         pairs = [(300, 0.2), (301, 0.2), (300, 0.7), (300, 0.2), (5, 0.5), (301, 0.2)]

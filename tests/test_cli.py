@@ -88,6 +88,23 @@ class TestWeightsCommand:
 
 
 class TestTransformCommand:
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (("--family", "spikes", "--C", "nan"), "C"),
+            (("--family", "spikes", "--C", "inf"), "C"),
+            (("--family", "geometric", "--a", "nan"), "a"),
+            (("--family", "spikes", "--C", "1", "--height-scale=-inf"), "height_scale"),
+        ],
+    )
+    def test_non_finite_parameters_exit_2(self, capsys, flags, name):
+        code, out, err = run_cli(
+            capsys, "transform", *flags, "--kind", "binomial", "--p", "0.5", "--horizon", "50"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("summakit: error: ") and f"{name} must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_cesaro_alternating(self, capsys):
         code, out, _ = run_cli(
             capsys, "transform", "--family", "alternating01", "--kind", "cesaro", "--horizon", "4"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -17,7 +19,13 @@ from summakit import (
     sequence_from_spec,
 )
 from summakit.binomial_kernel import log_pmf_many
-from summakit.sequences import islet_ranges, islets_count_upto, spike_indices
+from summakit.sequences import (
+    _geometric_pq_witness,
+    default_families,
+    islet_ranges,
+    islets_count_upto,
+    spike_indices,
+)
 
 EPS = np.finfo(float).eps
 
@@ -36,6 +44,17 @@ class TestGeneratorSpec:
             GeneratorSpec("spikes")
         with pytest.raises(ParameterDomainError):
             GeneratorSpec("spikes", C=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "family, name",
+        [("geometric", "a"), ("spikes", "C"), ("spikes", "height_scale")],
+    )
+    def test_non_finite_parameters_rejected(self, family, name, value):
+        kwargs = {"geometric": {"a": 0.5}, "spikes": {"C": 1.0}}[family]
+        kwargs[name] = value
+        with pytest.raises(ParameterDomainError, match=name):
+            GeneratorSpec(family, **kwargs)
 
 
 class TestGenerate:
@@ -233,6 +252,32 @@ class TestRunTable1:
         assert wit["a"] == -3.0
         assert wit["p_ratio"] == 0.0 and wit["q_ratio"] == -2.0
         assert wit["witnessed"] is True
+
+    def test_unchanged_at_the_criterion_7_pairs(self):
+        # SHA-256 of verdicts, cells and both geometric witnesses, taken
+        # before geometric ratios in (-1, 1) declared a tilt: the families
+        # use only a = 1 and a = -3, which declare none
+        expected = {
+            (0.25, 0.75): "82b08807f575c648",
+            (0.3, 0.6): "405ff4aa10bdb5db",
+            (0.4, 0.7): "29f921bf5aa9361d",
+        }
+        assert not any(sequence_from_spec(s).tilted for s in default_families())
+        for (p, q), digest in expected.items():
+            report = run_table1(p, q, 2000)
+            with np.errstate(over="ignore"):
+                witness = _geometric_pq_witness(p, q, 2000)
+            body = {
+                "verdicts": {
+                    f: {t: [v.status, v.value, v.window, v.tol] for t, v in per.items()}
+                    for f, per in report.verdicts.items()
+                },
+                "cells": [[c.family, c.source, c.target, c.outcome] for c in report.cells],
+                "contradictions": report.contradictions,
+                "pq_witness": report.pq_witness,
+                "pq_witness_h": witness,
+            }
+            assert hashlib.sha256(json.dumps(body).encode()).hexdigest()[:16] == digest
 
     def test_open_cell_never_flags(self):
         report = run_table1(0.3, 0.7, 2000)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from summakit import GeneratorSpec, cesaro_prefix, estimate_limit, run_table1, sequence_from_spec
-from summakit.summation import running_mean, suffix_sums
+from hypothesis import given
+from hypothesis import strategies as st
+
+from summakit.summation import power_dd, running_mean, suffix_sums, two_product, two_sum
 from summakit.binomial_kernel import _row_mass
 
 U = Fraction(1, 2**53)
@@ -136,3 +139,55 @@ def test_overflowing_cesaro_means_diverge():
     assert estimate_limit(means).status == "diverges_to_infinity"
     report = run_table1(0.3, 0.6, 700, families=[spec])
     assert report.verdicts[spec.label]["cesaro"].status == "diverges_to_infinity"
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(finite, finite)
+def test_two_sum_is_exact(a, b):
+    s, err = two_sum(a, b)
+    assert s == a + b and Fraction(s) + Fraction(err) == Fraction(a) + Fraction(b)
+
+
+@given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
+def test_two_product_is_exact(a, b):
+    x, err = two_product(a, b)
+    exact = Fraction(a) * Fraction(b)
+    if abs(exact) >= 2.0**-960 or exact == 0:  # an error term can be subnormal below
+        assert x == a * b and Fraction(x) + Fraction(err) == exact
+
+
+@pytest.mark.parametrize(
+    "hi, lo, top",
+    [
+        (0.75 + 2.0**-30, 2.0**-60, 100_000),  # needs its low part
+        (0.3 * 0.9 + 0.7, -2.0**-56, 100_000),  # a tilt base
+        (0.55, 0.0, 4095),
+        (1.0 - 2.0**-40, 2.0**-95, 4095),  # close to 1
+        (1e-3, 1e-21, 4095),  # far below 1
+    ],
+)
+def test_power_dd_matches_exact_powers(hi, lo, top):
+    # squarings double the relative error already present: about n * 2**-102
+    ns = np.array([top, 0, 1, 2, 3, 7, 1000, 3])
+    m_hi, m_lo, e = power_dd(hi, lo, ns)
+    base = Fraction(hi) + Fraction(lo)
+    assert np.all((0.5 <= m_hi) & (m_hi < 1.0)) and np.all(np.abs(m_lo) <= 2.0**-53)
+    num, den = base.numerator, base.denominator  # den is a power of 2
+    for n, a, b, k in zip(ns.tolist(), m_hi, m_lo, e.tolist()):
+        got = Fraction(a) + Fraction(b)  # times 2**k
+        exact_num, exact_den = num**n, den**n
+        # |got 2**k - exact| / exact, scaled by powers of two only
+        lhs = got.numerator * exact_den
+        rhs = exact_num * got.denominator
+        lhs, rhs = (lhs << k, rhs) if k >= 0 else (lhs, rhs << -k)
+        assert abs(lhs - rhs) << 100 <= max(n, 1) * rhs
+
+
+def test_power_dd_keeps_underflowing_powers():
+    # 0.1**20000 is far below the double range; its mantissa stays exact
+    m_hi, m_lo, e = power_dd(0.1, 0.0, np.array([20_000]))
+    exact = Fraction(0.1) ** 20_000
+    got = (Fraction(m_hi[0]) + Fraction(m_lo[0])) * Fraction(2) ** int(e[0])
+    assert abs(got - exact) <= 20_000 * Fraction(1, 2**100) * exact

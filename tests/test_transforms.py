@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,12 @@ from summakit import (
 from summakit import transforms
 from summakit.binomial_kernel import _row_mass, log_pmf_many
 
-from oracles import pmf_row_exact_doubles, sparse_binomial_scipy, weights_double_sum
+from oracles import (
+    geometric_binomial_errors,
+    pmf_row_exact_doubles,
+    sparse_binomial_scipy,
+    weights_double_sum,
+)
 
 EPS = np.finfo(float).eps
 
@@ -163,9 +169,9 @@ def count_full_rows(monkeypatch):
     """Record the n of every full PMF row the dense kernel falls back to."""
     calls = []
 
-    def counted(n, p):
+    def counted(n, p, q=None):
         calls.append(n)
-        return _row_mass(n, p)
+        return _row_mass(n, p, q)
 
     monkeypatch.setattr(transforms, "_row_mass", counted)
     return calls
@@ -243,9 +249,11 @@ class TestWindowedKernel:
         assert calls == [150, 151]
         assert np.isinf(got[150]) and np.isinf(got[151])
 
-    def test_tilted_sequence_takes_the_fallback(self, monkeypatch):
+    def test_undeclared_tilt_takes_the_fallback(self, monkeypatch):
+        # a**n as an explicit vector declares no tilt: its rows miss the
+        # window at n p and are full rows, as for any explicit sequence
         calls = count_full_rows(monkeypatch)
-        seq = sequence_from_spec(GeneratorSpec("geometric", a=0.3))
+        seq = RealSequence.from_values(0.3 ** np.arange(1001.0), nonneg=True)
         for p in (0.3, 0.7):
             calls.clear()
             got = binomial_prefix(seq, p, 1000).values
@@ -262,10 +270,16 @@ class TestWindowedKernel:
                 expected = (1.0 + (1.0 - 2.0 * p) ** n) / 2.0
                 assert abs(binomial_mean_at(seq, p, n) - expected) <= 4 * EPS
         assert calls == []
+        # geometric a = 0.5 declares its tilt: windows at the tilted mode
         geo = sequence_from_spec(GeneratorSpec("geometric", a=0.5))
         got = binomial_mean_at(geo, 0.4, 3000)
+        assert calls == []
+        _, rel = geometric_binomial_errors(0.5, 0.4, [got], [3000])
+        assert rel[0] <= 4 * EPS
+        # the same terms as an explicit vector still take the full row
+        explicit = RealSequence.from_values(geo.prefix(3000))
+        assert binomial_mean_at(explicit, 0.4, 3000) == pytest.approx(got, rel=1e-12)
         assert calls == [3000]
-        assert math.isclose(got, 0.8**3000, rel_tol=1e-12)
 
     def test_mean_at_matches_prefix(self):
         rng = np.random.default_rng(5)
@@ -296,6 +310,161 @@ class TestWindowedKernel:
         got = binomial_prefix(RealSequence.from_values(values), 0.4, 300).values
         assert np.all(np.abs(got[:200] - 1.0) <= 4 * EPS)
         assert np.isnan(got[200:]).all() and calls == []
+
+
+TINY = np.finfo(float).tiny  # the smallest normal double
+SUBNORMAL = 2.0**-1074  # the smallest subnormal double
+
+
+def tilted_errors(a, p, got, ns=None):
+    """Exact errors of binomial means of a**n (see geometric_binomial_errors),
+    with the mask of rows whose sum B |a| = (p|a| + q)**n is a normal double."""
+    err, rel = geometric_binomial_errors(a, p, got, ns)
+    ns = np.arange(len(got)) if ns is None else np.asarray(ns)
+    normal = ns * math.log(p * abs(a) + 1.0 - p) > math.log(TINY) + 1e-9
+    return err, rel, normal
+
+
+class TestTilt:
+    """geometric a**n with 0 < |a| < 1 declares the tilt a_i = a**i * 1: its
+    means are the windowed kernel at p' = p|a| / (p|a| + q) on (sign a)**i,
+    times (p|a| + q)**n by double-double powering.  Every bound is against
+    exact rationals: within 4 eps of sum B |a| where that is a normal
+    double, and beyond that within 4 eps of it plus one 2**-1074."""
+
+    def test_declared_tilt_skips_the_full_row(self, monkeypatch):
+        calls = count_full_rows(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("geometric", a=0.3))
+        assert seq.tilted
+        for p in (0.3, 0.7):
+            got = binomial_prefix(seq, p, 1000).values
+            _, rel, normal = tilted_errors(0.3, p, got)
+            assert normal.all() and rel.max() <= 4 * EPS
+        assert calls == []
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        t=st.floats(1e-3, 0.999),
+        negative=st.booleans(),
+        p=st.floats(0.01, 0.99),
+        horizon=st.integers(0, 400),
+    )
+    # p' = 0.984: with q' taken as 1 - p' row 12 was 4.8 eps off
+    @example(t=0.75, negative=True, p=0.98828125, horizon=12)
+    def test_matches_exact_rationals(self, t, negative, p, horizon):
+        a = -t if negative else t
+        got = binomial_prefix(sequence_from_spec(GeneratorSpec("geometric", a=a)), p, horizon)
+        err, rel, normal = tilted_errors(a, p, got.values)
+        assert np.all(rel[normal] <= 4 * EPS)
+        scale = np.exp(np.arange(horizon + 1) * math.log(p * t + 1.0 - p))
+        assert np.all(err[~normal] <= 4 * EPS * scale[~normal] + SUBNORMAL)
+
+    @pytest.mark.parametrize("p", [0.3, 0.6])
+    @pytest.mark.parametrize("a", [0.5, 0.9, 0.99, -0.5])
+    def test_long_prefixes_within_4_eps(self, a, p):
+        # the full-row fallback this path replaced drifted to 33-69 eps here
+        got = binomial_prefix(sequence_from_spec(GeneratorSpec("geometric", a=a)), p, 3000)
+        err, rel, normal = tilted_errors(a, p, got.values)
+        assert np.all(rel[normal] <= 4 * EPS)
+        assert np.all(err[~normal] <= SUBNORMAL)
+
+    def test_underflow_no_worse_than_full_rows(self):
+        # (0.5 * 0.9 + 0.1)**n = 0.55**n is subnormal from n = 1185 on.
+        # There the values are within one 2**-1074 of the exact rational;
+        # the full PMF rows this path replaced were up to 12 of them off.
+        seq = sequence_from_spec(GeneratorSpec("geometric", a=0.5))
+        got = binomial_prefix(seq, 0.9, 4000).values
+        err, rel, normal = tilted_errors(0.5, 0.9, got)
+        assert np.argmin(normal) == 1185 and not normal[1185:].any()
+        assert np.all(rel[normal] <= 4 * EPS)
+        assert np.all(err[~normal] <= SUBNORMAL)
+        full_err, _ = geometric_binomial_errors(0.5, 0.9, full_row_loop(seq.prefix(4000), 0.9))
+        assert err[~normal].max() <= full_err[~normal].max()
+
+    def test_point_queries_take_the_tilt(self, monkeypatch):
+        calls = count_full_rows(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("geometric", a=-0.7))
+        ns = np.array([20_000, 0, 5, 3000, 5, 1185])
+        got = binomial_mean_at(seq, 0.45, ns)
+        err, rel, normal = tilted_errors(-0.7, 0.45, got, ns)
+        assert np.all(rel[normal] <= 4 * EPS) and np.all(err[~normal] <= SUBNORMAL)
+        assert got[1] == 1.0 and got[2] == got[4]
+        # a lone row keeps a different window: equal up to the same bound
+        one = binomial_mean_at(seq, 0.45, 3000)
+        assert tilted_errors(-0.7, 0.45, [one], [3000])[1][0] <= 4 * EPS
+        assert calls == []
+
+    @pytest.mark.parametrize("a", [-3.0, -1.0, 0.0, 1.0, 1.5, -1.5])
+    def test_only_decaying_ratios_declare_a_tilt(self, a):
+        assert not sequence_from_spec(GeneratorSpec("geometric", a=a)).tilted
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, -1.0, 2.0, math.nan, math.inf])
+    def test_tilt_ratio_outside_the_unit_interval_rejected(self, t):
+        with pytest.raises(ParameterDomainError):
+            RealSequence.from_function(lambda h: np.zeros(h + 1), tilt=(t, np.ones))
+
+    def test_tilt_requires_declaration(self):
+        with pytest.raises(ParameterDomainError):
+            RealSequence.from_values([1.0]).tilt(0)
+
+    def test_underflowing_tilted_p_takes_the_plain_path(self, monkeypatch):
+        # p|a| underflows to 0, so p' would be 0: the plain dense path runs
+        calls = count_full_rows(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("geometric", a=5e-324))
+        assert seq.tilted
+        got = binomial_prefix(seq, 0.4, 50).values
+        plain = binomial_prefix(RealSequence.from_values(seq.prefix(50)), 0.4, 50).values
+        np.testing.assert_array_equal(got, plain)
+        assert got[0] == 1.0 and got[50] == pytest.approx(0.6**50, rel=1e-13)
+
+    def test_non_finite_terms_of_b_reach_the_same_rows(self):
+        # a declared tilt keeps the dense kernel's non-finite rules: inf in
+        # b makes every later row inf, both infinities or a NaN make it NaN
+        for bad in ([7, math.inf], [7, math.inf, 9, -math.inf], [7, math.nan]):
+            b = np.ones(301)
+            b[bad[::2]] = bad[1::2]
+            tilted = RealSequence.from_function(
+                lambda h: 0.6 ** np.arange(h + 1.0) * b[: h + 1], tilt=(0.6, lambda h: b[: h + 1])
+            )
+            got = binomial_prefix(tilted, 0.35, 300).values
+            with np.errstate(invalid="ignore"):
+                ref = full_row_loop(tilted.prefix(300), 0.35)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+            np.testing.assert_array_equal(np.isinf(got), np.isinf(ref))
+            assert np.isfinite(got[:7]).all() and not np.isfinite(got[7:]).any()
+
+    def test_untilted_sequences_keep_their_bits(self):
+        # SHA-256 of prefixes and point values of the sequences that declare
+        # no tilt, taken before the tilted path existed (NaNs canonicalised)
+        expected = {
+            "geometric(a=-3)": "f64e2b503a1d0a9a",
+            "geometric(a=-1)": "30eb44e007845fef",
+            "geometric(a=0)": "fce11fa60d278e34",
+            "geometric(a=1)": "0cdddae4893f8097",
+            "explicit uniform": "f710b789a0005e35",
+            "explicit 0.5**n": "4f7d8b69ad41b123",
+        }
+        rng = np.random.default_rng(2024)
+        seqs = {
+            f"geometric(a={a:g})": sequence_from_spec(GeneratorSpec("geometric", a=a))
+            for a in (-3.0, -1.0, 0.0, 1.0)
+        }
+        seqs["explicit uniform"] = RealSequence.from_values(rng.uniform(-1, 1, 2001))
+        seqs["explicit 0.5**n"] = RealSequence.from_values(0.5 ** np.arange(2001.0))
+        ns = np.array([0, 1, 17, 648, 999, 2000, 1500, 3])
+
+        def bits(v):
+            v = np.asarray(v, dtype=float)
+            return np.where(np.isnan(v), np.nan, v).tobytes()
+
+        for name, seq in seqs.items():
+            digest = hashlib.sha256()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for p in (0.3, 0.6):
+                    digest.update(bits(binomial_prefix(seq, p, 2000).values))
+                    digest.update(bits(binomial_mean_at(seq, p, ns)))
+                    digest.update(bits([binomial_mean_at(seq, p, int(n)) for n in ns]))
+            assert digest.hexdigest()[:16] == expected[name], name
 
 
 def count_sparse_fallbacks(monkeypatch):
