@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -42,7 +43,19 @@ class _UsageError(Exception):
     pass
 
 
+# Every negative float literal is a value, not an option: argparse on its own
+# takes only -\d+ and -\d*\.\d+ for numbers, so "--a -1e-3" and "--a -inf"
+# would read as a flag missing its argument.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with status 2 on its own; route everything through the
     # usage-error path instead so the documented exit codes hold.
     def error(self, message):

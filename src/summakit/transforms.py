@@ -30,11 +30,14 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
   and every index up to where the mass has fallen a further 2**-64, so
   rows whose window holds no support still certify.  Masses come from
   log_pmf_many, one elementwise formula, so each term is the one the
-  whole-support fallback computes; rows go in blocks of up to 2**11 rows
-  and about 2**12 terms, which keeps peak memory small.  A row costs one
-  mass per kept support index: a bounded number for spikes, O(sqrt(n))
-  inside an islet, so their prefixes cost O(H) and O(H sqrt(H)); each call
-  also pays a fixed numpy overhead of about 0.2 ms.
+  whole-support fallback computes.  A lone row (every scalar
+  binomial_mean_at) is evaluated on scalars (_sparse_row); more rows go in
+  blocks of up to 2**11 rows and about 2**12 terms, which keeps peak memory
+  small; only these array calls pay the block arrays' fixed numpy cost (a
+  lone spikes query at n in [2e5, 2.1e6] takes 55-120 us on scalars,
+  155-310 us through a block).  A row costs one mass per kept support
+  index: a bounded number for spikes, O(sqrt(n)) inside an islet, so their
+  prefixes cost O(H) and O(H sqrt(H)).
 """
 
 from __future__ import annotations
@@ -412,19 +415,58 @@ def _sparse_rows(idx, av, peak, p, ns):
     return out
 
 
+def _sparse_row(idx, av, p, n: int) -> float:
+    """_sparse_rows for the one row n, on scalars: the same window,
+    extension, kept terms and certificate, without the block arrays."""
+    k = idx.searchsorted(n, side="right")  # support indices <= n
+    if not k:
+        return 0.0
+    x = float(n)
+    m = _mode(x, p)
+    half = _window_halfwidth(x, p)
+    lo = idx.searchsorted(int(m - half), side="left")
+    hi = min(idx.searchsorted(int(m + half), side="right"), k)
+    # the kept slice idx[first:stop]: the window, extended past the nearest
+    # support index outside it on each side, if any
+    q = 1.0 - p
+    first, stop, tail_lo, tail_hi = lo, hi, 0.0, 0.0
+    if lo > 0:
+        j_lo = idx[lo - 1]
+        t_lo, tail_lo = _sparse_extension(_ratio_down(x, float(j_lo), p, q))
+        first = idx.searchsorted(j_lo - t_lo, side="left")
+    if hi < k:
+        j_hi = idx[hi]
+        t_hi, tail_hi = _sparse_extension(_ratio_up(x, j_hi + 1.0, p, q))
+        stop = min(idx.searchsorted(j_hi + t_hi, side="right"), k)
+    masses = np.exp(log_pmf_many(x, p, idx[first:stop]))
+    weighted = masses * av[first:stop]
+    value = np.add.reduceat(weighted, [0])[0]
+    scale = np.add.reduceat(np.abs(weighted, out=weighted), [0])[0]
+    # where j_lo and j_hi sit among the terms (any term where absent)
+    dropped = masses[lo - 1 - first if lo > 0 else 0] * tail_lo
+    dropped += masses[hi - first if hi < k else 0] * tail_hi
+    if _certified(value, scale, dropped, np.abs(av[:k]).max()):
+        return value
+    return _whole_support_mean(idx, av, p, n, k)
+
+
 def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.ndarray:
     """sum_{i in idx, i <= n} B(n,i,p) * av[i] for each n of the array ns.
 
     idx holds the sorted support indices, av their values; ns may come in
-    any order.  Rows go in blocks of _BLOCK_ROWS, their kept terms through
-    log_pmf_many in blocks of about _BLOCK_TERMS, each row summed pairwise;
-    rows it cannot certify are _whole_support_mean.
+    any order.  One row goes through _sparse_row on scalars.  More rows go
+    in blocks of _BLOCK_ROWS, their kept terms through log_pmf_many in
+    blocks of about _BLOCK_TERMS, each row summed pairwise; rows it cannot
+    certify are _whole_support_mean.
     """
     ns = np.asarray(ns, dtype=np.int64)
     out = np.empty(len(ns))
-    peak = np.abs(av)
-    np.maximum.accumulate(peak, out=peak)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if len(ns) == 1:
+            out[0] = _sparse_row(idx, av, p, int(ns[0]))
+            return out
+        peak = np.abs(av)
+        np.maximum.accumulate(peak, out=peak)
         for start in range(0, len(ns), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             out[block] = _sparse_rows(idx, av, peak, p, ns[block])
@@ -501,7 +543,8 @@ def binomial_mean_at(a: RealSequence, p: float, n):
     in any order and with repeats, giving an array of the same length from
     one read of the sequence and one kernel call.  Entries agree with entry
     n of binomial_prefix up to rounding: dense rows batched differently
-    keep different windows.
+    keep different windows.  A sparse row does not depend on its batch, so
+    there the scalar and every array call give the same bits.
     """
     _check_prob(p)
     if isinstance(n, (int, np.integer)):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from summakit.cli import main
+from summakit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +319,47 @@ class TestThreadCap:
 
     def test_zero_means_automatic(self):
         assert _child_stdout("0", "os.environ.get('OPENBLAS_NUM_THREADS', 'auto')") == "auto"
+
+
+class TestNegativeFloatValues:
+    """Every float flag takes a negative value in any float spelling after
+    a space, as it does after '='."""
+
+    BASE = {
+        "pmf": ("--n", "3", "--p", "0.5"),
+        "weights": ("--n", "3", "--p", "0.5"),
+        "transform": ("--family", "spikes", "--kind", "binomial", "--horizon", "3"),
+        "compare": ("--p", "0.3", "--q", "0.6", "--n", "3"),
+        "markov-limit": ("m.csv",),
+        "table1": ("--p", "0.3", "--q", "0.6", "--horizon", "3"),
+        "explore": ("--p", "0.3", "--q", "0.6", "--C", "1", "--horizon", "3"),
+    }
+    FLAGS = [
+        ("pmf", "--p"), ("weights", "--p"), ("transform", "--a"), ("transform", "--C"),
+        ("transform", "--height-scale"), ("transform", "--p"), ("compare", "--p"),
+        ("compare", "--q"), ("markov-limit", "--tol"), ("markov-limit", "--row-tol"),
+        ("table1", "--p"), ("table1", "--q"), ("explore", "--p"), ("explore", "--q"),
+        ("explore", "--C"), ("explore", "--height-scale"),
+    ]
+
+    @pytest.mark.parametrize("command, flag", FLAGS)
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-.5e0", "-3.", "-inf", "-Infinity"])
+    def test_parsed_as_a_value(self, command, flag, value):
+        args = build_parser().parse_args([command, *self.BASE[command], flag, value])
+        assert getattr(args, flag.lstrip("-").replace("-", "_")) == float(value)
+
+    def test_exponent_notation_runs(self, capsys):
+        tail = ("--horizon", "200", "--output", "json")
+        spaced = run_cli(capsys, "explore", "--p", "0.4", "--q", "0.7", "--C", "1",
+                         "--height-scale", "-2e0", *tail)
+        joined = run_cli(capsys, "explore", "--p", "0.4", "--q", "0.7", "--C", "1",
+                         "--height-scale=-2e0", *tail)
+        assert spaced == joined and spaced[0] == 0 and spaced[1]
+
+    def test_negative_infinity_reaches_the_domain_check(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "--family", "geometric", "--a", "-inf",
+                                 "--kind", "binomial", "--p", "0.5", "--horizon", "5")
+        assert code == 2 and out == "" and "a must be finite" in err
 
 
 class TestRuntimeDependencies:

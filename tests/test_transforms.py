@@ -591,6 +591,89 @@ class TestSparseKernel:
         assert calls == []
 
 
+def sparse_sequence(idx, vals, name):
+    """An explicit sparse sequence with support idx (sorted) and values vals."""
+    idx, vals = np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=float)
+
+    def support(h):
+        k = np.searchsorted(idx, h, side="right")
+        return idx[:k], vals[:k]
+
+    def prefix(h):
+        out = np.zeros(h + 1)
+        i, v = support(h)
+        out[i] = v
+        return out
+
+    return RealSequence.from_function(prefix, support=support, name=name)
+
+
+def _signed_support():
+    rng = np.random.default_rng(5)
+    idx = np.unique(np.concatenate([rng.integers(10, 3000, 40), np.arange(1500, 1540)]))
+    return idx, rng.normal(size=len(idx)) * 10.0 ** rng.integers(-3, 4, len(idx))
+
+
+_SPARSE_IDX = [5, 40, 90, 150, 400, 1000]
+SCALAR_PATH_CASES = {
+    "spikes_C0.5": (GeneratorSpec("spikes", C=0.5), [0, 1, 77, 4000, 200_000, 1_500_000]),
+    "spikes_C1": (GeneratorSpec("spikes", C=1.0), [0, 3, 150, 20_001, 700_001, 2_100_000]),
+    "islets": (GeneratorSpec("islets"), [0, 2, 100, 4**5 * 2, 4**8, 4**9 * 3]),
+    "signed": (_signed_support(), [0, 9, 10, 600, 1520, 2500, 3100]),
+    # a term so large that the dropped tail cannot be certified
+    "huge": ((_SPARSE_IDX, [1.0, -2.0, 1e300, 0.5, -1.0, 3.0]), [0, 4, 60, 120, 300, 1100]),
+    "inf": ((_SPARSE_IDX, [1.0, -2.0, math.inf, 0.5, -1.0, 3.0]), [0, 4, 60, 89, 300, 1100]),
+}
+
+
+class TestSparseScalarPath:
+    """A one-row sparse call runs on scalars (transforms._sparse_row); two
+    equal rows take the block path (_sparse_rows), where a row does not
+    depend on its block, so both give the same bits from the same terms."""
+
+    @pytest.mark.parametrize("p", [1e-3, 0.5, 0.999])
+    @pytest.mark.parametrize("case", sorted(SCALAR_PATH_CASES))
+    def test_matches_the_block_path(self, monkeypatch, case, p):
+        source, ns = SCALAR_PATH_CASES[case]
+        if isinstance(source, GeneratorSpec):
+            seq = sequence_from_spec(source)
+        else:
+            seq = sparse_sequence(*source, case)
+        fallbacks = count_sparse_fallbacks(monkeypatch)
+        terms = []
+        kernel = transforms.log_pmf_many
+
+        def counted(n, p, indices):
+            terms.append(np.size(indices))
+            return kernel(n, p, indices)
+
+        monkeypatch.setattr(transforms, "log_pmf_many", counted)
+        for n in ns:
+            del fallbacks[:], terms[:]
+            scalar = binomial_mean_at(seq, p, n)
+            scalar_fallbacks, scalar_terms = list(fallbacks), sum(terms)
+            del fallbacks[:], terms[:]
+            pair = binomial_mean_at(seq, p, np.array([n, n]))
+            assert np.float64(scalar).tobytes() == pair[0].tobytes() == pair[1].tobytes(), n
+            # the same kept terms, and the same rows certified
+            assert 2 * scalar_fallbacks == fallbacks, n
+            assert sum(terms) == 2 * scalar_terms, n
+
+    def test_cases_reach_the_fallback_and_the_extension(self, monkeypatch):
+        fallbacks = count_sparse_fallbacks(monkeypatch)
+        idx, vals = SCALAR_PATH_CASES["huge"][0]
+        assert binomial_mean_at(sparse_sequence(idx, vals, "huge"), 0.5, 1100) > 0.0
+        assert fallbacks == [1100]
+        # n below the first support index, and a window (457..843) with no
+        # support in it
+        seq = sparse_sequence(idx, np.ones(len(idx)), "ones")
+        assert binomial_mean_at(seq, 0.5, 4) == 0.0
+        assert 0.0 < binomial_mean_at(seq, 0.5, 1300) < 1e-20
+        assert fallbacks == [1100]
+        inf = sparse_sequence(idx, SCALAR_PATH_CASES["inf"][0][1], "inf")
+        assert binomial_mean_at(inf, 0.5, 89) < 1.0 and math.isinf(binomial_mean_at(inf, 0.5, 90))
+
+
 class TestMeanAtArray:
     """binomial_mean_at over an array of n: any order, repeats, 0 and empty."""
 
