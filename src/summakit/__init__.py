@@ -64,7 +64,6 @@ from .sequences import (  # noqa: E402
     OpenProblemReport,
     default_families,
     estimate_limit,
-    generate,
     probe_open_problem,
     run_table1,
     sequence_from_spec,
@@ -113,7 +112,6 @@ __all__ = [
     "ConvergenceVerdict",
     "ImplicationReport",
     "OpenProblemReport",
-    "generate",
     "sequence_from_spec",
     "estimate_limit",
     "default_families",

@@ -2,10 +2,12 @@
 comparison, the Markov limit solver, and the two experiment reports.
 
 Output goes to stdout (or --out PATH) as CSV with a header line or as a
-single JSON object.  Floats are printed with 17 significant digits so file
-round-trips are lossless.  Exit status: 0 success, 1 usage error (also an
-unreadable input or unwritable --out), 2 domain/validation error, 3
-non-convergence.
+single JSON object.  A CSV float cell is exactly Python's
+``format(v, ".17g")``: 17 significant digits, so a file round-trips without
+loss, with ``inf``, ``-inf``, ``nan`` and ``-0`` as Python prints them.  An
+integer cell is ``str(i)``.  ``_csv`` renders the table column by column.
+Exit status: 0 success, 1 usage error (also an unreadable input or
+unwritable --out), 2 domain/validation error, 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -75,14 +77,6 @@ def _cells(column):
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return value
-    return str(value)
-
-
 def _plain(value):
     # json.dumps fallback; np.float64 is a float and never reaches it
     if isinstance(value, (np.ndarray, np.generic)):
@@ -92,8 +86,9 @@ def _plain(value):
 
 def _render(payload: _Payload, fmt: str) -> str:
     if fmt == "csv":
-        cols = [map(_fmt, _cells(c)) for c in payload.table.values()]
-        return "\n".join([",".join(payload.table), *map(",".join, zip(*cols))]) + "\n"
+        from ._csv import csv_text  # imported on first use, so importing the CLI does not pay for it
+
+        return csv_text(payload.table)
     body = {"command": payload.command, "params": payload.params}
     if payload.report is not None:
         body["report"] = payload.report

@@ -32,10 +32,8 @@ __all__ = [
     "CellCheck",
     "ImplicationReport",
     "OpenProblemReport",
-    "generate",
     "sequence_from_spec",
     "islet_ranges",
-    "islets_count_upto",
     "spike_indices",
     "estimate_limit",
     "default_families",
@@ -85,18 +83,6 @@ class GeneratorSpec:
         return self.family
 
 
-def _is_islet(i: int) -> bool:
-    # 4**k - 2**k * k > i for every k past ceil(log2(i)/2) + 1, so the scan
-    # below is total.
-    if i <= 0:
-        return False
-    kmax = (i.bit_length() + 1) // 2 + 1
-    for k in range(1, kmax + 1):
-        if abs(i - (1 << (2 * k))) < (1 << k) * k:
-            return True
-    return False
-
-
 def islet_ranges(horizon: int):
     """Inclusive (lo, hi) index ranges of the islets intersected with [0, horizon]."""
     out = []
@@ -110,11 +96,6 @@ def islet_ranges(horizon: int):
         out.append((lo, min(center + half - 1, horizon)))
         k += 1
     return out
-
-
-def islets_count_upto(n: int) -> int:
-    """Number of ones in the islets sequence at indices 0..n."""
-    return sum(hi - lo + 1 for lo, hi in islet_ranges(n))
 
 
 class _SpikeChain:
@@ -145,31 +126,6 @@ def spike_indices(C: float, horizon: int) -> np.ndarray:
     The chain starts at n_1 = 1.
     """
     return _SpikeChain(C).upto(horizon).copy()
-
-
-def generate(spec: GeneratorSpec, i: int) -> float:
-    """Term i of the family, evaluated pointwise: the reference that the
-    vectorized rules of sequence_from_spec are tested against."""
-    if i < 0:
-        raise ParameterDomainError(f"sequence index must be >= 0, got {i}")
-    f = spec.family
-    if f == "alternating01":
-        return 1.0 if i % 2 == 0 else 0.0
-    if f == "geometric":
-        a = float(spec.a)
-        try:
-            return a**i
-        except OverflowError:
-            return math.inf if (a > 0 or i % 2 == 0) else -math.inf
-    if f == "signed_linear":
-        return float(-i if i % 2 else i)
-    if f == "islets":
-        return 1.0 if _is_islet(i) else 0.0
-    # spikes: walk the deterministic index chain up to i
-    j = 1
-    while j < i:
-        j += math.ceil(spec.C * math.sqrt(j))
-    return spec.height_scale * math.sqrt(i) if j == i else 0.0
 
 
 def _scattered(support):

@@ -12,6 +12,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
+from summakit import GeneratorSpec, ParameterDomainError
+from summakit.sequences import islet_ranges
+
 
 def pmf_exact_double(n, p_float, i):
     """Exact-rational binomial mass at the float's exact value, rounded to double.
@@ -128,3 +131,48 @@ def geometric_binomial_errors(a, p, values, ns=None):
         err[j] = diff / (1 << (g + k * n))
         rel[j] = diff / (s_n << g)
     return err, rel
+
+
+# -- sequence families, term by term ------------------------------------------
+
+
+def _is_islet(i: int) -> bool:
+    # 4**k - 2**k * k > i for every k past ceil(log2(i)/2) + 1, so the scan
+    # below is total.
+    if i <= 0:
+        return False
+    kmax = (i.bit_length() + 1) // 2 + 1
+    for k in range(1, kmax + 1):
+        if abs(i - (1 << (2 * k))) < (1 << k) * k:
+            return True
+    return False
+
+
+def islets_count_upto(n: int) -> int:
+    """Number of ones in the islets sequence at indices 0..n."""
+    return sum(hi - lo + 1 for lo, hi in islet_ranges(n))
+
+
+def generate(spec: GeneratorSpec, i: int) -> float:
+    """Term i of the family, evaluated pointwise: the reference that the
+    vectorized rules of sequence_from_spec are tested against."""
+    if i < 0:
+        raise ParameterDomainError(f"sequence index must be >= 0, got {i}")
+    f = spec.family
+    if f == "alternating01":
+        return 1.0 if i % 2 == 0 else 0.0
+    if f == "geometric":
+        a = float(spec.a)
+        try:
+            return a**i
+        except OverflowError:
+            return math.inf if (a > 0 or i % 2 == 0) else -math.inf
+    if f == "signed_linear":
+        return float(-i if i % 2 else i)
+    if f == "islets":
+        return 1.0 if _is_islet(i) else 0.0
+    # spikes: walk the deterministic index chain up to i
+    j = 1
+    while j < i:
+        j += math.ceil(spec.C * math.sqrt(j))
+    return spec.height_scale * math.sqrt(i) if j == i else 0.0

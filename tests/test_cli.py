@@ -431,12 +431,25 @@ def _cell(value):
     return format(float(value), ".17g")
 
 
-def _case_pmf(tmp_path):
+def _pmf(n, p):
     from summakit import PMFParams, pmf_row
 
-    mass = pmf_row(PMFParams(5, 0.3)).mass
+    mass = pmf_row(PMFParams(n, p)).mass
     rows = [(i, float(m)) for i, m in enumerate(mass)]
-    return ("pmf", "--n", "5", "--p", "0.3"), {"n": 5, "p": 0.3}, ["i", "mass"], rows, None
+    return ("pmf", "--n", str(n), "--p", str(p)), {"n": n, "p": p}, ["i", "mass"], rows, None
+
+
+def _case_pmf(tmp_path):
+    return _pmf(5, 0.3)
+
+
+def _case_pmf_long(tmp_path):
+    # several CSV chunks; both tails reach subnormal masses and then 0
+    case = _pmf(30000, 0.3)
+    masses = [m for _, m in case[3]]
+    assert masses[0] == 0.0 and masses[-1] == 0.0
+    assert any(0.0 < m < 2.2250738585072014e-308 for m in masses)
+    return case
 
 
 def _case_weights(tmp_path):
@@ -447,17 +460,30 @@ def _case_weights(tmp_path):
     return ("weights", "--n", "5", "--p", "0.3"), {"n": 5, "p": 0.3}, ["i", "weight"], rows, None
 
 
-def _case_transform(tmp_path):
+def _cesaro_geometric(a, horizon):
     from summakit import GeneratorSpec, cesaro_prefix, sequence_from_spec
 
-    spec = GeneratorSpec("geometric", a=3.0)
+    spec = GeneratorSpec("geometric", a=float(a))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = cesaro_prefix(sequence_from_spec(spec), 700).values
-    assert not np.isfinite(values[-1])  # the inf cells are part of the format
-    argv = ("transform", "--family", "geometric", "--a", "3", "--kind", "cesaro",
-            "--horizon", "700")
-    params = {"family": spec.label, "kind": "cesaro", "horizon": 700}
+        values = cesaro_prefix(sequence_from_spec(spec), horizon).values
+    argv = ("transform", "--family", "geometric", "--a", str(a), "--kind", "cesaro",
+            "--horizon", str(horizon))
+    params = {"family": spec.label, "kind": "cesaro", "horizon": horizon}
     return argv, params, ["n", "value"], [(n, float(v)) for n, v in enumerate(values)], None
+
+
+def _case_transform(tmp_path):
+    case = _cesaro_geometric(3, 700)
+    assert not math.isfinite(case[3][-1][1])  # the inf cells are part of the format
+    return case
+
+
+def _case_transform_signed(tmp_path):
+    # (-3)**n overflows to -inf and +inf in turn, so the means reach -inf and NaN
+    case = _cesaro_geometric(-3, 1300)
+    values = [v for _, v in case[3]]
+    assert -math.inf in values and any(math.isnan(v) for v in values)
+    return case
 
 
 def _case_compare(tmp_path):
@@ -476,11 +502,11 @@ def _case_compare(tmp_path):
     return argv, {"p": p, "q": q, "n": n}, columns, rows, None
 
 
-def _case_markov_limit(tmp_path):
+def _case_markov_limit(tmp_path, text="0.5,0.5,0\n0.25,0.5,0.25\n0,0.5,0.5\n"):
     from summakit import limit_matrix, load_matrix_csv, validate
 
     path = tmp_path / "m.csv"
-    path.write_text("0.5,0.5,0\n0.25,0.5,0.25\n0,0.5,0.5\n")
+    path.write_text(text)
     report = limit_matrix(validate(load_matrix_csv(str(path))))
     A = report.A.matrix.tolist()
     body = {
@@ -490,7 +516,16 @@ def _case_markov_limit(tmp_path):
         "residual_idem": float(report.residual_idem),
     }
     params = {"matrix_csv": str(path), "tol": 1e-12, "max_squarings": 64}
-    return ("markov-limit", str(path)), params, ["c0", "c1", "c2"], A, body
+    return ("markov-limit", str(path)), params, [f"c{j}" for j in range(len(A))], A, body
+
+
+def _case_markov_identical_rows(tmp_path):
+    # P = 1 pi^T with dyadic pi is its own limit, exactly: every row prints
+    # the same strings
+    row = "0.0625,0.1875,0.25,0.3125,0.1875"
+    case = _case_markov_limit(tmp_path, "\n".join([row] * 5) + "\n")
+    assert all(r == case[3][0] for r in case[3])
+    return case
 
 
 def _case_table1(tmp_path):
@@ -562,8 +597,9 @@ def _case_explore_empty(tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "case",
-    [_case_pmf, _case_weights, _case_transform, _case_compare, _case_markov_limit,
-     _case_table1, _case_explore, _case_explore_empty],
+    [_case_pmf, _case_pmf_long, _case_weights, _case_transform, _case_transform_signed,
+     _case_compare, _case_markov_limit, _case_markov_identical_rows, _case_table1,
+     _case_explore, _case_explore_empty],
     ids=lambda f: f.__name__[len("_case_"):],
 )
 def test_output_bytes(capsys, tmp_path, case, fmt):

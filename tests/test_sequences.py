@@ -13,7 +13,6 @@ from summakit import (
     ParameterDomainError,
     cesaro_prefix,
     estimate_limit,
-    generate,
     probe_open_problem,
     run_table1,
     sequence_from_spec,
@@ -23,9 +22,10 @@ from summakit.sequences import (
     _geometric_pq_witness,
     default_families,
     islet_ranges,
-    islets_count_upto,
     spike_indices,
 )
+
+from oracles import generate, islets_count_upto
 
 EPS = np.finfo(float).eps
 
