@@ -1,9 +1,9 @@
 """CSV text of a column table, with every float cell exactly
 ``format(v, ".17g")`` and every integer cell exactly ``str(i)``.
 
-Each column's formatter is chosen once, from its type: float arrays and
-lists of floats, integer arrays, ranges and lists of ints, and everything
-else (strings, mixed lists), which keeps one ``str`` per cell.  The table
+Each column's formatter is chosen once, from its type: float64 arrays and
+lists of floats, int64 arrays and ranges, and everything else (strings,
+mixed lists, other dtypes), which keeps one ``str`` per cell.  The table
 is cut into chunks of about ``_CHUNK_CELLS`` cells, so the temporary
 buffers stay a few hundred kilobytes whatever the table's size.  Within a
 chunk the float cells are deduplicated on their bit patterns and each
@@ -214,28 +214,20 @@ def _text_cells(values) -> tuple[np.ndarray, np.ndarray]:
     return cells.view(np.uint8).reshape(len(data), -1), lens
 
 
-_INT64 = (-(2**63), 2**63)
-
-
 def _column(col) -> tuple[str, object]:
-    """('float', float64 array), ('int', int64 array or range) or
-    ('text', list or array of cells): the column's formatter, chosen once."""
+    """('float', float64 array), ('int', int64 array or range) or ('text',
+    cells): the column's formatter, chosen once.  int_cells takes no -2**63."""
     if isinstance(col, range):
-        inside = not col or (_INT64[0] < min(col[0], col[-1]) and max(col[0], col[-1]) < _INT64[1])
-        return ("int", col) if inside else ("text", col)
+        ends = (col[0], col[-1]) if col else (0, 0)
+        return ("int" if -(2**63) < min(ends) and max(ends) < 2**63 else "text"), col
     if isinstance(col, np.ndarray):
-        if col.dtype.kind == "f" and col.dtype.itemsize <= 8:
-            return "float", col.astype(np.float64, copy=False)
-        if col.dtype.kind in "iu" and (
-            not col.size or (_INT64[0] < int(col.min()) and int(col.max()) < _INT64[1])
-        ):
-            return "int", col.astype(np.int64, copy=False)
+        if col.dtype == np.float64:
+            return "float", col
+        if col.dtype == np.int64 and (not col.size or col.min() > -(2**63)):
+            return "int", col
         return "text", col
     if all(isinstance(v, float) for v in col):
         return "float", np.array(col, np.float64)
-    if all(isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_)) for v in col):
-        if not col or (_INT64[0] < min(col) and max(col) < _INT64[1]):
-            return "int", np.array(col, np.int64)
     return "text", col
 
 

@@ -86,7 +86,7 @@ def _plain(value):
 
 def _render(payload: _Payload, fmt: str) -> str:
     if fmt == "csv":
-        from ._csv import csv_text  # imported on first use, so importing the CLI does not pay for it
+        from ._csv import csv_text  # loaded on first use, not at import
 
         return csv_text(payload.table)
     body = {"command": payload.command, "params": payload.params}
