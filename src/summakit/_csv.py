@@ -43,7 +43,6 @@ trailing zeros and a bare decimal point dropped.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -69,7 +68,7 @@ _FLOAT_WIDTH = 24  # the longest cell: -1.2345678901234567e-308
 @cache
 def _quads() -> np.ndarray:
     """The ASCII digits of 0000 ... 9999, four bytes to a uint32."""
-    q = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    q = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
     return (q + _ZERO).astype(np.uint8).view(np.uint32).ravel()
 
 
@@ -86,18 +85,19 @@ def _digits(u: np.ndarray, groups: int) -> np.ndarray:
 
 @cache
 def _powers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hi, lo, shift with 10**k = (hi + lo) * 2**shift to about 2**-105,
-    hi in [1, 2), entry k - _K_MIN for k in [_K_MIN, _K_MAX]."""
+    """hi, lo, shift with 10**k = (hi + lo) * 2**shift to about 2**-106,
+    hi in [1, 2), entry k - _K_MIN for k in [_K_MIN, _K_MAX].  Python's
+    int / int is correctly rounded, so both parts come from exact integers."""
     hi, lo, shift = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
-        t = Fraction(10) ** k
-        b = t.numerator.bit_length() - t.denominator.bit_length()
-        s = t / Fraction(2) ** b
-        if s < 1:
-            s, b = 2 * s, b - 1
-        h = float(s)
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        b = num.bit_length() - den.bit_length()
+        num, den = (num, den << b) if b >= 0 else (num << -b, den)
+        if num < den:  # num / den in [1/2, 1): one more halving of the scale
+            num, b = 2 * num, b - 1
+        h = num / den
         hi.append(h)
-        lo.append(float(s - Fraction(h)))
+        lo.append((num * 2**52 - int(h * 2**52) * den) / (den * 2**52))
         shift.append(b)
     return np.array(hi), np.array(lo), np.array(shift, np.int64)
 
