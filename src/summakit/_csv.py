@@ -44,6 +44,7 @@ trailing zeros and a bare decimal point dropped.
 from __future__ import annotations
 
 from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -226,7 +227,7 @@ def _column(col) -> tuple[str, object]:
         if col.dtype == np.int64 and (not col.size or col.min() > -(2**63)):
             return "int", col
         return "text", col
-    if all(isinstance(v, float) for v in col):
+    if all(map(isinstance, col, repeat(float))):
         return "float", np.array(col, np.float64)
     return "text", col
 
@@ -236,33 +237,35 @@ def _chunk(columns, start: int, stop: int) -> bytes:
     floats = [v[start:stop] for kind, v in columns if kind == "float"]
     if floats:
         keys, inverse = np.unique(np.concatenate(floats).view(np.uint64), return_inverse=True)
-        distinct = float_cells(keys.view(np.float64))[0]
-    parts = []  # (cells, lengths of a text column or None)
-    for kind, v in columns:
-        part = v[start:stop]
-        if kind == "float":
-            parts.append((distinct[inverse[:rows]], None))
-            inverse = inverse[rows:]
-        elif kind == "int":
-            if isinstance(part, range):
-                part = np.arange(part.start, part.stop, part.step)
-            parts.append((int_cells(part), None))
-        else:
-            parts.append(_text_cells(part.tolist() if isinstance(part, np.ndarray) else part))
+        distinct = np.full((keys.size, _FLOAT_WIDTH + 1), ord(","), np.uint8)
+        distinct[:, :-1] = float_cells(keys.view(np.float64))[0]
+        float_slots = iter(distinct[inverse.reshape(len(floats), rows)])
     # each cell in a slot of fixed width, then its separator; the line is
     # the bytes kept: all but the NUL padding of float and integer cells,
     # and of a text cell the first lens bytes
-    buf = np.empty((rows, sum(cells.shape[1] + 1 for cells, _ in parts)), np.uint8)
-    keep = np.ones(buf.shape, bool)
-    at = 0
-    for cells, lens in parts:
-        end = at + cells.shape[1]
-        buf[:, at:end] = cells
-        keep[:, at:end] = cells != 0 if lens is None else np.arange(end - at) < lens[:, None]
-        buf[:, end] = ord(",")
-        at = end + 1
+    slots, texts, at = [], [], 0
+    separator = np.full((rows, 1), ord(","), np.uint8)
+    for kind, v in columns:
+        if kind == "float":
+            slots.append(next(float_slots))
+            at += _FLOAT_WIDTH + 1
+            continue
+        part = v[start:stop]
+        if kind == "int":
+            if isinstance(part, range):
+                part = np.arange(part.start, part.stop, part.step)
+            cells = int_cells(part)
+        else:
+            cells, lens = _text_cells(part.tolist() if isinstance(part, np.ndarray) else part)
+            texts.append((slice(at, at + cells.shape[1]), lens))
+        slots += [cells, separator]
+        at += cells.shape[1] + 1
+    buf = np.concatenate(slots, axis=1)
     buf[:, -1] = ord("\n")
-    return np.compress(keep.ravel(), buf.ravel()).tobytes()
+    keep = buf != 0
+    for cols, lens in texts:
+        keep[:, cols] = np.arange(cols.stop - cols.start) < lens[:, None]
+    return buf.ravel()[keep.ravel()].tobytes()
 
 
 def csv_text(table: dict) -> str:
