@@ -86,15 +86,16 @@ def _digits(u: np.ndarray, groups: int) -> np.ndarray:
 
 @cache
 def _powers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hi, lo, shift with 10**k = (hi + lo) * 2**shift to about 2**-106,
-    hi in [1, 2), entry k - _K_MIN for k in [_K_MIN, _K_MAX].  Python's
-    int / int is correctly rounded, so both parts come from exact integers."""
+    """hi, lo, shift with 10**k = (hi + lo) * 2**shift within 2**-105
+    relative, hi in [1, 2), entry k - _K_MIN for k in [_K_MIN, _K_MAX].
+    Python's int / int is correctly rounded, so both parts come from exact
+    integers."""
     hi, lo, shift = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
         b = num.bit_length() - den.bit_length()
         num, den = (num, den << b) if b >= 0 else (num << -b, den)
-        if num < den:  # num / den in [1/2, 1): one more halving of the scale
+        if num < den:  # num / den in (1/2, 1): move one more 2 into the scale
             num, b = 2 * num, b - 1
         h = num / den
         hi.append(h)
