@@ -122,7 +122,7 @@ def _log_factorial(x) -> np.ndarray:
     return out
 
 
-def log_pmf_many(n, p: float, indices) -> np.ndarray:
+def log_pmf_many(n, p: float, indices, *, _counts=None) -> np.ndarray:
     """log P[X = i] for each index i inside the support of row n.
 
     ``n`` is a trial count or an integer array broadcast against
@@ -130,14 +130,29 @@ def log_pmf_many(n, p: float, indices) -> np.ndarray:
     its own (n, i): a scalar n and an array of equal n give the same bits.
     Used by the sparse transform paths, where the nonzero sequence
     positions must be weighted for many different n.
+
+    The sparse kernel's blocks pass one n per row and the private
+    ``_counts``: row r covers the next _counts[r] indices.  Its log n! is
+    then taken once and repeated, and every entry is the one an n of
+    np.repeat(n, _counts) gives, bit for bit.
     """
-    # n, i and n - i as the rows of one array: one _log_factorial pass
-    # keeps the fixed numpy cost of a short call low
-    x = np.empty((3,) + np.broadcast(n, indices).shape)
-    x[0], x[1] = n, indices
-    np.subtract(x[0:1], x[1:2], out=x[2:])
-    lf = _log_factorial(x)
-    return lf[0] - lf[1] - lf[2] + x[1] * math.log(p) + x[2] * math.log1p(-p)
+    # n, i and n - i in one array: one _log_factorial pass keeps the fixed
+    # numpy cost of a short call low
+    if _counts is None:
+        x = np.empty((3,) + np.broadcast(n, indices).shape)
+        x[0], x[1] = n, indices
+        np.subtract(x[0:1], x[1:2], out=x[2:])
+        lf = _log_factorial(x)
+        head, terms, lf = lf[0], x[1:], lf[1:]
+    else:
+        k = len(indices)
+        x = np.empty(2 * k + len(n))
+        terms = x[: 2 * k].reshape(2, k)
+        terms[0], x[2 * k :] = indices, n
+        np.subtract(np.repeat(n, _counts), terms[0], out=terms[1])
+        lf = _log_factorial(x)
+        head, lf = np.repeat(lf[2 * k :], _counts), lf[: 2 * k].reshape(2, k)
+    return head - lf[0] - lf[1] + terms[0] * math.log(p) + terms[1] * math.log1p(-p)
 
 
 def _mode(n, p: float):

@@ -13,6 +13,7 @@ unwritable --out), 2 domain/validation error, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -154,6 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and kept: parse_args leaves a parser as it found it
+    return build_parser()
 
 
 def _cmd_pmf(args) -> _Payload:
@@ -308,7 +315,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         payload = _HANDLERS[args.command](args)
         text = _render(payload, args.output)
         if args.out is not None:

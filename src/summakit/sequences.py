@@ -13,7 +13,7 @@ evidence and never flags.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -99,33 +99,52 @@ def islet_ranges(horizon: int):
 
 
 class _SpikeChain:
-    """Spike positions of one spike sequence, extended on demand: each
-    horizon reads a prefix of the chain, so a sequence walks it only once."""
+    """Spike positions for one spacing factor C, extended on demand and
+    shared by every spike sequence with that C (see _spike_chain): each
+    horizon reads a prefix of the chain, so the chain is walked only once.
+
+    The chain is held only as a read-only int64 array, 8 bytes a spike.  An
+    extension builds the new positions in a local list and swaps in a new
+    array with one assignment; views handed out earlier keep the old array,
+    whose contents never change.
+    """
 
     def __init__(self, C: float):
         self._C = C
-        self._chain = [1]  # always runs one position past the largest horizon seen
-        self._array = np.ones(1, dtype=np.int64)
+        self._array = np.ones(1, dtype=np.int64)  # runs past the largest horizon seen
 
     def upto(self, horizon: int) -> np.ndarray:
         """Positions <= horizon, as a read-only view of the chain."""
-        chain = self._chain
+        chain = self._array
         if chain[-1] <= horizon:
-            j, C, ceil, sqrt, append = chain[-1], self._C, math.ceil, math.sqrt, chain.append
+            j, C, ceil, sqrt = int(chain[-1]), self._C, math.ceil, math.sqrt
+            grown = []
             while j <= horizon:
                 j += ceil(C * sqrt(j))
-                append(j)
-            self._array = np.array(chain, dtype=np.int64)
-            self._array.flags.writeable = False
-        return self._array[: bisect.bisect_right(chain, horizon)]
+                grown.append(j)
+            chain = np.concatenate((chain, grown))
+            chain.flags.writeable = False
+            self._array = chain
+        return chain[: chain.searchsorted(horizon, side="right")]
+
+
+# spike chains held at once; each is keyed by the exact float(C)
+_CACHED_CHAINS = 8
+
+
+@functools.lru_cache(maxsize=_CACHED_CHAINS)
+def _spike_chain(C: float) -> _SpikeChain:
+    """The chain every spike sequence with spacing factor C reads."""
+    return _SpikeChain(C)
 
 
 def spike_indices(C: float, horizon: int) -> np.ndarray:
     """Spike positions n_1 < n_2 < ... <= horizon with gaps ceil(C*sqrt(n_j)).
 
-    The chain starts at n_1 = 1.
+    The chain starts at n_1 = 1.  Returns a writeable copy of a prefix of
+    the chain that every spike sequence with this C shares.
     """
-    return _SpikeChain(C).upto(horizon).copy()
+    return _spike_chain(float(C)).upto(horizon).copy()
 
 
 def _scattered(support):
@@ -142,7 +161,12 @@ def _scattered(support):
 
 def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
     """Wrap a family as a RealSequence with a vectorized prefix rule and,
-    for the sparse families, a support rule."""
+    for the sparse families, a support rule.
+
+    A spikes support is a read-only view of the position chain that every
+    spikes sequence with an equal float(C) shares, so a fresh sequence
+    walks only past the positions that earlier ones walked.
+    """
     f = spec.family
     if f == "alternating01":
         return RealSequence.from_function(
@@ -179,8 +203,8 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
         return RealSequence.from_function(
             _scattered(support), support, nonneg=True, name=spec.label
         )
-    # spikes: one chain per sequence serves every horizon asked of it
-    chain = _SpikeChain(spec.C)
+    # spikes: the shared chain of this C serves every horizon asked of it
+    chain = _spike_chain(float(spec.C))
 
     def support(h):
         idx = chain.upto(h)

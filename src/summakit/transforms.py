@@ -34,10 +34,11 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
   binomial_mean_at) is evaluated on scalars (_sparse_row); more rows go in
   blocks of up to 2**11 rows and about 2**12 terms, which keeps peak memory
   small; only these array calls pay the block arrays' fixed numpy cost (a
-  lone spikes query at n in [2e5, 2.1e6] takes 55-120 us on scalars,
-  155-310 us through a block).  A row costs one mass per kept support
-  index: a bounded number for spikes, O(sqrt(n)) inside an islet, so their
-  prefixes cost O(H) and O(H sqrt(H)).
+  lone spikes query at n in [2e5, 2.1e6] takes 55-120 us on scalars, on a
+  fresh sequence too, since spike sequences share their chain, and 150-310
+  us through a block).  A block takes each row's log n! once.  A row costs
+  one mass per kept support index: a bounded number for spikes, O(sqrt(n))
+  inside an islet, so their prefixes cost O(H) and O(H sqrt(H)).
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def _sparse_terms(idx, av, p, ns, first, count):
     offsets = np.zeros(len(ns), dtype=np.int64)
     np.cumsum(count[:-1], out=offsets[1:])
     pos = np.arange(offsets[-1] + count[-1]) + np.repeat(first - offsets, count)
-    masses = np.exp(log_pmf_many(np.repeat(ns, count), p, idx[pos]))
+    masses = np.exp(log_pmf_many(ns, p, idx[pos], _counts=count))
     weighted = masses * av[pos]
     value = np.add.reduceat(weighted, offsets)
     scale = np.add.reduceat(np.abs(weighted, out=weighted), offsets)

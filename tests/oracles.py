@@ -153,6 +153,16 @@ def islets_count_upto(n: int) -> int:
     return sum(hi - lo + 1 for lo, hi in islet_ranges(n))
 
 
+def spike_positions(C: float, horizon: int) -> list:
+    """Spike positions <= horizon, walked one at a time from n_1 = 1 with
+    gaps ceil(C * sqrt(n_j)): no chain is cached or shared."""
+    out, j = [], 1
+    while j <= horizon:
+        out.append(j)
+        j += math.ceil(C * math.sqrt(j))
+    return out
+
+
 def generate(spec: GeneratorSpec, i: int) -> float:
     """Term i of the family, evaluated pointwise: the reference that the
     vectorized rules of sequence_from_spec are tested against."""

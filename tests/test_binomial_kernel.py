@@ -20,6 +20,7 @@ from summakit import (
 
 from summakit.binomial_kernel import (
     _LOG_FACTORIALS,
+    _STIRLING_FROM,
     _log_factorial,
     _mode,
     _row_mass,
@@ -112,6 +113,23 @@ class TestLogPmfMany:
             indices = (rng.random(rows.size) * (rows + 1)).astype(np.int64)
             got = log_pmf_many(rows, p, indices)
             ref = [log_pmf_many(int(n), p, [i])[0] for n, i in zip(rows, indices)]
+            np.testing.assert_array_equal(got, ref)
+
+    def test_grouped_rows_equal_per_term_calls(self):
+        # the sparse kernel's blocks: one n per row, log n! taken once a row
+        rng = np.random.default_rng(29)
+        cut = int(_STIRLING_FROM)
+        for trial in range(40):
+            rows = rng.integers(1, 40)
+            ns = np.concatenate([rng.integers(0, cut, rows), rng.integers(cut, 3_000_000, rows)])
+            rng.shuffle(ns)
+            counts = rng.integers(1, 30, ns.size)
+            flat = np.repeat(ns, counts)
+            indices = (rng.random(flat.size) * (flat + 1)).astype(np.int64)
+            p = (1e-6, 0.3, 0.5, 1 - 1e-6)[trial % 4]
+            got = log_pmf_many(ns, p, indices, _counts=counts)
+            np.testing.assert_array_equal(got, log_pmf_many(flat, p, indices))
+            ref = [log_pmf_many(int(n), p, [i])[0] for n, i in zip(flat, indices)]
             np.testing.assert_array_equal(got, ref)
 
     def test_array_n_broadcasts(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from summakit import cli
 from summakit.cli import build_parser, main
 
 
@@ -413,6 +414,65 @@ class TestOutputDiscipline:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("i,mass\n")
+
+
+class TestSharedParser:
+    """main parses with one parser, built on first use; every call must
+    behave as a call with a fresh parser would."""
+
+    def _calls(self, out):
+        return [
+            ("pmf", "--n", "6", "--p", "0.3"),
+            ("pmf", "--n", "6", "--p", "0.3", "--frobnicate"),
+            ("transform", "--family", "spikes", "--kind", "binomial", "--horizon", "9"),
+            ("weights", "--n", "5", "--p", "0.25", "--out", str(out)),
+            ("pmf", "--n", "6", "--p", "1.5"),
+            ("transform", "--family", "geometric", "--a", "-1e-3", "--kind", "cesaro",
+             "--horizon", "12", "--output", "json"),
+            (),
+            ("compare", "--p", "0.3", "--q", "0.6", "--n", "40", "--out", str(out)),
+            ("explore", "--p", "0.4", "--q", "0.7", "--C", "1", "--horizon", "300"),
+            ("pmf", "--n", "6", "--p", "0.3", "--output", "xml"),
+            ("pmf", "--n", "6", "--p", "0.3"),
+        ]
+
+    def _run_all(self, capsys, out, fresh):
+        results = []
+        for argv in self._calls(out):
+            if fresh:
+                cli._parser.cache_clear()
+            code, stdout, stderr = run_cli(capsys, *argv)
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((argv, code, stdout, stderr, written))
+        return results
+
+    def test_consecutive_calls_match_fresh_ones(self, capsys, tmp_path):
+        out = tmp_path / "out.txt"
+        shared = self._run_all(capsys, out, fresh=False)
+        assert cli._parser() is cli._parser()
+        fresh = self._run_all(capsys, out, fresh=True)
+        assert shared == fresh
+        assert [r[1] for r in shared] == [0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 0]
+        assert shared[0][2] == shared[-1][2]
+        # a file is written by exactly the successful calls that name --out
+        assert [r[4] is not None for r in shared] == [
+            "--out" in argv and code == 0 for argv, code, *_ in shared
+        ]
+        assert shared[3][4].startswith(b"i,weight\n") and shared[3][2] == ""
+
+    def test_help_exit_leaves_the_parser_usable(self, capsys):
+        _, before, _ = run_cli(capsys, "pmf", "--n", "3", "--p", "0.5")
+        with pytest.raises(SystemExit) as exc:
+            main(["pmf", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: summakit pmf")
+        code, after, _ = run_cli(capsys, "pmf", "--n", "3", "--p", "0.5")
+        assert code == 0 and after == before
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
 
 
 # -- byte format -------------------------------------------------------------

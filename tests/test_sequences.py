@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,13 +21,15 @@ from summakit import (
 )
 from summakit.binomial_kernel import log_pmf_many
 from summakit.sequences import (
+    _CACHED_CHAINS,
     _geometric_pq_witness,
+    _spike_chain,
     default_families,
     islet_ranges,
     spike_indices,
 )
 
-from oracles import generate, islets_count_upto
+from oracles import generate, islets_count_upto, spike_positions
 
 EPS = np.finfo(float).eps
 
@@ -139,7 +143,7 @@ class TestGenerate:
             seq = sequence_from_spec(GeneratorSpec("spikes", C=C, height_scale=3.0))
             for h in order:
                 idx, vals = seq.support(h)
-                np.testing.assert_array_equal(idx, spike_indices(C, h))
+                np.testing.assert_array_equal(idx, spike_positions(C, h))
                 np.testing.assert_array_equal(vals, 3.0 * np.sqrt(idx.astype(float)))
                 prefix = seq.prefix(h)
                 assert np.array_equal(np.flatnonzero(prefix), idx)
@@ -150,6 +154,114 @@ class TestGenerate:
         with pytest.raises(ValueError):
             idx[0] = 7
         assert spike_indices(1.0, 100).flags.writeable
+
+
+class TestSharedSpikeChain:
+    """Every spike sequence with one float(C) reads one chain."""
+
+    def test_one_C_interleaved(self):
+        C = 0.75
+        a, b = (sequence_from_spec(GeneratorSpec("spikes", C=C, height_scale=s)) for s in (1, 2))
+        horizons = [10, 3000, 50, 90_000, 0, 90_001, 1, 40_000, 250_000, 7, 250_000]
+        for h_a, h_b in zip(horizons, reversed(horizons)):
+            for seq, h, scale in ((a, h_a, 1.0), (b, h_b, 2.0)):
+                idx, vals = seq.support(h)
+                np.testing.assert_array_equal(idx, spike_positions(C, h))
+                np.testing.assert_array_equal(vals, scale * np.sqrt(idx.astype(float)))
+        # both read views of one array; spike_indices hands out a copy
+        assert np.shares_memory(a.support(500)[0], b.support(9)[0])
+        assert not np.shares_memory(a.support(500)[0], spike_indices(C, 500))
+
+    def test_view_outlives_an_extension(self):
+        C = 1.0 / 3.0
+        seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
+        # past the end of the chain so far, so that the next call extends it
+        horizon = int(_spike_chain(C)._array[-1]) + 1000
+        before, _ = seq.support(horizon)
+        kept = before.copy()
+        other = sequence_from_spec(GeneratorSpec("spikes", C=C))
+        after, _ = other.support(4 * horizon)
+        assert after.size > before.size
+        np.testing.assert_array_equal(before, kept)
+        np.testing.assert_array_equal(after[: before.size], kept)
+        np.testing.assert_array_equal(after, spike_positions(C, 4 * horizon))
+        for view in (before, after):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 7
+
+    def test_different_C_never_share(self):
+        # 1.0 and the next double above it differ at the first gap:
+        # ceil(1.0) = 1 against ceil(1 + 2**-52) = 2
+        for C in (1.0, np.nextafter(1.0, 2.0), 2.0, 0.5):
+            idx, _ = sequence_from_spec(GeneratorSpec("spikes", C=C)).support(5000)
+            np.testing.assert_array_equal(idx, spike_positions(C, 5000))
+        views = [sequence_from_spec(GeneratorSpec("spikes", C=C)).support(50)[0]
+                 for C in (1.0, float(np.nextafter(1.0, 2.0)), 2.0)]
+        assert not any(np.shares_memory(u, v) for u, v in zip(views, views[1:] + views[:1]))
+        # the key is the exact float(C): an int C reads the chain of its float
+        one, _ = sequence_from_spec(GeneratorSpec("spikes", C=1)).support(50)
+        assert np.shares_memory(one, views[0])
+
+    def test_cache_stays_within_its_bound(self):
+        Cs = [1.0 + k / 64 for k in range(3 * _CACHED_CHAINS)]
+        seqs = []
+        for C in Cs:
+            seqs.append(sequence_from_spec(GeneratorSpec("spikes", C=C)))
+            seqs[-1].support(1000)
+            info = _spike_chain.cache_info()
+            assert info.maxsize == _CACHED_CHAINS and info.currsize <= _CACHED_CHAINS
+        # a sequence whose chain left the cache keeps reading its own
+        for C, seq in zip(Cs, seqs):
+            np.testing.assert_array_equal(seq.support(20_000)[0], spike_positions(C, 20_000))
+
+    def test_spike_indices_is_a_writeable_copy(self):
+        idx = spike_indices(1.0, 10_000)
+        assert idx.flags.writeable and idx.flags.owndata
+        idx[:] = -1
+        np.testing.assert_array_equal(spike_indices(1.0, 10_000), spike_positions(1.0, 10_000))
+        shared, _ = sequence_from_spec(GeneratorSpec("spikes", C=1.0)).support(10_000)
+        np.testing.assert_array_equal(shared, spike_positions(1.0, 10_000))
+
+    def test_threads_extending_one_chain(self):
+        # every thread reads and extends the chains of two C at random
+        # horizons; a lost or torn extension would hand out wrong positions
+        Cs = (0.31, 0.47)
+        top = 400_000
+        expected = {C: np.array(spike_positions(C, top)) for C in Cs}
+        wrong, done = [], []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for h in rng.integers(0, top, 60):
+                C = Cs[h % 2]
+                idx, _ = sequence_from_spec(GeneratorSpec("spikes", C=C)).support(int(h))
+                ref = expected[C][: np.searchsorted(expected[C], h, side="right")]
+                if not np.array_equal(idx, ref):
+                    wrong.append((C, int(h)))
+            done.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(6)) and wrong == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(0.2, 6.0),
+        st.lists(st.integers(-3, 60_000), min_size=1, max_size=6),
+    )
+    def test_any_order_of_horizons(self, C, horizons):
+        for h in horizons:
+            np.testing.assert_array_equal(spike_indices(C, h), spike_positions(C, h))
 
 
 class TestIsletStructure:

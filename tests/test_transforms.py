@@ -643,9 +643,9 @@ class TestSparseScalarPath:
         terms = []
         kernel = transforms.log_pmf_many
 
-        def counted(n, p, indices):
+        def counted(n, p, indices, **kwargs):
             terms.append(np.size(indices))
-            return kernel(n, p, indices)
+            return kernel(n, p, indices, **kwargs)
 
         monkeypatch.setattr(transforms, "log_pmf_many", counted)
         for n in ns:
