@@ -191,26 +191,69 @@ def mode_index(params: PMFParams) -> int:
     return int(_mode(params.n, params.p))
 
 
-def _row_mass(n: int, p: float, q: float | None = None) -> np.ndarray:
-    # Multiplicative recurrence mass[i+1] = mass[i] * ratio(i+1), run outward
-    # from a unit seed at the mode; products only shrink moving away from
-    # the peak, so there is no overflow and tails keep relative accuracy.
-    # q defaults to 1.0 - p (see _ratio_up).
+def _window_halfwidth(n, p: float):
+    """Half-width W = ceil(9 sqrt(n p q)) + 30 of the certified window around
+    row n's mode, as a float (an array for an array n).  The dense and
+    sparse kernels of transforms and the row slices of _row_mass keep at
+    least the window m +- W of every row they weight."""
+    return np.ceil(9.0 * np.sqrt(n * p * (1.0 - p))) + 30.0
+
+
+def _row_mass(
+    n: int, p: float, q: float | None = None, *, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Masses of row n at the indices lo..min(hi, n), lo >= 0; all n + 1 of
+    them with the default bounds.  q defaults to 1.0 - p (see _ratio_up).
+
+    The multiplicative recurrence mass[i+1] = mass[i] * ratio(i+1) runs
+    outward from a unit seed at the mode m over the span [max(0, min(lo,
+    m - W)), min(n, max(hi, m + W))], W the window half-width, and one
+    division by the span's sum turns it into masses.  Products only shrink
+    moving away from the peak, so there is no overflow and tails keep
+    relative accuracy; the division also pins the sum against the
+    recurrence's ~n*eps drift.  The cost is O(span): O(n) with the default
+    bounds, whose span is the whole row (the code path and bits of a full
+    row), and O(sqrt(n) + hi - lo) for a slice near the mode.
+
+    A span that stops short of 0 or n is certified: the mass it drops,
+    bounded on each cut side by the mass at the edge times r / (1 - r), r
+    the ratio one step further out (ratios only fall moving away from the
+    mode), must be at most 2**-53 of the span's sum.  Otherwise the whole
+    row is built and sliced.
+    """
     q = 1.0 - p if q is None else q
-    mass = np.empty(n + 1)
+    hi = n if hi is None else hi
     m = int(_mode(n, p))
-    mass[m] = 1.0
-    np.cumprod(_ratio_up(n, np.arange(m + 1, n + 1, dtype=float), p, q), out=mass[m + 1 :])
-    np.cumprod(_ratio_down(n, np.arange(m, 0, -1, dtype=float), p, q), out=mass[:m][::-1])
-    # one division turns the unit-seeded row into masses; it also pins the
-    # sum against the recurrence's ~n*eps drift without disturbing
-    # relative tail accuracy
-    mass /= mass.sum()
-    return mass
+    start, stop = 0, n
+    if lo > 0 or hi < n:  # the default bounds span the whole row
+        half = int(_window_halfwidth(n, p))
+        start, stop = max(0, min(lo, m - half)), min(n, max(hi, m + half))
+    mass = np.empty(stop - start + 1)
+    mass[m - start] = 1.0
+    np.cumprod(
+        _ratio_up(n, np.arange(m + 1, stop + 1, dtype=float), p, q), out=mass[m - start + 1 :]
+    )
+    np.cumprod(
+        _ratio_down(n, np.arange(m, start, -1, dtype=float), p, q), out=mass[: m - start][::-1]
+    )
+    total = mass.sum()
+    dropped = 0.0
+    if start > 0:
+        r = _ratio_down(n, float(start), p, q)
+        dropped += mass[0] * r / (1.0 - r)
+    if stop < n:
+        r = _ratio_up(n, stop + 1.0, p, q)
+        dropped += mass[-1] * r / (1.0 - r)
+    if not dropped <= 2.0**-53 * total:
+        return _row_mass(n, p, q)[lo : hi + 1]
+    mass /= total
+    return mass[lo - start : hi - start + 1]
 
 
 def pmf_row(params: PMFParams) -> PMFRow:
-    """All n+1 masses at once; entry i equals pmf(params, i)."""
+    """All n+1 masses at once; entry i equals pmf(params, i).  O(n) work
+    and memory: a slice near the mode is O(sqrt(n)) through _row_mass's
+    lo and hi bounds."""
     return PMFRow(params, _row_mass(params.n, params.p))
 
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .binomial_kernel import PMFParams, pmf_row
+from .binomial_kernel import PMFParams, _row_mass, pmf_row
 from .exceptions import (
     ConvergenceError,
     HorizonError,
@@ -216,6 +216,13 @@ def _cmd_transform(args) -> _Payload:
 
 
 def _cmd_compare(args) -> _Payload:
+    """Masses of Binomial(n/p, p) and Binomial(n/q, q) at i in [n - 5 sqrt(n),
+    n + 5 sqrt(n)] and their peak ratio.
+
+    Each row is built only over that slice joined with its certified window
+    (binomial_kernel._row_mass's lo and hi bounds): O(sqrt(n)) work and
+    memory, not the O(n/p) of a full row.
+    """
     p, q, n = args.p, args.q, args.n
     if not p < q:
         raise _UsageError(f"compare requires p < q, got p={p!r}, q={q!r}")
@@ -226,7 +233,7 @@ def _cmd_compare(args) -> _Payload:
             raise ParameterDomainError(f"{flag} must lie strictly inside (0, 1), got {value!r}")
     lo = max(0, math.floor(n - 5.0 * math.sqrt(n)))
     hi = math.ceil(n + 5.0 * math.sqrt(n))
-    rows = [pmf_row(PMFParams(int(n / prob), prob)).mass[lo : hi + 1] for prob in (p, q)]
+    rows = [_row_mass(int(n / prob), prob, lo=lo, hi=hi) for prob in (p, q)]
     # indices past a row's last trial have mass 0
     mass_p, mass_q = (np.pad(row, (0, hi + 1 - lo - row.size)) for row in rows)
     measured = float(mass_p.max() / mass_q.max())

@@ -142,9 +142,13 @@ def spike_indices(C: float, horizon: int) -> np.ndarray:
     """Spike positions n_1 < n_2 < ... <= horizon with gaps ceil(C*sqrt(n_j)).
 
     The chain starts at n_1 = 1.  Returns a writeable copy of a prefix of
-    the chain that every spike sequence with this C shares.
+    the chain that every spike sequence with this C shares.  C must be
+    finite and positive: with C <= 0 the chain never advances.
     """
-    return _spike_chain(float(C)).upto(horizon).copy()
+    C = float(C)
+    if not 0.0 < C < math.inf:
+        raise ParameterDomainError(f"C must be finite and positive, got {C!r}")
+    return _spike_chain(C).upto(horizon).copy()
 
 
 def _scattered(support):

@@ -50,7 +50,14 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .binomial_kernel import _mode, _ratio_down, _ratio_up, _row_mass, log_pmf_many
+from .binomial_kernel import (
+    _mode,
+    _ratio_down,
+    _ratio_up,
+    _row_mass,
+    _window_halfwidth,
+    log_pmf_many,
+)
 from .exceptions import HorizonError, ParameterDomainError
 from .summation import power_dd, running_mean, suffix_sums, two_product, two_sum
 
@@ -224,12 +231,6 @@ def cesaro_prefix(a: RealSequence, horizon: int) -> TransformedPrefix:
 
 # Masses per block of windowed rows; keeps the block's arrays in cache.
 _BLOCK_MASSES = 2**15
-
-
-def _window_halfwidth(n, p: float):
-    """Half-width W = ceil(9 sqrt(n p q)) + 30 of the window around row n's
-    mode, as a float (an array for an array n)."""
-    return np.ceil(9.0 * np.sqrt(n * p * (1.0 - p))) + 30.0
 
 
 def _certified(value, scale, dropped, peak):

@@ -207,6 +207,85 @@ class TestPmfRow:
         assert abs(mass.sum() - 1.0) <= 1e-12
 
 
+def full_row_formula(n, p):
+    # _row_mass over the whole row as it stood before the lo and hi bounds
+    q = 1.0 - p
+    mass = np.empty(n + 1)
+    m = int(_mode(n, p))
+    mass[m] = 1.0
+    np.cumprod((n + 1.0 - np.arange(m + 1, n + 1, dtype=float)) * p
+               / (np.arange(m + 1, n + 1, dtype=float) * q), out=mass[m + 1 :])
+    down = np.arange(m, 0, -1, dtype=float)
+    np.cumprod(down * q / ((n + 1.0 - down) * p), out=mass[:m][::-1])
+    mass /= mass.sum()
+    return mass
+
+
+def compare_slice(n, p):
+    """compare's trial count and index range for the row of p at n."""
+    return int(n / p), max(0, math.floor(n - 5.0 * math.sqrt(n))), math.ceil(n + 5.0 * math.sqrt(n))
+
+
+SLICE_PROBS = (0.05, 0.2, 0.5, 0.85, 0.97, 0.99)
+EPS = 2.0**-52
+
+
+class TestRowSlice:
+    def test_default_bounds_equal_the_full_row_formula(self):
+        for n, p in [(0, 0.3), (1, 0.5), (2, 0.5), (137, 0.37), (3001, 0.9), (200_000, 0.2)]:
+            want = full_row_formula(n, p)
+            for got in (_row_mass(n, p), _row_mass(n, p, lo=0, hi=n), pmf_row(PMFParams(n, p)).mass):
+                assert got.tobytes() == want.tobytes(), (n, p)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 60, 300, 2000, 40_000, 200_000])
+    def test_within_8_eps_of_the_full_row_slice(self, n):
+        # n = 0 and 1 keep the window over the whole row; q = 0.99 puts
+        # n + 5 sqrt(n) past the window, and past the row's last trial
+        for p in SLICE_PROBS:
+            N, lo, hi = compare_slice(n, p)
+            got, want = _row_mass(N, p, lo=lo, hi=hi), _row_mass(N, p)[lo : hi + 1]
+            assert got.size == want.size == max(0, min(hi, N) - lo + 1)
+            assert np.all(np.abs(got - want) <= 8 * EPS * want), (n, p)
+
+    def test_window_covering_the_row_is_the_full_row(self):
+        for n, p in [(9, 0.4), (9, 0.7), (60, 0.5)]:
+            N, lo, hi = compare_slice(n, p)
+            assert _row_mass(N, p, lo=lo, hi=hi).tobytes() == _row_mass(N, p)[lo : hi + 1].tobytes()
+
+    def test_bounds_past_the_last_trial_are_empty(self):
+        assert _row_mass(303, 0.99, lo=304, hi=330).size == 0
+
+    def test_small_n_matches_exact_rationals(self):
+        # every span at n >= 100 stops short of 0 or N
+        for n in (40, 100, 150):
+            for p in SLICE_PROBS:
+                N, lo, hi = compare_slice(n, p)
+                got = _row_mass(N, p, lo=lo, hi=hi)
+                ref = [pmf_exact_double(N, p, i) for i in range(lo, lo + got.size)]
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_failed_certificate_builds_the_full_row(self, monkeypatch):
+        from summakit import binomial_kernel
+
+        n, p = 40_000, 0.3
+        m = int(_mode(n, p))
+        lo, hi = m - 5, m + 5
+        full_rows = []
+
+        def counted(*args, **kwargs):
+            full_rows.append((args, kwargs))
+            return _row_mass(*args, **kwargs)
+
+        monkeypatch.setattr(binomial_kernel, "_row_mass", counted)
+        _row_mass(n, p, lo=lo, hi=hi)
+        assert full_rows == []
+        # a window of 0: the span is the slice alone, which drops most mass
+        monkeypatch.setattr(binomial_kernel, "_window_halfwidth", lambda n, p: 0.0)
+        got = _row_mass(n, p, lo=lo, hi=hi)
+        assert full_rows == [((n, p, 1.0 - p), {})]
+        assert got.tobytes() == _row_mass(n, p)[lo : hi + 1].tobytes()
+
+
 def modes_scalar(ns, p):
     return [mode_index(PMFParams(n, p)) for n in ns]
 

@@ -180,6 +180,40 @@ class TestCompareCommand:
         p_vals = [float(r[1]) for r in rows]
         assert abs(i_vals[int(np.argmax(p_vals))] - 300) <= 1
 
+    @pytest.mark.parametrize("n, p, q", [(40_000, 0.2, 0.99), (2_000, 0.05, 0.97)])
+    def test_slices_match_full_rows(self, capsys, n, p, q):
+        # q = 0.99: the row of n/q trials ends before n + 5 sqrt(n), and the
+        # indices past it print an exact 0
+        from summakit import PMFParams, pmf_row
+
+        code, out, _ = run_cli(capsys, "compare", "--n", str(n), "--p", repr(p), "--q", repr(q))
+        assert code == 0
+        _, rows = csv_rows(out)
+        i = np.array([int(r[0]) for r in rows])
+        lo, hi = i[0], i[-1]
+        for col, prob in ((1, p), (2, q)):
+            got = np.array([float(r[col]) for r in rows])
+            full = pmf_row(PMFParams(int(n / prob), prob)).mass[lo : hi + 1]
+            want = np.pad(full, (0, got.size - full.size))
+            assert np.all(np.abs(got - want) <= 8 * 2.0**-52 * want)
+            assert np.all(got[full.size :] == 0.0)
+        assert int(n / q) < hi
+
+    def test_huge_n_costs_only_its_slice(self, capsys):
+        # full rows of n/p and n/q trials would hold 5e8 and 1.4e8 masses (5 GB)
+        import resource
+        import time
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KB on Linux
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "compare", "--n", "100000000", "--p", "0.2", "--q", "0.7")
+        elapsed = time.perf_counter() - start
+        grown_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak) / 1024
+        assert code == 0
+        assert out.count("\n") == 1 + 100_001
+        assert elapsed < 5.0
+        assert grown_mb < 200
+
     def test_equal_parameters_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "compare", "--p", "0.5", "--q", "0.5", "--n", "100")
         assert code == 1

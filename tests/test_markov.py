@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,100 @@ class TestCsvIngest:
         path.write_text("\n")
         with pytest.raises(MatrixValidationError):
             load_matrix_csv(path)
+
+
+def line_parse(path):
+    # the loader's rule, one float() per cell: the reference for its fast path
+    with open(path, encoding="utf-8") as fh:
+        rows = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
+    return np.asarray(rows, dtype=float)
+
+
+def random_cells(rng, shape):
+    bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-320]
+    picks = rng.random(shape)
+    cells = np.where(picks < 0.1, rng.choice(special, size=shape), bits)
+    return cells
+
+
+class TestCsvFastPath:
+    """load_matrix_csv's loadtxt path against a float() per cell, bit for bit."""
+
+    SPELLINGS = (repr, "{:.17g}".format, "{:.6e}".format, "{:.3f}".format, "{:+.12E}".format)
+
+    @pytest.fixture
+    def no_fallback(self, monkeypatch):
+        from summakit import markov
+
+        def refuse(path):
+            raise AssertionError("fell back to the line parse")
+
+        monkeypatch.setattr(markov, "_load_matrix_lines", refuse)
+
+    def write(self, tmp_path, text, newline="\n"):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        return path
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_random_matrices(self, tmp_path, no_fallback, newline):
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            shape = (rng.integers(1, 30), rng.integers(1, 30))
+            fmt = self.SPELLINGS[trial % len(self.SPELLINGS)]
+            cells = [[fmt(float(v)) for v in row] for row in random_cells(rng, shape)]
+            pad = [" " * int(k) for k in rng.integers(0, 3, 2)]
+            lines = [",".join(pad[0] + c + pad[1] for c in row) for row in cells]
+            text = "\n".join(lines) + ("\n\n" if trial % 2 else "")
+            path = self.write(tmp_path, text, newline)
+            got = load_matrix_csv(path)
+            assert got.shape == shape
+            assert got.tobytes() == line_parse(path).tobytes()
+
+    def test_inf_and_nan_spellings(self, tmp_path, no_fallback):
+        path = self.write(tmp_path, "inf,-Infinity,+INF\nnan,-NaN,1e999\n1e-400,-0,0.5\n")
+        assert load_matrix_csv(path).tobytes() == line_parse(path).tobytes()
+
+    def test_whitespace_only_lines(self, tmp_path):
+        # loadtxt reads "  " as a cell: the line parse takes these files
+        for newline in ("\n", "\r\n"):
+            path = self.write(tmp_path, "0.5,0.5\n   \n\t\n0.25,0.75\n \n", newline)
+            np.testing.assert_array_equal(load_matrix_csv(path), [[0.5, 0.5], [0.25, 0.75]])
+
+    def test_spellings_only_float_reads(self, tmp_path):
+        text = "1_0,\uff11.\uff15\n\u0661,2_5e-1\n"
+        path = self.write(tmp_path, text)
+        assert load_matrix_csv(path).tobytes() == np.array([[10.0, 1.5], [1.0, 2.5]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5,0.5\n \n0.5,spam\n", "line 3 of {}: could not convert string to float: 'spam'"),
+            ("0.5,0.5\r\n0.5,\r\n", "line 2 of {}: could not convert string to float: ''"),
+            ("#1,0\n", "line 1 of {}: could not convert string to float: '#1'"),
+            ("0.5,0.5\n1.0\n", "{} has ragged rows"),
+            ("", "{} contains no matrix rows"),
+            ("\n \r\n\t\n", "{} contains no matrix rows"),
+        ],
+    )
+    def test_messages(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MatrixValidationError) as info:
+                load_matrix_csv(path)
+        assert str(info.value) == message.format(path)
+
+    def test_not_utf8_message(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0.5,\xff0.5\n")
+        with pytest.raises(MatrixValidationError) as info:
+            load_matrix_csv(path)
+        assert str(info.value) == (
+            f"{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 4: "
+            "invalid start byte"
+        )
 
 
 def test_inf_norm_is_max_row_sum():

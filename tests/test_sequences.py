@@ -223,6 +223,16 @@ class TestSharedSpikeChain:
         shared, _ = sequence_from_spec(GeneratorSpec("spikes", C=1.0)).support(10_000)
         np.testing.assert_array_equal(shared, spike_positions(1.0, 10_000))
 
+    @pytest.mark.parametrize("C", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_spike_indices_rejects_a_bad_C(self, C):
+        # C <= 0 never advances the chain: the check comes before any walk,
+        # and no chain is cached for it
+        before = _spike_chain.cache_info()
+        with pytest.raises(ParameterDomainError, match="C must be finite and positive"):
+            spike_indices(C, 10)
+        after = _spike_chain.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_threads_extending_one_chain(self):
         # every thread reads and extends the chains of two C at random
         # horizons; a lost or torn extension would hand out wrong positions
