@@ -195,14 +195,16 @@ _POW10 = np.array([10**k for k in range(1, 19)], np.int64)
 
 def int_cells(x) -> np.ndarray:
     """``str(i)`` of each entry of the 1-d int64 array x (no entry -2**63)
-    as ASCII: (N, 20) uint8, each cell right-aligned after NUL bytes."""
+    as ASCII: (N, W) uint8, each cell right-aligned after NUL bytes, W the
+    digit count of the largest |i| plus one byte for a sign."""
     x = np.asarray(x, np.int64)
     neg = x < 0
     u = np.abs(x)
-    cells = _digits(u, 5)
+    width = 2 + int(np.searchsorted(_POW10, u.max(initial=0), side="right"))
+    digits = _digits(u, -(-width // 4))[:, -width:]
     # the first significant digit's column; the sign goes just before it
-    first = 19 - np.searchsorted(_POW10, u, side="right")
-    np.multiply(cells, np.arange(20) >= first[:, None], out=cells)
+    first = width - 1 - np.searchsorted(_POW10, u, side="right")
+    cells = np.multiply(digits, np.arange(width) >= first[:, None])
     cells[np.flatnonzero(neg), first[neg] - 1] = ord("-")
     return cells
 

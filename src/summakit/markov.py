@@ -9,7 +9,6 @@ which the report's residual diagnostics measure directly.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,18 +146,21 @@ def cesaro_matrix(P: StochasticMatrix, N: int) -> np.ndarray:
 def load_matrix_csv(path) -> np.ndarray:
     """Read a header-free CSV matrix: one row per line, comma-separated decimals.
 
-    numpy's C parser reads the text in one call; it converts each cell as
-    float() does, bit for bit.  A file it rejects (a bad cell, ragged rows,
-    blank lines holding spaces, spellings float() accepts and it does not,
-    such as 1_0) or that is not UTF-8 text is read again line by line with
-    float(), which accepts what float() accepts and names what it does not.
+    numpy's C parser reads the lines in one call; it converts each cell as
+    float() does, bit for bit.  Lines of whitespace only are dropped first,
+    as the line loop skips them (loadtxt would read one as a cell).  A file
+    it rejects (a bad cell, ragged rows, spellings float() accepts and it
+    does not, such as 1_0) or that is not UTF-8 text is read again line by
+    line with float(), which accepts what float() accepts and names what it
+    does not.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         # loadtxt only warns on a file with no rows: leave that to the loop
         if text.strip():
-            return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+            lines = [line for line in text.split("\n") if not line.isspace()]
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:  # UnicodeDecodeError included
         pass
     return _load_matrix_lines(path)

@@ -99,33 +99,40 @@ def islet_ranges(horizon: int):
 
 
 class _SpikeChain:
-    """Spike positions for one spacing factor C, extended on demand and
-    shared by every spike sequence with that C (see _spike_chain): each
-    horizon reads a prefix of the chain, so the chain is walked only once.
+    """Spike positions for one spacing factor C, and their square roots,
+    extended on demand and shared by every spike sequence with that C (see
+    _spike_chain): each horizon reads a prefix of the chain, so the chain
+    is walked, and each root taken, only once.
 
-    The chain is held only as a read-only int64 array, 8 bytes a spike.  An
-    extension builds the new positions in a local list and swaps in a new
-    array with one assignment; views handed out earlier keep the old array,
-    whose contents never change.
+    The chain is held only as read-only arrays, an int64 position and a
+    float root a spike.  An extension builds the new positions in a local
+    list and swaps in new arrays with one assignment of the pair, so a
+    reader never sees positions and roots of different lengths; views
+    handed out earlier keep the old arrays, whose contents never change.
     """
 
     def __init__(self, C: float):
         self._C = C
-        self._array = np.ones(1, dtype=np.int64)  # runs past the largest horizon seen
+        # positions run past the largest horizon seen
+        self._arrays = (np.ones(1, dtype=np.int64), np.ones(1))
 
-    def upto(self, horizon: int) -> np.ndarray:
-        """Positions <= horizon, as a read-only view of the chain."""
-        chain = self._array
+    def upto(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions <= horizon and their square roots, as read-only views
+        of the chain."""
+        chain, roots = self._arrays
         if chain[-1] <= horizon:
             j, C, ceil, sqrt = int(chain[-1]), self._C, math.ceil, math.sqrt
             grown = []
             while j <= horizon:
                 j += ceil(C * sqrt(j))
                 grown.append(j)
+            grown = np.array(grown, dtype=np.int64)
             chain = np.concatenate((chain, grown))
-            chain.flags.writeable = False
-            self._array = chain
-        return chain[: chain.searchsorted(horizon, side="right")]
+            roots = np.concatenate((roots, np.sqrt(grown.astype(float))))
+            chain.flags.writeable = roots.flags.writeable = False
+            self._arrays = chain, roots
+        k = chain.searchsorted(horizon, side="right")
+        return chain[:k], roots[:k]
 
 
 # spike chains held at once; each is keyed by the exact float(C)
@@ -148,7 +155,7 @@ def spike_indices(C: float, horizon: int) -> np.ndarray:
     C = float(C)
     if not 0.0 < C < math.inf:
         raise ParameterDomainError(f"C must be finite and positive, got {C!r}")
-    return _spike_chain(C).upto(horizon).copy()
+    return _spike_chain(C).upto(horizon)[0].copy()
 
 
 def _scattered(support):
@@ -211,8 +218,8 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
     chain = _spike_chain(float(spec.C))
 
     def support(h):
-        idx = chain.upto(h)
-        return idx, spec.height_scale * np.sqrt(idx.astype(float))
+        idx, roots = chain.upto(h)
+        return idx, spec.height_scale * roots
 
     return RealSequence.from_function(
         _scattered(support), support, nonneg=spec.height_scale >= 0, name=spec.label

@@ -39,6 +39,25 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
   us through a block).  A block takes each row's log n! once.  A row costs
   one mass per kept support index: a bounded number for spikes, O(sqrt(n))
   inside an islet, so their prefixes cost O(H) and O(H sqrt(H)).
+
+  Rows whose window is support-dense are routed to the dense kernel's
+  _windowed_block instead (_sparse_windowed): every row n >= 1 whose window
+  m +- W holds support on at least 1/4 of its 2W + 1 indices.  There a
+  ratio product costs 13-30 ns a mass against about 60 ns for a log-space
+  mass, and it is accurate to about 1e-16 where log-space masses are off
+  by up to about n eps log n (2.5-7e-12 on the islets prefix at H = 9104).
+  The 1/4 comes from a sweep of the threshold over eight islets prefixes
+  shaped like the benchmark's (H in [3000, 10000], p in [0.2, 0.8]; least
+  CPU time of 15 interleaved passes, two sweeps): 653 ms unrouted, 507 at
+  1/50, 474 at 1/10, 441-444 at 1/4, 437-490 at 1/2 and 571-606 at 9/10.
+  A routed row's half-width is W rounded up to a multiple of 16, a
+  function of n alone, and it shares a block only with rows of the same
+  half-width, so a sparse row still does not depend on its batch.  The
+  terms come from a zero-filled buffer spanning only the routed rows'
+  windows, never the whole prefix.  Rows the dense certificate rejects,
+  rows with sparser windows, and row 0 take the sparse path above.  Spike
+  windows hold far less than 1/4 support, so spikes keep the sparse path;
+  islets rows inside and near an island are routed.
 """
 
 from __future__ import annotations
@@ -239,14 +258,17 @@ def _certified(value, scale, dropped, peak):
     return (dropped * peak <= 2.0**-53 * scale) & np.isfinite(value)
 
 
-def _windowed_block(windows, pad, peak, p, q, ns, half):
+def _windowed_block(windows, offset, peak, p, q, ns, half):
     """Windowed means for the rows ns, with a mask of the rows it certifies.
 
-    Each row runs the ratios of _row_mass outward from a unit seed at the
-    mode over offsets -half..half and is renormalised by its window sum.
-    The ratio into index -1 or n+1 is 0, so weights past the support
-    vanish; terms below 0 come from the zero padding and terms past n are
-    zeroed, so a non-finite term beyond n cannot leak in.
+    windows[j + offset] holds the terms from index j on (offset a scalar or
+    one per row) and peak[r] is the largest |a_i| for i <= ns[r].  Each row
+    runs the ratios of _row_mass outward from a unit seed at the mode over
+    offsets -half..half and is renormalised by its window sum.  The ratio
+    into index -1 or n+1 is 0, so weights past the support vanish; terms
+    below 0 come from the zero padding and terms past n are zeroed, so a
+    non-finite term beyond n cannot leak in.  A row depends only on its
+    own n, half and terms, not on the other rows of the block.
     """
     n = ns.astype(float)
     m = _mode(n, p)
@@ -259,7 +281,7 @@ def _windowed_block(windows, pad, peak, p, q, ns, half):
     k -= 1.0
     np.cumprod(_ratio_down(col, mode - k, p, q), axis=1, out=w[:, half - 1 :: -1])
 
-    terms = windows[(m - half).astype(np.int64) + pad, : 2 * half + 1]
+    terms = windows[(m - half).astype(np.int64) + offset, : 2 * half + 1]
     if (m + half > n).any():
         terms[np.arange(-half, half + 1.0) > col - mode] = 0.0
     weighted = w * terms
@@ -270,7 +292,7 @@ def _windowed_block(windows, pad, peak, p, q, ns, half):
     dropped = np.where(lo > 0.0, w[:, 0] * r_lo / (1.0 - r_lo), 0.0)
     dropped += np.where(hi < n, w[:, -1] * r_hi / (1.0 - r_hi), 0.0)
     scale = np.abs(weighted, out=weighted).sum(axis=1)
-    return value, _certified(value, scale, dropped, peak[ns])
+    return value, _certified(value, scale, dropped, peak)
 
 
 def _first_nan_row(seq: np.ndarray) -> int:
@@ -319,8 +341,9 @@ def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray, q=None) -> 
             stop = start + _BLOCK_MASSES // (2 * half[start] + 1)
             stop = start + _BLOCK_MASSES // (2 * half[min(stop, len(rows)) - 1] + 1)
             stop = min(max(stop, start + 1), len(rows))
+            block = rows[start:stop]
             value, certified = _windowed_block(
-                windows, pad, peak, p, q, rows[start:stop], int(half[stop - 1])
+                windows, pad, peak[block], p, q, block, int(half[stop - 1])
             )
             for k in np.flatnonzero(~certified):
                 n = int(rows[start + k])
@@ -350,6 +373,73 @@ def _sparse_extension(ratio):
     ignores divide errors)."""
     t = np.ceil(_LOG_EXTEND / -np.log(ratio))
     return t.astype(np.int64), np.power(ratio, t + 1.0) / (1.0 - ratio)
+
+
+# A sparse row whose window m +- W holds support on at least 1/_ROUTE_SHARE
+# of its 2W + 1 indices is weighted by _windowed_block over a half-width
+# rounded up to a multiple of _ROUTE_STEP, so it depends on n alone.
+_ROUTE_SHARE = 4
+_ROUTE_STEP = 16.0
+_ROUTED_MASSES = 2**14
+
+
+def _routed(n, half, in_window):
+    """Which rows go to _windowed_block: n >= 1 with in_window, the support
+    indices in the window m +- half, at least 1/_ROUTE_SHARE of it."""
+    return (n > 0) & (_ROUTE_SHARE * in_window >= 2.0 * half + 1.0)
+
+
+def _support_windows(idx, av, lo, hi):
+    """A zero-filled buffer holding av at idx over the windows [lo, hi) of
+    rows in ascending n, as windows of the widest width, with the offset of
+    each row: its window starts at windows[lo + offset].
+
+    Rows whose windows overlap share one run of the buffer and the others
+    start runs of their own, so the buffer spans only the windows, plus one
+    width of zeros at its end.
+    """
+    new = np.ones(len(lo), dtype=bool)
+    new[1:] = lo[1:] >= np.maximum.accumulate(hi)[:-1]
+    heads = np.flatnonzero(new)
+    run_lo = np.minimum.reduceat(lo, heads)
+    run_hi = np.maximum.reduceat(hi, heads)
+    base = np.cumsum(run_hi - run_lo) - (run_hi - run_lo)  # each run's place
+    first, count = idx.searchsorted(run_lo), idx.searchsorted(run_hi)
+    count -= first
+    pos = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    width = int((hi - lo).max())
+    buffer = np.zeros(base[-1] + run_hi[-1] - run_lo[-1] + width)
+    buffer[idx[pos] + np.repeat(base - run_lo, count)] = av[pos]
+    return sliding_window_view(buffer, width), (base - run_lo)[np.cumsum(new) - 1]
+
+
+def _sparse_windowed(idx, av, peak, p, ns):
+    """_windowed_block means of the sparse rows ns (every n >= 1, any
+    order), with a mask of the rows it certifies; peak[r] is the largest
+    |av| over the support <= ns[r].
+
+    A row's half-width is its W rounded up to a multiple of _ROUTE_STEP,
+    so it depends on n alone.  Rows go in ascending n, in blocks of one
+    half-width and fewer than _ROUTED_MASSES masses: 128 KB arrays, below
+    glibc's default mmap threshold, cost about 60% of the 256 KB ones.
+    """
+    value, certified = np.empty(len(ns)), np.empty(len(ns), dtype=bool)
+    order = np.argsort(ns, kind="stable")
+    rows = ns[order]
+    halves = np.ceil(_window_halfwidth(rows, p) / _ROUTE_STEP) * _ROUTE_STEP
+    lo = _mode(rows, p).astype(np.int64) - halves.astype(np.int64)
+    windows, offset = _support_windows(idx, av, lo, lo + 2 * halves.astype(np.int64) + 1)
+    start = 0
+    while start < len(rows):
+        half = int(halves[start])
+        stop = start + max(1, (_ROUTED_MASSES - 1) // (2 * half + 1))
+        stop = min(stop, halves.searchsorted(half, side="right"))
+        block = order[start:stop]
+        value[block], certified[block] = _windowed_block(
+            windows, offset[start:stop], peak[block], p, 1.0 - p, rows[start:stop], half
+        )
+        start = stop
+    return value, certified
 
 
 def _sparse_terms(idx, av, p, ns, first, count):
@@ -384,6 +474,13 @@ def _sparse_rows(idx, av, peak, p, ns):
     half = _window_halfwidth(n, p)
     lo = np.searchsorted(idx, (m - half).astype(np.int64), side="left")
     hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), k)
+    dense = np.flatnonzero(_routed(n, half, hi - lo))
+    if len(dense):
+        value, certified = _sparse_windowed(idx, av, peak[k[dense] - 1], p, n[dense])
+        out[rows[dense[certified]]] = value[certified]
+        rest = np.ones(len(rows), dtype=bool)
+        rest[dense[certified]] = False
+        rows, n, k, m, half, lo, hi = (x[rest] for x in (rows, n, k, m, half, lo, hi))
 
     # the nearest support index outside the window on each side, if any
     left, right = lo > 0, hi < k
@@ -428,6 +525,11 @@ def _sparse_row(idx, av, p, n: int) -> float:
     half = _window_halfwidth(x, p)
     lo = idx.searchsorted(int(m - half), side="left")
     hi = min(idx.searchsorted(int(m + half), side="right"), k)
+    peak = np.abs(av[:k]).max()
+    if _routed(n, half, hi - lo):
+        value, certified = _sparse_windowed(idx, av, np.array([peak]), p, np.array([n]))
+        if certified[0]:
+            return value[0]
     # the kept slice idx[first:stop]: the window, extended past the nearest
     # support index outside it on each side, if any
     q = 1.0 - p
@@ -447,7 +549,7 @@ def _sparse_row(idx, av, p, n: int) -> float:
     # where j_lo and j_hi sit among the terms (any term where absent)
     dropped = masses[lo - 1 - first if lo > 0 else 0] * tail_lo
     dropped += masses[hi - first if hi < k else 0] * tail_hi
-    if _certified(value, scale, dropped, np.abs(av[:k]).max()):
+    if _certified(value, scale, dropped, peak):
         return value
     return _whole_support_mean(idx, av, p, n, k)
 
@@ -546,7 +648,10 @@ def binomial_mean_at(a: RealSequence, p: float, n):
     one read of the sequence and one kernel call.  Entries agree with entry
     n of binomial_prefix up to rounding: dense rows batched differently
     keep different windows.  A sparse row does not depend on its batch, so
-    there the scalar and every array call give the same bits.
+    there the scalar and every array call give the same bits, whether the
+    row is weighted by log-space masses or, with a support-dense window,
+    by the windowed dense kernel at a half-width fixed by n (see the
+    module docstring).
     """
     _check_prob(p)
     if isinstance(n, (int, np.integer)):

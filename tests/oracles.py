@@ -47,6 +47,32 @@ def pmf_row_exact_doubles(n, p_float):
     return out
 
 
+def sparse_binomial_exact(indices, values, n, p_float):
+    """sum_{i in indices, i <= n} B(n,i,p) * values[i] as an exact Fraction,
+    p and the values at their exact binary values.
+
+    The integer term C(n,i) u**i v**(n-i) (p = u/d, v = d - u) is walked
+    from the first index to the last by the exact ratio (n-i) u / ((i+1) v),
+    so the cost is one step per index between them, each on numbers of
+    about n log2(d) bits: a contiguous run of indices is cheap.
+    """
+    u, d = p_float.as_integer_ratio()
+    v = d - u
+    kept = [(int(i), float(x).as_integer_ratio()) for i, x in zip(indices, values) if i <= n]
+    if not kept:
+        return Fraction(0)
+    scale = max(den for _, (_, den) in kept)  # a power of two
+    i = kept[0][0]
+    term = math.comb(n, i) * u**i * v ** (n - i)
+    total = 0
+    for j, (num, den) in kept:
+        for k in range(i, j):
+            term = term * ((n - k) * u) // ((k + 1) * v)
+        i = j
+        total += term * num * (scale // den)
+    return Fraction(total, d**n * scale)
+
+
 def mode_law_violations(n_max, tenths):
     """Exact-integer check of the mass-ratio criterion for p = k/10.
 

@@ -141,6 +141,18 @@ def test_integer_cells():
     assert cells_of(int_cells(values)) == [str(i) for i in values.tolist()]
 
 
+def test_integer_cell_width_follows_the_data():
+    # one call per largest magnitude: its digit count plus a byte for a sign
+    cases = [[v] for v in (9, 10, 10**8 - 1, 10**8, 2**63 - 1, 0)]
+    cases += [[s * (10**k - 1), s * 10 ** (k - 1), s * 7, 0] for k in range(1, 19) for s in (1, -1)]
+    cases += [[-v for v in case] for case in cases[:6]]
+    for values in cases:
+        cells = int_cells(np.array(values, np.int64))
+        assert cells.shape == (len(values), len(str(max(map(abs, values)))) + 1)
+        assert cells_of(cells) == [str(v) for v in values]
+    assert int_cells(np.array([], np.int64)).shape == (0, 2)
+
+
 def test_integer_columns_up_to_1e12():
     step = 10**12 // 50_000 + 1
     table = {"i": range(0, 10**12 + 1, step), "j": np.arange(-10**12, 1, step)}

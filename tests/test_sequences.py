@@ -176,11 +176,12 @@ class TestSharedSpikeChain:
         C = 1.0 / 3.0
         seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
         # past the end of the chain so far, so that the next call extends it
-        horizon = int(_spike_chain(C)._array[-1]) + 1000
-        before, _ = seq.support(horizon)
+        horizon = int(_spike_chain(C)._arrays[0][-1]) + 1000
+        before, heights = seq.support(horizon)
         kept = before.copy()
         other = sequence_from_spec(GeneratorSpec("spikes", C=C))
         after, _ = other.support(4 * horizon)
+        np.testing.assert_array_equal(heights, np.sqrt(kept.astype(float)))
         assert after.size > before.size
         np.testing.assert_array_equal(before, kept)
         np.testing.assert_array_equal(after[: before.size], kept)
@@ -245,9 +246,10 @@ class TestSharedSpikeChain:
             rng = np.random.default_rng(seed)
             for h in rng.integers(0, top, 60):
                 C = Cs[h % 2]
-                idx, _ = sequence_from_spec(GeneratorSpec("spikes", C=C)).support(int(h))
+                idx, vals = sequence_from_spec(GeneratorSpec("spikes", C=C)).support(int(h))
                 ref = expected[C][: np.searchsorted(expected[C], h, side="right")]
-                if not np.array_equal(idx, ref):
+                # positions and heights come from one swap of the pair
+                if not (np.array_equal(idx, ref) and np.array_equal(vals, np.sqrt(ref))):
                     wrong.append((C, int(h)))
             done.append(seed)
 
@@ -378,11 +380,14 @@ class TestRunTable1:
     def test_unchanged_at_the_criterion_7_pairs(self):
         # SHA-256 of verdicts, cells and both geometric witnesses, taken
         # before geometric ratios in (-1, 1) declared a tilt: the families
-        # use only a = 1 and a = -3, which declare none
+        # use only a = 1 and a = -3, which declare none.  Re-pinned when
+        # islets rows moved to the windowed kernel: only two islets
+        # binomial_q fields changed (the (0.3, 0.6) tol and the (0.4, 0.7)
+        # value), each closer to its exact-rational value
         expected = {
             (0.25, 0.75): "82b08807f575c648",
-            (0.3, 0.6): "405ff4aa10bdb5db",
-            (0.4, 0.7): "29f921bf5aa9361d",
+            (0.3, 0.6): "92703ec536b755f6",
+            (0.4, 0.7): "593c2b927b2d1d8f",
         }
         assert not any(sequence_from_spec(s).tilted for s in default_families())
         for (p, q), digest in expected.items():

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import resource
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,17 +20,19 @@ from summakit import (
     compose_check,
     epsilon,
     estimate_limit,
+    probe_open_problem,
     pstar_prefix,
     sequence_from_spec,
     split_xyz,
     weights,
 )
 from summakit import transforms
-from summakit.binomial_kernel import _row_mass, log_pmf_many
+from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pmf_many
 
 from oracles import (
     geometric_binomial_errors,
     pmf_row_exact_doubles,
+    sparse_binomial_exact,
     sparse_binomial_scipy,
     weights_double_sum,
 )
@@ -155,13 +160,21 @@ def full_row_loop(values, p):
     return out
 
 
-def full_row_exact(values, p):
-    """Full-row means summed exactly (math.fsum), with sum_i B(n,i,p) |a_i|."""
-    means, scales = [values[0]], [abs(values[0])]
-    for n in range(1, len(values)):
-        row = _row_mass(n, p)
-        means.append(math.fsum(row * values[: n + 1]))
-        scales.append(math.fsum(row * np.abs(values[: n + 1])))
+def full_row_exact(values, p, ns=None):
+    """Full-row means summed exactly (math.fsum), with sum_i B(n,i,p) |a_i|,
+    at the rows ns (every row by default).  Zero terms add nothing to an
+    exact sum, so only the nonzero ones are summed."""
+    nonzero = np.flatnonzero(values)
+    means, scales = [], []
+    for n in range(len(values)) if ns is None else ns:
+        if n == 0:
+            means.append(values[0])
+            scales.append(abs(values[0]))
+            continue
+        keep = nonzero[: np.searchsorted(nonzero, n, side="right")]
+        row = _row_mass(int(n), p)[keep]
+        means.append(math.fsum(row * values[keep]))
+        scales.append(math.fsum(row * np.abs(values[keep])))
     return np.array(means), np.array(scales)
 
 
@@ -496,6 +509,49 @@ def sparse_rows_old(idx, av, p, ns):
     return np.array(old), np.array(exact), np.array(scale)
 
 
+def count_routed(monkeypatch):
+    """Record the n of every row _windowed_block certifies: from a sparse
+    call, the rows weighted by the windowed dense kernel."""
+    routed = []
+    block = transforms._windowed_block
+
+    def counted(windows, offset, peak, p, q, ns, half):
+        value, certified = block(windows, offset, peak, p, q, ns, half)
+        routed.extend(ns[certified].tolist())
+        return value, certified
+
+    monkeypatch.setattr(transforms, "_windowed_block", counted)
+    return routed
+
+
+def count_terms(monkeypatch):
+    """Record the number of terms of every log_pmf_many call of transforms."""
+    terms = []
+    kernel = transforms.log_pmf_many
+
+    def counted(n, p, indices, **kwargs):
+        terms.append(np.size(indices))
+        return kernel(n, p, indices, **kwargs)
+
+    monkeypatch.setattr(transforms, "log_pmf_many", counted)
+    return terms
+
+
+def sparse_reference(idx, av, p, ns, routed):
+    """sparse_rows_old, except that a routed row's exact sums come from its
+    full PMF row over the zero-filled prefix (full_row_exact), the
+    reference of the windowed kernel, not from log-space masses."""
+    ns = np.asarray(ns)
+    old, exact, scale = sparse_rows_old(idx, av, p, ns)
+    dense = np.isin(ns, routed)
+    if dense.any():
+        values = np.zeros(ns.max() + 1)
+        keep = idx <= ns.max()
+        values[idx[keep]] = av[keep]
+        exact[dense], scale[dense] = full_row_exact(values, p, ns[dense])
+    return old, exact, scale
+
+
 @st.composite
 def sparse_supports(draw):
     """Sorted supports made of islands (possibly none, possibly at index 0)
@@ -522,8 +578,9 @@ class TestSparseKernel:
         ns = np.arange(horizon + 1)
         with pytest.MonkeyPatch.context() as mp:
             calls = count_sparse_fallbacks(mp)
+            routed = count_routed(mp)
             got = transforms._binomial_means_sparse(idx, av, p, ns)
-        old, exact, scale = sparse_rows_old(idx, av, p, ns)
+        old, exact, scale = sparse_reference(idx, av, p, ns, routed)
         fallback = np.zeros(len(ns), dtype=bool)
         fallback[calls] = True
         np.testing.assert_array_equal(got[fallback], old[fallback])
@@ -543,24 +600,27 @@ class TestSparseKernel:
         # 2**i grows faster than the masses fall past the window, so the
         # dropped tail times max |a_i| cannot be certified for most rows
         calls = count_sparse_fallbacks(monkeypatch)
+        routed = count_routed(monkeypatch)
         idx = np.arange(0, 1000, 3)
         av = 2.0**idx
         ns = np.arange(1001)
         got = transforms._binomial_means_sparse(idx, av, 0.3, ns)
-        old, exact, scale = sparse_rows_old(idx, av, 0.3, ns)
+        old, exact, scale = sparse_reference(idx, av, 0.3, ns, routed)
         fallback = np.zeros(len(ns), dtype=bool)
         fallback[calls] = True
         assert fallback.sum() >= 500
         np.testing.assert_array_equal(got[fallback], old[fallback])
         assert np.all(np.abs(got[~fallback] - exact[~fallback]) <= 4 * EPS * scale[~fallback])
 
-    def test_non_finite_value_reaches_only_later_rows(self):
+    def test_non_finite_value_reaches_only_later_rows(self, monkeypatch):
+        routed = count_routed(monkeypatch)
         idx = np.arange(0, 401, 2)
         av = np.ones(len(idx))
         av[100] = math.inf  # index 200
         ns = np.arange(401)
         got = transforms._binomial_means_sparse(idx, av, 0.5, ns)
-        old, exact, scale = sparse_rows_old(idx, av, 0.5, ns)
+        assert routed and max(routed) < 200
+        old, exact, scale = sparse_reference(idx, av, 0.5, ns, routed)
         assert np.all(np.abs(got[:200] - exact[:200]) <= 4 * EPS * scale[:200])
         assert np.isinf(got[200:]).all()
         np.testing.assert_array_equal(got[200:], old[200:])
@@ -581,13 +641,16 @@ class TestSparseKernel:
 
     def test_mean_at_uses_the_sparse_kernel(self, monkeypatch):
         calls = count_sparse_fallbacks(monkeypatch)
+        routed = count_routed(monkeypatch)
         spikes = sequence_from_spec(GeneratorSpec("spikes", C=1.0))
         islets = sequence_from_spec(GeneratorSpec("islets"))
         for seq in (spikes, islets):
             for n in (0, 1, 2, 77, 4**8 * 2, 2_000_001):
                 idx, av = seq.support(n)
-                old, exact, scale = sparse_rows_old(idx, av, 0.5, [n])
-                assert abs(binomial_mean_at(seq, 0.5, n) - exact[0]) <= 4 * EPS * scale[0]
+                del routed[:]
+                got = binomial_mean_at(seq, 0.5, n)
+                old, exact, scale = sparse_reference(idx, av, 0.5, [n], routed)
+                assert abs(got - exact[0]) <= 4 * EPS * scale[0]
         assert calls == []
 
 
@@ -640,14 +703,7 @@ class TestSparseScalarPath:
         else:
             seq = sparse_sequence(*source, case)
         fallbacks = count_sparse_fallbacks(monkeypatch)
-        terms = []
-        kernel = transforms.log_pmf_many
-
-        def counted(n, p, indices, **kwargs):
-            terms.append(np.size(indices))
-            return kernel(n, p, indices, **kwargs)
-
-        monkeypatch.setattr(transforms, "log_pmf_many", counted)
+        terms = count_terms(monkeypatch)
         for n in ns:
             del fallbacks[:], terms[:]
             scalar = binomial_mean_at(seq, p, n)
@@ -673,6 +729,114 @@ class TestSparseScalarPath:
         inf = sparse_sequence(idx, SCALAR_PATH_CASES["inf"][0][1], "inf")
         assert binomial_mean_at(inf, 0.5, 89) < 1.0 and math.isinf(binomial_mean_at(inf, 0.5, 90))
 
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+    def test_mixed_batches_equal_scalar_calls(self, monkeypatch, p):
+        # routed rows inside islands, gap rows, and routed rows of other
+        # half-widths (W rounded up to a multiple of 16), in any order and
+        # with repeats: every entry is its scalar call, bit for bit
+        routed = count_routed(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("islets"))
+        island = [int(4**k / p) + d for k in (4, 5, 6, 7, 8) for d in (-40, 0, 1, 2, 17)]
+        gap = [int(4**k / (2 * p)) + d for k in (5, 6, 7, 8) for d in (0, 1)]
+        ns = np.array(island + gap + [0, 1, 2, 3, 9, 4**10 * 2])
+        scalar = {}
+        for n in ns:
+            del routed[:]
+            scalar[int(n)] = np.float64(binomial_mean_at(seq, p, int(n))).tobytes()
+            if n in island:
+                assert routed == [n]
+            if n in gap:
+                assert routed == []
+        rng = np.random.default_rng(int(p * 10))
+        for trial in range(6):
+            batch = rng.choice(ns, size=rng.integers(2, 3 * len(ns)))
+            del routed[:]
+            got = binomial_mean_at(seq, p, batch)
+            assert [v.tobytes() for v in got] == [scalar[int(n)] for n in batch]
+        halves = np.ceil(_window_halfwidth(np.array(island, dtype=float), p) / 16.0)
+        assert len(np.unique(halves)) >= 5
+
+
+class TestRoutedRows:
+    """Sparse rows whose window m +- W holds support on at least a quarter
+    of its indices are weighted by the windowed dense kernel."""
+
+    @pytest.mark.parametrize("p, horizon", [(0.3, 9104), (0.7, 6000)])
+    def test_prefix_rows_match_full_rows(self, monkeypatch, p, horizon):
+        routed = count_routed(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("islets"))
+        got = binomial_prefix(seq, p, horizon).values
+        rows = np.array(routed[::7])
+        assert len(rows) >= 200
+        ref, scale = full_row_exact(seq.prefix(horizon), p, rows)
+        assert np.all(np.abs(got[rows] - ref) <= 4 * EPS * scale)
+
+    @pytest.mark.parametrize("n, p", [(5800, 0.640625), (6900, 0.6484375), (216_000, 0.3125)])
+    def test_exact_rationals(self, monkeypatch, n, p):
+        # dyadic p keeps the exact terms short; each window straddles an
+        # island edge, so the mean is far from 0 and 1
+        routed = count_routed(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("islets"))
+        got = binomial_mean_at(seq, p, n)
+        assert routed == [n] and 0.5 < got < 0.7
+        idx, av = seq.support(n)
+        # at n = 216000 only the 4**8 island counts: the one below it ends
+        # over 200 sigma below the mode, with masses below 2**-1000
+        keep = idx > 4**8 - 8 * 2**8 if n > 10**5 else idx >= 0
+        exact = sparse_binomial_exact(idx[keep], av[keep], n, p)
+        assert abs(Fraction(got) - exact) <= Fraction(4 * EPS) * exact
+
+    def test_spikes_and_explore_keep_their_terms(self, monkeypatch):
+        # log_pmf_many terms counted before rows were routed: spike windows
+        # hold far less than a quarter support
+        routed = count_routed(monkeypatch)
+        terms = count_terms(monkeypatch)
+        prefixes = {(0.5, 0.3): 956_178, (1.0, 0.5): 420_789, (2.0, 0.8): 136_095}
+        for (C, p), expected in prefixes.items():
+            del terms[:]
+            binomial_prefix(sequence_from_spec(GeneratorSpec("spikes", C=C)), p, 20_000)
+            assert sum(terms) == expected
+        probes = {(0.4, 0.7, 0.5): 376_477, (0.2, 0.9, 2.0): 15_893}
+        for (p, q, C), expected in probes.items():
+            del terms[:]
+            probe_open_problem(p, q, C, 10**6)
+            assert sum(terms) == expected
+        assert routed == []
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.85])
+    def test_island_rows_are_routed_and_gap_rows_are_not(self, monkeypatch, p):
+        routed = count_routed(monkeypatch)
+        seq = sequence_from_spec(GeneratorSpec("islets"))
+        n = np.arange(1, 150_000, 11)
+        binomial_mean_at(seq, p, n)
+        m, half = _mode(n.astype(float), p), _window_halfwidth(n.astype(float), p)
+        lo = np.maximum(m - half, 0).astype(np.int64)
+        hi = np.minimum(m + half, n).astype(np.int64)
+        ones = np.concatenate([[0], np.cumsum(seq.prefix(int(n[-1])) != 0)])
+        in_window = ones[hi + 1] - ones[lo]
+        inside, empty = in_window == hi - lo + 1, in_window == 0
+        assert inside.sum() >= 100 and empty.sum() >= 1000
+        is_routed = np.isin(n, routed)
+        assert is_routed[inside].all() and not is_routed[empty].any()
+        assert is_routed.sum() == len(routed)  # each row once
+
+    def test_memory_at_two_million(self):
+        # rows around the 4**10 island at n ~ 2e6: the windowed kernel's
+        # buffer spans the rows' windows, not the prefix (16 MB of doubles)
+        seq = sequence_from_spec(GeneratorSpec("islets"))
+        ns = 2 * (4**10 + np.arange(-12_000, 12_000, 100))
+        binomial_mean_at(seq, 0.5, ns[:2])
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KB on Linux
+        tracemalloc.start()
+        try:
+            values = binomial_mean_at(seq, 0.5, ns)
+            traced = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak) / 1024
+        assert values.max() > 0.99 and values.min() < 0.01
+        assert traced < 6 and grown < 6
+
 
 class TestMeanAtArray:
     """binomial_mean_at over an array of n: any order, repeats, 0 and empty."""
@@ -689,13 +853,15 @@ class TestMeanAtArray:
 
     @pytest.mark.parametrize("spec", [GeneratorSpec("islets"), GeneratorSpec("spikes", C=1.0)])
     @pytest.mark.parametrize("p", [0.05, 0.45, 0.9])
-    def test_sparse_matches_exact_sums(self, spec, p):
+    def test_sparse_matches_exact_sums(self, monkeypatch, spec, p):
+        routed = count_routed(monkeypatch)
         seq = sequence_from_spec(spec)
         ns = np.concatenate([self.NS, [4**5 * 2, 4**5, 20_001, 20_001]])
         got = binomial_mean_at(seq, p, ns)
         idx, av = seq.support(int(ns.max()))
-        _, exact, scale = sparse_rows_old(idx, av, p, ns)
+        _, exact, scale = sparse_reference(idx, av, p, ns, routed)
         assert np.all(np.abs(got - exact) <= 4 * EPS * scale)
+        assert (len(routed) > 0) == (spec.family == "islets")
 
     def test_dense_matches_scalar_calls(self):
         seq = sequence_from_spec(GeneratorSpec("signed_linear"))
