@@ -18,19 +18,36 @@ mode), times the largest |a_i| for i <= n, must be at most 2**-53 of the
 row's kept sum_i B(n,i,p) |a_i|.  A row that fails, or comes out
 non-finite, is recomputed over every index <= n exactly as a whole sum.
 
-* Dense (_binomial_means_dense): rows are batched into blocks and weighted
-  from unit-seeded ratio products over the window, so a bounded sequence
-  costs O(H sqrt(H)) instead of O(H^2).  The fallback is the full PMF row
-  (_row_mass: the same unit-seeded products over the whole row), O(n)
-  each, taken by unbounded sequences such as (-3)**n and by explicit
-  vectors whose weighted mass sits far from n p, such as a**n with
-  |a| < 1 given term by term; declared tilts keep that mass in the window.
-* Sparse (_binomial_means_sparse): a row weights only the support indices
-  in its window plus, on each side, the nearest support index outside it
-  and every index up to where the mass has fallen a further 2**-64, so
-  rows whose window holds no support still certify.  Masses come from
-  log_pmf_many, one elementwise formula, so each term is the one the
-  whole-support fallback computes.  A lone row (every scalar
+* Windowed (_windowed_means): the one loop over every dense row and the
+  support-dense sparse rows.  A row is weighted from unit-seeded ratio
+  products over m +- W', W' = W rounded up to a multiple of 16, a function
+  of n alone, so a row gives the same bits in any batch.  Rows of one W' go
+  in blocks over a zero-filled buffer spanning only their windows, never
+  the whole prefix.  A bounded dense sequence, the support of every index,
+  costs O(H sqrt(H)) instead of O(H^2).  The fallback of a dense row is
+  the full PMF row (_row_mass: the same unit-seeded products over the whole
+  row), O(n) each, taken by unbounded sequences such as (-3)**n and by
+  explicit vectors whose weighted mass sits far from n p, such as a**n
+  with |a| < 1 given term by term; declared tilts keep that mass in the
+  window.
+* Sparse (_binomial_means_sparse): a row n >= 1 whose window m +- W holds
+  support on at least 1/4 of its 2W + 1 indices goes to the windowed
+  loop, whose ratio products cost 13-30 ns a mass against about 60 ns
+  for a log-space mass and are accurate to about 1e-16 where log-space
+  masses are off by up to about n eps log n (2.5-7e-12 on the islets
+  prefix at H = 9104).  The 1/4 comes from a sweep of the threshold over
+  eight islets prefixes shaped like the benchmark's (H in [3000, 10000], p
+  in [0.2, 0.8]; least CPU time of 15 interleaved passes, two sweeps): 653
+  ms unrouted, 507 at 1/50, 474 at 1/10, 441-444 at 1/4, 437-490 at 1/2
+  and 571-606 at 9/10.  Islets rows inside and near an island are routed;
+  spike windows hold far less support.
+
+  Other rows, rows the windowed certificate rejects and row 0 weight only
+  the support indices in their window plus, on each side, the nearest
+  support index outside it and every index up to where the mass has fallen
+  a further 2**-64, so rows whose window holds no support still certify.
+  Masses come from log_pmf_many, one elementwise formula, so each term is
+  the one the whole-support fallback computes.  A lone row (every scalar
   binomial_mean_at) is evaluated on scalars (_sparse_row); more rows go in
   blocks of up to 2**11 rows and about 2**12 terms, which keeps peak memory
   small; only these array calls pay the block arrays' fixed numpy cost (a
@@ -39,25 +56,6 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
   us through a block).  A block takes each row's log n! once.  A row costs
   one mass per kept support index: a bounded number for spikes, O(sqrt(n))
   inside an islet, so their prefixes cost O(H) and O(H sqrt(H)).
-
-  Rows whose window is support-dense are routed to the dense kernel's
-  _windowed_block instead (_sparse_windowed): every row n >= 1 whose window
-  m +- W holds support on at least 1/4 of its 2W + 1 indices.  There a
-  ratio product costs 13-30 ns a mass against about 60 ns for a log-space
-  mass, and it is accurate to about 1e-16 where log-space masses are off
-  by up to about n eps log n (2.5-7e-12 on the islets prefix at H = 9104).
-  The 1/4 comes from a sweep of the threshold over eight islets prefixes
-  shaped like the benchmark's (H in [3000, 10000], p in [0.2, 0.8]; least
-  CPU time of 15 interleaved passes, two sweeps): 653 ms unrouted, 507 at
-  1/50, 474 at 1/10, 441-444 at 1/4, 437-490 at 1/2 and 571-606 at 9/10.
-  A routed row's half-width is W rounded up to a multiple of 16, a
-  function of n alone, and it shares a block only with rows of the same
-  half-width, so a sparse row still does not depend on its batch.  The
-  terms come from a zero-filled buffer spanning only the routed rows'
-  windows, never the whole prefix.  Rows the dense certificate rejects,
-  rows with sparser windows, and row 0 take the sparse path above.  Spike
-  windows hold far less than 1/4 support, so spikes keep the sparse path;
-  islets rows inside and near an island are routed.
 """
 
 from __future__ import annotations
@@ -248,10 +246,6 @@ def cesaro_prefix(a: RealSequence, horizon: int) -> TransformedPrefix:
     return TransformedPrefix("cesaro", None, running_mean(seq))
 
 
-# Masses per block of windowed rows; keeps the block's arrays in cache.
-_BLOCK_MASSES = 2**15
-
-
 def _certified(value, scale, dropped, peak):
     """Rows whose dropped mass times peak, the largest |a_i| for i <= n, is
     at most 2**-53 of their kept sum B |a_i|, and whose value is finite."""
@@ -261,14 +255,14 @@ def _certified(value, scale, dropped, peak):
 def _windowed_block(windows, offset, peak, p, q, ns, half):
     """Windowed means for the rows ns, with a mask of the rows it certifies.
 
-    windows[j + offset] holds the terms from index j on (offset a scalar or
-    one per row) and peak[r] is the largest |a_i| for i <= ns[r].  Each row
-    runs the ratios of _row_mass outward from a unit seed at the mode over
-    offsets -half..half and is renormalised by its window sum.  The ratio
-    into index -1 or n+1 is 0, so weights past the support vanish; terms
-    below 0 come from the zero padding and terms past n are zeroed, so a
-    non-finite term beyond n cannot leak in.  A row depends only on its
-    own n, half and terms, not on the other rows of the block.
+    windows[j + offset[r]] holds row r's terms from index j on and peak[r]
+    is the largest |a_i| for i <= ns[r].  Each row runs the ratios of
+    _row_mass outward from a unit seed at the mode over offsets
+    -half..half and is renormalised by its window sum.  The ratio into
+    index -1 or n+1 is 0, so weights past the support vanish; terms below 0
+    are the buffer's zeros and terms past n are zeroed, so a non-finite
+    term beyond n cannot leak in.  A row depends only on its own n, half
+    and terms, not on the other rows of the block.
     """
     n = ns.astype(float)
     m = _mode(n, p)
@@ -295,98 +289,15 @@ def _windowed_block(windows, offset, peak, p, q, ns, half):
     return value, _certified(value, scale, dropped, peak)
 
 
-def _first_nan_row(seq: np.ndarray) -> int:
-    """Smallest n whose seq[:n+1] holds a NaN, or both a +inf and a -inf
-    (len(seq) if there is none)."""
-
-    def first(mask):
-        i = int(np.argmax(mask))
-        return i if mask[i] else len(seq)
-
-    return min(first(np.isnan(seq)), max(first(seq == np.inf), first(seq == -np.inf)))
-
-
-def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray, q=None) -> np.ndarray:
-    """sum_i B(n,i,p) * seq[i] for each n of the array ns (0 <= n < len(seq),
-    any order, repeats allowed); q is 1 - p, by default the double 1.0 - p
-    (see binomial_kernel._ratio_up).
-
-    Rows go through _windowed_block in ascending order, in blocks of about
-    _BLOCK_MASSES masses; rows it cannot certify are the full _row_mass row
-    dotted with seq[:n+1].  Row 0 is seq[0] itself (a window sum would turn
-    -0.0 into 0.0).  A row whose seq[:n+1] holds a NaN, or both a +inf and
-    a -inf, is NaN whatever its masses, and is not built.
-    """
-    out = np.full(len(ns), np.nan)
-    order = np.argsort(ns, kind="stable")
-    rows = ns[order]
-    zeros, first_nan = rows.searchsorted(1), rows.searchsorted(_first_nan_row(seq))
-    out[order[:zeros]] = seq[0]
-    order, rows = order[zeros:first_nan], rows[zeros:first_nan]
-    if not len(rows):
-        return out
-    q = 1.0 - p if q is None else q
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = np.maximum.accumulate(np.abs(seq))
-        # windows[pad + j] starts at seq[j]; 2 pad zeros on the right keep a
-        # full-width window in range for rows whose block has a smaller W
-        half = _window_halfwidth(rows, p).astype(np.int64)
-        pad = int(half[-1])
-        padded = np.zeros(len(seq) + 3 * pad)
-        padded[pad : pad + len(seq)] = seq
-        windows = sliding_window_view(padded, 2 * pad + 1)
-        start = 0
-        while start < len(rows):
-            # rows sized by the first row's window, then by the last row's
-            stop = start + _BLOCK_MASSES // (2 * half[start] + 1)
-            stop = start + _BLOCK_MASSES // (2 * half[min(stop, len(rows)) - 1] + 1)
-            stop = min(max(stop, start + 1), len(rows))
-            block = rows[start:stop]
-            value, certified = _windowed_block(
-                windows, pad, peak[block], p, q, block, int(half[stop - 1])
-            )
-            for k in np.flatnonzero(~certified):
-                n = int(rows[start + k])
-                value[k] = _row_mass(n, p, q) @ seq[: n + 1]
-            out[order[start:stop]] = value
-            start = stop
-    return out
-
-
-# Rows, and terms, per block of sparse rows; keep the block's arrays, and
-# peak memory, small.  log_pmf_many's temporaries hold 3 doubles a term:
-# at 2**13 terms they pass 128 KB (glibc's default mmap threshold) and a
-# call cost about twice as much per term as at 2**12.
-_BLOCK_ROWS = 2**11
-_BLOCK_TERMS = 2**12
-
-# Past the nearest support index outside a row's window, the kept range goes
-# on outward until the mass has fallen by 2**-64.
-_LOG_EXTEND = 64.0 * math.log(2.0)
-
-
-def _sparse_extension(ratio):
-    """Steps t past a support index with outward mass ratio ``ratio`` < 1
-    after which the mass has fallen by 2**-64, and the bound ratio**(t+1) /
-    (1 - ratio) on all the mass beyond them, relative to the mass at that
-    index (both 0 where ratio is 0, through log(0) = -inf: the caller
-    ignores divide errors)."""
-    t = np.ceil(_LOG_EXTEND / -np.log(ratio))
-    return t.astype(np.int64), np.power(ratio, t + 1.0) / (1.0 - ratio)
-
-
-# A sparse row whose window m +- W holds support on at least 1/_ROUTE_SHARE
-# of its 2W + 1 indices is weighted by _windowed_block over a half-width
-# rounded up to a multiple of _ROUTE_STEP, so it depends on n alone.
-_ROUTE_SHARE = 4
-_ROUTE_STEP = 16.0
-_ROUTED_MASSES = 2**14
-
-
-def _routed(n, half, in_window):
-    """Which rows go to _windowed_block: n >= 1 with in_window, the support
-    indices in the window m +- half, at least 1/_ROUTE_SHARE of it."""
-    return (n > 0) & (_ROUTE_SHARE * in_window >= 2.0 * half + 1.0)
+# A windowed row's half-width is W rounded up to a multiple of _HALF_STEP;
+# rows of one half-width go in blocks of fewer than _WINDOWED_MASSES masses.
+# 2**15 is the knee on seven dense and three islets prefixes (H in [1500,
+# 9000]; least of 15 interleaved calls, 2-core Xeon VM) once an earlier
+# large free has raised glibc's mmap threshold, as in any long-lived
+# process: 2**14 costs 3-15% more, 2**13 18-42%, and 3 * 2**14 or 2**16
+# are within 4%.  In a fresh process the larger blocks swing by up to 2x.
+_HALF_STEP = 16.0
+_WINDOWED_MASSES = 2**15
 
 
 def _support_windows(idx, av, lo, hi):
@@ -413,33 +324,104 @@ def _support_windows(idx, av, lo, hi):
     return sliding_window_view(buffer, width), (base - run_lo)[np.cumsum(new) - 1]
 
 
-def _sparse_windowed(idx, av, peak, p, ns):
-    """_windowed_block means of the sparse rows ns (every n >= 1, any
-    order), with a mask of the rows it certifies; peak[r] is the largest
-    |av| over the support <= ns[r].
+def _windowed_means(idx, av, peak, p, ns, q=None):
+    """_windowed_block means of the rows ns (every n >= 1, any order) of
+    the sequence that is av at the sorted indices idx and 0 elsewhere, with
+    a mask of the rows it certifies; peak[r] is the largest |a_i| for
+    i <= ns[r] and q is as in _binomial_means_dense.
 
-    A row's half-width is its W rounded up to a multiple of _ROUTE_STEP,
-    so it depends on n alone.  Rows go in ascending n, in blocks of one
-    half-width and fewer than _ROUTED_MASSES masses: 128 KB arrays, below
-    glibc's default mmap threshold, cost about 60% of the 256 KB ones.
+    A row's half-width is its W rounded up to a multiple of _HALF_STEP, so
+    it depends on n alone.  Rows go in ascending n, in blocks of one
+    half-width and fewer than _WINDOWED_MASSES masses.
     """
+    q = 1.0 - p if q is None else q
     value, certified = np.empty(len(ns)), np.empty(len(ns), dtype=bool)
     order = np.argsort(ns, kind="stable")
     rows = ns[order]
-    halves = np.ceil(_window_halfwidth(rows, p) / _ROUTE_STEP) * _ROUTE_STEP
-    lo = _mode(rows, p).astype(np.int64) - halves.astype(np.int64)
-    windows, offset = _support_windows(idx, av, lo, lo + 2 * halves.astype(np.int64) + 1)
+    halves = (np.ceil(_window_halfwidth(rows, p) / _HALF_STEP) * _HALF_STEP).astype(np.int64)
+    lo = _mode(rows, p).astype(np.int64) - halves
+    windows, offset = _support_windows(idx, av, lo, lo + 2 * halves + 1)
     start = 0
     while start < len(rows):
         half = int(halves[start])
-        stop = start + max(1, (_ROUTED_MASSES - 1) // (2 * half + 1))
+        stop = start + max(1, (_WINDOWED_MASSES - 1) // (2 * half + 1))
         stop = min(stop, halves.searchsorted(half, side="right"))
         block = order[start:stop]
         value[block], certified[block] = _windowed_block(
-            windows, offset[start:stop], peak[block], p, 1.0 - p, rows[start:stop], half
+            windows, offset[start:stop], peak[block], p, q, rows[start:stop], half
         )
         start = stop
     return value, certified
+
+
+def _first_nan_row(seq: np.ndarray) -> int:
+    """Smallest n whose seq[:n+1] holds a NaN, or both a +inf and a -inf
+    (len(seq) if there is none)."""
+
+    def first(mask):
+        i = int(np.argmax(mask))
+        return i if mask[i] else len(seq)
+
+    return min(first(np.isnan(seq)), max(first(seq == np.inf), first(seq == -np.inf)))
+
+
+def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray, q=None) -> np.ndarray:
+    """sum_i B(n,i,p) * seq[i] for each n of the array ns (0 <= n < len(seq),
+    any order, repeats allowed); q is 1 - p, by default the double 1.0 - p
+    (see binomial_kernel._ratio_up).
+
+    Rows n >= 1 go through _windowed_means, seq being a support of every
+    index; rows it cannot certify are the full _row_mass row dotted with
+    seq[:n+1].  Row 0 is seq[0] itself (a window sum would turn -0.0 into
+    0.0).  A row whose seq[:n+1] holds a NaN, or both a +inf and a -inf, is
+    NaN whatever its masses, and is not built.
+    """
+    out = np.full(len(ns), np.nan)
+    out[ns == 0] = seq[0]
+    rows = np.flatnonzero((ns > 0) & (ns < _first_nan_row(seq)))
+    if not len(rows):
+        return out
+    n = ns[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.maximum.accumulate(np.abs(seq))
+        value, certified = _windowed_means(np.arange(len(seq)), seq, peak[n], p, n, q)
+        for r in np.flatnonzero(~certified):
+            value[r] = _row_mass(int(n[r]), p, q) @ seq[: n[r] + 1]
+    out[rows] = value
+    return out
+
+
+# Rows, and terms, per block of sparse rows; keep the block's arrays, and
+# peak memory, small.  log_pmf_many's temporaries hold 3 doubles a term:
+# at 2**13 terms they pass 128 KB (glibc's default mmap threshold) and a
+# call cost about twice as much per term as at 2**12.
+_BLOCK_ROWS = 2**11
+_BLOCK_TERMS = 2**12
+
+# Past the nearest support index outside a row's window, the kept range goes
+# on outward until the mass has fallen by 2**-64.
+_LOG_EXTEND = 64.0 * math.log(2.0)
+
+
+def _sparse_extension(ratio):
+    """Steps t past a support index with outward mass ratio ``ratio`` < 1
+    after which the mass has fallen by 2**-64, and the bound ratio**(t+1) /
+    (1 - ratio) on all the mass beyond them, relative to the mass at that
+    index (both 0 where ratio is 0, through log(0) = -inf: the caller
+    ignores divide errors)."""
+    t = np.ceil(_LOG_EXTEND / -np.log(ratio))
+    return t.astype(np.int64), np.power(ratio, t + 1.0) / (1.0 - ratio)
+
+
+# A sparse row whose window m +- W holds support on at least 1/_ROUTE_SHARE
+# of its 2W + 1 indices is weighted by _windowed_means.
+_ROUTE_SHARE = 4
+
+
+def _routed(n, half, in_window):
+    """Which rows go to _windowed_means: n >= 1 with in_window, the support
+    indices in the window m +- half, at least 1/_ROUTE_SHARE of it."""
+    return (n > 0) & (_ROUTE_SHARE * in_window >= 2.0 * half + 1.0)
 
 
 def _sparse_terms(idx, av, p, ns, first, count):
@@ -476,7 +458,7 @@ def _sparse_rows(idx, av, peak, p, ns):
     hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), k)
     dense = np.flatnonzero(_routed(n, half, hi - lo))
     if len(dense):
-        value, certified = _sparse_windowed(idx, av, peak[k[dense] - 1], p, n[dense])
+        value, certified = _windowed_means(idx, av, peak[k[dense] - 1], p, n[dense])
         out[rows[dense[certified]]] = value[certified]
         rest = np.ones(len(rows), dtype=bool)
         rest[dense[certified]] = False
@@ -527,7 +509,7 @@ def _sparse_row(idx, av, p, n: int) -> float:
     hi = min(idx.searchsorted(int(m + half), side="right"), k)
     peak = np.abs(av[:k]).max()
     if _routed(n, half, hi - lo):
-        value, certified = _sparse_windowed(idx, av, np.array([peak]), p, np.array([n]))
+        value, certified = _windowed_means(idx, av, np.array([peak]), p, np.array([n]))
         if certified[0]:
             return value[0]
     # the kept slice idx[first:stop]: the window, extended past the nearest
@@ -645,13 +627,10 @@ def binomial_mean_at(a: RealSequence, p: float, n):
 
     ``n`` is a non-negative integer, giving a float, or a 1-d array of them
     in any order and with repeats, giving an array of the same length from
-    one read of the sequence and one kernel call.  Entries agree with entry
-    n of binomial_prefix up to rounding: dense rows batched differently
-    keep different windows.  A sparse row does not depend on its batch, so
-    there the scalar and every array call give the same bits, whether the
-    row is weighted by log-space masses or, with a support-dense window,
-    by the windowed dense kernel at a half-width fixed by n (see the
-    module docstring).
+    one read of the sequence and one kernel call.  A row does not depend on
+    its batch: entry n of binomial_prefix, the scalar and every array call
+    give the same bits, dense, tilted and sparse rows alike (see the module
+    docstring).
     """
     _check_prob(p)
     if isinstance(n, (int, np.integer)):

@@ -383,11 +383,16 @@ class TestRunTable1:
         # use only a = 1 and a = -3, which declare none.  Re-pinned when
         # islets rows moved to the windowed kernel: only two islets
         # binomial_q fields changed (the (0.3, 0.6) tol and the (0.4, 0.7)
-        # value), each closer to its exact-rational value
+        # value), each closer to its exact-rational value.  Re-pinned when
+        # every dense row took a half-width fixed by n: statuses, windows,
+        # cells, contradictions and witness flags kept their values; only
+        # the signed_linear binomial values (|v| < 1e-14 against sum B |a_i|
+        # of order n p) with their tols and the pq witness's error fields
+        # moved
         expected = {
-            (0.25, 0.75): "82b08807f575c648",
-            (0.3, 0.6): "92703ec536b755f6",
-            (0.4, 0.7): "593c2b927b2d1d8f",
+            (0.25, 0.75): "029298e4bee8b96b",
+            (0.3, 0.6): "492ceb57c36e635e",
+            (0.4, 0.7): "e6609fd3d1c49117",
         }
         assert not any(sequence_from_spec(s).tilted for s in default_families())
         for (p, q), digest in expected.items():
