@@ -8,6 +8,11 @@ there up, within 2 ulp of the exact value.  Full rows are built by a
 multiplicative recurrence from a unit seed at the mode and then
 normalised, which keeps relative accuracy in the far tails where a
 cumulative construction would not.
+
+Tail masses outside a band around n p (tail_mass_outside) come from one
+cached table per row: O(n) to build, then O(log n) per radius.  Its tails
+are compensated sums of the row's masses, corrected for the rounding of
+q = 1 - p, within 6e-15 relative of exact rationals for n < 3000.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterDomainError, PreconditionError
+from .summation import suffix_sums, two_sum
 
 __all__ = [
     "PMFParams",
@@ -259,15 +265,41 @@ def pmf_row(params: PMFParams) -> PMFRow:
 
 @functools.lru_cache(maxsize=1)
 def _tail_row(n: int, p: float):
-    """Read-only PMF row of (n, p) with the distances |i - n p|.
+    """Tail table of row (n, p): the distances |i - n p| in ascending order,
+    and at each of their positions the total mass of the indices at that
+    position or further out.  Two read-only doubles per index.
 
-    One slot: a sweep of tail queries at one (n, p) builds the row once, and
-    the last row queried stays in memory until another (n, p) replaces it.
+    A radius r selects {i : |i - n p| >= r}: the positions from the first
+    distance >= r on, so a query is one searchsorted and one lookup.  The
+    indices fall in two presorted runs, i < n p with the distance falling
+    and i >= n p with it rising, and a stable sort (timsort) merges them in
+    linear time.  The tails are compensated suffix sums
+    (summation.suffix_sums), taken from the far ends inward so the small
+    masses come first: each is the sum of the masses it covers, up to about
+    one rounding.  Building costs O(n): the row and a few passes over it.
+
+    The masses are _row_mass's with one first-order correction.  Its q =
+    fl(1 - p) misses 1 - p by e, exactly known from TwoSum, and every ratio
+    carries it, so mass i drifts by about (i - n p) e / q relative: 8.6e-14
+    at n = 2999, p = 0.3.  Each mass is multiplied by 1 - (i - n p) e / q,
+    which leaves the masses' own roundings (tails within 6e-15 relative
+    for n < 3000) and moves the row's sum by O(e**2).
+
+    One slot: a sweep of tail queries at one (n, p) builds the table once,
+    and the last table queried stays in memory until another (n, p)
+    replaces it.
     """
+    offset = np.arange(n + 1, dtype=float) - n * p
+    q, e = two_sum(1.0, -p)
     mass = _row_mass(n, p)
-    dist = np.abs(np.arange(n + 1, dtype=float) - n * p)
-    mass.flags.writeable = dist.flags.writeable = False
-    return mass, dist
+    if e:
+        mass *= 1.0 - offset * (e / q)
+    dist = np.abs(offset)
+    order = np.argsort(dist, kind="stable")
+    dist = dist[order]
+    tails = suffix_sums(mass[order])
+    tails.flags.writeable = dist.flags.writeable = False
+    return tails, dist
 
 
 def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | np.ndarray:
@@ -276,17 +308,26 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
     ``radius`` may be an array of radii; the result is then an array of the
     same shape whose entries equal the scalar calls bit for bit.  A
     negative or NaN radius is rejected.
+
+    The first query at an (n, p) builds its tail table in O(n) (see
+    _tail_row); each radius then costs one O(log n) search of it and one
+    lookup.  A tail is a compensated sum of the row's masses, so its error
+    is about theirs: within 6e-15 relative of the exact tail for n < 3000,
+    wherever that is a normal double.
     """
+    if type(radius) is float:  # sweeps make many scalar calls: no array round trip
+        if not radius >= 0.0:  # a NaN fails it too
+            raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
+        tails, dist = _tail_row(params.n, params.p)
+        j = dist.searchsorted(radius)
+        return float(tails[j]) if j <= params.n else 0.0
     radii = np.asarray(radius, dtype=float)
-    # sweeps make many scalar calls: skip the array reduction for them;
-    # a NaN fails radius >= 0
-    if not ((radius >= 0) if radii.ndim == 0 else (radii >= 0).all()):
+    if not (radii >= 0.0).all():
         raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
-    mass, dist = _tail_row(params.n, params.p)
-    if radii.ndim == 0:
-        return float(mass[dist >= radii].sum())
-    tails = [mass[dist >= r].sum() for r in radii.flat]
-    return np.array(tails, dtype=float).reshape(radii.shape)
+    tails, dist = _tail_row(params.n, params.p)
+    j = dist.searchsorted(radii)
+    out = np.where(j <= params.n, tails[np.minimum(j, params.n)], 0.0)
+    return float(out) if radii.ndim == 0 else out
 
 
 def chernoff_bound(params: PMFParams, alpha: float) -> float:

@@ -47,6 +47,31 @@ def pmf_row_exact_doubles(n, p_float):
     return out
 
 
+def tails_exact(n, p_float, radii):
+    """Mass of {i : |i - n p| >= r} for each radius r, exactly: integer
+    numerators over one common denominator, returned as (numerators, den).
+
+    p is taken at its exact binary value u / d.  The index set of a radius
+    is the one its distances select in double (float i minus the double
+    n * p), which is how tail_mass_outside defines it; the masses summed
+    over it are exact: the integer terms C(n,i) u**i v**(n-i) (v = d - u),
+    walked by the exact ratio (n-i) u / ((i+1) v), over d**n.
+    """
+    u, d = p_float.as_integer_ratio()
+    v = d - u
+    term, prefix = v**n, [0]
+    for i in range(n + 1):
+        prefix.append(prefix[-1] + term)
+        term = term * ((n - i) * u) // ((i + 1) * v)
+    dist = np.abs(np.arange(n + 1, dtype=float) - n * p_float)
+    numerators = []
+    for r in radii:
+        # runs of selected indices: edges where the selection switches
+        edges = np.flatnonzero(np.diff(np.concatenate([[False], dist >= r, [False]])))
+        numerators.append(sum(prefix[b] - prefix[a] for a, b in zip(edges[::2], edges[1::2])))
+    return numerators, d**n
+
+
 def sparse_binomial_exact(indices, values, n, p_float):
     """sum_{i in indices, i <= n} B(n,i,p) * values[i] as an exact Fraction,
     p and the values at their exact binary values.

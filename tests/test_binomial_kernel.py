@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from summakit import (
     tail_mass_outside,
 )
 
+from summakit import binomial_kernel
 from summakit.binomial_kernel import (
     _LOG_FACTORIALS,
     _STIRLING_FROM,
@@ -29,7 +31,7 @@ from summakit.binomial_kernel import (
     log_pmf_many,
 )
 
-from oracles import pmf_exact_double, pmf_row_exact_doubles
+from oracles import pmf_exact_double, pmf_row_exact_doubles, tails_exact
 
 P_GRID = [k / 10 for k in range(1, 10)]
 
@@ -354,9 +356,9 @@ class TestTailMass:
 
 
 def uncached_tail(n, p, radius):
-    mass = _row_mass(n, p)
-    dist = np.abs(np.arange(n + 1, dtype=float) - n * p)
-    return float(mass[dist >= radius].sum())
+    """tail_mass_outside from a table built afresh; the cache is left as it is."""
+    with mock.patch.object(binomial_kernel, "_tail_row", _tail_row.__wrapped__):
+        return tail_mass_outside(PMFParams(n, p), radius)
 
 
 class TestTailMassSweeps:
@@ -400,6 +402,94 @@ class TestTailMassSweeps:
         with pytest.raises(ValueError):
             dist[:] = 0.0
         assert tail_mass_outside(PMFParams(120, 0.35), 4.0) == uncached_tail(120, 0.35, 4.0)
+
+
+# the acceptance grid of the tail tests: radii 0, 0.25, criterion 4's
+# alpha sqrt(n) for alpha = 0.5, 1, ... below p sqrt(n), the far tail
+# n max(p, q) - 0.5 (the outermost index or two), and inf
+TAIL_NS = (0, 1, 2, 5, 17, 60, 300, 1000, 2999)
+TAIL_PS = (1 / 64, 0.1, 0.3, 0.5, 0.77, 61 / 64)
+# a masked pairwise sum over _row_mass's row is off by up to 7.49e-14 on
+# this grid, at n = 2999, p = 0.3 (the row's drift, see _tail_row); the
+# corrected table measured 5.6e-15 there
+TAIL_REL_BOUND = 7.5e-14
+
+
+def tail_radii(n, p):
+    alphas = np.arange(0.5, p * math.sqrt(n), 0.5)
+    far = [n * max(p, 1.0 - p) - 0.5] if n else []
+    return [0.0, 0.25, *(math.sqrt(n) * alphas).tolist(), *far, math.inf]
+
+
+class TestTailAccuracy:
+    def test_matches_exact_tails(self):
+        # relative error where the exact tail is a normal double; below
+        # 2**-1022 an absolute one of two subnormal units per index
+        worst = 0.0
+        for n in TAIL_NS:
+            for p in TAIL_PS:
+                radii = tail_radii(n, p)
+                got = tail_mass_outside(PMFParams(n, p), np.array(radii))
+                nums, den = tails_exact(n, p, radii)
+                for g, num in zip(got.tolist(), nums):
+                    a, b = g.as_integer_ratio()
+                    gap = abs(a * den - num * b)
+                    if num * 2**1022 >= den:
+                        worst = max(worst, gap / (num * b))
+                    else:
+                        assert gap / (den * b) <= (n + 1) * 2.0**-1073, (n, p, g)
+        assert worst <= TAIL_REL_BOUND
+
+    def test_edges_and_monotone(self):
+        for n in TAIL_NS:
+            for p in TAIL_PS:
+                params = PMFParams(n, p)
+                radii = sorted(tail_radii(n, p))
+                tails = [tail_mass_outside(params, r) for r in radii]
+                assert all(b <= a for a, b in zip(tails, tails[1:])), (n, p)
+                assert tail_mass_outside(params, math.inf) == 0.0
+                assert abs(tail_mass_outside(params, 0.0) - 1.0) <= 1e-12
+
+
+class TestTailInputs:
+    PARAMS = PMFParams(300, 0.3)
+
+    @pytest.mark.parametrize(
+        "radius, entry",
+        [(7, 7.0), (7.5, 7.5), (np.float64(7.5), 7.5), (np.array(7.5), 7.5), (-0.0, -0.0),
+         (np.float64(-0.0), 0.0), (0, 0.0)],
+    )
+    def test_scalar_kinds_match_array_entry(self, radius, entry):
+        got = tail_mass_outside(self.PARAMS, radius)
+        assert type(got) is float
+        row = tail_mass_outside(self.PARAMS, np.array([1.0, entry, 30.0]))
+        assert got == row[1] and math.copysign(1.0, got) == 1.0
+
+    # NaN of every kind and negative floats are in TestTailMass and
+    # TestTailMassSweeps
+    @pytest.mark.parametrize(
+        "radius", [-1, np.float64(-1e-300), np.array(-2.0), np.array([[0.5, 1.0], [3.0, -0.5]])]
+    )
+    def test_negative_radius_of_any_kind_rejected(self, radius):
+        with pytest.raises(ParameterDomainError):
+            tail_mass_outside(self.PARAMS, radius)
+
+    def test_sweep_builds_its_table_once(self):
+        _tail_row.cache_clear()
+        for alpha in np.arange(1, 41) * 0.25:
+            tail_mass_outside(PMFParams(2500, 0.37), math.sqrt(2500) * float(alpha))
+        info = _tail_row.cache_info()
+        assert info.misses == 1 and info.hits == 39
+
+    def test_table_is_two_read_only_doubles_per_index(self):
+        n = 777
+        tail_mass_outside(PMFParams(n, 0.61), 3.0)
+        for table in _tail_row(n, 0.61):
+            owner = table if table.base is None else table.base
+            assert table.dtype == np.float64 and owner.nbytes == 8 * (n + 1)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestChernoff:
