@@ -1,13 +1,15 @@
 """Numerically stable evaluation of the binomial probability mass function.
 
-Masses are computed in log space by one elementwise log-factorial formula,
-log_pmf_many, so trial counts up to 1e7 never overflow; log_pmf is its
-scalar form.  The log-factorials come from _log_factorial, numpy only: a
-table of correctly rounded log k! below 2048 and Stirling's series from
-there up, within 2 ulp of the exact value.  Full rows are built by a
-multiplicative recurrence from a unit seed at the mode and then
-normalised, which keeps relative accuracy in the far tails where a
-cumulative construction would not.
+Each mass computation is one routine, shared by every caller:
+
+* log_pmf_many: log masses by one elementwise formula, so trial counts up
+  to 1e7 never overflow (log_pmf is its scalar form), with log k! from
+  _log_factorial, numpy only: correctly rounded table entries below 2048,
+  Stirling's series above, within 2 ulp.
+* _unit_window: ratio products from a unit seed at the mode over a window
+  of one row or a column of rows, which keep relative accuracy in the far
+  tails, and a bound on the mass outside; _row_mass normalises them.
+* _certified: the 2**-53 test of a window's dropped mass.
 
 Tail masses outside a band around n p (tail_mass_outside) come from one
 cached table per row: O(n) to build, then O(log n) per radius.  Its tails
@@ -67,7 +69,10 @@ class PMFRow:
 
 def log_pmf(params: PMFParams, i: int) -> float:
     """Natural log of P[X = i], or -inf outside the support; equals the
-    log_pmf_many entry bit for bit."""
+    log_pmf_many entry bit for bit.  i must be integer-valued: an integer
+    float or a numpy integer is accepted, NaN and fractions are not."""
+    if not isinstance(i, (int, np.integer)) and not float(i).is_integer():
+        raise ParameterDomainError(f"index must be an integer, got {i!r}")
     if i < 0 or i > params.n:
         return -math.inf
     return float(log_pmf_many(params.n, params.p, i))
@@ -75,8 +80,6 @@ def log_pmf(params: PMFParams, i: int) -> float:
 
 def pmf(params: PMFParams, i: int) -> float:
     """P[X = i] for X ~ Binomial(n, p); exactly 0 for i outside [0, n]."""
-    if i < 0 or i > params.n:
-        return 0.0
     return math.exp(log_pmf(params, i))
 
 
@@ -132,32 +135,25 @@ def log_pmf_many(n, p: float, indices, *, _counts=None) -> np.ndarray:
     """log P[X = i] for each index i inside the support of row n.
 
     ``n`` is a trial count or an integer array broadcast against
-    ``indices``.  One elementwise expression, so an entry depends only on
-    its own (n, i): a scalar n and an array of equal n give the same bits.
-    Used by the sparse transform paths, where the nonzero sequence
-    positions must be weighted for many different n.
-
-    The sparse kernel's blocks pass one n per row and the private
-    ``_counts``: row r covers the next _counts[r] indices.  Its log n! is
-    then taken once and repeated, and every entry is the one an n of
-    np.repeat(n, _counts) gives, bit for bit.
+    ``indices``; with the private ``_counts`` (the sparse kernel's blocks)
+    it holds one n per row, and row r covers the next _counts[r] indices.
+    One elementwise expression, so an entry depends only on its own (n, i):
+    every layout of equal (n, i) gives the same bits.
     """
-    # n, i and n - i in one array: one _log_factorial pass keeps the fixed
-    # numpy cost of a short call low
-    if _counts is None:
-        x = np.empty((3,) + np.broadcast(n, indices).shape)
-        x[0], x[1] = n, indices
-        np.subtract(x[0:1], x[1:2], out=x[2:])
-        lf = _log_factorial(x)
-        head, terms, lf = lf[0], x[1:], lf[1:]
-    else:
-        k = len(indices)
-        x = np.empty(2 * k + len(n))
-        terms = x[: 2 * k].reshape(2, k)
-        terms[0], x[2 * k :] = indices, n
-        np.subtract(np.repeat(n, _counts), terms[0], out=terms[1])
-        lf = _log_factorial(x)
-        head, lf = np.repeat(lf[2 * k :], _counts), lf[: 2 * k].reshape(2, k)
+    n = np.asarray(n, dtype=float)
+    rows = n if _counts is None else np.repeat(n, _counts)
+    shape = np.broadcast(rows, indices).shape
+    k = math.prod(shape)
+    # i, n - i and n's own entries in one array: one _log_factorial pass
+    # keeps the fixed numpy cost of a short call low, and takes log n! once
+    x = np.empty(2 * k + n.size)
+    terms = x[: 2 * k].reshape((2,) + shape)
+    terms[0], x[2 * k :] = indices, n.ravel()
+    np.subtract(rows, terms[:1], out=terms[1:])
+    lf = _log_factorial(x)
+    head, lf = lf[2 * k :].reshape(n.shape), lf[: 2 * k].reshape(terms.shape)
+    if _counts is not None:
+        head = np.repeat(head, _counts)
     return head - lf[0] - lf[1] + terms[0] * math.log(p) + terms[1] * math.log1p(-p)
 
 
@@ -205,27 +201,51 @@ def _window_halfwidth(n, p: float):
     return np.ceil(9.0 * np.sqrt(n * p * (1.0 - p))) + 30.0
 
 
+def _unit_window(n, m, p: float, q: float, below: int, above: int):
+    """Ratio products of row n over m - below..m + above from 1.0 at its
+    mode m, and a bound on the mass outside them relative to that seed.
+
+    n and m are numbers, or 1-d float arrays for a column of rows (one row
+    of products each).  Products only shrink moving away from the peak, so
+    nothing overflows, and the ratio into index -1 or n + 1 is 0.  The
+    bound is, on each side that stops short of 0 or n, the edge product
+    times r / (1 - r), r the ratio one step further out (ratios only fall
+    moving outward).
+    """
+    rows = (len(n),) if isinstance(n, np.ndarray) else ()
+    col, mode = (n[:, None], m[:, None]) if rows else (n, m)
+    w = np.empty(rows + (below + above + 1,))
+    w[..., below] = 1.0
+    up = _ratio_up(col, mode + np.arange(1.0, above + 1.0), p, q)
+    np.cumprod(up, axis=-1, out=w[..., below + 1 :])
+    down = _ratio_down(col, mode - np.arange(float(below)), p, q)
+    np.cumprod(down, axis=-1, out=w[..., :below][..., ::-1])
+    # w.T[0] and w.T[-1] are each row's edge products.  Past 0 or n the
+    # ratios are <= 0, so a side that is not cut adds +-0.
+    lo, hi = m - below, m + above
+    r_lo, r_hi = _ratio_down(n, lo, p, q), _ratio_up(n, hi + 1.0, p, q)
+    dropped = w.T[0] * r_lo / (1.0 - r_lo) * (lo > 0)
+    dropped += w.T[-1] * r_hi / (1.0 - r_hi) * (hi < n)
+    return w, dropped
+
+
+def _certified(value, scale, dropped, peak):
+    """Whether dropped mass times peak, the largest |a_i| weighted, is at
+    most 2**-53 of the kept sum B |a_i|, scale, and value is finite."""
+    return (dropped * peak <= 2.0**-53 * scale) & np.isfinite(value)
+
+
 def _row_mass(
     n: int, p: float, q: float | None = None, *, lo: int = 0, hi: int | None = None
 ) -> np.ndarray:
     """Masses of row n at the indices lo..min(hi, n), lo >= 0; all n + 1 of
     them with the default bounds.  q defaults to 1.0 - p (see _ratio_up).
 
-    The multiplicative recurrence mass[i+1] = mass[i] * ratio(i+1) runs
-    outward from a unit seed at the mode m over the span [max(0, min(lo,
-    m - W)), min(n, max(hi, m + W))], W the window half-width, and one
-    division by the span's sum turns it into masses.  Products only shrink
-    moving away from the peak, so there is no overflow and tails keep
-    relative accuracy; the division also pins the sum against the
-    recurrence's ~n*eps drift.  The cost is O(span): O(n) with the default
-    bounds, whose span is the whole row (the code path and bits of a full
-    row), and O(sqrt(n) + hi - lo) for a slice near the mode.
-
-    A span that stops short of 0 or n is certified: the mass it drops,
-    bounded on each cut side by the mass at the edge times r / (1 - r), r
-    the ratio one step further out (ratios only fall moving away from the
-    mode), must be at most 2**-53 of the span's sum.  Otherwise the whole
-    row is built and sliced.
+    The _unit_window products over the span [max(0, min(lo, m - W)),
+    min(n, max(hi, m + W))], W the window half-width, divided by their sum,
+    which also pins it against the recurrence's ~n*eps drift: O(n) for the
+    whole row, O(sqrt(n) + hi - lo) for a slice near the mode.  A span that
+    is not _certified is sliced from the whole row instead.
     """
     q = 1.0 - p if q is None else q
     hi = n if hi is None else hi
@@ -234,23 +254,9 @@ def _row_mass(
     if lo > 0 or hi < n:  # the default bounds span the whole row
         half = int(_window_halfwidth(n, p))
         start, stop = max(0, min(lo, m - half)), min(n, max(hi, m + half))
-    mass = np.empty(stop - start + 1)
-    mass[m - start] = 1.0
-    np.cumprod(
-        _ratio_up(n, np.arange(m + 1, stop + 1, dtype=float), p, q), out=mass[m - start + 1 :]
-    )
-    np.cumprod(
-        _ratio_down(n, np.arange(m, start, -1, dtype=float), p, q), out=mass[: m - start][::-1]
-    )
+    mass, dropped = _unit_window(n, m, p, q, m - start, stop - m)
     total = mass.sum()
-    dropped = 0.0
-    if start > 0:
-        r = _ratio_down(n, float(start), p, q)
-        dropped += mass[0] * r / (1.0 - r)
-    if stop < n:
-        r = _ratio_up(n, stop + 1.0, p, q)
-        dropped += mass[-1] * r / (1.0 - r)
-    if not dropped <= 2.0**-53 * total:
+    if not _certified(total, total, dropped, 1.0):
         return _row_mass(n, p, q)[lo : hi + 1]
     mass /= total
     return mass[lo - start : hi - start + 1]

@@ -49,9 +49,13 @@ def validate(matrix, row_tol: float = 1e-12) -> StochasticMatrix:
     """Validate and normalize a raw square matrix.
 
     Entries in [-row_tol, 0) are clamped to 0 and rows whose sums are within
-    row_tol of 1 are renormalized; anything worse is rejected with the
-    offending row named.
+    row_tol of 1 are renormalized; anything worse, and a row that sums to 0
+    once clamped, is rejected with the offending row named.  row_tol must
+    be non-negative.
     """
+    tol = float(row_tol)
+    if not tol >= 0.0:  # a NaN fails it too
+        raise MatrixValidationError(f"row_tol must be non-negative, got {tol!r}")
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise MatrixValidationError(f"expected a non-empty square matrix, got shape {M.shape}")
@@ -62,7 +66,7 @@ def validate(matrix, row_tol: float = 1e-12) -> StochasticMatrix:
     if bad.any():
         r = int(np.argmax(bad))
         raise MatrixValidationError(
-            f"row {r} has a negative entry {lows[r]!r} beyond tolerance {row_tol}"
+            f"row {r} has a negative entry {float(lows[r])!r} beyond tolerance {tol!r}"
         )
     M = np.clip(M, 0.0, None)
     sums = M.sum(axis=1)
@@ -70,8 +74,11 @@ def validate(matrix, row_tol: float = 1e-12) -> StochasticMatrix:
     if bad.any():
         r = int(np.argmax(bad))
         raise MatrixValidationError(
-            f"row {r} sums to {sums[r]!r}, off 1 by more than tolerance {row_tol}"
+            f"row {r} sums to {float(sums[r])!r}, off 1 by more than tolerance {tol!r}"
         )
+    if not sums.all():  # within a row_tol of 1 or more
+        r = int(np.argmin(sums))
+        raise MatrixValidationError(f"row {r} sums to 0 and cannot be normalized")
     return StochasticMatrix(M / sums[:, None], row_tol)
 
 
@@ -100,10 +107,13 @@ def limit_matrix(P: StochasticMatrix, tol: float = 1e-12, max_squarings: int = 6
     Squares (P+I)/2 until consecutive iterates differ by at most tol in the
     infinity norm.  Convergence of the underlying powers is guaranteed, so
     exhausting max_squarings signals a tolerance too tight for the chain's
-    conditioning; the raised error carries the last residual.
+    conditioning; the raised error carries the last residual.  tol must be
+    positive and max_squarings at least 1.
     """
-    if tol <= 0:
-        raise MatrixValidationError(f"tol must be positive, got {tol!r}")
+    if not tol > 0.0:  # a NaN fails it too
+        raise MatrixValidationError(f"tol must be positive, got {float(tol)!r}")
+    if max_squarings < 1:
+        raise MatrixValidationError(f"max_squarings must be at least 1, got {max_squarings!r}")
     M = lazy(P).matrix
     delta = np.inf
     for k in range(1, max_squarings + 1):

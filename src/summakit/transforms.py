@@ -10,26 +10,24 @@ tilt a_i = t**i b_i, 0 < |t| < 1 (geometric a**n with 0 < |a| < 1), goes
 through the dense kernel on s**i b_i (s = sign t) at the tilted p' = p|t| /
 (p|t| + q), times (p|t| + q)**n (_binomial_means_tilted).
 
+The masses come from binomial_kernel; this module only weights them.
 Both kernels weight a row only near its mode m, inside the window m +- W
-with W = ceil(9 sqrt(n p q)) + 30, and certify it: the mass a row drops,
-bounded by the mass at its outermost kept index times r / (1 - r), r the
-mass ratio one step further out (ratios only fall moving away from the
-mode), times the largest |a_i| for i <= n, must be at most 2**-53 of the
-row's kept sum_i B(n,i,p) |a_i|.  A row that fails, or comes out
+with W = ceil(9 sqrt(n p q)) + 30, and certify it (_certified): the mass a
+row drops, times the largest |a_i| for i <= n, must be at most 2**-53 of
+the row's kept sum_i B(n,i,p) |a_i|.  A row that fails, or comes out
 non-finite, is recomputed over every index <= n exactly as a whole sum.
 
 * Windowed (_windowed_means): the one loop over every dense row and the
-  support-dense sparse rows.  A row is weighted from unit-seeded ratio
+  support-dense sparse rows.  A row is weighted by its _unit_window
   products over m +- W', W' = W rounded up to a multiple of 16, a function
   of n alone, so a row gives the same bits in any batch.  Rows of one W' go
   in blocks over a zero-filled buffer spanning only their windows, never
   the whole prefix.  A bounded dense sequence, the support of every index,
   costs O(H sqrt(H)) instead of O(H^2).  The fallback of a dense row is
-  the full PMF row (_row_mass: the same unit-seeded products over the whole
-  row), O(n) each, taken by unbounded sequences such as (-3)**n and by
-  explicit vectors whose weighted mass sits far from n p, such as a**n
-  with |a| < 1 given term by term; declared tilts keep that mass in the
-  window.
+  the full PMF row (_row_mass), O(n) each, taken by unbounded sequences
+  such as (-3)**n and by explicit vectors whose weighted mass sits far
+  from n p, such as a**n with |a| < 1 given term by term; declared tilts
+  keep that mass in the window.
 * Sparse (_binomial_means_sparse): a row n >= 1 whose window m +- W holds
   support on at least 1/4 of its 2W + 1 indices goes to the windowed
   loop, whose ratio products cost 13-30 ns a mass against about 60 ns
@@ -46,16 +44,16 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
   the support indices in their window plus, on each side, the nearest
   support index outside it and every index up to where the mass has fallen
   a further 2**-64, so rows whose window holds no support still certify.
-  Masses come from log_pmf_many, one elementwise formula, so each term is
-  the one the whole-support fallback computes.  A lone row (every scalar
-  binomial_mean_at) is evaluated on scalars (_sparse_row); more rows go in
-  blocks of up to 2**11 rows and about 2**12 terms, which keeps peak memory
-  small; only these array calls pay the block arrays' fixed numpy cost (a
-  lone spikes query at n in [2e5, 2.1e6] takes 55-120 us on scalars, on a
-  fresh sequence too, since spike sequences share their chain, and 150-310
-  us through a block).  A block takes each row's log n! once.  A row costs
-  one mass per kept support index: a bounded number for spikes, O(sqrt(n))
-  inside an islet, so their prefixes cost O(H) and O(H sqrt(H)).
+  Both a lone row (every scalar binomial_mean_at, on scalars: _sparse_row)
+  and blocks of rows sum their terms with _log_weighted, from log_pmf_many
+  masses, so each term is the one the whole-support fallback computes.
+  Blocks hold up to 2**11 rows and about 2**12 terms, which keeps peak
+  memory small; only they pay the block arrays' fixed numpy cost (a lone
+  spikes query at n in [2e5, 2.1e6] takes 55-120 us on scalars, on a fresh
+  sequence too, since spike sequences share their chain, and 150-310 us
+  through a block).  A row costs one mass per kept support index: a
+  bounded number for spikes, O(sqrt(n)) inside an islet, so their prefixes
+  cost O(H) and O(H sqrt(H)).
 """
 
 from __future__ import annotations
@@ -68,10 +66,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .binomial_kernel import (
+    _certified,
     _mode,
     _ratio_down,
     _ratio_up,
     _row_mass,
+    _unit_window,
     _window_halfwidth,
     log_pmf_many,
 )
@@ -246,45 +246,24 @@ def cesaro_prefix(a: RealSequence, horizon: int) -> TransformedPrefix:
     return TransformedPrefix("cesaro", None, running_mean(seq))
 
 
-def _certified(value, scale, dropped, peak):
-    """Rows whose dropped mass times peak, the largest |a_i| for i <= n, is
-    at most 2**-53 of their kept sum B |a_i|, and whose value is finite."""
-    return (dropped * peak <= 2.0**-53 * scale) & np.isfinite(value)
-
-
 def _windowed_block(windows, offset, peak, p, q, ns, half):
     """Windowed means for the rows ns, with a mask of the rows it certifies.
 
     windows[j + offset[r]] holds row r's terms from index j on and peak[r]
-    is the largest |a_i| for i <= ns[r].  Each row runs the ratios of
-    _row_mass outward from a unit seed at the mode over offsets
-    -half..half and is renormalised by its window sum.  The ratio into
-    index -1 or n+1 is 0, so weights past the support vanish; terms below 0
+    is the largest |a_i| for i <= ns[r].  Each row weights its _unit_window
+    products over offsets -half..half, divided by their sum.  Terms below 0
     are the buffer's zeros and terms past n are zeroed, so a non-finite
     term beyond n cannot leak in.  A row depends only on its own n, half
-    and terms, not on the other rows of the block.
+    and terms.
     """
     n = ns.astype(float)
     m = _mode(n, p)
-    # i = m + k going up, i = m - k going down
-    col, mode = n[:, None], m[:, None]
-    k = np.arange(1.0, half + 1.0)
-    w = np.empty((len(ns), 2 * half + 1))
-    w[:, half] = 1.0
-    np.cumprod(_ratio_up(col, mode + k, p, q), axis=1, out=w[:, half + 1 :])
-    k -= 1.0
-    np.cumprod(_ratio_down(col, mode - k, p, q), axis=1, out=w[:, half - 1 :: -1])
-
+    w, dropped = _unit_window(n, m, p, q, half, half)
     terms = windows[(m - half).astype(np.int64) + offset, : 2 * half + 1]
     if (m + half > n).any():
-        terms[np.arange(-half, half + 1.0) > col - mode] = 0.0
+        terms[np.arange(-half, half + 1.0) > (n - m)[:, None]] = 0.0
     weighted = w * terms
     value = weighted.sum(axis=1) / w.sum(axis=1)
-
-    lo, hi = m - half, m + half
-    r_lo, r_hi = _ratio_down(n, lo, p, q), _ratio_up(n, hi + 1.0, p, q)
-    dropped = np.where(lo > 0.0, w[:, 0] * r_lo / (1.0 - r_lo), 0.0)
-    dropped += np.where(hi < n, w[:, -1] * r_hi / (1.0 - r_hi), 0.0)
     scale = np.abs(weighted, out=weighted).sum(axis=1)
     return value, _certified(value, scale, dropped, peak)
 
@@ -424,18 +403,15 @@ def _routed(n, half, in_window):
     return (n > 0) & (_ROUTE_SHARE * in_window >= 2.0 * half + 1.0)
 
 
-def _sparse_terms(idx, av, p, ns, first, count):
-    """Means and sums of |terms| of the rows ns, row r weighting the support
-    slice idx[first[r]:first[r] + count[r]] (every count >= 1), with the
-    masses and the offset of each row's first term among them."""
-    offsets = np.zeros(len(ns), dtype=np.int64)
-    np.cumsum(count[:-1], out=offsets[1:])
-    pos = np.arange(offsets[-1] + count[-1]) + np.repeat(first - offsets, count)
-    masses = np.exp(log_pmf_many(ns, p, idx[pos], _counts=count))
-    weighted = masses * av[pos]
+def _log_weighted(n, p, indices, values, offsets, counts=None):
+    """Pairwise sums of masses times values, and of their absolute values,
+    over the runs of terms starting at offsets, and the masses: exp of
+    log_pmf_many (counts is its _counts, one n per run)."""
+    masses = np.exp(log_pmf_many(n, p, indices, _counts=counts))
+    weighted = masses * values
     value = np.add.reduceat(weighted, offsets)
     scale = np.add.reduceat(np.abs(weighted, out=weighted), offsets)
-    return value, scale, masses, offsets
+    return value, scale, masses
 
 
 def _whole_support_mean(idx, av, p, n, k):
@@ -483,9 +459,11 @@ def _sparse_rows(idx, av, peak, p, ns):
     while start < len(rows):
         stop = np.searchsorted(ends, ends[start] - count[start] + _BLOCK_TERMS, "right")
         block = slice(start, max(stop, start + 1))
-        value, scale, masses, offsets = _sparse_terms(
-            idx, av, p, n[block], first[block], count[block]
-        )
+        # row r weights the support slice idx[first[r]:first[r] + count[r]]
+        c = count[block]
+        offsets = np.cumsum(c) - c
+        pos = np.arange(offsets[-1] + c[-1]) + np.repeat(first[block] - offsets, c)
+        value, scale, masses = _log_weighted(n[block], p, idx[pos], av[pos], offsets, c)
         dropped = masses[offsets + at_lo[block]] * tail_lo[block]
         dropped += masses[offsets + at_hi[block]] * tail_hi[block]
         certified = _certified(value, scale, dropped, peak[k[block] - 1])
@@ -524,10 +502,7 @@ def _sparse_row(idx, av, p, n: int) -> float:
         j_hi = idx[hi]
         t_hi, tail_hi = _sparse_extension(_ratio_up(x, j_hi + 1.0, p, q))
         stop = min(idx.searchsorted(j_hi + t_hi, side="right"), k)
-    masses = np.exp(log_pmf_many(x, p, idx[first:stop]))
-    weighted = masses * av[first:stop]
-    value = np.add.reduceat(weighted, [0])[0]
-    scale = np.add.reduceat(np.abs(weighted, out=weighted), [0])[0]
+    (value,), (scale,), masses = _log_weighted(x, p, idx[first:stop], av[first:stop], [0])
     # where j_lo and j_hi sit among the terms (any term where absent)
     dropped = masses[lo - 1 - first if lo > 0 else 0] * tail_lo
     dropped += masses[hi - first if hi < k else 0] * tail_hi

@@ -57,6 +57,22 @@ class TestPmf:
     def test_empty_product(self):
         assert pmf(PMFParams(0, 0.3), 0) == 1.0
 
+    @pytest.mark.parametrize("i", [2.5, -0.5, 10.5, math.nan, math.inf, np.float64(3.25)])
+    def test_non_integer_index_rejected(self, i):
+        # 2.5 used to give 0.3516, above the row's largest mass of 0.2461
+        params = PMFParams(10, 0.5)
+        for fn in (pmf, log_pmf):
+            with pytest.raises(ParameterDomainError, match="index must be an integer"):
+                fn(params, i)
+
+    def test_integer_valued_indices_accepted(self):
+        params = PMFParams(10, 0.5)
+        want = pmf(params, 2)
+        for i in (2.0, np.int64(2), np.uint8(2), np.float64(2.0)):
+            assert pmf(params, i) == want
+            assert log_pmf(params, i) == log_pmf(params, 2)
+        assert pmf(params, -1.0) == pmf(params, 11.0) == 0.0
+
     def test_small_exact(self):
         assert math.isclose(pmf(PMFParams(4, 0.5), 2), 0.375, rel_tol=1e-13)
 
@@ -522,6 +538,17 @@ class TestCenterRatio:
         assert 1.0 <= r <= math.e * (1.0 + 1e-9)
         r = center_ratio(PMFParams(10_000, 0.2), -30)
         assert r <= math.exp(900.0 / 1600.0) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("beta", [8.5, -3.5])
+    def test_non_integer_beta_rejected(self, beta):
+        # 8.5 used to give 0.00717, the ratio to a mass between two indices
+        with pytest.raises(ParameterDomainError, match="index must be an integer"):
+            center_ratio(PMFParams(400, 0.5), beta)
+
+    def test_integer_valued_beta_accepted(self):
+        params = PMFParams(400, 0.5)
+        want = center_ratio(params, 8)
+        assert center_ratio(params, 8.0) == center_ratio(params, np.int32(8)) == want
 
     def test_out_of_support_rejected(self):
         with pytest.raises(PreconditionError):

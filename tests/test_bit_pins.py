@@ -1,0 +1,88 @@
+"""SHA-256 pins of the mass kernels' bits.
+
+Other tests bound these values against exact rationals or allow a few eps
+between paths; the pins here hold every bit, so a change to how masses are
+built that moves any of them fails.  The digests were taken from the
+kernels as they stood before their ratio products, certificate, log masses
+and log-space weighted sums each became one routine.
+"""
+
+import hashlib
+
+import numpy as np
+
+from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pmf_many
+from summakit.sequences import GeneratorSpec, sequence_from_spec
+from summakit.transforms import binomial_mean_at, binomial_prefix
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def slice_grid():
+    """(n, p, lo, hi) row slices: mode 0, mode n, spans cut on one side and
+    on both, slices reaching past the window and past the row."""
+    out = []
+    for n, p in [
+        (50, 0.01),  # n p < 1: the mode is 0
+        (300, 0.999),  # the mode is n
+        (5000, 0.002),  # mode 10: the span reaches 0, cut above
+        (5000, 0.998),  # the span reaches n, cut below
+        (40_000, 0.3),  # cut on both sides
+        (200_000, 0.5),
+        (1_000_000, 0.07),
+    ]:
+        m = int(_mode(n, p))
+        w = int(_window_halfwidth(n, p))
+        for lo, hi in [(m, m), (max(0, m - 5), m + 5), (max(0, m - 2 * w), m + 2 * w),
+                       (max(0, m - w // 2), n + 10), (0, min(n, m + 3))]:
+            out.append((n, p, lo, hi))
+    return out
+
+
+def test_row_slices_pinned():
+    got = digest(_row_mass(n, p, lo=lo, hi=hi) for n, p, lo, hi in slice_grid())
+    assert got == "c1117207c58ef1e3a66f39577ce01383ea72ed87c79c1d5c691ff94c403b4488"
+
+
+def test_tilted_prefixes_pinned():
+    arrays = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in (0.5, -0.7, 0.999):
+            seq = sequence_from_spec(GeneratorSpec("geometric", a=a))
+            for p in (0.3, 0.97):
+                arrays.append(binomial_prefix(seq, p, 3000).values)
+    assert digest(arrays) == "71fac401fa1ad4818949e91c0e61cfddb6388b16b90f5aebc70dbbf44711fecd"
+
+
+def test_routed_islets_prefix_pinned():
+    seq = sequence_from_spec(GeneratorSpec("islets"))
+    got = digest([binomial_prefix(seq, 0.5, 5000).values])
+    assert got == "f3b9d9dfad32a8b75633a60c020e1e3348a3b1cc3ca155997675616256a91c49"
+
+
+def test_lone_spike_means_pinned():
+    seq = sequence_from_spec(GeneratorSpec("spikes", C=1.0))
+    ns = np.linspace(2e5, 2.1e6, 40).astype(np.int64)
+    values = [binomial_mean_at(seq, 0.4, int(n)) for n in ns]
+    assert digest([values]) == "c84c74f04f1cc215a2fc439835be6d262fbeb4ce47efb363fc67282cec1f12a4"
+
+
+def test_log_pmf_many_layouts_pinned():
+    rng = np.random.default_rng(18)
+    ns = np.concatenate([rng.integers(0, 2048, 20), rng.integers(2048, 3_000_000, 20)])
+    counts = rng.integers(1, 12, ns.size)
+    flat = np.repeat(ns, counts)
+    indices = (rng.random(flat.size) * (flat + 1)).astype(np.int64)
+    arrays = []
+    for p in (1e-6, 0.3, 1 - 1e-6):
+        arrays.append(log_pmf_many(1_234_567, p, np.arange(0, 1_234_568, 997)))
+        arrays.append(log_pmf_many(700, p, np.arange(701)))
+        arrays.append(log_pmf_many(flat, p, indices))
+        arrays.append(log_pmf_many((ns + 4)[:, None], p, np.arange(5)))
+        arrays.append(log_pmf_many(ns, p, indices, _counts=counts))
+    assert digest(arrays) == "6daeadf9bf6f1b2f4fcf4effe2cce7c72b252aa574813cca36e1d40ba48d925f"

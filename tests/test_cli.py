@@ -276,6 +276,25 @@ class TestMarkovLimitCommand:
         assert err.startswith("summakit: error: ") and "is not UTF-8 text" in err
         assert str(path) in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "rows,option,value,message",
+        [
+            ("5,5\n-3,1\n", "--row-tol", "nan", "row_tol must be non-negative, got nan"),
+            (".5,.5\n.2,.8\n", "--row-tol", "-1", "row_tol must be non-negative, got -1.0"),
+            ("0,0\n.5,.5\n", "--row-tol", "1", "row 0 sums to 0 and cannot be normalized"),
+            (".5,.5\n.2,.8\n", "--tol", "nan", "tol must be positive, got nan"),
+            (".5,.5\n.2,.8\n", "--max-squarings", "0", "max_squarings must be at least 1, got 0"),
+        ],
+        ids=["nan-row-tol", "negative-row-tol", "zero-row", "nan-tol", "no-squarings"],
+    )
+    def test_bad_options_exit_2(self, capsys, tmp_path, rows, option, value, message):
+        path = tmp_path / "m.csv"
+        path.write_text(rows)
+        code, out, err = run_cli(capsys, "markov-limit", str(path), option, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"summakit: error: {message}\n"
+
     def test_non_convergence_exit_3(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.9999,0.0001\n0.0001,0.9999\n")

@@ -61,6 +61,30 @@ class TestValidate:
         with pytest.raises(MatrixValidationError):
             validate([[np.inf, 0.0], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("row_tol", [np.nan, -1.0, -1e-300])
+    def test_bad_row_tol_rejected(self, row_tol):
+        # a NaN row_tol used to accept any row, a negative one to name a
+        # non-negative entry as negative
+        with pytest.raises(MatrixValidationError, match="row_tol must be non-negative"):
+            validate([[5.0, 5.0], [-3.0, 1.0]], row_tol=row_tol)
+        with pytest.raises(MatrixValidationError, match="row_tol must be non-negative"):
+            validate([[0.5, 0.5], [0.2, 0.8]], row_tol=row_tol)
+
+    def test_zero_row_rejected(self):
+        # within a row_tol of 1, a zero row would be divided by its sum
+        with pytest.raises(MatrixValidationError, match="row 0 sums to 0"):
+            validate([[0.0, 0.0], [0.5, 0.5]], row_tol=1.0)
+        with pytest.raises(MatrixValidationError, match="row 1 sums to 0"):
+            validate([[0.5, 0.5], [-0.5, 0.0]], row_tol=2.0)
+
+    def test_messages_print_plain_floats(self):
+        with pytest.raises(MatrixValidationError) as err:
+            validate(np.array([[1.2, -0.2], [0.0, 1.0]]), row_tol=np.float64(1e-3))
+        assert str(err.value) == "row 0 has a negative entry -0.2 beyond tolerance 0.001"
+        with pytest.raises(MatrixValidationError) as err:
+            validate(np.array([[0.5, 0.5], [0.9, 0.3]]))
+        assert str(err.value) == "row 1 sums to 1.2, off 1 by more than tolerance 1e-12"
+
 
 class TestLazy:
     def test_identity_fixed(self):
@@ -125,6 +149,19 @@ class TestLimitMatrix:
     def test_bad_tol_rejected(self):
         with pytest.raises(MatrixValidationError):
             limit_matrix(validate(np.eye(2)), tol=0.0)
+
+    def test_nan_tol_rejected(self):
+        # a NaN tol never stops the squarings
+        with pytest.raises(MatrixValidationError, match="tol must be positive, got nan"):
+            limit_matrix(validate(np.eye(2)), tol=np.float64(np.nan))
+
+    @pytest.mark.parametrize("max_squarings", [0, -3])
+    def test_no_squarings_rejected(self, max_squarings):
+        with pytest.raises(MatrixValidationError, match="max_squarings must be at least 1"):
+            limit_matrix(validate(np.eye(2)), max_squarings=max_squarings)
+
+    def test_one_squaring_allowed(self):
+        assert limit_matrix(validate(np.eye(2)), max_squarings=1).iterations == 1
 
 
 class TestCesaroMatrix:
