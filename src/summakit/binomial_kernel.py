@@ -168,20 +168,15 @@ def _mode(n, p: float):
     return m - (m == x)
 
 
-def _ratio_up(n, i, p: float, q: float):
+def _ratio_up(n, i, p: float):
     """mass[i] / mass[i-1] of row n; 0 at i = n + 1.  n + 1 - i and i are
-    exact integer floats, so one (n, i) gives one double for every caller.
-
-    q is 1 - p, passed apart so that a p near 1 known with more accuracy
-    than its double (the tilted p of transforms) keeps an accurate q;
-    everywhere else it is the double 1.0 - p.
-    """
-    return (n + 1.0 - i) * p / (i * q)
+    exact integer floats, so one (n, i) gives one double for every caller."""
+    return (n + 1.0 - i) * p / (i * (1.0 - p))
 
 
-def _ratio_down(n, i, p: float, q: float):
-    """mass[i-1] / mass[i] of row n; 0 at i = 0 (q as in _ratio_up)."""
-    return i * q / ((n + 1.0 - i) * p)
+def _ratio_down(n, i, p: float):
+    """mass[i-1] / mass[i] of row n; 0 at i = 0."""
+    return i * (1.0 - p) / ((n + 1.0 - i) * p)
 
 
 def mode_index(params: PMFParams) -> int:
@@ -201,7 +196,7 @@ def _window_halfwidth(n, p: float):
     return np.ceil(9.0 * np.sqrt(n * p * (1.0 - p))) + 30.0
 
 
-def _unit_window(n, m, p: float, q: float, below: int, above: int):
+def _unit_window(n, m, p: float, below: int, above: int):
     """Ratio products of row n over m - below..m + above from 1.0 at its
     mode m, and a bound on the mass outside them relative to that seed.
 
@@ -216,14 +211,14 @@ def _unit_window(n, m, p: float, q: float, below: int, above: int):
     col, mode = (n[:, None], m[:, None]) if rows else (n, m)
     w = np.empty(rows + (below + above + 1,))
     w[..., below] = 1.0
-    up = _ratio_up(col, mode + np.arange(1.0, above + 1.0), p, q)
+    up = _ratio_up(col, mode + np.arange(1.0, above + 1.0), p)
     np.cumprod(up, axis=-1, out=w[..., below + 1 :])
-    down = _ratio_down(col, mode - np.arange(float(below)), p, q)
+    down = _ratio_down(col, mode - np.arange(float(below)), p)
     np.cumprod(down, axis=-1, out=w[..., :below][..., ::-1])
     # w.T[0] and w.T[-1] are each row's edge products.  Past 0 or n the
     # ratios are <= 0, so a side that is not cut adds +-0.
     lo, hi = m - below, m + above
-    r_lo, r_hi = _ratio_down(n, lo, p, q), _ratio_up(n, hi + 1.0, p, q)
+    r_lo, r_hi = _ratio_down(n, lo, p), _ratio_up(n, hi + 1.0, p)
     dropped = w.T[0] * r_lo / (1.0 - r_lo) * (lo > 0)
     dropped += w.T[-1] * r_hi / (1.0 - r_hi) * (hi < n)
     return w, dropped
@@ -235,11 +230,9 @@ def _certified(value, scale, dropped, peak):
     return (dropped * peak <= 2.0**-53 * scale) & np.isfinite(value)
 
 
-def _row_mass(
-    n: int, p: float, q: float | None = None, *, lo: int = 0, hi: int | None = None
-) -> np.ndarray:
+def _row_mass(n: int, p: float, *, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Masses of row n at the indices lo..min(hi, n), lo >= 0; all n + 1 of
-    them with the default bounds.  q defaults to 1.0 - p (see _ratio_up).
+    them with the default bounds.
 
     The _unit_window products over the span [max(0, min(lo, m - W)),
     min(n, max(hi, m + W))], W the window half-width, divided by their sum,
@@ -247,17 +240,16 @@ def _row_mass(
     whole row, O(sqrt(n) + hi - lo) for a slice near the mode.  A span that
     is not _certified is sliced from the whole row instead.
     """
-    q = 1.0 - p if q is None else q
     hi = n if hi is None else hi
     m = int(_mode(n, p))
     start, stop = 0, n
     if lo > 0 or hi < n:  # the default bounds span the whole row
         half = int(_window_halfwidth(n, p))
         start, stop = max(0, min(lo, m - half)), min(n, max(hi, m + half))
-    mass, dropped = _unit_window(n, m, p, q, m - start, stop - m)
+    mass, dropped = _unit_window(n, m, p, m - start, stop - m)
     total = mass.sum()
     if not _certified(total, total, dropped, 1.0):
-        return _row_mass(n, p, q)[lo : hi + 1]
+        return _row_mass(n, p)[lo : hi + 1]
     mass /= total
     return mass[lo - start : hi - start + 1]
 
@@ -357,8 +349,11 @@ def center_ratio(params: PMFParams, beta: int) -> float:
     For n >= 100 and 8 <= |beta| <= sqrt(n) the result stays below
     exp(beta**2 / (p (1-p) n)) up to rounding; for smaller |beta| the ratio
     is still computed but no bound is promised (integer floor effects can
-    push it past that expression).
+    push it past that expression).  beta must be integer-valued, as the
+    index of log_pmf.
     """
+    if not isinstance(beta, (int, np.integer)) and not float(beta).is_integer():
+        raise ParameterDomainError(f"beta: index must be an integer, got {beta!r}")
     n, p = params.n, params.p
     m = math.floor(n * p)
     j = m - beta

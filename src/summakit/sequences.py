@@ -186,15 +186,7 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
             name=spec.label,
         )
     if f == "geometric":
-        a = float(spec.a)
-
-        def prefix(h):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.power(a, np.arange(h + 1, dtype=float))
-
-        # a**i = t**i * b_i with t = a, b = 1: a decaying ratio declares its tilt
-        tilt = (a, lambda h: np.ones(h + 1)) if 0.0 < abs(a) < 1.0 else None
-        return RealSequence.from_function(prefix, nonneg=a >= 0, name=spec.label, tilt=tilt)
+        return RealSequence.geometric(spec.a, name=spec.label)
     if f == "signed_linear":
 
         def prefix(h):

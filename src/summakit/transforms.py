@@ -5,10 +5,8 @@ A transform prefix of horizon H is the vector of transform values at indices
 0..H.  Every p-binomial mean sum_i B(n,i,p) a_i, a prefix or point queries,
 goes through one dispatch, _binomial_means: it reads the sequence once up to
 the largest n and makes one call to one of two kernels, chosen by whether
-the sequence declares a sparse support.  A dense sequence that declares a
-tilt a_i = t**i b_i, 0 < |t| < 1 (geometric a**n with 0 < |a| < 1), goes
-through the dense kernel on s**i b_i (s = sign t) at the tilted p' = p|t| /
-(p|t| + q), times (p|t| + q)**n (_binomial_means_tilted).
+the sequence declares a sparse support.  A geometric sequence a**n takes
+its closed form (q + p a)**n instead (_geometric_means).
 
 The masses come from binomial_kernel; this module only weights them.
 Both kernels weight a row only near its mode m, inside the window m +- W
@@ -25,9 +23,8 @@ non-finite, is recomputed over every index <= n exactly as a whole sum.
   the whole prefix.  A bounded dense sequence, the support of every index,
   costs O(H sqrt(H)) instead of O(H^2).  The fallback of a dense row is
   the full PMF row (_row_mass), O(n) each, taken by unbounded sequences
-  such as (-3)**n and by explicit vectors whose weighted mass sits far
-  from n p, such as a**n with |a| < 1 given term by term; declared tilts
-  keep that mass in the window.
+  and by explicit vectors whose weighted mass sits far from n p, such as
+  a**n with |a| < 1 given term by term.
 * Sparse (_binomial_means_sparse): a row n >= 1 whose window m +- W holds
   support on at least 1/4 of its 2W + 1 indices goes to the windowed
   loop, whose ratio products cost 13-30 ns a mass against about 60 ns
@@ -111,11 +108,10 @@ class RealSequence:
 
     ``prefix(h)`` returns terms 0..h as a vector; an optional ``support(h)``
     returns the sorted indices of the nonzero terms up to h with their
-    values, and marks the sequence sparse.  An optional tilt ``(t, b)``, a
-    ratio 0 < |t| < 1 and the prefix rule of a sequence b with a_i = t**i
-    b_i, marks it tilted: binomial means then weight b at a shifted p
-    (see _binomial_means_tilted).  An explicit vector is a prefix rule that
-    raises HorizonError past its end.  The ``nonneg`` flag is a claim that
+    values, and marks the sequence sparse.  A geometric sequence (see
+    geometric) carries its ratio, from which its binomial means have a
+    closed form.  An explicit vector is a prefix rule that raises
+    HorizonError past its end.  The ``nonneg`` flag is a claim that
     every term is >= 0, checked lazily on what the prefix and support rules
     return.
     """
@@ -124,13 +120,7 @@ class RealSequence:
     nonneg: bool = False
     _prefix: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
     _support: Optional[Callable[[int], tuple]] = field(default=None, repr=False)
-    _tilt: Optional[tuple] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._tilt is not None and not 0.0 < abs(self._tilt[0]) < 1.0:
-            raise ParameterDomainError(
-                f"a tilt ratio must satisfy 0 < |t| < 1, got {self._tilt[0]!r}"
-            )
+    _ratio: Optional[float] = field(default=None, repr=False)
 
     @classmethod
     def from_values(cls, values, nonneg=False, name="explicit"):
@@ -148,18 +138,27 @@ class RealSequence:
         return cls(name=name, nonneg=nonneg, _prefix=prefix)
 
     @classmethod
-    def from_function(cls, prefix, support=None, nonneg=False, name="rule", tilt=None):
-        return cls(name=name, nonneg=nonneg, _prefix=prefix, _support=support, _tilt=tilt)
+    def from_function(cls, prefix, support=None, nonneg=False, name="rule"):
+        return cls(name=name, nonneg=nonneg, _prefix=prefix, _support=support)
+
+    @classmethod
+    def geometric(cls, a, name="geometric"):
+        """The sequence a**n for a finite ratio a (0**0 = 1); its binomial
+        means are (q + p a)**n (see _geometric_means)."""
+        a = float(a)
+        if not math.isfinite(a):
+            raise ParameterDomainError(f"a geometric ratio must be finite, got {a!r}")
+
+        def prefix(h):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.power(a, np.arange(h + 1, dtype=float))
+
+        return cls(name=name, nonneg=a >= 0, _prefix=prefix, _ratio=a)
 
     @property
     def sparse(self) -> bool:
         """True when the sequence declares its nonzero support."""
         return self._support is not None
-
-    @property
-    def tilted(self) -> bool:
-        """True when the sequence declares a tilt a_i = t**i b_i."""
-        return self._tilt is not None
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
         if self.nonneg and (values < 0).any():
@@ -179,13 +178,6 @@ class RealSequence:
             raise ParameterDomainError(f"sequence {self.name!r} declares no support set")
         idx, vals = self._support(horizon)
         return np.asarray(idx, dtype=np.int64), self._checked(np.asarray(vals, dtype=float))
-
-    def tilt(self, horizon: int):
-        """The tilt ratio t with terms 0..horizon of b, a_i = t**i b_i."""
-        if not self.tilted:
-            raise ParameterDomainError(f"sequence {self.name!r} declares no tilt")
-        t, b = self._tilt
-        return float(t), np.asarray(b(horizon), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -246,7 +238,7 @@ def cesaro_prefix(a: RealSequence, horizon: int) -> TransformedPrefix:
     return TransformedPrefix("cesaro", None, running_mean(seq))
 
 
-def _windowed_block(windows, offset, peak, p, q, ns, half):
+def _windowed_block(windows, offset, peak, p, ns, half):
     """Windowed means for the rows ns, with a mask of the rows it certifies.
 
     windows[j + offset[r]] holds row r's terms from index j on and peak[r]
@@ -258,7 +250,7 @@ def _windowed_block(windows, offset, peak, p, q, ns, half):
     """
     n = ns.astype(float)
     m = _mode(n, p)
-    w, dropped = _unit_window(n, m, p, q, half, half)
+    w, dropped = _unit_window(n, m, p, half, half)
     terms = windows[(m - half).astype(np.int64) + offset, : 2 * half + 1]
     if (m + half > n).any():
         terms[np.arange(-half, half + 1.0) > (n - m)[:, None]] = 0.0
@@ -303,17 +295,16 @@ def _support_windows(idx, av, lo, hi):
     return sliding_window_view(buffer, width), (base - run_lo)[np.cumsum(new) - 1]
 
 
-def _windowed_means(idx, av, peak, p, ns, q=None):
+def _windowed_means(idx, av, peak, p, ns):
     """_windowed_block means of the rows ns (every n >= 1, any order) of
     the sequence that is av at the sorted indices idx and 0 elsewhere, with
     a mask of the rows it certifies; peak[r] is the largest |a_i| for
-    i <= ns[r] and q is as in _binomial_means_dense.
+    i <= ns[r].
 
     A row's half-width is its W rounded up to a multiple of _HALF_STEP, so
     it depends on n alone.  Rows go in ascending n, in blocks of one
     half-width and fewer than _WINDOWED_MASSES masses.
     """
-    q = 1.0 - p if q is None else q
     value, certified = np.empty(len(ns)), np.empty(len(ns), dtype=bool)
     order = np.argsort(ns, kind="stable")
     rows = ns[order]
@@ -327,7 +318,7 @@ def _windowed_means(idx, av, peak, p, ns, q=None):
         stop = min(stop, halves.searchsorted(half, side="right"))
         block = order[start:stop]
         value[block], certified[block] = _windowed_block(
-            windows, offset[start:stop], peak[block], p, q, rows[start:stop], half
+            windows, offset[start:stop], peak[block], p, rows[start:stop], half
         )
         start = stop
     return value, certified
@@ -344,10 +335,9 @@ def _first_nan_row(seq: np.ndarray) -> int:
     return min(first(np.isnan(seq)), max(first(seq == np.inf), first(seq == -np.inf)))
 
 
-def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray, q=None) -> np.ndarray:
+def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarray:
     """sum_i B(n,i,p) * seq[i] for each n of the array ns (0 <= n < len(seq),
-    any order, repeats allowed); q is 1 - p, by default the double 1.0 - p
-    (see binomial_kernel._ratio_up).
+    any order, repeats allowed).
 
     Rows n >= 1 go through _windowed_means, seq being a support of every
     index; rows it cannot certify are the full _row_mass row dotted with
@@ -363,9 +353,9 @@ def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray, q=None) -> 
     n = ns[rows]
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.maximum.accumulate(np.abs(seq))
-        value, certified = _windowed_means(np.arange(len(seq)), seq, peak[n], p, n, q)
+        value, certified = _windowed_means(np.arange(len(seq)), seq, peak[n], p, n)
         for r in np.flatnonzero(~certified):
-            value[r] = _row_mass(int(n[r]), p, q) @ seq[: n[r] + 1]
+            value[r] = _row_mass(int(n[r]), p) @ seq[: n[r] + 1]
     out[rows] = value
     return out
 
@@ -444,9 +434,8 @@ def _sparse_rows(idx, av, peak, p, ns):
     left, right = lo > 0, hi < k
     j_lo = idx[np.maximum(lo - 1, 0)].astype(float)
     j_hi = idx[np.minimum(hi, k - 1)].astype(float)
-    q = 1.0 - p
-    t_lo, tail_lo = _sparse_extension(np.where(left, _ratio_down(n, j_lo, p, q), 0.0))
-    t_hi, tail_hi = _sparse_extension(np.where(right, _ratio_up(n, j_hi + 1.0, p, q), 0.0))
+    t_lo, tail_lo = _sparse_extension(np.where(left, _ratio_down(n, j_lo, p), 0.0))
+    t_hi, tail_hi = _sparse_extension(np.where(right, _ratio_up(n, j_hi + 1.0, p), 0.0))
     first = np.where(left, np.searchsorted(idx, j_lo.astype(np.int64) - t_lo), lo)
     last = np.searchsorted(idx, j_hi.astype(np.int64) + t_hi, side="right")
     count = np.where(right, np.minimum(last, k), hi) - first
@@ -492,15 +481,14 @@ def _sparse_row(idx, av, p, n: int) -> float:
             return value[0]
     # the kept slice idx[first:stop]: the window, extended past the nearest
     # support index outside it on each side, if any
-    q = 1.0 - p
     first, stop, tail_lo, tail_hi = lo, hi, 0.0, 0.0
     if lo > 0:
         j_lo = idx[lo - 1]
-        t_lo, tail_lo = _sparse_extension(_ratio_down(x, float(j_lo), p, q))
+        t_lo, tail_lo = _sparse_extension(_ratio_down(x, float(j_lo), p))
         first = idx.searchsorted(j_lo - t_lo, side="left")
     if hi < k:
         j_hi = idx[hi]
-        t_hi, tail_hi = _sparse_extension(_ratio_up(x, j_hi + 1.0, p, q))
+        t_hi, tail_hi = _sparse_extension(_ratio_up(x, j_hi + 1.0, p))
         stop = min(idx.searchsorted(j_hi + t_hi, side="right"), k)
     (value,), (scale,), masses = _log_weighted(x, p, idx[first:stop], av[first:stop], [0])
     # where j_lo and j_hi sit among the terms (any term where absent)
@@ -534,41 +522,37 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     return out
 
 
-def _binomial_means_tilted(t: float, b: np.ndarray, p: float, ns: np.ndarray):
-    """sum_i B(n,i,p) * t**i * b[i] for each n of ns, 0 < |t| < 1, by the
-    tilt identity of the Euler mean E_p (Hardy, Divergent Series, ch. 8):
+def _geometric_means(a: float, p: float, ns: np.ndarray) -> np.ndarray:
+    """sum_i B(n,i,p) * a**i = (q + p a)**n for each n of ns: the Euler mean
+    of a geometric sequence (Hardy, Divergent Series, ch. 8).
 
-        sum_i B(n,i,p) t**i b_i = (p|t| + q)**n * sum_i B(n,i,p') s**i b_i,
-
-    p' = p|t| / (p|t| + q), s = sign(t).  The right-hand sum is the dense
-    kernel at p' on s**i b_i, whose windows sit at the tilted mode n p',
-    where the weighted mass of a**n lies.  It gets q' = q / (p|t| + q)
-    computed apart: 1.0 - p' would lose q' to the rounding of p' when p'
-    is near 1, and (1 - 2p')**n, the alternating sum, is sensitive to it.
-    The factor is power_dd of the base p|t| + q = 1 - p(1 - |t|) held as a
-    double-double (a rounded base would carry its rounding n-fold into the
-    factor).  None when p|t| underflows, as p' then does.
+    The base q + p a = 1 - p + p a is held as a double-double (a rounded
+    base would carry its rounding n-fold into the power), and power_dd
+    raises |base|, mantissa and exponent apart, so nothing overflows or
+    underflows before the one rounding of m_hi + m_lo and the final ldexp.
+    Odd powers of a negative base are negated; a base of exactly 0 (p =
+    1/(1 - a)) gives 1 at n = 0 and 0 after.
     """
-    # q = 1 - p and p|t| are exact as sums of two doubles, their sum within
-    # about 2**-106 relative
+    # 1 - p and p a are exact as sums of two doubles, their sum within
+    # about 2**-106 relative unless it cancels.  A ratio |a| >= 1 enters
+    # the product scaled into [1/2, 1) by a power of two, exactly, so that
+    # two_product's split cannot overflow.
+    k = max(math.frexp(a)[1], 0)
+    pa_hi, pa_lo = two_product(p, math.ldexp(a, -k))
+    pa_hi, pa_lo = math.ldexp(pa_hi, k), math.ldexp(pa_lo, k)
     q_hi, q_lo = two_sum(1.0, -p)
-    pt_hi, pt_lo = two_product(p, abs(t))
-    base_hi, base_lo = two_sum(q_hi, pt_hi)
-    base_hi, base_lo = two_sum(base_hi, base_lo + (q_lo + pt_lo))
-    p_t, q_t = pt_hi / base_hi, q_hi / base_hi
-    if not 0.0 < p_t < 1.0:
-        return None
-    if t < 0.0:
-        b = b.copy()
-        np.negative(b[1::2], out=b[1::2])
-    means = _binomial_means_dense(b, p_t, ns, q_t)
-    m_hi, m_lo, e = power_dd(base_hi, base_lo, ns)
-    # about one rounding of means * (m_hi + m_lo), one more only where
-    # ldexp goes subnormal; exponents below -2200 give 0 either way.  A
-    # non-finite mean skips m_lo, which can be 0 (inf * 0 would be NaN).
-    value = means * m_hi
-    value += np.multiply(means, m_lo, out=np.zeros(len(ns)), where=np.isfinite(means))
-    return np.ldexp(value, np.maximum(e, -2200))
+    base_hi, base_lo = two_sum(q_hi, pa_hi)
+    base_hi, base_lo = two_sum(base_hi, base_lo + (q_lo + pa_lo))
+    if base_hi == 0.0:
+        return np.where(ns == 0, 1.0, 0.0)
+    sign = math.copysign(1.0, base_hi)
+    m_hi, m_lo, e = power_dd(sign * base_hi, sign * base_lo, ns)
+    value = m_hi + m_lo
+    if sign < 0.0:
+        np.negative(value, out=value, where=(ns & 1) == 1)
+    # exponents past +-2200 give inf or 0 either way
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, np.clip(e, -2200, 2200))
 
 
 def _binomial_means(a: RealSequence, p: float, ns: np.ndarray) -> np.ndarray:
@@ -577,18 +561,16 @@ def _binomial_means(a: RealSequence, p: float, ns: np.ndarray) -> np.ndarray:
     top = int(ns.max(initial=0))
     if a.sparse:
         return _binomial_means_sparse(*a.support(top), p, ns)
-    if a.tilted:
-        means = _binomial_means_tilted(*a.tilt(top), p, ns)
-        if means is not None:
-            return means
+    if a._ratio is not None:
+        return _geometric_means(a._ratio, p, ns)
     return _binomial_means_dense(a.prefix(top), p, ns)
 
 
 def binomial_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefix:
     """Binomially weighted means: entry n is sum_i B(n,i,p) * a_i.
 
-    Bounded dense sequences and declared tilts (geometric a**n with
-    0 < |a| < 1) cost O(horizon^1.5), sparse ones one mass per kept support
+    Geometric sequences cost O(horizon log horizon) by their closed form,
+    bounded dense ones O(horizon^1.5), sparse ones one mass per kept support
     index per row; rows the certified windows cannot carry cost O(n) each
     (see the module docstring).
     """
@@ -604,8 +586,8 @@ def binomial_mean_at(a: RealSequence, p: float, n):
     in any order and with repeats, giving an array of the same length from
     one read of the sequence and one kernel call.  A row does not depend on
     its batch: entry n of binomial_prefix, the scalar and every array call
-    give the same bits, dense, tilted and sparse rows alike (see the module
-    docstring).
+    give the same bits, dense, geometric and sparse rows alike (see the
+    module docstring).
     """
     _check_prob(p)
     if isinstance(n, (int, np.integer)):

@@ -300,7 +300,7 @@ class TestRowSlice:
         # a window of 0: the span is the slice alone, which drops most mass
         monkeypatch.setattr(binomial_kernel, "_window_halfwidth", lambda n, p: 0.0)
         got = _row_mass(n, p, lo=lo, hi=hi)
-        assert full_rows == [((n, p, 1.0 - p), {})]
+        assert full_rows == [((n, p), {})]
         assert got.tobytes() == _row_mass(n, p)[lo : hi + 1].tobytes()
 
 
@@ -543,6 +543,13 @@ class TestCenterRatio:
     def test_non_integer_beta_rejected(self, beta):
         # 8.5 used to give 0.00717, the ratio to a mass between two indices
         with pytest.raises(ParameterDomainError, match="index must be an integer"):
+            center_ratio(PMFParams(400, 0.5), beta)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 8.5])
+    def test_beta_named_when_rejected(self, beta):
+        # NaN and -inf used to read "denominator index nan falls outside the
+        # support", and 8.5 was reported as index 191.5
+        with pytest.raises(ParameterDomainError, match="beta"):
             center_ratio(PMFParams(400, 0.5), beta)
 
     def test_integer_valued_beta_accepted(self):

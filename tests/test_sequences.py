@@ -24,7 +24,6 @@ from summakit.sequences import (
     _CACHED_CHAINS,
     _geometric_pq_witness,
     _spike_chain,
-    default_families,
     islet_ranges,
     spike_indices,
 )
@@ -378,23 +377,25 @@ class TestRunTable1:
         assert wit["witnessed"] is True
 
     def test_unchanged_at_the_criterion_7_pairs(self):
-        # SHA-256 of verdicts, cells and both geometric witnesses, taken
-        # before geometric ratios in (-1, 1) declared a tilt: the families
-        # use only a = 1 and a = -3, which declare none.  Re-pinned when
-        # islets rows moved to the windowed kernel: only two islets
-        # binomial_q fields changed (the (0.3, 0.6) tol and the (0.4, 0.7)
-        # value), each closer to its exact-rational value.  Re-pinned when
-        # every dense row took a half-width fixed by n: statuses, windows,
-        # cells, contradictions and witness flags kept their values; only
-        # the signed_linear binomial values (|v| < 1e-14 against sum B |a_i|
-        # of order n p) with their tols and the pq witness's error fields
-        # moved
+        # SHA-256 of verdicts, cells and both geometric witnesses.
+        # Re-pinned when islets rows moved to the windowed kernel: only two
+        # islets binomial_q fields changed (the (0.3, 0.6) tol and the
+        # (0.4, 0.7) value), each closer to its exact-rational value.
+        # Re-pinned when every dense row took a half-width fixed by n:
+        # statuses, windows, cells, contradictions and witness flags kept
+        # their values; only the signed_linear binomial values (|v| < 1e-14
+        # against sum B |a_i| of order n p) with their tols and the pq
+        # witness's error fields moved.  Re-pinned when geometric means took
+        # their closed form: only geometric(a=-3) moved, its binomial_p
+        # converged to 0 at all three pairs (it was not_converged), with two
+        # cells each and a new witness; the pq witness's errors fell to
+        # 0-1.7e-16, the H = 2000 ones from NaN, which marks (0.3, 0.6)
+        # witnessed there
         expected = {
-            (0.25, 0.75): "029298e4bee8b96b",
-            (0.3, 0.6): "492ceb57c36e635e",
-            (0.4, 0.7): "e6609fd3d1c49117",
+            (0.25, 0.75): "2dc1bbfd0c3896f1",
+            (0.3, 0.6): "bf5ef54a647044ad",
+            (0.4, 0.7): "90c359440625e161",
         }
-        assert not any(sequence_from_spec(s).tilted for s in default_families())
         for (p, q), digest in expected.items():
             report = run_table1(p, q, 2000)
             with np.errstate(over="ignore"):
@@ -410,6 +411,14 @@ class TestRunTable1:
                 "pq_witness_h": witness,
             }
             assert hashlib.sha256(json.dumps(body).encode()).hexdigest()[:16] == digest
+
+    def test_geometric_binomial_p_converges_to_zero(self):
+        # (1 - 4 p)**n = (-0.2)**n: full PMF rows gave -inf then NaN from
+        # n = 647 on, and the series was judged not_converged
+        report = run_table1(0.3, 0.6, 2500)
+        verdict = report.verdicts["geometric(a=-3)"]["binomial_p"]
+        assert verdict.status == "converged" and verdict.value == 0.0
+        assert report.contradictions == 0
 
     def test_open_cell_never_flags(self):
         report = run_table1(0.3, 0.7, 2000)

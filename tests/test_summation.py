@@ -162,7 +162,7 @@ def test_two_product_is_exact(a, b):
     "hi, lo, top",
     [
         (0.75 + 2.0**-30, 2.0**-60, 100_000),  # needs its low part
-        (0.3 * 0.9 + 0.7, -2.0**-56, 100_000),  # a tilt base
+        (0.3 * 0.9 + 0.7, -2.0**-56, 100_000),  # a geometric base q + p a
         (0.55, 0.0, 4095),
         (1.0 - 2.0**-40, 2.0**-95, 4095),  # close to 1
         (1e-3, 1e-21, 4095),  # far below 1

@@ -45,7 +45,7 @@ def traced(monkeypatch):
     patch(
         transforms,
         "_windowed_block",
-        lambda args, out: seen["rejected"].extend(args[5][~out[1]].tolist()),
+        lambda args, out: seen["rejected"].extend(args[4][~out[1]].tolist()),
     )
     return seen
 
@@ -89,7 +89,7 @@ def test_sparse_block_path(traced):
 
 
 def test_dense_fallback_rows(traced):
-    seq = sequence_from_spec(GeneratorSpec("geometric", a=-3.0))
+    seq = RealSequence.from_values((-3.0) ** np.arange(301.0))
     with np.errstate(over="ignore", invalid="ignore"):
         binomial_prefix(seq, 0.45, 300)
     assert len(traced["rows"]) > 0
