@@ -135,7 +135,7 @@ def log_pmf_many(n, p: float, indices, *, _counts=None) -> np.ndarray:
     """log P[X = i] for each index i inside the support of row n.
 
     ``n`` is a trial count or an integer array broadcast against
-    ``indices``; with the private ``_counts`` (the sparse kernel's blocks)
+    ``indices``; with the private ``_counts`` (the log-space blocks of rows)
     it holds one n per row, and row r covers the next _counts[r] indices.
     One elementwise expression, so an entry depends only on its own (n, i):
     every layout of equal (n, i) gives the same bits.
@@ -190,9 +190,9 @@ def mode_index(params: PMFParams) -> int:
 
 def _window_halfwidth(n, p: float):
     """Half-width W = ceil(9 sqrt(n p q)) + 30 of the certified window around
-    row n's mode, as a float (an array for an array n).  The dense and
-    sparse kernels of transforms and the row slices of _row_mass keep at
-    least the window m +- W of every row they weight."""
+    row n's mode, as a float (an array for an array n).  The binomial means
+    of transforms and the row slices of _row_mass keep at least the window
+    m +- W of every row they weight."""
     return np.ceil(9.0 * np.sqrt(n * p * (1.0 - p))) + 30.0
 
 
@@ -255,9 +255,10 @@ def _row_mass(n: int, p: float, *, lo: int = 0, hi: int | None = None) -> np.nda
 
 
 def pmf_row(params: PMFParams) -> PMFRow:
-    """All n+1 masses at once; entry i equals pmf(params, i).  O(n) work
-    and memory: a slice near the mode is O(sqrt(n)) through _row_mass's
-    lo and hi bounds."""
+    """All n+1 masses at once, as _row_mass's ratio products: O(n) work and
+    memory.  pmf(params, i) is a log-space mass, off by up to about eps n
+    ln n relative, so the two differ by up to about that: 3.4e-14 at n =
+    50, p = 0.3 (50 of 51 entries; row 14 eps, pmf 141 eps from exact)."""
     return PMFRow(params, _row_mass(params.n, params.p))
 
 

@@ -38,7 +38,6 @@ class StochasticMatrix:
     """A validated square matrix with non-negative entries and unit row sums."""
 
     matrix: np.ndarray
-    row_tol: float = 1e-12
 
     @property
     def dim(self) -> int:
@@ -79,12 +78,12 @@ def validate(matrix, row_tol: float = 1e-12) -> StochasticMatrix:
     if not sums.all():  # within a row_tol of 1 or more
         r = int(np.argmin(sums))
         raise MatrixValidationError(f"row {r} sums to 0 and cannot be normalized")
-    return StochasticMatrix(M / sums[:, None], row_tol)
+    return StochasticMatrix(M / sums[:, None])
 
 
 def lazy(P: StochasticMatrix) -> StochasticMatrix:
     """The half-identity mix (P + I) / 2; stochastic as a convex combination."""
-    return StochasticMatrix((P.matrix + np.eye(P.dim)) / 2.0, P.row_tol)
+    return StochasticMatrix((P.matrix + np.eye(P.dim)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def limit_matrix(P: StochasticMatrix, tol: float = 1e-12, max_squarings: int = 6
     A /= A.sum(axis=1)[:, None]
     Pm = P.matrix
     report = LimitReport(
-        A=StochasticMatrix(A, P.row_tol),
+        A=StochasticMatrix(A),
         iterations=k,
         residual_fix=max(inf_norm(A @ Pm - A), inf_norm(Pm @ A - A)),
         residual_idem=inf_norm(A @ A - A),

@@ -40,7 +40,6 @@ __all__ = [
     "run_table1",
     "probe_open_problem",
     "TABLE1",
-    "TRANSFORM_NAMES",
 ]
 
 _FAMILIES = ("alternating01", "geometric", "signed_linear", "islets", "spikes")
@@ -260,8 +259,6 @@ def estimate_limit(values, window=None, tol=None, growth_threshold=1e6) -> Conve
     return ConvergenceVerdict("not_converged", None, window, tol)
 
 
-TRANSFORM_NAMES = ("raw", "binomial_p", "binomial_q", "cesaro")
-
 # Asserted implication grid between the four transforms, for 0 < p < q < 1.
 # 'implies' holds unconditionally; 'implies_if_nonneg' holds when every term
 # is >= 0; 'open_if_nonneg' is conjectured under non-negativity but open (its
@@ -376,9 +373,13 @@ def _geometric_pq_witness(p, q, horizon=20):
     got_p = binomial_prefix(seq, p, horizon).values
     got_q = binomial_prefix(seq, q, horizon).values
     expect_p = np.power(rp, ns) if rp != 0.0 else np.where(ns == 0, 1.0, 0.0)
-    expect_q = np.power(rq, ns)
+    with np.errstate(over="ignore"):  # |rq| >= 1: past the double range it is +-inf
+        expect_q = np.power(rq, ns)
     err_p = float(np.max(np.abs(got_p - expect_p)))
-    err_q = float(np.max(np.abs(np.abs(got_q) - np.abs(expect_q)) / np.abs(expect_q)))
+    # equal values, infinities of one sign included, are no error
+    differ = got_q != expect_q
+    err_q = float(np.max(np.abs(np.abs(got_q[differ]) - np.abs(expect_q[differ]))
+                         / np.abs(expect_q[differ]), initial=0.0))
     witnessed = abs(rp) < 1.0 <= abs(rq) and err_p <= 1e-9 and err_q <= 1e-9
     return {
         "family": spec.label,

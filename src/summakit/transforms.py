@@ -3,54 +3,44 @@ and the weight-table representation of the Cesaro-of-binomial transform.
 
 A transform prefix of horizon H is the vector of transform values at indices
 0..H.  Every p-binomial mean sum_i B(n,i,p) a_i, a prefix or point queries,
-goes through one dispatch, _binomial_means: it reads the sequence once up to
-the largest n and makes one call to one of two kernels, chosen by whether
-the sequence declares a sparse support.  A geometric sequence a**n takes
-its closed form (q + p a)**n instead (_geometric_means).
+goes through one dispatch, _binomial_means: a geometric sequence a**n takes
+its closed form (q + p a)**n (_geometric_means); any other is read once up
+to the largest n as its support (a dense sequence as the support of every
+index) and goes through one kernel call, _binomial_means_sparse.
 
-The masses come from binomial_kernel; this module only weights them.
-Both kernels weight a row only near its mode m, inside the window m +- W
-with W = ceil(9 sqrt(n p q)) + 30, and certify it (_certified): the mass a
-row drops, times the largest |a_i| for i <= n, must be at most 2**-53 of
-the row's kept sum_i B(n,i,p) |a_i|.  A row that fails, or comes out
-non-finite, is recomputed over every index <= n exactly as a whole sum.
+The masses come from binomial_kernel; this module only weights them.  Row 0
+is a_0 itself; a row whose terms up to n hold a NaN, or both a +inf and a
+-inf, is NaN and is not built.  Any other row is weighted near its mode m,
+inside the window m +- W with W = ceil(9 sqrt(n p q)) + 30, and certified
+(_certified): the mass it drops, times the largest |a_i| for i <= n, must
+be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
 
-* Windowed (_windowed_means): the one loop over every dense row and the
-  support-dense sparse rows.  A row is weighted by its _unit_window
-  products over m +- W', W' = W rounded up to a multiple of 16, a function
-  of n alone, so a row gives the same bits in any batch.  Rows of one W' go
-  in blocks over a zero-filled buffer spanning only their windows, never
-  the whole prefix.  A bounded dense sequence, the support of every index,
-  costs O(H sqrt(H)) instead of O(H^2).  The fallback of a dense row is
-  the full PMF row (_row_mass), O(n) each, taken by unbounded sequences
-  and by explicit vectors whose weighted mass sits far from n p, such as
-  a**n with |a| < 1 given term by term.
-* Sparse (_binomial_means_sparse): a row n >= 1 whose window m +- W holds
-  support on at least 1/4 of its 2W + 1 indices goes to the windowed
-  loop, whose ratio products cost 13-30 ns a mass against about 60 ns
-  for a log-space mass and are accurate to about 1e-16 where log-space
-  masses are off by up to about n eps log n (2.5-7e-12 on the islets
-  prefix at H = 9104).  The 1/4 comes from a sweep of the threshold over
-  eight islets prefixes shaped like the benchmark's (H in [3000, 10000], p
-  in [0.2, 0.8]; least CPU time of 15 interleaved passes, two sweeps): 653
-  ms unrouted, 507 at 1/50, 474 at 1/10, 441-444 at 1/4, 437-490 at 1/2
-  and 571-606 at 9/10.  Islets rows inside and near an island are routed;
-  spike windows hold far less support.
-
-  Other rows, rows the windowed certificate rejects and row 0 weight only
-  the support indices in their window plus, on each side, the nearest
-  support index outside it and every index up to where the mass has fallen
-  a further 2**-64, so rows whose window holds no support still certify.
-  Both a lone row (every scalar binomial_mean_at, on scalars: _sparse_row)
-  and blocks of rows sum their terms with _log_weighted, from log_pmf_many
-  masses, so each term is the one the whole-support fallback computes.
-  Blocks hold up to 2**11 rows and about 2**12 terms, which keeps peak
-  memory small; only they pay the block arrays' fixed numpy cost (a lone
-  spikes query at n in [2e5, 2.1e6] takes 55-120 us on scalars, on a fresh
-  sequence too, since spike sequences share their chain, and 150-310 us
-  through a block).  A row costs one mass per kept support index: a
-  bounded number for spikes, O(sqrt(n)) inside an islet, so their prefixes
-  cost O(H) and O(H sqrt(H)).
+* Windowed (_windowed_means): a row whose window holds support on at least
+  1/4 of its indices inside [0, n] (every dense row; islets rows in and
+  near an island) weights its _unit_window products over m +- W', W' = W
+  rounded up to a multiple of 16.  A row that does not certify is weighted
+  again at twice the half-width, until it certifies or its window spans
+  [0, n], where it drops no mass and its value is final.  Half-widths are
+  a function of n alone, so a row gives the same bits in any batch, and no
+  row takes a full PMF row.  Rows of one half-width go in blocks over a
+  zero-filled buffer spanning only their windows: a bounded dense sequence
+  costs O(H sqrt(H)), a widened row (unbounded terms, or a**n with |a| < 1
+  given term by term) up to O(n).  Ratio products cost 13-30 ns a mass
+  against about 60 ns in log space, and are accurate to about 1e-16 where
+  log-space masses are off by up to about n eps log n.  The 1/4 is the best
+  of a threshold sweep over eight islets prefixes (README).
+* Log space (_sparse_rows, and _sparse_row on scalars for a lone row): the
+  other rows weight the support indices in their window plus, on each
+  side, the nearest support index outside it and every index up to where
+  the mass has fallen a further 2**-64, so a row whose window holds no
+  support still certifies; one that does not is summed over its whole
+  support (_whole_support_mean, O(support) where widening is O(n)).  Terms
+  are log_pmf_many masses summed by _log_weighted, in blocks of up to 2**11
+  rows and about 2**12 terms, which keeps peak memory small.  A row costs
+  one mass per kept support index: a bounded number for spikes past small
+  n, O(sqrt(n)) inside an islet, so their prefixes cost O(H) and
+  O(H sqrt(H)).  A lone spikes query at n in [2e5, 2.1e6] takes 55-120 us
+  on scalars and 150-310 us through a block.
 """
 
 from __future__ import annotations
@@ -267,7 +257,7 @@ def _windowed_block(windows, offset, peak, p, ns, half):
 # large free has raised glibc's mmap threshold, as in any long-lived
 # process: 2**14 costs 3-15% more, 2**13 18-42%, and 3 * 2**14 or 2**16
 # are within 4%.  In a fresh process the larger blocks swing by up to 2x.
-_HALF_STEP = 16.0
+_HALF_STEP = 16
 _WINDOWED_MASSES = 2**15
 
 
@@ -297,67 +287,54 @@ def _support_windows(idx, av, lo, hi):
 
 def _windowed_means(idx, av, peak, p, ns):
     """_windowed_block means of the rows ns (every n >= 1, any order) of
-    the sequence that is av at the sorted indices idx and 0 elsewhere, with
-    a mask of the rows it certifies; peak[r] is the largest |a_i| for
-    i <= ns[r].
+    the sequence that is av at the sorted indices idx and 0 elsewhere;
+    peak[r] is the largest |a_i| for i <= ns[r].
 
-    A row's half-width is its W rounded up to a multiple of _HALF_STEP, so
-    it depends on n alone.  Rows go in ascending n, in blocks of one
-    half-width and fewer than _WINDOWED_MASSES masses.
+    A row's half-width is its W rounded up to a multiple of _HALF_STEP,
+    doubled while the row does not certify, up to the least such multiple
+    that spans [0, n]: a function of n alone.  Each pass takes its rows in
+    ascending n, in blocks of one half-width and fewer than
+    _WINDOWED_MASSES masses.
     """
-    value, certified = np.empty(len(ns)), np.empty(len(ns), dtype=bool)
+    value = np.empty(len(ns))
     order = np.argsort(ns, kind="stable")
-    rows = ns[order]
+    rows, peak = ns[order], peak[order]
+    m = _mode(rows, p).astype(np.int64)
+    spans = -(-np.maximum(m, rows - m) // _HALF_STEP) * _HALF_STEP  # least to span [0, n]
     halves = (np.ceil(_window_halfwidth(rows, p) / _HALF_STEP) * _HALF_STEP).astype(np.int64)
-    lo = _mode(rows, p).astype(np.int64) - halves
-    windows, offset = _support_windows(idx, av, lo, lo + 2 * halves + 1)
-    start = 0
-    while start < len(rows):
-        half = int(halves[start])
-        stop = start + max(1, (_WINDOWED_MASSES - 1) // (2 * half + 1))
-        stop = min(stop, halves.searchsorted(half, side="right"))
-        block = order[start:stop]
-        value[block], certified[block] = _windowed_block(
-            windows, offset[start:stop], peak[block], p, rows[start:stop], half
-        )
-        start = stop
-    return value, certified
+    # a row with a non-finite peak never certifies: it starts spanning [0, n]
+    halves = np.where(np.isfinite(peak), halves, np.maximum(halves, spans))
+    while True:
+        lo = m - halves
+        windows, offset = _support_windows(idx, av, lo, lo + 2 * halves + 1)
+        certified = np.empty(len(rows), dtype=bool)
+        start = 0
+        while start < len(rows):
+            half = int(halves[start])
+            stop = start + max(1, (_WINDOWED_MASSES - 1) // (2 * half + 1))
+            block = slice(start, min(stop, halves.searchsorted(half, side="right")))
+            value[order[block]], certified[block] = _windowed_block(
+                windows, offset[block], peak[block], p, rows[block], half
+            )
+            start = block.stop
+        again = ~certified & (halves < spans)
+        if not again.any():
+            return value
+        order, rows, peak, m, spans = (x[again] for x in (order, rows, peak, m, spans))
+        halves = np.minimum(2 * halves[again], spans)
 
 
 def _first_nan_row(seq: np.ndarray) -> int:
-    """Smallest n whose seq[:n+1] holds a NaN, or both a +inf and a -inf
+    """Smallest j whose seq[:j+1] holds a NaN, or both a +inf and a -inf
     (len(seq) if there is none)."""
+    if not len(seq):
+        return 0
 
     def first(mask):
         i = int(np.argmax(mask))
         return i if mask[i] else len(seq)
 
     return min(first(np.isnan(seq)), max(first(seq == np.inf), first(seq == -np.inf)))
-
-
-def _binomial_means_dense(seq: np.ndarray, p: float, ns: np.ndarray) -> np.ndarray:
-    """sum_i B(n,i,p) * seq[i] for each n of the array ns (0 <= n < len(seq),
-    any order, repeats allowed).
-
-    Rows n >= 1 go through _windowed_means, seq being a support of every
-    index; rows it cannot certify are the full _row_mass row dotted with
-    seq[:n+1].  Row 0 is seq[0] itself (a window sum would turn -0.0 into
-    0.0).  A row whose seq[:n+1] holds a NaN, or both a +inf and a -inf, is
-    NaN whatever its masses, and is not built.
-    """
-    out = np.full(len(ns), np.nan)
-    out[ns == 0] = seq[0]
-    rows = np.flatnonzero((ns > 0) & (ns < _first_nan_row(seq)))
-    if not len(rows):
-        return out
-    n = ns[rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = np.maximum.accumulate(np.abs(seq))
-        value, certified = _windowed_means(np.arange(len(seq)), seq, peak[n], p, n)
-        for r in np.flatnonzero(~certified):
-            value[r] = _row_mass(int(n[r]), p) @ seq[: n[r] + 1]
-    out[rows] = value
-    return out
 
 
 # Rows, and terms, per block of sparse rows; keep the block's arrays, and
@@ -382,15 +359,17 @@ def _sparse_extension(ratio):
     return t.astype(np.int64), np.power(ratio, t + 1.0) / (1.0 - ratio)
 
 
-# A sparse row whose window m +- W holds support on at least 1/_ROUTE_SHARE
-# of its 2W + 1 indices is weighted by _windowed_means.
+# A row whose window m +- W holds support on at least 1/_ROUTE_SHARE of its
+# indices inside [0, n] is weighted by _windowed_means.
 _ROUTE_SHARE = 4
 
 
-def _routed(n, half, in_window):
-    """Which rows go to _windowed_means: n >= 1 with in_window, the support
-    indices in the window m +- half, at least 1/_ROUTE_SHARE of it."""
-    return (n > 0) & (_ROUTE_SHARE * in_window >= 2.0 * half + 1.0)
+def _routed(n, m, half, in_window):
+    """Which rows n >= 1 go to _windowed_means: those with in_window, the
+    support indices in the window m +- half, at least 1/_ROUTE_SHARE of
+    the window's indices inside [0, n] (every row of a dense sequence)."""
+    inside = np.minimum(m + half, n) - np.maximum(m - half, 0.0) + 1.0
+    return _ROUTE_SHARE * in_window >= inside
 
 
 def _log_weighted(n, p, indices, values, offsets, counts=None):
@@ -406,29 +385,25 @@ def _log_weighted(n, p, indices, values, offsets, counts=None):
 
 def _whole_support_mean(idx, av, p, n, k):
     """sum_i B(n,i,p) * av[i] over the first k support indices, all <= n:
-    the sparse kernel's fallback for a row it cannot certify."""
+    the log-space rows' fallback for a row they cannot certify."""
     return np.exp(log_pmf_many(n, p, idx[:k])) @ av[:k]
 
 
 def _sparse_rows(idx, av, peak, p, ns):
-    """_binomial_means_sparse for a block of rows; peak[j] = max |av[:j+1]|."""
+    """_binomial_means_sparse for a block of rows n >= 1, with the mask of
+    the rows it leaves to _windowed_means (their entries are left at 0);
+    peak[j] = max |av[:j+1]|."""
     out = np.zeros(len(ns))
     size = np.searchsorted(idx, ns, side="right")  # support indices <= n
-    rows = np.flatnonzero(size)
-    if not len(rows):
-        return out
-    n, k = ns[rows], size[rows]
-    m = _mode(n, p)
-    half = _window_halfwidth(n, p)
+    m = _mode(ns, p)
+    half = _window_halfwidth(ns, p)
     lo = np.searchsorted(idx, (m - half).astype(np.int64), side="left")
-    hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), k)
-    dense = np.flatnonzero(_routed(n, half, hi - lo))
-    if len(dense):
-        value, certified = _windowed_means(idx, av, peak[k[dense] - 1], p, n[dense])
-        out[rows[dense[certified]]] = value[certified]
-        rest = np.ones(len(rows), dtype=bool)
-        rest[dense[certified]] = False
-        rows, n, k, m, half, lo, hi = (x[rest] for x in (rows, n, k, m, half, lo, hi))
+    hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), size)
+    routed = _routed(ns, m, half, hi - lo)
+    rows = np.flatnonzero(~routed & (size > 0))
+    if not len(rows):
+        return out, routed
+    n, k, m, half, lo, hi = (x[rows] for x in (ns, size, m, half, lo, hi))
 
     # the nearest support index outside the window on each side, if any
     left, right = lo > 0, hi < k
@@ -460,25 +435,28 @@ def _sparse_rows(idx, av, peak, p, ns):
             value[r] = _whole_support_mean(idx, av, p, int(n[start + r]), int(k[start + r]))
         out[rows[block]] = value
         start = block.stop
-    return out
+    return out, routed
 
 
 def _sparse_row(idx, av, p, n: int) -> float:
-    """_sparse_rows for the one row n, on scalars: the same window,
-    extension, kept terms and certificate, without the block arrays."""
+    """_binomial_means_sparse for the one row n, on scalars: the same NaN
+    rule, routing, window, extension, kept terms and certificate, without
+    the block arrays."""
     k = idx.searchsorted(n, side="right")  # support indices <= n
     if not k:
         return 0.0
+    peak = np.abs(av[:k]).max()
+    if not math.isfinite(peak) and _first_nan_row(av[:k]) < k:
+        return math.nan
+    if n == 0:
+        return av[0]
     x = float(n)
     m = _mode(x, p)
     half = _window_halfwidth(x, p)
     lo = idx.searchsorted(int(m - half), side="left")
     hi = min(idx.searchsorted(int(m + half), side="right"), k)
-    peak = np.abs(av[:k]).max()
-    if _routed(n, half, hi - lo):
-        value, certified = _windowed_means(idx, av, np.array([peak]), p, np.array([n]))
-        if certified[0]:
-            return value[0]
+    if _routed(x, m, half, hi - lo):
+        return _windowed_means(idx, av, np.array([peak]), p, np.array([n]))[0]
     # the kept slice idx[first:stop]: the window, extended past the nearest
     # support index outside it on each side, if any
     first, stop, tail_lo, tail_hi = lo, hi, 0.0, 0.0
@@ -503,22 +481,35 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     """sum_{i in idx, i <= n} B(n,i,p) * av[i] for each n of the array ns.
 
     idx holds the sorted support indices, av their values; ns may come in
-    any order.  One row goes through _sparse_row on scalars.  More rows go
-    in blocks of _BLOCK_ROWS, their kept terms through log_pmf_many in
-    blocks of about _BLOCK_TERMS, each row summed pairwise; rows it cannot
-    certify are _whole_support_mean.
+    any order.  One row goes through _sparse_row on scalars.  Of more rows,
+    row 0 is a_0 (-0.0 included) and rows past a NaN or a +inf/-inf pair
+    are NaN.  The others go in blocks of _BLOCK_ROWS through _sparse_rows,
+    whose routed rows then go through _windowed_means; where every index
+    is support, every row is routed and they go as one block.
     """
     ns = np.asarray(ns, dtype=np.int64)
-    out = np.empty(len(ns))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if len(ns) == 1:
-            out[0] = _sparse_row(idx, av, p, int(ns[0]))
-            return out
+            return np.array([_sparse_row(idx, av, p, int(ns[0]))])
+        out = np.zeros(len(ns))
+        if len(idx) and idx[0] == 0:
+            out[ns == 0] = av[0]
+        j = _first_nan_row(av)
+        nan_from = idx[j] if j < len(idx) else np.iinfo(np.int64).max
+        out[ns >= nan_from] = np.nan
+        rows = np.flatnonzero((ns > 0) & (ns < nan_from))
         peak = np.abs(av)
         np.maximum.accumulate(peak, out=peak)
-        for start in range(0, len(ns), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            out[block] = _sparse_rows(idx, av, peak, p, ns[block])
+        every = len(idx) and idx[-1] == len(idx) - 1  # idx is 0, 1, ..., top
+        step = max(len(rows), 1) if every else _BLOCK_ROWS
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            if not every:
+                out[block], routed = _sparse_rows(idx, av, peak, p, ns[block])
+                block = block[routed]
+            if len(block):
+                n = ns[block]
+                out[block] = _windowed_means(idx, av, peak[idx.searchsorted(n, "right") - 1], p, n)
     return out
 
 
@@ -556,14 +547,15 @@ def _geometric_means(a: float, p: float, ns: np.ndarray) -> np.ndarray:
 
 
 def _binomial_means(a: RealSequence, p: float, ns: np.ndarray) -> np.ndarray:
-    """sum_i B(n,i,p) * a_i for each n of the int64 array ns: the sequence
-    is read once up to max(ns) and goes through one kernel call."""
+    """sum_i B(n,i,p) * a_i for each n of the int64 array ns: a geometric
+    sequence by its closed form, any other read once up to max(ns), as its
+    support, through one _binomial_means_sparse call."""
     top = int(ns.max(initial=0))
     if a.sparse:
         return _binomial_means_sparse(*a.support(top), p, ns)
     if a._ratio is not None:
         return _geometric_means(a._ratio, p, ns)
-    return _binomial_means_dense(a.prefix(top), p, ns)
+    return _binomial_means_sparse(np.arange(top + 1), a.prefix(top), p, ns)
 
 
 def binomial_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefix:

@@ -98,6 +98,27 @@ def sparse_binomial_exact(indices, values, n, p_float):
     return Fraction(total, d**n * scale)
 
 
+def binomial_run_numerator(n, p_float, lo, hi):
+    """The integer N with sum_{i=lo}^{hi} B(n,i,p) = N / d**n exactly, where
+    p = u/d at its exact binary value, for 0 <= lo <= hi <= n.  Runs of one
+    row share the denominator, so their numerators add, and comparing
+    through integers skips the gcd of a Fraction of n log2(d) bits.
+
+    N = u**lo v**(n-hi) A with v = d - u, where A = sum_i C(n,i) u**(i-lo)
+    v**(hi-i) is taken by Horner's rule from the top index down, A_i =
+    C(n,i) v**(hi-i) + u A_(i+1): its numbers grow to about (hi - lo)
+    log2(d) bits, not n log2(d), so a run far from index 0 stays cheap.
+    """
+    u, d = p_float.as_integer_ratio()
+    v = d - u
+    c, vp, acc = math.comb(n, hi), 1, 0
+    for i in range(hi, lo - 1, -1):
+        acc = c * vp + u * acc
+        vp *= v
+        c = c * i // (n - i + 1)  # C(n, i-1)
+    return acc * u**lo * v ** (n - hi)
+
+
 def mode_law_violations(n_max, tenths):
     """Exact-integer check of the mass-ratio criterion for p = k/10.
 

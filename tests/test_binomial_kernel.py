@@ -201,6 +201,26 @@ class TestPmfRow:
         for i in range(0, 138, 7):
             assert math.isclose(row[i], pmf(params, i), rel_tol=1e-12)
 
+    def test_row_and_point_masses_differ_as_documented(self):
+        # pmf_row takes ratio products, pmf log-space masses: the gap grows
+        # like pmf's own error, about eps n ln n, and the row is the closer
+        # to the exact masses
+        params = PMFParams(50, 0.3)
+        row = pmf_row(params).mass
+        point = np.array([pmf(params, i) for i in range(51)])
+        exact = pmf_row_exact_doubles(50, 0.3)
+        assert np.count_nonzero(row != point) == 50
+        assert np.max(np.abs(row - point) / point) <= 3.5e-14
+        assert np.max(np.abs(row - exact) / exact) <= 15 * 2.0**-52
+        assert np.max(np.abs(point - exact) / exact) >= 100 * 2.0**-52
+        for n, p in ((300, 0.3), (1000, 0.5), (2999, 0.3)):
+            params = PMFParams(n, p)
+            row = pmf_row(params).mass
+            point = np.array([pmf(params, i) for i in range(n + 1)])
+            normal = point >= np.finfo(float).tiny
+            gap = np.abs(row - point)[normal] / point[normal]
+            assert gap.max() <= 2 * 2.0**-52 * n * math.log(n)
+
     def test_full_grid_sums_and_positivity(self):
         # every n up to 2000: sums within 1e-12, no negative entries
         for p in P_GRID:

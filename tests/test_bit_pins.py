@@ -76,9 +76,13 @@ def test_negative_ratio_prefixes_pinned():
 
 
 def test_routed_islets_prefix_pinned():
+    # re-pinned when a row's support share came to be counted over its
+    # window's indices inside [0, n]: 51 rows between 3 and 54 moved to the
+    # windowed kernel, and against exact rationals their worst relative
+    # error went from 1.55e-14 to 2.56e-16 (48 of them closer)
     seq = sequence_from_spec(GeneratorSpec("islets"))
     got = digest([binomial_prefix(seq, 0.5, 5000).values])
-    assert got == "f3b9d9dfad32a8b75633a60c020e1e3348a3b1cc3ca155997675616256a91c49"
+    assert got == "39598c49bb2816da8163efc656786411598bb33cc389e8f354087a8a4932a088"
 
 
 def test_lone_spike_means_pinned():

@@ -3,11 +3,14 @@ import json
 import math
 import sys
 import threading
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from summakit import (
     GeneratorSpec,
@@ -19,7 +22,7 @@ from summakit import (
     run_table1,
     sequence_from_spec,
 )
-from summakit.binomial_kernel import log_pmf_many
+from summakit import transforms
 from summakit.sequences import (
     _CACHED_CHAINS,
     _geometric_pq_witness,
@@ -28,7 +31,7 @@ from summakit.sequences import (
     spike_indices,
 )
 
-from oracles import generate, islets_count_upto, spike_positions
+from oracles import generate, islets_count_upto, sparse_binomial_exact, spike_positions
 
 EPS = np.finfo(float).eps
 
@@ -376,6 +379,14 @@ class TestRunTable1:
         assert wit["p_ratio"] == 0.0 and wit["q_ratio"] == -2.0
         assert wit["witnessed"] is True
 
+    def test_pq_witness_scores_equal_infinities_as_no_error(self):
+        # (1 - q + q a)**n = (-1.8)**n overflows before n = 2000: the closed form
+        # and the reference are the same signed infinities there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            witness = _geometric_pq_witness(0.4, 0.7, 2000)
+        assert witness["q_mean_max_rel_err"] <= 2 * EPS and witness["witnessed"] is True
+
     def test_unchanged_at_the_criterion_7_pairs(self):
         # SHA-256 of verdicts, cells and both geometric witnesses.
         # Re-pinned when islets rows moved to the windowed kernel: only two
@@ -390,11 +401,15 @@ class TestRunTable1:
         # converged to 0 at all three pairs (it was not_converged), with two
         # cells each and a new witness; the pq witness's errors fell to
         # 0-1.7e-16, the H = 2000 ones from NaN, which marks (0.3, 0.6)
-        # witnessed there
+        # witnessed there.  Re-pinned when the pq witness came to score
+        # equal infinities as no error: at (0.25, 0.75) and (0.4, 0.7),
+        # where (-2)**n and (-1.8)**n pass the double range before n = 2000,
+        # pq_witness_h's q error went from NaN to 0 and 1.9e-16 and both are
+        # witnessed; the table itself did not move
         expected = {
-            (0.25, 0.75): "2dc1bbfd0c3896f1",
+            (0.25, 0.75): "f598a85465dad342",
             (0.3, 0.6): "bf5ef54a647044ad",
-            (0.4, 0.7): "90c359440625e161",
+            (0.4, 0.7): "e06d6d41c6222302",
         }
         for (p, q), digest in expected.items():
             report = run_table1(p, q, 2000)
@@ -485,19 +500,43 @@ class TestProbeOpenProblem:
         assert len(report.samples["value"]) > 1000
         assert report.amplitude_p > 0.0
 
-    def test_samples_match_per_sample_sums(self):
-        # the sum over the whole support <= n that each sample used to be
+    def test_samples_match_per_sample_sums(self, monkeypatch):
+        # Each sample against the sum over the whole support <= n.  Rows the
+        # windowed kernel weights (spike rows at small n) are within 4 eps of
+        # sum B |a| of the exact rational sum.  The other rows use log-space
+        # masses, whose log carries an absolute error of about eps n ln n
+        # (the size of log n!); they are checked against scipy's masses,
+        # within about 1e-15 relative, with a bound of twice that.
+        routed = set()
+        block = transforms._windowed_block
+
+        def counted(windows, offset, peak, p, ns, half):
+            value, certified = block(windows, offset, peak, p, ns, half)
+            routed.update((p, n) for n in ns[certified].tolist())
+            return value, certified
+
+        monkeypatch.setattr(transforms, "_windowed_block", counted)
         for C, horizon in ((1.0, 200_000), (0.5, 20_000), (40.0, 50_000)):
+            routed.clear()
             report = probe_open_problem(0.35, 0.8, C, horizon)
             seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
             idx, av = seq.support(horizon)
             cols = report.samples
+            checked = 0
             for series, n, value in zip(cols["series"], cols["eval_index"], cols["value"]):
                 prob = 0.35 if series.startswith("p_") else 0.8
+                n = int(n)
                 k = int(np.searchsorted(idx, n, side="right"))
-                terms = np.exp(log_pmf_many(n, prob, idx[:k])) * av[:k]
-                old = float(np.exp(log_pmf_many(n, prob, idx[:k])) @ av[:k])
-                assert abs(value - old) <= 4 * EPS * math.fsum(terms)
+                if (prob, n) in routed:
+                    exact = sparse_binomial_exact(idx[:k], av[:k], n, prob)
+                    scale = sparse_binomial_exact(idx[:k], np.abs(av[:k]), n, prob)
+                    assert abs(Fraction(value) - exact) <= Fraction(4 * EPS) * scale
+                    checked += 1
+                    continue
+                terms = binom.pmf(idx[:k], n, prob) * av[:k]
+                bound = 2 * EPS * (n + 1) * math.log(n + 2) * math.fsum(np.abs(terms))
+                assert abs(value - math.fsum(terms)) <= bound
+            assert checked >= 2
 
     def test_param_validation(self):
         with pytest.raises(ParameterDomainError):

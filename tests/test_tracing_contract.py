@@ -1,12 +1,16 @@
 """The mean paths compute their masses through the names that bench/tracing.py
-patches: transforms._row_mass for full PMF rows, and transforms.log_pmf_many
-or sequences.log_pmf_many for log-space masses.  A helper that reached the
-kernel another way would leave the traced counts at 0 for its work.
+patches: transforms.log_pmf_many or sequences.log_pmf_many for log-space
+masses, and transforms._row_mass for full PMF rows, which no mean takes (a
+row its window cannot certify widens the window instead; weights still
+builds full rows).  A helper that reached the kernel another way would leave
+the traced counts at 0 for its work.
 
 Every log_pmf_many call makes one _log_factorial pass, so the passes count
-every log mass computed, whichever way it was reached; the dense kernel's
-full rows are the rows its windows could not certify.
+every log mass computed, whichever way it was reached.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,12 +93,22 @@ def test_sparse_block_path(traced):
 
 
 def test_dense_fallback_rows(traced):
+    # the rows the windowed kernel rejects widen: no full row, no log mass
     seq = RealSequence.from_values((-3.0) ** np.arange(301.0))
     with np.errstate(over="ignore", invalid="ignore"):
         binomial_prefix(seq, 0.45, 300)
-    assert len(traced["rows"]) > 0
-    assert sorted(traced["rows"]) == sorted(traced["rejected"])
-    assert traced["passes"] == 0
+    assert len(traced["rejected"]) > 0
+    assert traced["rows"] == [] and traced["passes"] == 0
+
+
+def test_traced_names_resolve():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    for owner, attr, name, count in tracing.summakit_targets():
+        assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
 
 
 def test_experiments(traced):

@@ -27,9 +27,11 @@ from summakit import (
     weights,
 )
 from summakit import transforms
+from summakit.sequences import islet_ranges
 from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pmf_many
 
 from oracles import (
+    binomial_run_numerator,
     geometric_binomial_errors,
     pmf_row_exact_doubles,
     sparse_binomial_exact,
@@ -190,6 +192,22 @@ def count_full_rows(monkeypatch):
     return calls
 
 
+def count_widened(monkeypatch):
+    """Record the n of every row the windowed kernel weights again over a
+    wider window than its first (W rounded up to a multiple of 16), once
+    per widening pass."""
+    rows = []
+    block = transforms._windowed_block
+
+    def counted(windows, offset, peak, p, ns, half):
+        first = np.ceil(_window_halfwidth(ns.astype(float), p) / 16.0) * 16.0
+        rows.extend(ns[half > first].tolist())
+        return block(windows, offset, peak, p, ns, half)
+
+    monkeypatch.setattr(transforms, "_windowed_block", counted)
+    return rows
+
+
 class TestWindowedKernel:
     # The reference is the per-row _row_mass dot summed exactly: the BLAS dot
     # of a full row carries a few eps of summation error of its own.  The
@@ -232,49 +250,60 @@ class TestWindowedKernel:
         assert calls == []
 
     def test_unbounded_fallback_is_bit_identical(self, monkeypatch):
-        # (-3)**n overflows at n = 647 (to -inf), so row 647 must fall back;
-        # from row 648 on both infinities are present and the rows are NaN
-        # without building a full row.  Earlier rows certify only while the
-        # tail the window drops, times 3**n, stays below 2**-53 of (1 + 2p)**n.
+        # (-3)**n overflows at n = 647 (to -inf), so row 647 cannot certify
+        # and is weighted over [0, n] at once; from row 648 on both
+        # infinities are present and the rows are NaN without being built.
+        # Earlier rows certify in their first window only while the tail it
+        # drops, times 3**n, stays below 2**-53 of (1 + 2p)**n; the others
+        # widen.  No row takes a full PMF row, and a widened row gives the
+        # same bits in a prefix, an array call and a scalar call.
         calls = count_full_rows(monkeypatch)
+        widened = count_widened(monkeypatch)
         with np.errstate(over="ignore"):
             values = (-3.0) ** np.arange(2001.0)
         seq = RealSequence.from_values(values)
         for p in (0.25, 0.6):
-            calls.clear()
+            del widened[:]
             got = binomial_prefix(seq, p, 2000).values
+            rows = np.unique(widened)
+            assert rows.max() == 647 and len(rows) >= 100
             ref = full_row_loop(values, p)
-            fallback = np.zeros(2001, dtype=bool)
-            fallback[calls] = True
-            assert fallback[647] and not fallback[648:].any()
-            assert not np.all(np.isfinite(ref[fallback]))
-            assert np.isnan(ref[648:]).all()
-            fallback[648:] = True
-            np.testing.assert_array_equal(got[fallback], ref[fallback])
-            windowed = np.flatnonzero(~fallback)
-            scale = (1.0 + 2.0 * p) ** windowed
-            assert np.all(np.abs(got[windowed] - ref[windowed]) <= 4 * EPS * scale)
+            assert not np.isfinite(got[647]) and not np.isfinite(ref[647])
+            assert np.isnan(got[648:]).all() and np.isnan(ref[648:]).all()
+            finite = np.arange(647)
+            scale = (1.0 + 2.0 * p) ** finite
+            assert np.all(np.abs(got[finite] - ref[finite]) <= 4 * EPS * scale)
+            array = binomial_mean_at(seq, p, rows[::-1])[::-1]
+            scalar = np.array([binomial_mean_at(seq, p, int(n)) for n in rows])
+            assert array.tobytes() == got[rows].tobytes() == scalar.tobytes()
+        assert calls == []
 
     def test_non_finite_term_reaches_only_later_rows(self, monkeypatch):
+        # the rows holding the inf cannot certify (their peak is inf), but
+        # at n = 150, p = 0.5 their first window (75 +- 96) already spans
+        # [0, n] and drops nothing, so their values are final: no row widens
         calls = count_full_rows(monkeypatch)
+        widened = count_widened(monkeypatch)
         values = np.concatenate([np.ones(150), [math.inf, 1.0]])
         got = binomial_prefix(RealSequence.from_values(values), 0.5, 151).values
         assert np.all(np.abs(got[:150] - 1.0) <= 4 * EPS)
-        assert calls == [150, 151]
+        assert widened == [] and calls == []
         assert np.isinf(got[150]) and np.isinf(got[151])
 
     def test_undeclared_tilt_takes_the_fallback(self, monkeypatch):
         # a**n as an explicit vector declares no ratio: its rows miss the
-        # window at n p and are full rows, as for any explicit sequence
+        # window at n p and widen it, as for any explicit sequence
         calls = count_full_rows(monkeypatch)
+        widened = count_widened(monkeypatch)
         seq = RealSequence.from_values(0.3 ** np.arange(1001.0), nonneg=True)
         for p in (0.3, 0.7):
-            calls.clear()
+            del widened[:]
             got = binomial_prefix(seq, p, 1000).values
             # a > 0, so the closed form is also sum_i B(n,i,p) |a_i|
             expected = (p * (0.3 - 1.0) + 1.0) ** np.arange(1001, dtype=float)
             assert np.all(np.abs(got - expected) <= 1e-12 * expected)
-            assert 1000 in calls and len(calls) >= 500
+            assert 1000 in widened and len(set(widened)) >= 500
+        assert calls == []
 
     def test_mean_at_uses_the_windowed_kernel(self, monkeypatch):
         calls = count_full_rows(monkeypatch)
@@ -290,10 +319,11 @@ class TestWindowedKernel:
         assert calls == []
         _, rel = geometric_binomial_errors(0.5, 0.4, [got], [3000])
         assert rel[0] <= 4 * EPS
-        # the same terms as an explicit vector still take the full row
+        # the same terms as an explicit vector widen their window
+        widened = count_widened(monkeypatch)
         explicit = RealSequence.from_values(geo.prefix(3000))
         assert binomial_mean_at(explicit, 0.4, 3000) == pytest.approx(got, rel=1e-12)
-        assert calls == [3000]
+        assert 3000 in widened and calls == []
 
     def test_mean_at_matches_prefix(self):
         rng = np.random.default_rng(5)
@@ -309,14 +339,16 @@ class TestWindowedKernel:
 
     @pytest.mark.parametrize("p", [0.25, 0.6, 0.9])
     def test_certain_nan_rows_match_full_rows(self, monkeypatch, p):
-        # (-3)**n overflows at n = 647; every later row holds both infinities
+        # (-3)**n overflows at n = 647; every later row holds both
+        # infinities and is NaN without being built
         calls = count_full_rows(monkeypatch)
+        widened = count_widened(monkeypatch)
         with np.errstate(over="ignore"):
             seq = RealSequence.from_values((-3.0) ** np.arange(4001.0))
         got = binomial_prefix(seq, p, 4000).values
         ref = full_row_loop(seq.prefix(4000), p)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
-        assert np.isnan(got[648:]).all() and max(calls) == 647
+        assert np.isnan(got[648:]).all() and max(widened) == 647 and calls == []
 
     def test_nan_term_skips_later_rows(self, monkeypatch):
         calls = count_full_rows(monkeypatch)
@@ -481,14 +513,18 @@ class TestGeometricMeans:
         # geometric means took their closed form; geometric(a=-3, -1, 0)
         # were re-pinned then, every moved value within 2**-52 relative of
         # its exact rational where that is a normal double and within one
-        # 2**-1074 below
+        # 2**-1074 below.  explicit 0.5**n was re-pinned when rows its first
+        # window rejects widened instead of taking a full PMF row: 1132 values
+        # moved at p = 0.3 (worst error against the exact (1 - p/2)**n
+        # 2.38e-14 -> 2.39e-14 relative) and 1245 at p = 0.6 (1.18e-13 ->
+        # 1.09e-14)
         expected = {
             "geometric(a=-3)": "ec62d210bd8c3904",
             "geometric(a=-1)": "fb7a88184f0012fd",
             "geometric(a=0)": "c8ef9286565bb43a",
             "geometric(a=1)": "0cdddae4893f8097",
             "explicit uniform": "b47848a4895acedd",
-            "explicit 0.5**n": "5bb7494334846458",
+            "explicit 0.5**n": "d58c01948269a3a8",
         }
         rng = np.random.default_rng(2024)
         seqs = {
@@ -570,6 +606,18 @@ def count_terms(monkeypatch):
     return terms
 
 
+def routed_by_rule(seq, p, ns):
+    """Which rows of ns the windowed kernel weights, counted on the dense
+    prefix: n >= 1 and support on at least a quarter of the window m +- W's
+    indices inside [0, n]."""
+    ns = np.asarray(ns)
+    m, half = _mode(ns.astype(float), p), _window_halfwidth(ns.astype(float), p)
+    lo = np.maximum(m - half, 0).astype(np.int64)
+    hi = np.minimum(m + half, ns).astype(np.int64)
+    ones = np.concatenate([[0], np.cumsum(seq.prefix(int(ns.max())) != 0)])
+    return (ns > 0) & (4 * (ones[hi + 1] - ones[lo]) >= hi - lo + 1)
+
+
 def sparse_reference(idx, av, p, ns, routed):
     """sparse_rows_old, except that a routed row's exact sums come from its
     full PMF row over the zero-filled prefix (full_row_exact), the
@@ -631,19 +679,27 @@ class TestSparseKernel:
 
     def test_growing_values_fall_back_bit_identically(self, monkeypatch):
         # 2**i grows faster than the masses fall past the window, so the
-        # dropped tail times max |a_i| cannot be certified for most rows
+        # dropped tail times max |a_i| cannot be certified for most rows.
+        # Every row n >= 1 is routed (a third of each window is support),
+        # so those rows widen their window instead of summing the whole
+        # support, and a widened row gives the same bits in any batch.
         calls = count_sparse_fallbacks(monkeypatch)
-        routed = count_routed(monkeypatch)
+        widened = count_widened(monkeypatch)
         idx = np.arange(0, 1000, 3)
         av = 2.0**idx
         ns = np.arange(1001)
         got = transforms._binomial_means_sparse(idx, av, 0.3, ns)
-        old, exact, scale = sparse_reference(idx, av, 0.3, ns, routed)
-        fallback = np.zeros(len(ns), dtype=bool)
-        fallback[calls] = True
-        assert fallback.sum() >= 500
-        np.testing.assert_array_equal(got[fallback], old[fallback])
-        assert np.all(np.abs(got[~fallback] - exact[~fallback]) <= 4 * EPS * scale[~fallback])
+        rows = np.unique(widened)
+        assert len(rows) >= 500 and calls == []
+        values = np.zeros(1001)
+        values[idx] = av
+        ref, scale = full_row_exact(values, 0.3)
+        assert np.all(np.abs(got - ref) <= 4 * EPS * scale)
+        shuffled = np.random.default_rng(4).permutation(np.concatenate([rows, rows[::5]]))
+        batch = transforms._binomial_means_sparse(idx, av, 0.3, shuffled)
+        assert batch.tobytes() == got[shuffled].tobytes()
+        scalar = [transforms._binomial_means_sparse(idx, av, 0.3, [n])[0] for n in rows[::7]]
+        assert np.array(scalar).tobytes() == got[rows[::7]].tobytes()
 
     def test_non_finite_value_reaches_only_later_rows(self, monkeypatch):
         routed = count_routed(monkeypatch)
@@ -820,21 +876,35 @@ class TestRoutedRows:
         assert abs(Fraction(got) - exact) <= Fraction(4 * EPS) * exact
 
     def test_spikes_and_explore_keep_their_terms(self, monkeypatch):
-        # log_pmf_many terms counted before rows were routed: spike windows
-        # hold far less than a quarter support
+        # log_pmf_many terms counted before any row was routed (reproduced
+        # here with routing off).  Spike rows are routed only at small n,
+        # where the gaps C sqrt(i) between spikes are short next to the
+        # window; every other row keeps its log-space terms, so routing
+        # removes exactly the terms the routed rows took in log space.
         routed = count_routed(monkeypatch)
         terms = count_terms(monkeypatch)
+
+        def counted(run, share=transforms._ROUTE_SHARE):
+            del terms[:], routed[:]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(transforms, "_ROUTE_SHARE", share)
+                run()
+            return sum(terms), sorted(set(routed))
+
         prefixes = {(0.5, 0.3): 956_178, (1.0, 0.5): 420_789, (2.0, 0.8): 136_095}
-        for (C, p), expected in prefixes.items():
-            del terms[:]
-            binomial_prefix(sequence_from_spec(GeneratorSpec("spikes", C=C)), p, 20_000)
-            assert sum(terms) == expected
+        for (C, p), before in prefixes.items():
+            seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
+            assert counted(lambda: binomial_prefix(seq, p, 20_000), share=0) == (before, [])
+            total, rows = counted(lambda: binomial_prefix(seq, p, 20_000))
+            assert rows == np.flatnonzero(routed_by_rule(seq, p, np.arange(20_001))).tolist()
+            assert 0 < len(rows) and max(rows) < 256
+            moved, _ = counted(lambda: binomial_mean_at(seq, p, np.array(rows)), share=0)
+            assert total == before - moved
         probes = {(0.4, 0.7, 0.5): 376_477, (0.2, 0.9, 2.0): 15_893}
-        for (p, q, C), expected in probes.items():
-            del terms[:]
-            probe_open_problem(p, q, C, 10**6)
-            assert sum(terms) == expected
-        assert routed == []
+        for (p, q, C), before in probes.items():
+            assert counted(lambda: probe_open_problem(p, q, C, 10**6), share=0) == (before, [])
+            total, rows = counted(lambda: probe_open_problem(p, q, C, 10**6))
+            assert 0 < len(rows) and max(rows) < 256 and total < before
 
     @pytest.mark.parametrize("p", [0.5, 0.7, 0.85])
     def test_island_rows_are_routed_and_gap_rows_are_not(self, monkeypatch, p):
@@ -871,6 +941,108 @@ class TestRoutedRows:
         assert traced < 6 and grown < 6
 
 
+class TestOneKernel:
+    """Every mean but the geometric closed form goes through the support
+    kernel: a row its first window does not certify widens, never takes a
+    full PMF row, and gives the same bits in any call."""
+
+    def test_island_edge_rows_against_exact_rationals(self, monkeypatch):
+        # a window reaching into an island is routed, but the mass it drops
+        # times the peak is not below 2**-53 of the little mass it keeps, so
+        # the row widens; log-space masses left such rows 1e-12 to 2e-11 off
+        widened = count_widened(monkeypatch)
+        p = 0.3
+        got = binomial_prefix(sequence_from_spec(GeneratorSpec("islets")), p, 20_000).values
+        ns = [11586, 11603, 11620, 11635, 15803, 15820, 15837, 15849]
+        for n in ns:
+            # Hoeffding: the mass below n p - 40 sigma is under
+            # exp(-3200 p q) < 1e-290, far below 1e-13 of these means.
+            # The exact mean is N / d**n; got[n] is num / den.
+            cut = math.ceil(n * p - 40.0 * math.sqrt(n * p * (1.0 - p)))
+            big = sum(binomial_run_numerator(n, p, max(lo, cut), min(hi, n))
+                      for lo, hi in islet_ranges(n) if hi >= cut)
+            num, den = float(got[n]).as_integer_ratio()
+            d_n = p.as_integer_ratio()[1] ** n
+            rel = abs(num * d_n - big * den) / (big * den)
+            assert rel <= 1e-13, (n, rel)
+        rows = np.unique(widened)
+        assert set(ns) <= set(rows.tolist()) and len(rows) >= 100
+
+    def test_no_mean_takes_a_full_row(self, monkeypatch):
+        calls = count_full_rows(monkeypatch)
+        horizon = 1500
+        with np.errstate(over="ignore"):
+            vectors = [a ** np.arange(horizon + 1.0) for a in (-3.0, 1.01, 0.5, -0.7, 1.002)]
+        for at, term in ((900, math.inf), (1200, math.nan)):
+            vectors.append(np.ones(horizon + 1))
+            vectors[-1][at] = term
+        seqs = [RealSequence.from_values(v) for v in vectors]
+        seqs += [sequence_from_spec(GeneratorSpec(family))
+                 for family in ("alternating01", "signed_linear", "islets")]
+        seqs += [sequence_from_spec(GeneratorSpec("spikes", C=1.0)), RealSequence.geometric(-3.0),
+                 sparse_sequence(_SPARSE_IDX, [1.0, -2.0, 1e300, 0.5, -1.0, 3.0], "huge")]
+        ns = np.array([horizon, 0, 1, 647, 901, 1201, 2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seq in seqs:
+                for p in (0.05, 0.5, 0.97):
+                    binomial_prefix(seq, p, horizon)
+                    binomial_mean_at(seq, p, ns)
+                    for n in ns:
+                        binomial_mean_at(seq, p, int(n))
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_every_row_is_the_same_bits_in_any_call(self, p):
+        # a +inf at 300 and a -inf at 700: rows 300-699 are +inf (their
+        # windows widen up to [0, n]), every later row is the canonical NaN,
+        # dense or sparse, in a prefix, an array call and a scalar call
+        values = np.linspace(-1.0, 1.0, 1201)
+        values[300], values[700] = math.inf, -math.inf
+        idx = np.union1d(np.arange(0, 1201, 3), [300, 700])
+        seqs = [RealSequence.from_values(values), sparse_sequence(idx, values[idx], "pair")]
+        ns = np.random.default_rng(int(10 * p)).permutation(1201)
+        nan = np.full(501, np.nan).tobytes()
+        with np.errstate(invalid="ignore"):
+            for seq in seqs:
+                prefix = binomial_prefix(seq, p, 1200).values
+                batch = binomial_mean_at(seq, p, ns)
+                scalar = np.array([binomial_mean_at(seq, p, n) for n in range(1201)])
+                assert batch.tobytes() == prefix[ns].tobytes()
+                assert scalar.tobytes() == prefix.tobytes()
+                assert np.isfinite(prefix[:300]).all() and (prefix[300:700] == math.inf).all()
+                assert prefix[700:].tobytes() == nan
+
+    @pytest.mark.parametrize("term", [math.nan, "pair"])
+    def test_sparse_nan_builds_no_later_row(self, monkeypatch, term):
+        # rows from the NaN (or the second infinity of a +inf/-inf pair) on
+        # are NaN without a mass being taken for them
+        built = []
+        kernel, block = transforms.log_pmf_many, transforms._windowed_block
+
+        def logs(n, p, indices, **kwargs):
+            built.append(np.max(n))
+            return kernel(n, p, indices, **kwargs)
+
+        def windowed(windows, offset, peak, p, ns, half):
+            built.append(ns.max())
+            return block(windows, offset, peak, p, ns, half)
+
+        monkeypatch.setattr(transforms, "log_pmf_many", logs)
+        monkeypatch.setattr(transforms, "_windowed_block", windowed)
+        idx = np.array([0, 4, 30, 90, 150, 200, 201, 202, 203, 205, 400, 1000, 1001])
+        vals = np.ones(len(idx))
+        if term == "pair":
+            vals[3], vals[5] = math.inf, -math.inf  # indices 90 and 200
+        else:
+            vals[5] = math.nan
+        seq = sparse_sequence(idx, vals, "nan")
+        got = binomial_prefix(seq, 0.4, 3000).values
+        batch = binomial_mean_at(seq, 0.4, np.array([3000, 199, 200, 5]))
+        assert np.isnan(got[200:]).all() and not np.isnan(got[:200]).any()
+        assert batch.tobytes() == got[[3000, 199, 200, 5]].tobytes()
+        assert max(built) == 199
+
+
 class TestMeanAtArray:
     """binomial_mean_at over an array of n: any order, repeats, 0 and empty."""
 
@@ -894,7 +1066,10 @@ class TestMeanAtArray:
         idx, av = seq.support(int(ns.max()))
         _, exact, scale = sparse_reference(idx, av, p, ns, routed)
         assert np.all(np.abs(got - exact) <= 4 * EPS * scale)
-        assert (len(routed) > 0) == (spec.family == "islets")
+        # islets rows inside an island are routed; spike rows only at small
+        # n, where the gaps between spikes are short next to the window
+        assert sorted(set(routed)) == sorted(set(ns[routed_by_rule(seq, p, ns)]))
+        assert max(routed) >= 1024 if spec.family == "islets" else max(routed) < 256
 
     def test_dense_matches_scalar_calls(self):
         seq = sequence_from_spec(GeneratorSpec("signed_linear"))
@@ -904,10 +1079,11 @@ class TestMeanAtArray:
 
     @pytest.mark.parametrize("p", [0.03, 0.3, 0.6, 0.97])
     def test_dense_rows_do_not_depend_on_their_batch(self, monkeypatch, p):
-        # windowed and full-row fallback rows: the prefix entry, the entry
-        # of an any-order array call with repeats and the scalar call are
-        # the same bits, NaN positions included
+        # rows certified in their first window and widened rows: the prefix
+        # entry, the entry of an any-order array call with repeats and the
+        # scalar call are the same bits, NaN positions included
         calls = count_full_rows(monkeypatch)
+        widened = count_widened(monkeypatch)
         horizon = 5000
         rng = np.random.default_rng(int(p * 100))
         with np.errstate(over="ignore"):
@@ -931,7 +1107,7 @@ class TestMeanAtArray:
                 batch = binomial_mean_at(seq, p, ns)
                 scalar = np.array([binomial_mean_at(seq, p, int(n)) for n in ns])
                 assert bits(batch) == bits(prefix) and bits(scalar) == bits(prefix), seq.name
-        assert len(calls) > 0
+        assert len(widened) > 0 and calls == []
 
     @pytest.mark.parametrize("family", ["alternating01", "islets"])
     def test_empty(self, family):
