@@ -302,8 +302,6 @@ def _windowed_means(idx, av, peak, p, ns):
     m = _mode(rows, p).astype(np.int64)
     spans = -(-np.maximum(m, rows - m) // _HALF_STEP) * _HALF_STEP  # least to span [0, n]
     halves = (np.ceil(_window_halfwidth(rows, p) / _HALF_STEP) * _HALF_STEP).astype(np.int64)
-    # a row with a non-finite peak never certifies: it starts spanning [0, n]
-    halves = np.where(np.isfinite(peak), halves, np.maximum(halves, spans))
     while True:
         lo = m - halves
         windows, offset = _support_windows(idx, av, lo, lo + 2 * halves + 1)
@@ -484,8 +482,8 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     any order.  One row goes through _sparse_row on scalars.  Of more rows,
     row 0 is a_0 (-0.0 included) and rows past a NaN or a +inf/-inf pair
     are NaN.  The others go in blocks of _BLOCK_ROWS through _sparse_rows,
-    whose routed rows then go through _windowed_means; where every index
-    is support, every row is routed and they go as one block.
+    whose routed rows (every row, where every index is support) then go
+    through _windowed_means.
     """
     ns = np.asarray(ns, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -500,13 +498,10 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
         rows = np.flatnonzero((ns > 0) & (ns < nan_from))
         peak = np.abs(av)
         np.maximum.accumulate(peak, out=peak)
-        every = len(idx) and idx[-1] == len(idx) - 1  # idx is 0, 1, ..., top
-        step = max(len(rows), 1) if every else _BLOCK_ROWS
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            if not every:
-                out[block], routed = _sparse_rows(idx, av, peak, p, ns[block])
-                block = block[routed]
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            out[block], routed = _sparse_rows(idx, av, peak, p, ns[block])
+            block = block[routed]
             if len(block):
                 n = ns[block]
                 out[block] = _windowed_means(idx, av, peak[idx.searchsorted(n, "right") - 1], p, n)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
 
 from summakit import (
     GeneratorSpec,
@@ -23,6 +22,7 @@ from summakit import (
     sequence_from_spec,
 )
 from summakit import transforms
+from summakit.binomial_kernel import log_pmf_many
 from summakit.sequences import (
     _CACHED_CHAINS,
     _geometric_pq_witness,
@@ -503,19 +503,17 @@ class TestProbeOpenProblem:
     def test_samples_match_per_sample_sums(self, monkeypatch):
         # Each sample against the sum over the whole support <= n.  Rows the
         # windowed kernel weights (spike rows at small n) are within 4 eps of
-        # sum B |a| of the exact rational sum.  The other rows use log-space
-        # masses, whose log carries an absolute error of about eps n ln n
-        # (the size of log n!); they are checked against scipy's masses,
-        # within about 1e-15 relative, with a bound of twice that.
-        routed = set()
+        # sum B |a| of the exact rational sum; the others, weighted in log
+        # space, within 4 eps of the log-space sum they were always checked
+        # against.
+        routed = set()  # (p, n) of every row reaching the windowed kernel
         block = transforms._windowed_block
 
-        def counted(windows, offset, peak, p, ns, half):
-            value, certified = block(windows, offset, peak, p, ns, half)
-            routed.update((p, n) for n in ns[certified].tolist())
-            return value, certified
+        def recorded(windows, offset, peak, p, ns, half):
+            routed.update((p, n) for n in ns.tolist())
+            return block(windows, offset, peak, p, ns, half)
 
-        monkeypatch.setattr(transforms, "_windowed_block", counted)
+        monkeypatch.setattr(transforms, "_windowed_block", recorded)
         for C, horizon in ((1.0, 200_000), (0.5, 20_000), (40.0, 50_000)):
             routed.clear()
             report = probe_open_problem(0.35, 0.8, C, horizon)
@@ -533,9 +531,9 @@ class TestProbeOpenProblem:
                     assert abs(Fraction(value) - exact) <= Fraction(4 * EPS) * scale
                     checked += 1
                     continue
-                terms = binom.pmf(idx[:k], n, prob) * av[:k]
-                bound = 2 * EPS * (n + 1) * math.log(n + 2) * math.fsum(np.abs(terms))
-                assert abs(value - math.fsum(terms)) <= bound
+                terms = np.exp(log_pmf_many(n, prob, idx[:k])) * av[:k]
+                old = float(np.exp(log_pmf_many(n, prob, idx[:k])) @ av[:k])
+                assert abs(value - old) <= 4 * EPS * math.fsum(terms)
             assert checked >= 2
 
     def test_param_validation(self):

@@ -192,16 +192,20 @@ def count_full_rows(monkeypatch):
     return calls
 
 
+def first_pass(ns, p, half):
+    """Which rows of a _windowed_block call are on their first window, W
+    rounded up to a multiple of 16, and not weighted again wider."""
+    return half <= np.ceil(_window_halfwidth(ns.astype(float), p) / 16.0) * 16.0
+
+
 def count_widened(monkeypatch):
     """Record the n of every row the windowed kernel weights again over a
-    wider window than its first (W rounded up to a multiple of 16), once
-    per widening pass."""
+    wider window than its first, once per widening pass."""
     rows = []
     block = transforms._windowed_block
 
     def counted(windows, offset, peak, p, ns, half):
-        first = np.ceil(_window_halfwidth(ns.astype(float), p) / 16.0) * 16.0
-        rows.extend(ns[half > first].tolist())
+        rows.extend(ns[~first_pass(ns, p, half)].tolist())
         return block(windows, offset, peak, p, ns, half)
 
     monkeypatch.setattr(transforms, "_windowed_block", counted)
@@ -579,15 +583,15 @@ def sparse_rows_old(idx, av, p, ns):
 
 
 def count_routed(monkeypatch):
-    """Record the n of every row _windowed_block certifies: from a sparse
-    call, the rows weighted by the windowed dense kernel."""
+    """Record the n of every row that reaches _windowed_block, once, on its
+    first window: the rows weighted by the windowed kernel, certified or
+    widened."""
     routed = []
     block = transforms._windowed_block
 
     def counted(windows, offset, peak, p, ns, half):
-        value, certified = block(windows, offset, peak, p, ns, half)
-        routed.extend(ns[certified].tolist())
-        return value, certified
+        routed.extend(ns[first_pass(ns, p, half)].tolist())
+        return block(windows, offset, peak, p, ns, half)
 
     monkeypatch.setattr(transforms, "_windowed_block", counted)
     return routed
@@ -708,8 +712,11 @@ class TestSparseKernel:
         av[100] = math.inf  # index 200
         ns = np.arange(401)
         got = transforms._binomial_means_sparse(idx, av, 0.5, ns)
-        assert routed and max(routed) < 200
-        old, exact, scale = sparse_reference(idx, av, 0.5, ns, routed)
+        # half the indices are support: every row n >= 1 is routed, and the
+        # rows holding the inf widen to [0, n] and are final there
+        assert sorted(routed) == list(range(1, 401))
+        finite = [n for n in routed if n < 200]
+        old, exact, scale = sparse_reference(idx, av, 0.5, ns, finite)
         assert np.all(np.abs(got[:200] - exact[:200]) <= 4 * EPS * scale[:200])
         assert np.isinf(got[200:]).all()
         np.testing.assert_array_equal(got[200:], old[200:])
@@ -881,30 +888,47 @@ class TestRoutedRows:
         # where the gaps C sqrt(i) between spikes are short next to the
         # window; every other row keeps its log-space terms, so routing
         # removes exactly the terms the routed rows took in log space.
-        routed = count_routed(monkeypatch)
         terms = count_terms(monkeypatch)
+        routed = []  # (p, n) of every row reaching the windowed kernel
+        block = transforms._windowed_block
+
+        def recorded(windows, offset, peak, p, ns, half):
+            routed.extend((p, n) for n in ns[first_pass(ns, p, half)].tolist())
+            return block(windows, offset, peak, p, ns, half)
+
+        monkeypatch.setattr(transforms, "_windowed_block", recorded)
 
         def counted(run, share=transforms._ROUTE_SHARE):
             del terms[:], routed[:]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(transforms, "_ROUTE_SHARE", share)
                 run()
-            return sum(terms), sorted(set(routed))
+            return sum(terms), sorted(routed)
+
+        def moved(seq, rows):
+            # the log-space terms the routed rows take with routing off
+            total = 0
+            for p in {p for p, _ in rows}:
+                ns = np.array([n for q, n in rows if q == p])
+                total += counted(lambda: binomial_mean_at(seq, p, ns), share=0)[0]
+            return total
 
         prefixes = {(0.5, 0.3): 956_178, (1.0, 0.5): 420_789, (2.0, 0.8): 136_095}
         for (C, p), before in prefixes.items():
             seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
             assert counted(lambda: binomial_prefix(seq, p, 20_000), share=0) == (before, [])
             total, rows = counted(lambda: binomial_prefix(seq, p, 20_000))
-            assert rows == np.flatnonzero(routed_by_rule(seq, p, np.arange(20_001))).tolist()
-            assert 0 < len(rows) and max(rows) < 256
-            moved, _ = counted(lambda: binomial_mean_at(seq, p, np.array(rows)), share=0)
-            assert total == before - moved
+            ns = [n for _, n in rows]
+            assert ns == np.flatnonzero(routed_by_rule(seq, p, np.arange(20_001))).tolist()
+            assert 0 < len(ns) and max(ns) < 256
+            assert total == before - moved(seq, rows)
         probes = {(0.4, 0.7, 0.5): 376_477, (0.2, 0.9, 2.0): 15_893}
         for (p, q, C), before in probes.items():
+            seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
             assert counted(lambda: probe_open_problem(p, q, C, 10**6), share=0) == (before, [])
             total, rows = counted(lambda: probe_open_problem(p, q, C, 10**6))
-            assert 0 < len(rows) and max(rows) < 256 and total < before
+            assert 0 < len(rows) and max(n for _, n in rows) < 256
+            assert total == before - moved(seq, rows)
 
     @pytest.mark.parametrize("p", [0.5, 0.7, 0.85])
     def test_island_rows_are_routed_and_gap_rows_are_not(self, monkeypatch, p):
