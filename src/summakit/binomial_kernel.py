@@ -109,8 +109,11 @@ def _log_factorial_table(size: int) -> np.ndarray:
 # log k! below 2048 is a table entry; from there up, the first term
 # Stirling's series leaves out, 1/(360 k**3), is below 0.2 ulp of log k!.
 _LOG_FACTORIALS = _log_factorial_table(2048)
-_STIRLING_FROM = float(len(_LOG_FACTORIALS))
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# The constants of _log_factorial as 0-d arrays: a short ufunc call takes
+# one about a third faster than a Python float, whose type it resolves anew.
+_STIRLING_FROM = np.array(float(len(_LOG_FACTORIALS)))
+_HALF, _ONE, _TWELFTH = np.array(0.5), np.array(1.0), np.array(1.0 / 12.0)
+_STIRLING_CONST = np.array(0.5 * math.log(2.0 * math.pi) + 0.5)
 
 
 def _log_factorial(x) -> np.ndarray:
@@ -125,7 +128,7 @@ def _log_factorial(x) -> np.ndarray:
     small = x < _STIRLING_FROM
     any_small = np.count_nonzero(small)  # cheaper than small.any() on short arrays
     y = np.maximum(x, _STIRLING_FROM) if any_small else x
-    out = (y + 0.5) * (np.log(y) - 1.0) + (_HALF_LOG_2PI + 0.5 + (1.0 / 12.0) / y)
+    out = (y + _HALF) * (np.log(y) - _ONE) + (_STIRLING_CONST + _TWELFTH / y)
     if any_small:
         out[small] = _LOG_FACTORIALS[x[small].astype(np.intp)]
     return out
@@ -157,14 +160,21 @@ def log_pmf_many(n, p: float, indices, *, _counts=None) -> np.ndarray:
     return head - lf[0] - lf[1] + terms[0] * math.log(p) + terms[1] * math.log1p(-p)
 
 
+def _lib(n):
+    """numpy for an array n, math for a number: _mode and _window_halfwidth
+    take either, with the same values (floor, ceil and sqrt are exact or
+    correctly rounded in both), as ints for a number."""
+    return np if isinstance(n, np.ndarray) else math
+
+
 def _mode(n, p: float):
-    """mode_index of row n, for a float n or an array of them, as floats.
+    """mode_index of row n, for a number n or an array of them (as floats).
 
     For 0 < p < 1 it lies in [0, n]: (n+1)p > 0 cannot round to 0, and
     where it rounds up to n + 1 the tie rule takes it back to n.
     """
     x = (n + 1.0) * p
-    m = np.floor(x)
+    m = _lib(n).floor(x)
     return m - (m == x)
 
 
@@ -190,10 +200,11 @@ def mode_index(params: PMFParams) -> int:
 
 def _window_halfwidth(n, p: float):
     """Half-width W = ceil(9 sqrt(n p q)) + 30 of the certified window around
-    row n's mode, as a float (an array for an array n).  The binomial means
-    of transforms and the row slices of _row_mass keep at least the window
+    row n's mode (a float array for an array n).  The binomial means of
+    transforms and the row slices of _row_mass keep at least the window
     m +- W of every row they weight."""
-    return np.ceil(9.0 * np.sqrt(n * p * (1.0 - p))) + 30.0
+    lib = _lib(n)
+    return lib.ceil(9.0 * lib.sqrt(n * p * (1.0 - p))) + 30
 
 
 def _unit_window(n, m, p: float, below: int, above: int):
@@ -211,10 +222,20 @@ def _unit_window(n, m, p: float, below: int, above: int):
     col, mode = (n[:, None], m[:, None]) if rows else (n, m)
     w = np.empty(rows + (below + above + 1,))
     w[..., below] = 1.0
-    up = _ratio_up(col, mode + np.arange(1.0, above + 1.0), p)
-    np.cumprod(up, axis=-1, out=w[..., below + 1 :])
-    down = _ratio_down(col, mode - np.arange(float(below)), p)
-    np.cumprod(down, axis=-1, out=w[..., :below][..., ::-1])
+    # each side's _ratio_up and _ratio_down in two buffers, rounded as they are
+    q = 1.0 - p
+    i = mode + np.arange(1.0, above + 1.0)
+    t = col + 1.0 - i
+    t *= p
+    i *= q
+    t /= i
+    np.cumprod(t, axis=-1, out=w[..., below + 1 :])
+    i = mode - np.arange(float(below))
+    t = col + 1.0 - i
+    t *= p
+    i *= q
+    i /= t
+    np.cumprod(i, axis=-1, out=w[..., :below][..., ::-1])
     # w.T[0] and w.T[-1] are each row's edge products.  Past 0 or n the
     # ratios are <= 0, so a side that is not cut adds +-0.
     lo, hi = m - below, m + above
@@ -226,8 +247,9 @@ def _unit_window(n, m, p: float, below: int, above: int):
 
 def _certified(value, scale, dropped, peak):
     """Whether dropped mass times peak, the largest |a_i| weighted, is at
-    most 2**-53 of the kept sum B |a_i|, scale, and value is finite."""
-    return (dropped * peak <= 2.0**-53 * scale) & np.isfinite(value)
+    most 2**-53 of the kept sum B |a_i|, scale, and value is finite (numbers
+    or arrays)."""
+    return (dropped * peak <= 2.0**-53 * scale) & (abs(value) < math.inf)
 
 
 def _row_mass(n: int, p: float, *, lo: int = 0, hi: int | None = None) -> np.ndarray:

@@ -96,7 +96,8 @@ def _render(payload: _Payload, fmt: str) -> str:
     else:
         body["rows"] = list(zip(*map(_cells, payload.table.values())))
         body["columns"] = list(payload.table)
-    return json.dumps(body, default=_plain) + "\n"
+    # a payload is built fresh for each call and holds no cycles
+    return json.dumps(body, default=_plain, check_circular=False) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,8 +243,8 @@ def _cmd_compare(args) -> _Payload:
         "i": range(lo, hi + 1),
         "mass_p": mass_p,
         "mass_q": mass_q,
-        "peak_ratio_measured": [measured] * mass_p.size,
-        "peak_ratio_predicted": [predicted] * mass_p.size,
+        "peak_ratio_measured": np.full(mass_p.size, measured),
+        "peak_ratio_predicted": np.full(mass_p.size, predicted),
     }
     return _Payload("compare", {"p": p, "q": q, "n": n}, table)
 

@@ -115,14 +115,14 @@ class _SpikeChain:
         # positions run past the largest horizon seen
         self._arrays = (np.ones(1, dtype=np.int64), np.ones(1))
 
-    def upto(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """Positions <= horizon and their square roots, as read-only views
+    def between(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in [lo, hi] and their square roots, as read-only views
         of the chain."""
         chain, roots = self._arrays
-        if chain[-1] <= horizon:
+        if chain[-1] <= hi:
             j, C, ceil, sqrt = int(chain[-1]), self._C, math.ceil, math.sqrt
             grown = []
-            while j <= horizon:
+            while j <= hi:
                 j += ceil(C * sqrt(j))
                 grown.append(j)
             grown = np.array(grown, dtype=np.int64)
@@ -130,8 +130,8 @@ class _SpikeChain:
             roots = np.concatenate((roots, np.sqrt(grown.astype(float))))
             chain.flags.writeable = roots.flags.writeable = False
             self._arrays = chain, roots
-        k = chain.searchsorted(horizon, side="right")
-        return chain[:k], roots[:k]
+        first, stop = chain.searchsorted((lo, hi + 1)).tolist()
+        return chain[first:stop], roots[first:stop]
 
 
 # spike chains held at once; each is keyed by the exact float(C)
@@ -154,7 +154,7 @@ def spike_indices(C: float, horizon: int) -> np.ndarray:
     C = float(C)
     if not 0.0 < C < math.inf:
         raise ParameterDomainError(f"C must be finite and positive, got {C!r}")
-    return _spike_chain(C).upto(horizon)[0].copy()
+    return _spike_chain(C).between(0, horizon)[0].copy()
 
 
 def _scattered(support):
@@ -169,51 +169,66 @@ def _scattered(support):
     return prefix
 
 
+def _alternating01(lo, hi):
+    i = np.arange(lo, hi + 1)
+    return i, np.where(i % 2 == 0, 1.0, 0.0)
+
+
+def _signed_linear(lo, hi):
+    i = np.arange(lo, hi + 1)
+    f = i.astype(float)
+    return i, np.where(i % 2 == 0, f, -f)
+
+
+def _islets(lo, hi):
+    runs = [np.arange(max(a, lo), b + 1) for a, b in islet_ranges(hi) if b >= lo]
+    idx = np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+    return idx, np.ones(len(idx))
+
+
 def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
-    """Wrap a family as a RealSequence with a vectorized prefix rule and,
-    for the sparse families, a support rule.
+    """Wrap a family as a RealSequence with a vectorized prefix rule, for
+    the sparse families a support rule, and a closed-form window rule
+    (geometric sequences have none: their means are a closed form).
 
-    A spikes support is a read-only view of the position chain that every
-    spikes sequence with an equal float(C) shares, so a fresh sequence
-    walks only past the positions that earlier ones walked.
+    A window of spikes reads the position chain that every spikes sequence
+    with an equal float(C) shares, so a fresh sequence walks only past the
+    positions that earlier ones walked; its heights are height_scale times
+    the chain's square roots, which rise, so the peak up to n is that of
+    the last spike: |height_scale| times its root, exactly (a product's
+    rounding is sign-symmetric and monotone).  The first islet starts at 3.
     """
-    f = spec.family
-    if f == "alternating01":
-        return RealSequence.from_function(
-            lambda h: np.where(np.arange(h + 1) % 2 == 0, 1.0, 0.0),
-            nonneg=True,
-            name=spec.label,
-        )
+    f, name = spec.family, spec.label
     if f == "geometric":
-        return RealSequence.geometric(spec.a, name=spec.label)
+        return RealSequence.geometric(spec.a, name=name)
+    if f == "alternating01":
+        return RealSequence.from_function(lambda h: _alternating01(0, h)[1], nonneg=True,
+                                          name=name, window=_alternating01, peak=lambda n: 1.0)
     if f == "signed_linear":
-
-        def prefix(h):
-            i = np.arange(h + 1, dtype=float)
-            return np.where(np.arange(h + 1) % 2 == 0, i, -i)
-
-        return RealSequence.from_function(prefix, name=spec.label)
+        return RealSequence.from_function(lambda h: _signed_linear(0, h)[1], name=name,
+                                          window=_signed_linear, peak=float)
     if f == "islets":
+        window, nonneg = _islets, True
 
-        def support(h):
-            ranges = islet_ranges(h)
-            if not ranges:
-                return np.empty(0, dtype=np.int64), np.empty(0)
-            idx = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges])
-            return idx, np.ones(len(idx))
+        def peak(n):
+            return 1.0 if n >= 3 else 0.0
 
-        return RealSequence.from_function(
-            _scattered(support), support, nonneg=True, name=spec.label
-        )
-    # spikes: the shared chain of this C serves every horizon asked of it
-    chain = _spike_chain(float(spec.C))
+    else:  # spikes
+        chain, scale, nonneg = _spike_chain(float(spec.C)), spec.height_scale, spec.height_scale >= 0
+
+        def window(lo, hi):
+            idx, roots = chain.between(lo, hi)
+            return idx, scale * roots
+
+        def peak(n):
+            roots = chain.between(0, n)[1]
+            return abs(scale) * float(roots[-1]) if len(roots) else 0.0
 
     def support(h):
-        idx, roots = chain.upto(h)
-        return idx, spec.height_scale * roots
+        return window(0, h)
 
     return RealSequence.from_function(
-        _scattered(support), support, nonneg=spec.height_scale >= 0, name=spec.label
+        _scattered(support), support, nonneg=nonneg, name=name, window=window, peak=peak
     )
 
 
@@ -399,7 +414,8 @@ def run_table1(p, q, horizon, families=None, window=None, value_tol=1e-3) -> Imp
     """Evaluate the four transforms on every family and check the implication grid.
 
     Verdicts come from estimate_limit with its default thresholds (override
-    the window via ``window``).  Returns the full verdict table, per-cell
+    the window via ``window``); the binomial means are evaluated only at the
+    rows the window judges.  Returns the full verdict table, per-cell
     outcomes, the number of contradiction flags (which a correct toolkit
     must keep at zero), counterexample witnesses observed on the
     known-to-fail cells, and the closed-form geometric p-vs-q witness.
@@ -417,16 +433,12 @@ def run_table1(p, q, horizon, families=None, window=None, value_tol=1e-3) -> Imp
         seq = sequence_from_spec(spec)
         with np.errstate(over="ignore", invalid="ignore"):
             raw = seq.prefix(horizon)
-            per = {
-                "raw": estimate_limit(raw, window=window),
-                "binomial_p": estimate_limit(
-                    binomial_prefix(seq, p, horizon).values, window=window
-                ),
-                "binomial_q": estimate_limit(
-                    binomial_prefix(seq, q, horizon).values, window=window
-                ),
-                "cesaro": estimate_limit(running_mean(raw), window=window),
-            }
+            per = {"raw": estimate_limit(raw, window=window)}
+            # a verdict reads only the last rows: the binomial means of those
+            tail = np.arange(horizon + 1 - per["raw"].window, horizon + 1)
+            for name, prob in (("binomial_p", p), ("binomial_q", q)):
+                per[name] = estimate_limit(binomial_mean_at(seq, prob, tail), window=len(tail))
+            per["cesaro"] = estimate_limit(running_mean(raw), window=window)
         verdicts[spec.label] = per
         nonneg_flags[spec.label] = seq.nonneg
 

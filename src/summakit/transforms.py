@@ -2,11 +2,13 @@
 and the weight-table representation of the Cesaro-of-binomial transform.
 
 A transform prefix of horizon H is the vector of transform values at indices
-0..H.  Every p-binomial mean sum_i B(n,i,p) a_i, a prefix or point queries,
-goes through one dispatch, _binomial_means: a geometric sequence a**n takes
-its closed form (q + p a)**n (_geometric_means); any other is read once up
-to the largest n as its support (a dense sequence as the support of every
-index) and goes through one kernel call, _binomial_means_sparse.
+0..H.  A p-binomial mean sum_i B(n,i,p) a_i of a geometric sequence a**n
+takes its closed form (q + p a)**n (_geometric_means).  For any other, a
+prefix or an array of point queries is read once up to the largest n as its
+support (a dense sequence as the support of every index) and goes through
+one kernel call, _binomial_means_sparse; a lone point query (_lone_row)
+reads only its row's window through the sequence's window rule (see
+RealSequence), the same terms by the same routines, so the same bits.
 
 The masses come from binomial_kernel; this module only weights them.  Row 0
 is a_0 itself; a row whose terms up to n hold a NaN, or both a +inf and a
@@ -29,7 +31,7 @@ be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   against about 60 ns in log space, and are accurate to about 1e-16 where
   log-space masses are off by up to about n eps log n.  The 1/4 is the best
   of a threshold sweep over eight islets prefixes (README).
-* Log space (_sparse_rows, and _sparse_row on scalars for a lone row): the
+* Log space (_sparse_rows, and _lone_row for a lone row): the
   other rows weight the support indices in their window plus, on each
   side, the nearest support index outside it and every index up to where
   the mass has fallen a further 2**-64, so a row whose window holds no
@@ -39,8 +41,18 @@ be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   rows and about 2**12 terms, which keeps peak memory small.  A row costs
   one mass per kept support index: a bounded number for spikes past small
   n, O(sqrt(n)) inside an islet, so their prefixes cost O(H) and
-  O(H sqrt(H)).  A lone spikes query at n in [2e5, 2.1e6] takes 55-120 us
-  on scalars and 150-310 us through a block.
+  O(H sqrt(H)).
+
+A lone row keeps its masses and weighted sums in those routines
+(log_pmf_many through _log_weighted, and _windowed_block) and its two
+extensions in one _sparse_extension call, and does its bookkeeping on
+Python numbers through the block rows' helpers: mode, half-width, routing
+and certificate.  It reads no prefix: a lone spikes query at n in [2e5,
+2.1e6] takes about 39 us (it took about 60 us reading the whole
+support), and a lone alternating01 or signed_linear query at n = 1e8 5-7
+ms and 6 MB (it took 3-4.6 s and 2.3 GB through the prefix), 2-core Xeon
+VM.  A dense row its first window does not certify reads the prefix up to
+n and widens as above.
 """
 
 from __future__ import annotations
@@ -93,8 +105,8 @@ def _check_horizon(horizon, name="horizon"):
 
 @dataclass
 class RealSequence:
-    """A real sequence indexed from 0, given by a prefix rule and two
-    optional ones.
+    """A real sequence indexed from 0, given by a prefix rule and optional
+    ones.
 
     ``prefix(h)`` returns terms 0..h as a vector; an optional ``support(h)``
     returns the sorted indices of the nonzero terms up to h with their
@@ -104,6 +116,15 @@ class RealSequence:
     HorizonError past its end.  The ``nonneg`` flag is a claim that
     every term is >= 0, checked lazily on what the prefix and support rules
     return.
+
+    The window rule serves a lone binomial mean, which reads only its row's
+    window: ``window(lo, hi)`` gives the terms on [lo, hi] as sorted int64
+    indices with their float values (the support there, for a sparse
+    sequence), and ``peak(n)`` the exact max |a_i| over i <= n, finite
+    exactly when every such term is (NaN where one is NaN).  A sequence may
+    give both in closed form (the named families do), taken at its word as
+    the prefix and support rules restricted; any other takes them from one
+    read of its support, or of its prefix, up to the largest index asked.
     """
 
     name: str = "sequence"
@@ -111,6 +132,8 @@ class RealSequence:
     _prefix: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
     _support: Optional[Callable[[int], tuple]] = field(default=None, repr=False)
     _ratio: Optional[float] = field(default=None, repr=False)
+    _window: Optional[Callable[[int, int], tuple]] = field(default=None, repr=False)
+    _peak: Optional[Callable[[int], float]] = field(default=None, repr=False)
 
     @classmethod
     def from_values(cls, values, nonneg=False, name="explicit"):
@@ -128,8 +151,13 @@ class RealSequence:
         return cls(name=name, nonneg=nonneg, _prefix=prefix)
 
     @classmethod
-    def from_function(cls, prefix, support=None, nonneg=False, name="rule"):
-        return cls(name=name, nonneg=nonneg, _prefix=prefix, _support=support)
+    def from_function(cls, prefix, support=None, nonneg=False, name="rule", window=None, peak=None):
+        """A sequence from its rules; ``window`` and ``peak`` come together,
+        as closed forms of what the prefix (or support) rule gives."""
+        if (window is None) != (peak is None):
+            raise ParameterDomainError("a window rule needs its peak rule, and a peak its window")
+        return cls(name=name, nonneg=nonneg, _prefix=prefix, _support=support,
+                   _window=window, _peak=peak)
 
     @classmethod
     def geometric(cls, a, name="geometric"):
@@ -151,7 +179,7 @@ class RealSequence:
         return self._support is not None
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
-        if self.nonneg and (values < 0).any():
+        if self.nonneg and np.count_nonzero(values < 0.0):
             raise ParameterDomainError(
                 f"sequence {self.name!r} is declared non-negative but has a negative term"
             )
@@ -168,6 +196,41 @@ class RealSequence:
             raise ParameterDomainError(f"sequence {self.name!r} declares no support set")
         idx, vals = self._support(horizon)
         return np.asarray(idx, dtype=np.int64), self._checked(np.asarray(vals, dtype=float))
+
+    def window(self, lo: int, hi: int):
+        """Terms on [lo, hi], 0 <= lo, as sorted indices with their values:
+        the support there, or every index for a dense sequence."""
+        return self._rule(hi)[0](lo, hi)
+
+    def peak(self, n: int) -> float:
+        """max |a_i| over i <= n, exactly: finite exactly when every such
+        term is, and NaN where one is NaN."""
+        return self._rule(n)[1](n)
+
+    def _rule(self, horizon: int):
+        """The window and peak rules for indices up to horizon: the closed
+        forms, or slices of one read of the support (of the prefix, with
+        every index, for a dense sequence)."""
+        if self._window is not None:
+            return self._window, self._peak
+        if self.sparse:
+            return _slices(*self.support(horizon))
+        return _slices(np.arange(horizon + 1), self.prefix(horizon))
+
+
+def _slices(idx, vals):
+    """The window and peak rules of the sequence that is vals at the sorted
+    indices idx and 0 elsewhere, as slices of those arrays."""
+
+    def window(lo, hi):
+        first, stop = idx.searchsorted((lo, hi + 1)).tolist()
+        return idx[first:stop], vals[first:stop]
+
+    def peak(n):
+        k = int(idx.searchsorted(n, side="right"))
+        return float(np.abs(vals[:k]).max()) if k else 0.0
+
+    return window, peak
 
 
 @dataclass(frozen=True)
@@ -244,9 +307,9 @@ def _windowed_block(windows, offset, peak, p, ns, half):
     terms = windows[(m - half).astype(np.int64) + offset, : 2 * half + 1]
     if (m + half > n).any():
         terms[np.arange(-half, half + 1.0) > (n - m)[:, None]] = 0.0
-    weighted = w * terms
-    value = weighted.sum(axis=1) / w.sum(axis=1)
-    scale = np.abs(weighted, out=weighted).sum(axis=1)
+    np.multiply(w, terms, out=terms)
+    value = terms.sum(axis=1) / w.sum(axis=1)
+    scale = np.abs(terms, out=terms).sum(axis=1)
     return value, _certified(value, scale, dropped, peak)
 
 
@@ -259,6 +322,11 @@ def _windowed_block(windows, offset, peak, p, ns, half):
 # are within 4%.  In a fresh process the larger blocks swing by up to 2x.
 _HALF_STEP = 16
 _WINDOWED_MASSES = 2**15
+
+
+def _stepped(half):
+    """half rounded up to a multiple of _HALF_STEP (an int, or an array)."""
+    return -(-half // _HALF_STEP) * _HALF_STEP
 
 
 def _support_windows(idx, av, lo, hi):
@@ -300,8 +368,8 @@ def _windowed_means(idx, av, peak, p, ns):
     order = np.argsort(ns, kind="stable")
     rows, peak = ns[order], peak[order]
     m = _mode(rows, p).astype(np.int64)
-    spans = -(-np.maximum(m, rows - m) // _HALF_STEP) * _HALF_STEP  # least to span [0, n]
-    halves = (np.ceil(_window_halfwidth(rows, p) / _HALF_STEP) * _HALF_STEP).astype(np.int64)
+    spans = _stepped(np.maximum(m, rows - m))  # least to span [0, n]
+    halves = _stepped(_window_halfwidth(rows, p)).astype(np.int64)
     while True:
         lo = m - halves
         windows, offset = _support_windows(idx, av, lo, lo + 2 * halves + 1)
@@ -343,8 +411,10 @@ _BLOCK_ROWS = 2**11
 _BLOCK_TERMS = 2**12
 
 # Past the nearest support index outside a row's window, the kept range goes
-# on outward until the mass has fallen by 2**-64.
+# on outward until the mass has fallen by 2**-64.  log 2**-64 and 1 are also
+# held as 0-d arrays, which short ufunc calls take faster than Python floats.
 _LOG_EXTEND = 64.0 * math.log(2.0)
+_LOG_FALL, _ONE = np.array(-_LOG_EXTEND), np.array(1.0)
 
 
 def _sparse_extension(ratio):
@@ -353,8 +423,8 @@ def _sparse_extension(ratio):
     (1 - ratio) on all the mass beyond them, relative to the mass at that
     index (both 0 where ratio is 0, through log(0) = -inf: the caller
     ignores divide errors)."""
-    t = np.ceil(_LOG_EXTEND / -np.log(ratio))
-    return t.astype(np.int64), np.power(ratio, t + 1.0) / (1.0 - ratio)
+    t = np.ceil(_LOG_FALL / np.log(ratio))
+    return t.astype(np.int64), np.power(ratio, t + _ONE) / (_ONE - ratio)
 
 
 # A row whose window m +- W holds support on at least 1/_ROUTE_SHARE of its
@@ -365,8 +435,12 @@ _ROUTE_SHARE = 4
 def _routed(n, m, half, in_window):
     """Which rows n >= 1 go to _windowed_means: those with in_window, the
     support indices in the window m +- half, at least 1/_ROUTE_SHARE of
-    the window's indices inside [0, n] (every row of a dense sequence)."""
-    inside = np.minimum(m + half, n) - np.maximum(m - half, 0.0) + 1.0
+    the window's indices inside [0, n] (every row of a dense sequence); a
+    lone row passes ints."""
+    if isinstance(n, np.ndarray):
+        inside = np.minimum(m + half, n) - np.maximum(m - half, 0.0) + 1.0
+    else:
+        inside = min(m + half, n) - max(m - half, 0) + 1
     return _ROUTE_SHARE * in_window >= inside
 
 
@@ -436,50 +510,86 @@ def _sparse_rows(idx, av, peak, p, ns):
     return out, routed
 
 
-def _sparse_row(idx, av, p, n: int) -> float:
-    """_binomial_means_sparse for the one row n, on scalars: the same NaN
-    rule, routing, window, extension, kept terms and certificate, without
-    the block arrays."""
-    k = idx.searchsorted(n, side="right")  # support indices <= n
-    if not k:
-        return 0.0
-    peak = np.abs(av[:k]).max()
-    if not math.isfinite(peak) and _first_nan_row(av[:k]) < k:
-        return math.nan
+# a lone row's terms as one run: _log_weighted's offsets (an array is
+# about 0.5 us faster in each reduceat than the list [0])
+_ONE_RUN = np.zeros(1, dtype=np.intp)
+
+
+def _lone_row(window, peak, p: float, n: int) -> float:
+    """_binomial_means_sparse for the one row n of the sequence with window
+    rule window(lo, hi) and peak rule peak(n) (see RealSequence), under the
+    caller's np.errstate: the same NaN rule, routing, windows, extension,
+    kept terms and certificate as the block rows, so the same bits, with the
+    bookkeeping on Python numbers.
+
+    It reads the support on m +- 2W, then, for a log-space row whose
+    nearest support index outside m +- W lies further out, on ranges of
+    four times the reach until it finds one or meets 0 or n, and once more
+    for the kept terms if they reach past what it read.  A row that does
+    not certify reads everything up to n, as its fallback needs.
+    """
+    top = peak(n)
+    if not math.isfinite(top):
+        av = window(0, n)[1]
+        if _first_nan_row(av) < len(av):
+            return math.nan
     if n == 0:
-        return av[0]
+        av = window(0, 0)[1]
+        return float(av[0]) if len(av) else 0.0
     x = float(n)
-    m = _mode(x, p)
-    half = _window_halfwidth(x, p)
-    lo = idx.searchsorted(int(m - half), side="left")
-    hi = min(idx.searchsorted(int(m + half), side="right"), k)
-    if _routed(x, m, half, hi - lo):
-        return _windowed_means(idx, av, np.array([peak]), p, np.array([n]))[0]
-    # the kept slice idx[first:stop]: the window, extended past the nearest
-    # support index outside it on each side, if any
-    first, stop, tail_lo, tail_hi = lo, hi, 0.0, 0.0
-    if lo > 0:
-        j_lo = idx[lo - 1]
-        t_lo, tail_lo = _sparse_extension(_ratio_down(x, float(j_lo), p))
-        first = idx.searchsorted(j_lo - t_lo, side="left")
-    if hi < k:
-        j_hi = idx[hi]
-        t_hi, tail_hi = _sparse_extension(_ratio_up(x, j_hi + 1.0, p))
-        stop = min(idx.searchsorted(j_hi + t_hi, side="right"), k)
-    (value,), (scale,), masses = _log_weighted(x, p, idx[first:stop], av[first:stop], [0])
+    m, half = _mode(n, p), _window_halfwidth(n, p)
+    a, b = m - half, m + half
+    reach = half
+    r_lo, r_hi = max(a - reach, 0), min(b + reach, n)
+    idx, av = window(r_lo, r_hi)
+    lo, hi = idx.searchsorted((a, b + 1)).tolist()
+    if _routed(n, m, half, hi - lo):
+        wide = _stepped(half)
+        sel = slice(*idx.searchsorted((m - wide, m + wide + 1)).tolist())
+        terms = np.zeros((1, 2 * wide + 1))
+        terms[0, idx[sel] - (m - wide)] = av[sel]
+        value, certified = _windowed_block(
+            terms, np.array([wide - m]), np.array([top]), p, np.array([n]), wide
+        )
+        if certified[0]:
+            return float(value[0])
+        return float(_windowed_means(*window(0, n), np.array([top]), p, np.array([n]))[0])
+    while not ((lo or not r_lo) and (hi < len(idx) or r_hi == n)):
+        reach *= 4
+        r_lo, r_hi = max(a - reach, 0), min(b + reach, n)
+        idx, av = window(r_lo, r_hi)
+        lo, hi = idx.searchsorted((a, b + 1)).tolist()
+    if not len(idx):  # no support up to n
+        return 0.0
+    # the nearest support index outside the window on each side, if any,
+    # and the kept range: the window, extended past them
+    left, right = lo > 0, hi < len(idx)
+    j_lo, j_hi = int(idx[lo - 1]) if left else a, int(idx[hi]) if right else b
+    ratios = (_ratio_down(x, float(j_lo), p) if left else 0.0,
+              _ratio_up(x, j_hi + 1.0, p) if right else 0.0)
+    steps, tails = _sparse_extension(np.array(ratios))
+    t_lo, t_hi = steps.tolist()
+    k_lo, k_hi = max(j_lo - t_lo, 0), min(j_hi + t_hi, n)
+    if k_lo < r_lo or k_hi > r_hi:
+        idx, av = window(k_lo, k_hi)
+        lo, hi = idx.searchsorted((a, b + 1)).tolist()
+    first, stop = idx.searchsorted((k_lo, k_hi + 1)).tolist()
+    value, scale, masses = _log_weighted(x, p, idx[first:stop], av[first:stop], _ONE_RUN)
     # where j_lo and j_hi sit among the terms (any term where absent)
-    dropped = masses[lo - 1 - first if lo > 0 else 0] * tail_lo
-    dropped += masses[hi - first if hi < k else 0] * tail_hi
-    if _certified(value, scale, dropped, peak):
+    at_lo, at_hi = lo - 1 - first if left else 0, hi - first if right else 0
+    dropped = float(masses[at_lo] * tails[0] + masses[at_hi] * tails[1])
+    value = float(value[0])
+    if _certified(value, float(scale[0]), dropped, top):
         return value
-    return _whole_support_mean(idx, av, p, n, k)
+    idx, av = window(0, n)
+    return float(_whole_support_mean(idx, av, p, n, len(idx)))
 
 
 def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.ndarray:
     """sum_{i in idx, i <= n} B(n,i,p) * av[i] for each n of the array ns.
 
     idx holds the sorted support indices, av their values; ns may come in
-    any order.  One row goes through _sparse_row on scalars.  Of more rows,
+    any order.  One row goes through _lone_row.  Of more rows,
     row 0 is a_0 (-0.0 included) and rows past a NaN or a +inf/-inf pair
     are NaN.  The others go in blocks of _BLOCK_ROWS through _sparse_rows,
     whose routed rows (every row, where every index is support) then go
@@ -488,7 +598,7 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     ns = np.asarray(ns, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if len(ns) == 1:
-            return np.array([_sparse_row(idx, av, p, int(ns[0]))])
+            return np.array([_lone_row(*_slices(idx, av), p, int(ns[0]))])
         out = np.zeros(len(ns))
         if len(idx) and idx[0] == 0:
             out[ns == 0] = av[0]
@@ -569,9 +679,10 @@ def binomial_prefix(a: RealSequence, p: float, horizon: int) -> TransformedPrefi
 def binomial_mean_at(a: RealSequence, p: float, n):
     """Binomial means at n, without building the prefix.
 
-    ``n`` is a non-negative integer, giving a float, or a 1-d array of them
-    in any order and with repeats, giving an array of the same length from
-    one read of the sequence and one kernel call.  A row does not depend on
+    ``n`` is a non-negative integer, giving a float from the row's window
+    alone (see RealSequence.window), or a 1-d array of them in any order
+    and with repeats, giving an array of the same length from one read of
+    the sequence and one kernel call.  A row does not depend on
     its batch: entry n of binomial_prefix, the scalar and every array call
     give the same bits, dense, geometric and sparse rows alike (see the
     module docstring).
@@ -579,7 +690,11 @@ def binomial_mean_at(a: RealSequence, p: float, n):
     _check_prob(p)
     if isinstance(n, (int, np.integer)):
         _check_horizon(n, "n")
-        return float(_binomial_means(a, p, np.array([n]))[0])
+        n = int(n)
+        if a._ratio is not None:
+            return float(_geometric_means(a._ratio, p, np.array([n]))[0])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _lone_row(*a._rule(n), p, n)
     ns = np.asarray(n)
     if ns.ndim == 1 and (ns.dtype.kind in "iu" or not ns.size):
         ns = ns.astype(np.int64)  # a uint64 past 2**63 wraps negative: rejected below

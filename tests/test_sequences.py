@@ -15,6 +15,8 @@ from summakit import (
     GeneratorSpec,
     HorizonError,
     ParameterDomainError,
+    RealSequence,
+    binomial_prefix,
     cesaro_prefix,
     estimate_limit,
     probe_open_problem,
@@ -25,6 +27,7 @@ from summakit import transforms
 from summakit.binomial_kernel import log_pmf_many
 from summakit.sequences import (
     _CACHED_CHAINS,
+    default_families,
     _geometric_pq_witness,
     _spike_chain,
     islet_ranges,
@@ -278,6 +281,107 @@ class TestSharedSpikeChain:
             np.testing.assert_array_equal(spike_indices(C, h), spike_positions(C, h))
 
 
+def spikes_spec(height_scale, C=1.0):
+    """A spikes spec with any height scale; GeneratorSpec refuses non-finite
+    ones, which a hand-built spec can still carry."""
+    spec = GeneratorSpec("spikes", C=C)
+    object.__setattr__(spec, "height_scale", height_scale)
+    return spec
+
+
+WINDOW_SPECS = {
+    "alternating01": GeneratorSpec("alternating01"),
+    "signed_linear": GeneratorSpec("signed_linear"),
+    "geometric(0.5)": GeneratorSpec("geometric", a=0.5),
+    "geometric(-1.5)": GeneratorSpec("geometric", a=-1.5),
+    "islets": GeneratorSpec("islets"),
+    **{f"spikes({hs})": spikes_spec(hs) for hs in (1.0, 2.5, -1.5, 0.0, math.inf, math.nan)},
+    "spikes(C=0.5)": GeneratorSpec("spikes", C=0.5, height_scale=3.0),
+    "spikes(C=7)": GeneratorSpec("spikes", C=7.0),
+}
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestWindowRule:
+    """window(lo, hi) and peak(n) of every named family equal the prefix and
+    support rules restricted to [lo, hi], and np.abs(prefix(n)).max(), bit
+    for bit."""
+
+    RANGES = [(0, 0), (0, 1), (0, 2), (1, 1), (2, 3), (3, 5), (5, 4), (0, 100), (14, 18),
+              (4**5 - 5 * 32, 4**5 + 5 * 32), (1000, 1200), (4**6 + 384, 4**6 + 400), (20_000, 21_000)]
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_SPECS))
+    def test_window_is_the_restricted_rule(self, name):
+        seq = sequence_from_spec(WINDOW_SPECS[name])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in self.RANGES:
+                idx, vals = seq.window(lo, hi)
+                assert idx.dtype == np.int64 and vals.dtype == float
+                prefix = seq.prefix(max(hi, 0))
+                if seq.sparse:
+                    sup, sv = seq.support(hi)
+                    keep = sup >= lo
+                    np.testing.assert_array_equal(idx, sup[keep])
+                    assert same_bits(vals, sv[keep])
+                else:
+                    np.testing.assert_array_equal(idx, np.arange(lo, hi + 1))
+                scattered = np.zeros(max(hi - lo + 1, 0))
+                scattered[idx - lo] = vals
+                assert same_bits(scattered, prefix[lo : hi + 1]), (lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_SPECS))
+    def test_peak_is_the_prefix_maximum(self, name):
+        seq = sequence_from_spec(WINDOW_SPECS[name])
+        ns = [0, 1, 2, 3, 4, 5, 6, 9, 30, 63, 64, 65, 999, 1024, 4**6 + 384, 20_000]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in ns:
+                expected = np.abs(seq.prefix(n)).max()
+                got = seq.peak(n)
+                assert type(got) is float
+                if math.isnan(expected):
+                    assert math.isnan(got), n
+                else:
+                    assert same_bits(got, expected), n
+                assert math.isfinite(got) == bool(np.isfinite(seq.prefix(n)).all()), n
+
+    def test_spike_peak_rounding_is_sign_symmetric(self):
+        # |h| * root equals |h * root| for every height scale and root
+        rng = np.random.default_rng(17)
+        roots = np.sqrt(rng.integers(1, 10**12, 2000).astype(float))
+        for h in rng.uniform(-1e3, 1e3, 50):
+            assert same_bits(abs(h) * roots, np.abs(h * roots))
+
+    def test_window_and_peak_come_together(self):
+        with pytest.raises(ParameterDomainError):
+            RealSequence.from_function(lambda h: np.zeros(h + 1), window=lambda lo, hi: None)
+        with pytest.raises(ParameterDomainError):
+            RealSequence.from_function(lambda h: np.zeros(h + 1), peak=lambda n: 0.0)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_default_rule_reads_the_prefix_or_support(self, sparse):
+        # a sequence without a closed form serves windows and peaks from one
+        # read of its support, or of its prefix
+        vals = np.random.default_rng(3).standard_normal(500)
+        vals[::3] = 0.0
+        if sparse:
+            nz = np.flatnonzero(vals)
+            seq = RealSequence.from_function(
+                lambda h: vals[: h + 1].copy(), support=lambda h: (nz[nz <= h], vals[nz[nz <= h]])
+            )
+        else:
+            seq = RealSequence.from_values(vals)
+        for lo, hi in [(0, 0), (7, 40), (100, 499), (250, 249)]:
+            idx, got = seq.window(lo, hi)
+            expected = np.flatnonzero(vals[lo : hi + 1]) + lo if sparse else np.arange(lo, hi + 1)
+            np.testing.assert_array_equal(idx, expected)
+            assert same_bits(got, vals[idx])
+        for n in (0, 1, 77, 499):
+            assert same_bits(seq.peak(n), np.abs(vals[: n + 1]).max())
+
+
 class TestIsletStructure:
     def test_ranges_match_pointwise(self):
         spec = GeneratorSpec("islets")
@@ -434,6 +538,33 @@ class TestRunTable1:
         verdict = report.verdicts["geometric(a=-3)"]["binomial_p"]
         assert verdict.status == "converged" and verdict.value == 0.0
         assert report.contradictions == 0
+
+    @pytest.mark.parametrize(
+        "p, q, horizon, window",
+        [(0.3, 0.6, 400, None), (0.42, 0.83, 700, None), (0.25, 0.75, 333, 8), (0.3, 0.7, 500, 501)],
+    )
+    def test_tail_rows_equal_full_prefixes(self, p, q, horizon, window):
+        # the binomial verdicts read only the judged rows; judged on full
+        # prefixes they come out the same, field for field
+        report = run_table1(p, q, horizon, window=window)
+        for spec in default_families():
+            seq = sequence_from_spec(spec)
+            per = report.verdicts[spec.label]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for name, prob in (("binomial_p", p), ("binomial_q", q)):
+                    full = estimate_limit(binomial_prefix(seq, prob, horizon).values, window=window)
+                    got = per[name]
+                    assert (got.status, got.window) == (full.status, full.window), (spec, name)
+                    assert same_bits(got.tol, full.tol)
+                    assert got.value == full.value or (got.value is None and full.value is None)
+                    if got.value is not None:
+                        assert same_bits(got.value, full.value)
+
+    def test_window_checks_come_from_the_raw_series(self):
+        with pytest.raises(HorizonError):
+            run_table1(0.3, 0.6, 100, window=102)
+        with pytest.raises(ParameterDomainError):
+            run_table1(0.3, 0.6, 100, window=1)
 
     def test_open_cell_never_flags(self):
         report = run_table1(0.3, 0.7, 2000)

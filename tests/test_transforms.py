@@ -2,6 +2,7 @@ import hashlib
 import math
 import resource
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from summakit import (
     weights,
 )
 from summakit import transforms
-from summakit.sequences import islet_ranges
+from summakit.sequences import islet_ranges, spike_indices
 from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pmf_many
 
 from oracles import (
@@ -786,7 +787,7 @@ SCALAR_PATH_CASES = {
 
 
 class TestSparseScalarPath:
-    """A one-row sparse call runs on scalars (transforms._sparse_row); two
+    """A one-row sparse call runs on scalars (transforms._lone_row); two
     equal rows take the block path (_sparse_rows), where a row does not
     depend on its block, so both give the same bits from the same terms."""
 
@@ -1169,6 +1170,147 @@ class TestMeanAtArray:
             seq = sequence_from_spec(spec)
             assert isinstance(binomial_mean_at(seq, 0.5, 5000), float)
             assert binomial_mean_at(seq, 0.5, np.array([5000])).shape == (1,)
+
+
+def lone_families():
+    """Named families with their window rules, and explicit sequences
+    without one, which take the default rule."""
+    out = {
+        name: sequence_from_spec(spec)
+        for name, spec in {
+            "alternating01": GeneratorSpec("alternating01"),
+            "signed_linear": GeneratorSpec("signed_linear"),
+            "islets": GeneratorSpec("islets"),
+            "spikes": GeneratorSpec("spikes", C=1.0, height_scale=2.5),
+            "spikes(C=0.5)": GeneratorSpec("spikes", C=0.5, height_scale=-1.5),
+            "geometric": GeneratorSpec("geometric", a=-0.7),
+        }.items()
+    }
+    vals = np.random.default_rng(11).standard_normal(6001)
+    vals[np.random.default_rng(12).random(6001) < 0.9] = 0.0
+    nz = np.flatnonzero(vals)
+    out["explicit"] = RealSequence.from_values(vals)
+    out["explicit sparse"] = RealSequence.from_function(
+        lambda h: vals[: h + 1].copy(), support=lambda h: (nz[nz <= h], vals[nz[nz <= h]])
+    )
+    return out
+
+
+def lone_rows(p, horizon):
+    """Rows 0 and 1, rows whose window is clipped at 0 or n, spike positions
+    and the rows aligned on them, and island edges and the rows aligned on
+    them."""
+    spikes = np.concatenate([spike_indices(1.0, horizon), spike_indices(0.5, horizon)])
+    edges = [e + d for lo, hi in islet_ranges(horizon) for e in (lo, hi) for d in (-1, 0, 1)]
+    rows = {0, 1, 2, 3, 4, 7, 12, 30, 80, 250, horizon}
+    rows.update(int(j) for j in spikes[::7])
+    rows.update(int(j / p) for j in spikes[::11] if j / p <= horizon)
+    rows.update(int(e / p) for e in edges if e / p <= horizon)
+    rows.update(e for e in edges if e <= horizon)
+    return np.array(sorted(rows))
+
+
+class TestLoneQuery:
+    """A scalar binomial_mean_at reads only its row's window through the
+    sequence's window rule and does its bookkeeping on Python numbers; its
+    masses and sums are the block rows', so every value keeps its bits."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.77, 0.95])
+    def test_scalar_array_and_prefix_agree(self, p):
+        horizon = 6000
+        ns = lone_rows(p, horizon)
+        for name, seq in lone_families().items():
+            prefix = binomial_prefix(seq, p, horizon).values
+            array = binomial_mean_at(seq, p, ns)
+            scalar = np.array([binomial_mean_at(seq, p, int(n)) for n in ns])
+            assert array.tobytes() == prefix[ns].tobytes(), name
+            assert scalar.tobytes() == prefix[ns].tobytes(), name
+
+    def test_helpers_take_numbers_and_arrays_alike(self):
+        # the lone row's mode, half-width, routing and certificate are the
+        # block rows' helpers on numbers: the same values, as ints
+        rng = np.random.default_rng(11)
+        ns = np.concatenate([np.arange(1, 200), rng.integers(1, 10**12, 3000)])
+        ps = np.concatenate([[0.05, 0.3, 0.5, 0.77, 0.95], rng.uniform(0.001, 0.999, 400)])
+        for p in ps.tolist():
+            rows = ns.astype(float)
+            m, half = _mode(rows, p), _window_halfwidth(rows, p)
+            lone = [(_mode(n, p), _window_halfwidth(n, p)) for n in ns.tolist()]
+            assert [a for a, _ in lone] == m.tolist() and [b for _, b in lone] == half.tolist()
+            assert all(type(a) is int and type(b) is int for a, b in lone)
+            counts = rng.integers(0, 2 * half + 2)
+            routed = transforms._routed(rows, m, half, counts)
+            assert [transforms._routed(n, a, b, c) for n, (a, b), c in
+                    zip(ns.tolist(), lone, counts.tolist())] == routed.tolist()
+        value = np.array([0.5, math.inf, math.nan, -1.0, 2.0])
+        scale, dropped = np.array([1.0, 1.0, 1.0, 2.0**53, 1.0]), np.array([0.0, 0.0, 0.0, 1.0, 2.0**-52])
+        certified = transforms._certified(value, scale, dropped, 1.0)
+        assert certified.tolist() == [True, False, False, True, False]
+        assert [transforms._certified(*args, 1.0) for args in zip(value.tolist(), scale.tolist(),
+                                                                  dropped.tolist())] == certified.tolist()
+
+    def test_named_families_read_only_windows(self, monkeypatch):
+        # no prefix or support read, and no window of more than O(sqrt(n))
+        # terms: the nearest islands of a gap row are a few thousand apart
+        read = []
+
+        def refuse(self, horizon):
+            raise AssertionError("a lone query read a prefix or a support")
+
+        monkeypatch.setattr(RealSequence, "prefix", refuse)
+        monkeypatch.setattr(RealSequence, "support", refuse)
+        for spec, n in [(GeneratorSpec("spikes", C=1.0), 2_000_003), (GeneratorSpec("islets"), 4**10 * 2),
+                        (GeneratorSpec("islets"), 4**10), (GeneratorSpec("alternating01"), 10**7),
+                        (GeneratorSpec("signed_linear"), 10**7)]:
+            seq = sequence_from_spec(spec)
+            window = seq._window
+
+            def counted(lo, hi, window=window):
+                out = window(lo, hi)
+                read.append(len(out[0]))
+                return out
+
+            monkeypatch.setattr(seq, "_window", counted)
+            del read[:]
+            binomial_mean_at(seq, 0.4, n)
+            assert 0 < max(read) <= 60 * math.sqrt(n), spec
+
+    @pytest.mark.parametrize("family", ["alternating01", "signed_linear"])
+    def test_dense_query_at_1e8(self, family):
+        # exact means (1 + (1 - 2p)**n) / 2 and -n p (1 - 2p)**(n - 1), within
+        # 4 eps of sum B |a|, in a few MB
+        seq = sequence_from_spec(GeneratorSpec(family))
+        n = 10**8
+        for p in (0.05, 0.3, 0.5, 0.77):
+            tracemalloc.start()
+            try:
+                got = binomial_mean_at(seq, p, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 50e6
+            r = Fraction(1 - 2 * Fraction(p))
+            if family == "alternating01":
+                exact = (1 + r**n) / 2 if r == 0 else Fraction(1, 2)  # |r|**n < 1e-2000
+                scale = Fraction(1, 2)
+            else:
+                exact, scale = Fraction(0), n * Fraction(p)  # n p |r|**(n - 1) < 1e-2000
+            assert abs(r) ** 1000 < Fraction(1, 10**20) or r == 0
+            assert abs(Fraction(got) - exact) <= 4 * Fraction(EPS) * scale, p
+
+    def test_non_finite_terms_stay_quiet(self):
+        vals = np.ones(400)
+        vals[150] = math.inf
+        seq = RealSequence.from_values(vals)
+        both = vals.copy()
+        both[200] = -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert binomial_mean_at(seq, 0.5, 300) == math.inf
+            assert math.isnan(binomial_mean_at(RealSequence.from_values(both), 0.5, 300))
+            assert binomial_mean_at(seq, 0.5, 100) == binomial_prefix(seq, 0.5, 100).values[100]
+            big = RealSequence.from_values(np.full(400, 1e300))
+            assert binomial_mean_at(big, 0.3, 399) == binomial_prefix(big, 0.3, 399).values[399]
 
 
 class TestCompose:
