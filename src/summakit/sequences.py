@@ -157,18 +157,6 @@ def spike_indices(C: float, horizon: int) -> np.ndarray:
     return _spike_chain(C).between(0, horizon)[0].copy()
 
 
-def _scattered(support):
-    """Prefix rule of a sparse family: its support rule scattered into zeros."""
-
-    def prefix(h):
-        out = np.zeros(h + 1)
-        idx, vals = support(h)
-        out[idx] = vals
-        return out
-
-    return prefix
-
-
 def _alternating01(lo, hi):
     i = np.arange(lo, hi + 1)
     return i, np.where(i % 2 == 0, 1.0, 0.0)
@@ -187,9 +175,9 @@ def _islets(lo, hi):
 
 
 def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
-    """Wrap a family as a RealSequence with a vectorized prefix rule, for
-    the sparse families a support rule, and a closed-form window rule
-    (geometric sequences have none: their means are a closed form).
+    """Wrap a family as a RealSequence: geometric sequences by their ratio
+    (their means are a closed form), the others by closed-form window and
+    peak rules (see RealSequence.from_window).
 
     A window of spikes reads the position chain that every spikes sequence
     with an equal float(C) shares, so a fresh sequence walks only past the
@@ -202,11 +190,9 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
     if f == "geometric":
         return RealSequence.geometric(spec.a, name=name)
     if f == "alternating01":
-        return RealSequence.from_function(lambda h: _alternating01(0, h)[1], nonneg=True,
-                                          name=name, window=_alternating01, peak=lambda n: 1.0)
+        return RealSequence.from_window(_alternating01, lambda n: 1.0, nonneg=True, name=name)
     if f == "signed_linear":
-        return RealSequence.from_function(lambda h: _signed_linear(0, h)[1], name=name,
-                                          window=_signed_linear, peak=float)
+        return RealSequence.from_window(_signed_linear, float, name=name)
     if f == "islets":
         window, nonneg = _islets, True
 
@@ -224,12 +210,7 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
             roots = chain.between(0, n)[1]
             return abs(scale) * float(roots[-1]) if len(roots) else 0.0
 
-    def support(h):
-        return window(0, h)
-
-    return RealSequence.from_function(
-        _scattered(support), support, nonneg=nonneg, name=name, window=window, peak=peak
-    )
+    return RealSequence.from_window(window, peak, sparse=True, nonneg=nonneg, name=name)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ A transform prefix of horizon H is the vector of transform values at indices
 takes its closed form (q + p a)**n (_geometric_means).  For any other, a
 prefix or an array of point queries is read once up to the largest n as its
 support (a dense sequence as the support of every index) and goes through
-one kernel call, _binomial_means_sparse; a lone point query (_lone_row)
-reads only its row's window through the sequence's window rule (see
-RealSequence), the same terms by the same routines, so the same bits.
+one kernel call, _binomial_means_sparse.  A lone point query (_lone_row)
+reads only its row's window through the sequence's one term rule (see
+RealSequence), the same terms by the same routines, so the same bits; a row
+its first window does not settle is one such kernel row.
 
 The masses come from binomial_kernel; this module only weights them.  Row 0
 is a_0 itself; a row whose terms up to n hold a NaN, or both a +inf and a
@@ -43,16 +44,18 @@ be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   n, O(sqrt(n)) inside an islet, so their prefixes cost O(H) and
   O(H sqrt(H)).
 
-A lone row keeps its masses and weighted sums in those routines
-(log_pmf_many through _log_weighted, and _windowed_block) and its two
-extensions in one _sparse_extension call, and does its bookkeeping on
-Python numbers through the block rows' helpers: mode, half-width, routing
-and certificate.  It reads no prefix: a lone spikes query at n in [2e5,
-2.1e6] takes about 39 us (it took about 60 us reading the whole
+A lone row n >= 1 with a finite peak keeps its masses and weighted sums in
+those routines (log_pmf_many through _log_weighted, and _windowed_block) and
+its two extensions in one _sparse_extension call, and does its bookkeeping
+on Python numbers through the block rows' helpers: mode, half-width,
+routing and certificate.  It reads no prefix: a lone spikes query at n in
+[2e5, 2.1e6] takes about 39 us (it took about 60 us reading the whole
 support), and a lone alternating01 or signed_linear query at n = 1e8 5-7
 ms and 6 MB (it took 3-4.6 s and 2.3 GB through the prefix), 2-core Xeon
-VM.  A dense row its first window does not certify reads the prefix up to
-n and widens as above.
+VM.  It has one exit for every other row: n = 0, a non-finite peak, or a
+first window that does not certify goes to _binomial_means_sparse as one
+row over window(0, n), which applies the row-0 and NaN rules, widens, or
+sums the whole support.
 """
 
 from __future__ import annotations
@@ -105,35 +108,33 @@ def _check_horizon(horizon, name="horizon"):
 
 @dataclass
 class RealSequence:
-    """A real sequence indexed from 0, given by a prefix rule and optional
-    ones.
+    """A real sequence indexed from 0, given by one term rule.
 
-    ``prefix(h)`` returns terms 0..h as a vector; an optional ``support(h)``
-    returns the sorted indices of the nonzero terms up to h with their
-    values, and marks the sequence sparse.  A geometric sequence (see
-    geometric) carries its ratio, from which its binomial means have a
-    closed form.  An explicit vector is a prefix rule that raises
-    HorizonError past its end.  The ``nonneg`` flag is a claim that
-    every term is >= 0, checked lazily on what the prefix and support rules
-    return.
+    ``window(lo, hi)`` gives the terms on [lo, hi] as sorted int64 indices
+    with their float values: every index of a dense sequence, the nonzero
+    support there of a ``sparse`` one (empty where hi < lo).  ``peak(n)``
+    gives the exact max |a_i| over i <= n, finite exactly when every such
+    term is (NaN where one is NaN).  ``prefix(h)`` is window(0, h),
+    scattered into zeros for a sparse sequence, and ``support(h)`` is
+    window(0, h) of a sparse one; both check the ``nonneg`` claim, that
+    every term is >= 0, lazily on what they return.
 
-    The window rule serves a lone binomial mean, which reads only its row's
-    window: ``window(lo, hi)`` gives the terms on [lo, hi] as sorted int64
-    indices with their float values (the support there, for a sparse
-    sequence), and ``peak(n)`` the exact max |a_i| over i <= n, finite
-    exactly when every such term is (NaN where one is NaN).  A sequence may
-    give both in closed form (the named families do), taken at its word as
-    the prefix and support rules restricted; any other takes them from one
-    read of its support, or of its prefix, up to the largest index asked.
+    The sequence holds the rule as _rule(h), the window and peak rules for
+    indices up to h.  from_window gives both in closed form (the named
+    families do), taken at their word; from_function and from_values serve
+    them as slices of one checked read of a prefix or support rule up to
+    h.  An explicit vector raises HorizonError past its end.  A geometric
+    sequence (see geometric) also carries its ratio, from which its binomial
+    means have a closed form.  A lone binomial mean reads only its row's
+    window through _rule (see transforms._lone_row); prefixes and array
+    queries read through prefix and support.
     """
 
     name: str = "sequence"
     nonneg: bool = False
-    _prefix: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
-    _support: Optional[Callable[[int], tuple]] = field(default=None, repr=False)
+    sparse: bool = False
+    _rule: Optional[Callable[[int], tuple]] = field(default=None, repr=False)
     _ratio: Optional[float] = field(default=None, repr=False)
-    _window: Optional[Callable[[int, int], tuple]] = field(default=None, repr=False)
-    _peak: Optional[Callable[[int], float]] = field(default=None, repr=False)
 
     @classmethod
     def from_values(cls, values, nonneg=False, name="explicit"):
@@ -148,16 +149,32 @@ class RealSequence:
                 )
             return arr[: horizon + 1].copy()
 
-        return cls(name=name, nonneg=nonneg, _prefix=prefix)
+        return cls.from_function(prefix, nonneg=nonneg, name=name)
 
     @classmethod
-    def from_function(cls, prefix, support=None, nonneg=False, name="rule", window=None, peak=None):
-        """A sequence from its rules; ``window`` and ``peak`` come together,
-        as closed forms of what the prefix (or support) rule gives."""
-        if (window is None) != (peak is None):
-            raise ParameterDomainError("a window rule needs its peak rule, and a peak its window")
-        return cls(name=name, nonneg=nonneg, _prefix=prefix, _support=support,
-                   _window=window, _peak=peak)
+    def from_function(cls, prefix=None, support=None, nonneg=False, name="rule"):
+        """A sequence from exactly one rule: ``prefix(h)``, terms 0..h as a
+        vector, or ``support(h)``, the sorted indices of the nonzero terms
+        up to h with their values (a sparse sequence).  Windows and peaks
+        up to h are slices of one checked read of it up to h."""
+        if (prefix is None) == (support is None):
+            raise ParameterDomainError("a sequence takes exactly one rule: prefix or support")
+
+        def rule(horizon):
+            if support is None:
+                return _slices(np.arange(horizon + 1), seq._checked(prefix(horizon)))
+            idx, vals = support(horizon)
+            return _slices(np.asarray(idx, dtype=np.int64), seq._checked(vals))
+
+        seq = cls(name=name, nonneg=nonneg, sparse=support is not None, _rule=rule)
+        return seq
+
+    @classmethod
+    def from_window(cls, window, peak, *, sparse=False, nonneg=False, name="rule"):
+        """A sequence from closed forms of its window and peak rules (see
+        the class docstring), taken at their word."""
+        rules = (window, peak)
+        return cls(name=name, nonneg=nonneg, sparse=sparse, _rule=lambda horizon: rules)
 
     @classmethod
     def geometric(cls, a, name="geometric"):
@@ -171,14 +188,12 @@ class RealSequence:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.power(a, np.arange(h + 1, dtype=float))
 
-        return cls(name=name, nonneg=a >= 0, _prefix=prefix, _ratio=a)
+        seq = cls.from_function(prefix, nonneg=a >= 0, name=name)
+        seq._ratio = a
+        return seq
 
-    @property
-    def sparse(self) -> bool:
-        """True when the sequence declares its nonzero support."""
-        return self._support is not None
-
-    def _checked(self, values: np.ndarray) -> np.ndarray:
+    def _checked(self, values) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
         if self.nonneg and np.count_nonzero(values < 0.0):
             raise ParameterDomainError(
                 f"sequence {self.name!r} is declared non-negative but has a negative term"
@@ -188,34 +203,32 @@ class RealSequence:
     def prefix(self, horizon: int) -> np.ndarray:
         """Terms 0..horizon as a vector."""
         _check_horizon(horizon)
-        return self._checked(np.asarray(self._prefix(horizon), dtype=float))
+        idx, vals = self._rule(horizon)[0](0, horizon)
+        vals = self._checked(vals)
+        if not self.sparse:
+            return vals
+        out = np.zeros(horizon + 1)
+        out[idx] = vals
+        return out
 
     def support(self, horizon: int):
         """Sorted nonzero indices up to horizon, with their values."""
         if not self.sparse:
             raise ParameterDomainError(f"sequence {self.name!r} declares no support set")
-        idx, vals = self._support(horizon)
-        return np.asarray(idx, dtype=np.int64), self._checked(np.asarray(vals, dtype=float))
+        _check_horizon(horizon)
+        idx, vals = self._rule(horizon)[0](0, horizon)
+        return np.asarray(idx, dtype=np.int64), self._checked(vals)
 
     def window(self, lo: int, hi: int):
-        """Terms on [lo, hi], 0 <= lo, as sorted indices with their values:
-        the support there, or every index for a dense sequence."""
+        """Terms on [lo, hi] as sorted indices with their values."""
+        _check_horizon(lo, "lo")
+        _check_horizon(hi, "hi")
         return self._rule(hi)[0](lo, hi)
 
     def peak(self, n: int) -> float:
-        """max |a_i| over i <= n, exactly: finite exactly when every such
-        term is, and NaN where one is NaN."""
+        """max |a_i| over i <= n, exactly."""
+        _check_horizon(n, "n")
         return self._rule(n)[1](n)
-
-    def _rule(self, horizon: int):
-        """The window and peak rules for indices up to horizon: the closed
-        forms, or slices of one read of the support (of the prefix, with
-        every index, for a dense sequence)."""
-        if self._window is not None:
-            return self._window, self._peak
-        if self.sparse:
-            return _slices(*self.support(horizon))
-        return _slices(np.arange(horizon + 1), self.prefix(horizon))
 
 
 def _slices(idx, vals):
@@ -518,87 +531,78 @@ _ONE_RUN = np.zeros(1, dtype=np.intp)
 def _lone_row(window, peak, p: float, n: int) -> float:
     """_binomial_means_sparse for the one row n of the sequence with window
     rule window(lo, hi) and peak rule peak(n) (see RealSequence), under the
-    caller's np.errstate: the same NaN rule, routing, windows, extension,
-    kept terms and certificate as the block rows, so the same bits, with the
-    bookkeeping on Python numbers.
+    caller's np.errstate, with the bookkeeping on Python numbers.
 
-    It reads the support on m +- 2W, then, for a log-space row whose
-    nearest support index outside m +- W lies further out, on ranges of
-    four times the reach until it finds one or meets 0 or n, and once more
-    for the kept terms if they reach past what it read.  A row that does
-    not certify reads everything up to n, as its fallback needs.
+    A row n >= 1 with a finite peak takes the block rows' routing, window,
+    extension, kept terms and certificate, so their bits: it reads the
+    support on m +- 2W, then, for a log-space row whose nearest support
+    index outside m +- W lies further out, on ranges of four times the
+    reach until it finds one or meets 0 or n, and once more for the kept
+    terms if they reach past what it read.  Every other row (n = 0, a
+    non-finite peak, a window that does not certify) is one batch row over
+    window(0, n).
     """
     top = peak(n)
-    if not math.isfinite(top):
-        av = window(0, n)[1]
-        if _first_nan_row(av) < len(av):
-            return math.nan
-    if n == 0:
-        av = window(0, 0)[1]
-        return float(av[0]) if len(av) else 0.0
-    x = float(n)
-    m, half = _mode(n, p), _window_halfwidth(n, p)
-    a, b = m - half, m + half
-    reach = half
-    r_lo, r_hi = max(a - reach, 0), min(b + reach, n)
-    idx, av = window(r_lo, r_hi)
-    lo, hi = idx.searchsorted((a, b + 1)).tolist()
-    if _routed(n, m, half, hi - lo):
-        wide = _stepped(half)
-        sel = slice(*idx.searchsorted((m - wide, m + wide + 1)).tolist())
-        terms = np.zeros((1, 2 * wide + 1))
-        terms[0, idx[sel] - (m - wide)] = av[sel]
-        value, certified = _windowed_block(
-            terms, np.array([wide - m]), np.array([top]), p, np.array([n]), wide
-        )
-        if certified[0]:
-            return float(value[0])
-        return float(_windowed_means(*window(0, n), np.array([top]), p, np.array([n]))[0])
-    while not ((lo or not r_lo) and (hi < len(idx) or r_hi == n)):
-        reach *= 4
+    if n and math.isfinite(top):
+        x = float(n)
+        m, half = _mode(n, p), _window_halfwidth(n, p)
+        a, b = m - half, m + half
+        reach = half
         r_lo, r_hi = max(a - reach, 0), min(b + reach, n)
         idx, av = window(r_lo, r_hi)
         lo, hi = idx.searchsorted((a, b + 1)).tolist()
-    if not len(idx):  # no support up to n
-        return 0.0
-    # the nearest support index outside the window on each side, if any,
-    # and the kept range: the window, extended past them
-    left, right = lo > 0, hi < len(idx)
-    j_lo, j_hi = int(idx[lo - 1]) if left else a, int(idx[hi]) if right else b
-    ratios = (_ratio_down(x, float(j_lo), p) if left else 0.0,
-              _ratio_up(x, j_hi + 1.0, p) if right else 0.0)
-    steps, tails = _sparse_extension(np.array(ratios))
-    t_lo, t_hi = steps.tolist()
-    k_lo, k_hi = max(j_lo - t_lo, 0), min(j_hi + t_hi, n)
-    if k_lo < r_lo or k_hi > r_hi:
-        idx, av = window(k_lo, k_hi)
-        lo, hi = idx.searchsorted((a, b + 1)).tolist()
-    first, stop = idx.searchsorted((k_lo, k_hi + 1)).tolist()
-    value, scale, masses = _log_weighted(x, p, idx[first:stop], av[first:stop], _ONE_RUN)
-    # where j_lo and j_hi sit among the terms (any term where absent)
-    at_lo, at_hi = lo - 1 - first if left else 0, hi - first if right else 0
-    dropped = float(masses[at_lo] * tails[0] + masses[at_hi] * tails[1])
-    value = float(value[0])
-    if _certified(value, float(scale[0]), dropped, top):
-        return value
-    idx, av = window(0, n)
-    return float(_whole_support_mean(idx, av, p, n, len(idx)))
+        if _routed(n, m, half, hi - lo):
+            wide = _stepped(half)
+            sel = slice(*idx.searchsorted((m - wide, m + wide + 1)).tolist())
+            terms = np.zeros((1, 2 * wide + 1))
+            terms[0, idx[sel] - (m - wide)] = av[sel]
+            value, certified = _windowed_block(
+                terms, np.array([wide - m]), np.array([top]), p, np.array([n]), wide
+            )
+            if certified[0]:
+                return float(value[0])
+        else:
+            while not ((lo or not r_lo) and (hi < len(idx) or r_hi == n)):
+                reach *= 4
+                r_lo, r_hi = max(a - reach, 0), min(b + reach, n)
+                idx, av = window(r_lo, r_hi)
+                lo, hi = idx.searchsorted((a, b + 1)).tolist()
+            if not len(idx):  # no support up to n
+                return 0.0
+            # the nearest support index outside the window on each side, if
+            # any, and the kept range: the window, extended past them
+            left, right = lo > 0, hi < len(idx)
+            j_lo, j_hi = int(idx[lo - 1]) if left else a, int(idx[hi]) if right else b
+            ratios = (_ratio_down(x, float(j_lo), p) if left else 0.0,
+                      _ratio_up(x, j_hi + 1.0, p) if right else 0.0)
+            steps, tails = _sparse_extension(np.array(ratios))
+            t_lo, t_hi = steps.tolist()
+            k_lo, k_hi = max(j_lo - t_lo, 0), min(j_hi + t_hi, n)
+            if k_lo < r_lo or k_hi > r_hi:
+                idx, av = window(k_lo, k_hi)
+                lo, hi = idx.searchsorted((a, b + 1)).tolist()
+            first, stop = idx.searchsorted((k_lo, k_hi + 1)).tolist()
+            value, scale, masses = _log_weighted(x, p, idx[first:stop], av[first:stop], _ONE_RUN)
+            # where j_lo and j_hi sit among the terms (any term where absent)
+            at_lo, at_hi = lo - 1 - first if left else 0, hi - first if right else 0
+            dropped = float(masses[at_lo] * tails[0] + masses[at_hi] * tails[1])
+            value = float(value[0])
+            if _certified(value, float(scale[0]), dropped, top):
+                return value
+    return float(_binomial_means_sparse(*window(0, n), p, np.array([n]))[0])
 
 
 def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.ndarray:
     """sum_{i in idx, i <= n} B(n,i,p) * av[i] for each n of the array ns.
 
     idx holds the sorted support indices, av their values; ns may come in
-    any order.  One row goes through _lone_row.  Of more rows,
-    row 0 is a_0 (-0.0 included) and rows past a NaN or a +inf/-inf pair
-    are NaN.  The others go in blocks of _BLOCK_ROWS through _sparse_rows,
-    whose routed rows (every row, where every index is support) then go
-    through _windowed_means.
+    any order.  Row 0 is a_0 (-0.0 included) and rows past a NaN or a
+    +inf/-inf pair are NaN.  The others go in blocks of _BLOCK_ROWS through
+    _sparse_rows, whose routed rows (every row, where every index is
+    support) then go through _windowed_means.
     """
     ns = np.asarray(ns, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if len(ns) == 1:
-            return np.array([_lone_row(*_slices(idx, av), p, int(ns[0]))])
         out = np.zeros(len(ns))
         if len(idx) and idx[0] == 0:
             out[ns == 0] = av[0]

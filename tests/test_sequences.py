@@ -354,11 +354,101 @@ class TestWindowRule:
         for h in rng.uniform(-1e3, 1e3, 50):
             assert same_bits(abs(h) * roots, np.abs(h * roots))
 
-    def test_window_and_peak_come_together(self):
+    @pytest.mark.parametrize("name", sorted(WINDOW_SPECS) + ["explicit", "rule"])
+    def test_bounds_are_checked(self, name):
+        # non-negative integers, as for prefix; hi < lo is an empty window
+        if name == "explicit":
+            seq = RealSequence.from_values(np.arange(10.0))
+        elif name == "rule":
+            seq = RealSequence.from_function(lambda h: -np.arange(h + 1.0))
+        else:
+            seq = sequence_from_spec(WINDOW_SPECS[name])
+        for lo, hi in [(-3, 2), (2, -1), (2.5, 4), (2, 4.0), (True, 3), (np.float64(1), 3)]:
+            with pytest.raises(ParameterDomainError):
+                seq.window(lo, hi)
+        for n in (-1, 2.5, 3.0, False):
+            with pytest.raises(ParameterDomainError):
+                seq.peak(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in [(5, 4), (3, 0), (np.int64(9), np.int64(2))]:
+                idx, vals = seq.window(lo, hi)
+                assert len(idx) == len(vals) == 0 and idx.dtype == np.int64, (lo, hi)
+            assert same_bits(seq.peak(np.int64(4)), np.abs(seq.prefix(4)).max())
+
+    def test_from_function_takes_exactly_one_rule(self):
+        def prefix(h):
+            return np.zeros(h + 1)
+
+        def support(h):
+            return np.empty(0, dtype=np.int64), np.empty(0)
+
         with pytest.raises(ParameterDomainError):
-            RealSequence.from_function(lambda h: np.zeros(h + 1), window=lambda lo, hi: None)
+            RealSequence.from_function()
         with pytest.raises(ParameterDomainError):
-            RealSequence.from_function(lambda h: np.zeros(h + 1), peak=lambda n: 0.0)
+            RealSequence.from_function(prefix, support=support)
+        with pytest.raises(ParameterDomainError):
+            RealSequence.from_function(prefix, support)
+        assert not RealSequence.from_function(prefix).sparse
+        assert RealSequence.from_function(support=support).sparse
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_from_window_prefix_and_support_are_its_window(self, sparse):
+        # every third index of a sparse sequence is support; a dense one
+        # gives every index
+        def window(lo, hi):
+            idx = np.arange(lo, hi + 1)
+            if sparse:
+                idx = idx[idx % 3 == 1]
+            return idx, np.where(idx % 2 == 0, 0.5, -0.25) * idx
+
+        def peak(n):
+            return 0.25 * n if n % 2 else 0.5 * n
+
+        seq = RealSequence.from_window(window, peak, sparse=sparse, name="user")
+        assert seq.sparse == sparse
+        for h in (0, 1, 2, 7, 100):
+            idx, vals = window(0, h)
+            scattered = np.zeros(h + 1)
+            scattered[idx] = vals
+            assert same_bits(seq.prefix(h), scattered)
+            if sparse:
+                got_idx, got = seq.support(h)
+                np.testing.assert_array_equal(got_idx, idx)
+                assert same_bits(got, vals)
+            else:
+                assert same_bits(seq.prefix(h), vals)
+                with pytest.raises(ParameterDomainError):
+                    seq.support(h)
+        claimed = RealSequence.from_window(window, peak, sparse=sparse, nonneg=True)
+        with pytest.raises(ParameterDomainError):
+            claimed.prefix(10)
+        if sparse:
+            with pytest.raises(ParameterDomainError):
+                claimed.support(10)
+        # terms 0 and 1 are >= 0: the claim is checked on what is read
+        assert same_bits(claimed.prefix(0), [0.0])
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_lone_query_reads_the_rule_once(self, sparse):
+        vals = np.random.default_rng(4).standard_normal(3001)
+        vals[::4] = 0.0
+        nz = np.flatnonzero(vals)
+        reads = []
+
+        def prefix(h):
+            reads.append(h)
+            return vals[: h + 1].copy()
+
+        def support(h):
+            reads.append(h)
+            return nz[nz <= h], vals[nz[nz <= h]]
+
+        seq = RealSequence.from_function(support=support) if sparse else RealSequence.from_function(prefix)
+        for n in (0, 1, 40, 2999):
+            del reads[:]
+            got = transforms.binomial_mean_at(seq, 0.3, n)
+            assert reads == [n]
+            assert same_bits(got, binomial_prefix(seq, 0.3, n).values[n])
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_default_rule_reads_the_prefix_or_support(self, sparse):
@@ -368,9 +458,7 @@ class TestWindowRule:
         vals[::3] = 0.0
         if sparse:
             nz = np.flatnonzero(vals)
-            seq = RealSequence.from_function(
-                lambda h: vals[: h + 1].copy(), support=lambda h: (nz[nz <= h], vals[nz[nz <= h]])
-            )
+            seq = RealSequence.from_function(support=lambda h: (nz[nz <= h], vals[nz[nz <= h]]))
         else:
             seq = RealSequence.from_values(vals)
         for lo, hi in [(0, 0), (7, 40), (100, 499), (250, 249)]:

@@ -59,13 +59,7 @@ def huge_support():
     the rows past it."""
     idx = np.array([5, 40, 90, 150, 400, 1000])
     vals = np.array([1.0, -2.0, 1e300, 0.5, -1.0, 3.0])
-
-    def prefix(h):
-        out = np.zeros(h + 1)
-        out[idx[idx <= h]] = vals[idx <= h]
-        return out
-
-    return RealSequence.from_function(prefix, support=lambda h: (idx[idx <= h], vals[idx <= h]))
+    return RealSequence.from_function(support=lambda h: (idx[idx <= h], vals[idx <= h]))
 
 
 def log_masses_all_traced(seen):
@@ -99,6 +93,28 @@ def test_dense_fallback_rows(traced):
         binomial_prefix(seq, 0.45, 300)
     assert len(traced["rejected"]) > 0
     assert traced["rows"] == [] and traced["passes"] == 0
+
+
+@pytest.mark.parametrize("family", ["alternating01", "spikes"])
+def test_batch_reads_go_through_prefix_or_support(monkeypatch, family):
+    # the sequences.materialise span wraps RealSequence.prefix and .support,
+    # both views of the window rule: a prefix or an array query reads the
+    # sequence through one of them, once
+    reads = []
+    for attr in ("prefix", "support"):
+
+        def counted(self, horizon, fn=getattr(RealSequence, attr), attr=attr):
+            reads.append(attr)
+            return fn(self, horizon)
+
+        monkeypatch.setattr(RealSequence, attr, counted)
+    seq = sequence_from_spec(GeneratorSpec(family, C=1.0 if family == "spikes" else None))
+    expected = ["support" if seq.sparse else "prefix"]
+    for call in (lambda: binomial_prefix(seq, 0.4, 3000),
+                 lambda: binomial_mean_at(seq, 0.4, np.array([5, 2000, 3000]))):
+        del reads[:]
+        call()
+        assert reads == expected, family
 
 
 def test_traced_names_resolve():

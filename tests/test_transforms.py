@@ -65,9 +65,7 @@ class TestRealSequence:
 
     def test_nonneg_claim_checked_on_support(self):
         seq = RealSequence.from_function(
-            lambda h: np.zeros(h + 1),
-            support=lambda h: (np.array([1, 3]), np.array([2.0, -1.0])),
-            nonneg=True,
+            support=lambda h: (np.array([1, 3]), np.array([2.0, -1.0])), nonneg=True
         )
         assert seq.sparse
         with pytest.raises(ParameterDomainError):
@@ -759,13 +757,7 @@ def sparse_sequence(idx, vals, name):
         k = np.searchsorted(idx, h, side="right")
         return idx[:k], vals[:k]
 
-    def prefix(h):
-        out = np.zeros(h + 1)
-        i, v = support(h)
-        out[i] = v
-        return out
-
-    return RealSequence.from_function(prefix, support=support, name=name)
+    return RealSequence.from_function(support=support, name=name)
 
 
 def _signed_support():
@@ -786,8 +778,22 @@ SCALAR_PATH_CASES = {
 }
 
 
+def count_handovers(monkeypatch):
+    """Record the rows of every _binomial_means_sparse call: a lone row's
+    hand-over to the batch kernel, or a batch read."""
+    calls = []
+    batch = transforms._binomial_means_sparse
+
+    def counted(idx, av, p, ns):
+        calls.append(np.asarray(ns).tolist())
+        return batch(idx, av, p, ns)
+
+    monkeypatch.setattr(transforms, "_binomial_means_sparse", counted)
+    return calls
+
+
 class TestSparseScalarPath:
-    """A one-row sparse call runs on scalars (transforms._lone_row); two
+    """A scalar sparse call runs on scalars (transforms._lone_row); two
     equal rows take the block path (_sparse_rows), where a row does not
     depend on its block, so both give the same bits from the same terms."""
 
@@ -801,16 +807,24 @@ class TestSparseScalarPath:
             seq = sparse_sequence(*source, case)
         fallbacks = count_sparse_fallbacks(monkeypatch)
         terms = count_terms(monkeypatch)
+        handed = count_handovers(monkeypatch)
         for n in ns:
-            del fallbacks[:], terms[:]
+            del fallbacks[:], terms[:], handed[:]
             scalar = binomial_mean_at(seq, p, n)
-            scalar_fallbacks, scalar_terms = list(fallbacks), sum(terms)
+            scalar_fallbacks, scalar_terms, scalar_handed = list(fallbacks), list(terms), list(handed)
             del fallbacks[:], terms[:]
             pair = binomial_mean_at(seq, p, np.array([n, n]))
             assert np.float64(scalar).tobytes() == pair[0].tobytes() == pair[1].tobytes(), n
-            # the same kept terms, and the same rows certified
+            # the same rows certified, and one batch row's terms; a log-space
+            # row the lone path hands over after its first window spends that
+            # window's terms first (the pair's first call, halved)
             assert 2 * scalar_fallbacks == fallbacks, n
-            assert sum(terms) == 2 * scalar_terms, n
+            assert scalar_handed in ([], [[n]]) and (scalar_handed or not scalar_fallbacks), n
+            first = 0
+            if scalar_handed and n > 0 and math.isfinite(seq.peak(n)) and terms:
+                first = terms[0] // 2
+                assert scalar_terms[0] == first, n
+            assert sum(terms) % 2 == 0 and sum(scalar_terms) == first + sum(terms) // 2, n
 
     def test_cases_reach_the_fallback_and_the_extension(self, monkeypatch):
         fallbacks = count_sparse_fallbacks(monkeypatch)
@@ -1191,7 +1205,7 @@ def lone_families():
     nz = np.flatnonzero(vals)
     out["explicit"] = RealSequence.from_values(vals)
     out["explicit sparse"] = RealSequence.from_function(
-        lambda h: vals[: h + 1].copy(), support=lambda h: (nz[nz <= h], vals[nz[nz <= h]])
+        support=lambda h: (nz[nz <= h], vals[nz[nz <= h]])
     )
     return out
 
@@ -1263,14 +1277,14 @@ class TestLoneQuery:
                         (GeneratorSpec("islets"), 4**10), (GeneratorSpec("alternating01"), 10**7),
                         (GeneratorSpec("signed_linear"), 10**7)]:
             seq = sequence_from_spec(spec)
-            window = seq._window
+            window, peak = seq._rule(n)
 
             def counted(lo, hi, window=window):
                 out = window(lo, hi)
                 read.append(len(out[0]))
                 return out
 
-            monkeypatch.setattr(seq, "_window", counted)
+            monkeypatch.setattr(seq, "_rule", lambda h, rules=(counted, peak): rules)
             del read[:]
             binomial_mean_at(seq, 0.4, n)
             assert 0 < max(read) <= 60 * math.sqrt(n), spec
@@ -1311,6 +1325,63 @@ class TestLoneQuery:
             assert binomial_mean_at(seq, 0.5, 100) == binomial_prefix(seq, 0.5, 100).values[100]
             big = RealSequence.from_values(np.full(400, 1e300))
             assert binomial_mean_at(big, 0.3, 399) == binomial_prefix(big, 0.3, 399).values[399]
+
+
+def one_exit_cases():
+    """Sequences and rows that a lone query hands to the batch kernel: row 0
+    with a_0 = -0.0, rows past a NaN term, a +inf term and a +inf/-inf pair,
+    the rows of a term too large to certify, and rows of explicit 1.002**n
+    that widen (the largest), with rows before them that do not."""
+    out = {}
+    for name, spots in {"nan": {150: math.nan}, "inf": {150: math.inf},
+                        "pair": {150: math.inf, 200: -math.inf}}.items():
+        vals = np.ones(400)
+        for i, v in spots.items():
+            vals[i] = v
+        out[name] = (RealSequence.from_values(vals), [0, 100, 150, 199, 200, 300, 399])
+    zero = np.arange(50.0)
+    zero[0] = -0.0
+    out["-0.0"] = (RealSequence.from_values(zero), [0, 1, 49])
+    out["-0.0 sparse"] = (sparse_sequence([0, 3, 9], [-0.0, 1.0, 2.0], "-0.0"), [0, 1, 30])
+    source, ns = SCALAR_PATH_CASES["huge"]
+    out["huge"] = (sparse_sequence(*source, "huge"), ns)
+    out["1.002**n"] = (RealSequence.from_values(1.002 ** np.arange(20_001.0)), [150, 8000, 20_000])
+    return out
+
+
+class TestOneExit:
+    """A lone row its first window cannot settle (n = 0, a non-finite peak,
+    a rejected window) is one batch row over window(0, n), bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
+    def test_scalar_is_the_batch_row(self, monkeypatch, p):
+        handed = count_handovers(monkeypatch)
+        for name, (seq, ns) in one_exit_cases().items():
+            for n in ns:
+                del handed[:]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = binomial_mean_at(seq, p, n)
+                assert handed in ([], [[n]]), (name, n)
+                if n == 0 or not math.isfinite(seq.peak(n)):
+                    assert handed == [[n]], (name, n)
+                ref = transforms._binomial_means_sparse(*seq.window(0, n), p, np.array([n]))[0]
+                assert np.float64(got).tobytes() == ref.tobytes(), (name, n)
+        assert math.copysign(1.0, binomial_mean_at(one_exit_cases()["-0.0"][0], p, 0)) == -1.0
+
+    def test_cases_hand_over(self, monkeypatch):
+        # the huge and 1.002**n cases reach the hand-over from a rejected
+        # window, not only from row 0 or a non-finite peak
+        handed = count_handovers(monkeypatch)
+        widened = count_widened(monkeypatch)
+        cases = one_exit_cases()
+        assert binomial_mean_at(cases["huge"][0], 0.5, 1100) > 0.0
+        assert handed == [[1100]]
+        del handed[:]
+        assert binomial_mean_at(cases["1.002**n"][0], 0.05, 150) > 0.0
+        assert handed == []
+        assert binomial_mean_at(cases["1.002**n"][0], 0.05, 20_000) > 0.0
+        assert handed == [[20_000]] and 20_000 in widened
 
 
 class TestCompose:
