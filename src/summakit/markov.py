@@ -9,6 +9,7 @@ which the report's residual diagnostics measure directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +108,12 @@ def limit_matrix(P: StochasticMatrix, tol: float = 1e-12, max_squarings: int = 6
     infinity norm.  Convergence of the underlying powers is guaranteed, so
     exhausting max_squarings signals a tolerance too tight for the chain's
     conditioning; the raised error carries the last residual.  tol must be
-    positive and max_squarings at least 1.
+    positive and finite, and max_squarings at least 1.
     """
     if not tol > 0.0:  # a NaN fails it too
         raise MatrixValidationError(f"tol must be positive, got {float(tol)!r}")
+    if tol == math.inf:  # the stopping test would pass after one squaring
+        raise MatrixValidationError(f"tol must be finite, got {float(tol)!r}")
     if max_squarings < 1:
         raise MatrixValidationError(f"max_squarings must be at least 1, got {max_squarings!r}")
     M = lazy(P).matrix

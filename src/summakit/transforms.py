@@ -7,16 +7,17 @@ takes its closed form (q + p a)**n (_geometric_means).  For any other, a
 prefix or an array of point queries is read once up to the largest n as its
 support (a dense sequence as the support of every index) and goes through
 one kernel call, _binomial_means_sparse.  A lone point query (_lone_row)
-reads only its row's window through the sequence's one term rule (see
-RealSequence), the same terms by the same routines, so the same bits; a row
-its first window does not settle is one such kernel row.
+reads its row's window, at most twice, through the sequence's one term rule
+(see RealSequence), the same terms by the same routines, so the same bits;
+a row those reads do not settle is one such kernel row.
 
 The masses come from binomial_kernel; this module only weights them.  Row 0
 is a_0 itself; a row whose terms up to n hold a NaN, or both a +inf and a
--inf, is NaN and is not built.  Any other row is weighted near its mode m,
-inside the window m +- W with W = ceil(9 sqrt(n p q)) + 30, and certified
-(_certified): the mass it drops, times the largest |a_i| for i <= n, must
-be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
+-inf, is NaN and is not built.  One pass of running extrema finds those rows
+and every row's peak, the largest |a_i| for i <= n.  Any other row is
+weighted near its mode m, inside the window m +- W with W = ceil(9 sqrt(n p
+q)) + 30, and certified (_certified): the mass it drops, times its peak,
+must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
 
 * Windowed (_windowed_means): a row whose window holds support on at least
   1/4 of its indices inside [0, n] (every dense row; islets rows in and
@@ -32,7 +33,8 @@ be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   against about 60 ns in log space, and are accurate to about 1e-16 where
   log-space masses are off by up to about n eps log n.  The 1/4 is the best
   of a threshold sweep over eight islets prefixes (README).
-* Log space (_sparse_rows, and _lone_row for a lone row): the
+* Log space (_sparse_rows, which also sends its routed rows to
+  _windowed_means, and _lone_row for a lone row): the
   other rows weight the support indices in their window plus, on each
   side, the nearest support index outside it and every index up to where
   the mass has fallen a further 2**-64, so a row whose window holds no
@@ -48,14 +50,15 @@ A lone row n >= 1 with a finite peak keeps its masses and weighted sums in
 those routines (log_pmf_many through _log_weighted, and _windowed_block) and
 its two extensions in one _sparse_extension call, and does its bookkeeping
 on Python numbers through the block rows' helpers: mode, half-width,
-routing and certificate.  It reads no prefix: a lone spikes query at n in
-[2e5, 2.1e6] takes about 39 us (it took about 60 us reading the whole
-support), and a lone alternating01 or signed_linear query at n = 1e8 5-7
-ms and 6 MB (it took 3-4.6 s and 2.3 GB through the prefix), 2-core Xeon
-VM.  It has one exit for every other row: n = 0, a non-finite peak, or a
-first window that does not certify goes to _binomial_means_sparse as one
-row over window(0, n), which applies the row-0 and NaN rules, widens, or
-sums the whole support.
+routing and certificate.  It reads its reach m +- 2W, and a log-space row
+whose nearest support index or kept term lies past it reads window(0, n),
+its support up to n, once more.  A dense row is always routed and reads its
+reach alone: a lone alternating01 or signed_linear query at n = 1e8 takes
+5-7 ms and 6 MB, and a lone spikes query at n in [2e5, 2.1e6] about 39 us,
+2-core Xeon VM.  It has one exit for every other row: n = 0, a non-finite
+peak, or a row whose reads do not certify goes to _binomial_means_sparse as
+one row over window(0, n), which applies the row-0 and NaN rules, widens,
+or sums the whole support.
 """
 
 from __future__ import annotations
@@ -102,8 +105,9 @@ def _check_prob(p, name="p"):
 
 
 def _check_horizon(horizon, name="horizon"):
-    if not isinstance(horizon, (int, np.integer)) or isinstance(horizon, bool) or horizon < 0:
-        raise ParameterDomainError(f"{name} must be a non-negative integer, got {horizon!r}")
+    integer = isinstance(horizon, (int, np.integer)) and not isinstance(horizon, bool)
+    if not (integer and 0 <= horizon < 2**63):  # the kernels hold indices as int64
+        raise ParameterDomainError(f"{name} must be an integer in [0, 2**63), got {horizon!r}")
 
 
 @dataclass
@@ -403,19 +407,6 @@ def _windowed_means(idx, av, peak, p, ns):
         halves = np.minimum(2 * halves[again], spans)
 
 
-def _first_nan_row(seq: np.ndarray) -> int:
-    """Smallest j whose seq[:j+1] holds a NaN, or both a +inf and a -inf
-    (len(seq) if there is none)."""
-    if not len(seq):
-        return 0
-
-    def first(mask):
-        i = int(np.argmax(mask))
-        return i if mask[i] else len(seq)
-
-    return min(first(np.isnan(seq)), max(first(seq == np.inf), first(seq == -np.inf)))
-
-
 # Rows, and terms, per block of sparse rows; keep the block's arrays, and
 # peak memory, small.  log_pmf_many's temporaries hold 3 doubles a term:
 # at 2**13 terms they pass 128 KB (glibc's default mmap threshold) and a
@@ -475,9 +466,10 @@ def _whole_support_mean(idx, av, p, n, k):
 
 
 def _sparse_rows(idx, av, peak, p, ns):
-    """_binomial_means_sparse for a block of rows n >= 1, with the mask of
-    the rows it leaves to _windowed_means (their entries are left at 0);
-    peak[j] = max |av[:j+1]|."""
+    """_binomial_means_sparse for a block of rows n >= 1; peak[j] = max
+    |av[:j+1]|.  Its routed rows go through one _windowed_means call, the
+    others are log-space rows, summed over their whole support where they
+    do not certify."""
     out = np.zeros(len(ns))
     size = np.searchsorted(idx, ns, side="right")  # support indices <= n
     m = _mode(ns, p)
@@ -485,17 +477,19 @@ def _sparse_rows(idx, av, peak, p, ns):
     lo = np.searchsorted(idx, (m - half).astype(np.int64), side="left")
     hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), size)
     routed = _routed(ns, m, half, hi - lo)
+    if routed.any():  # a routed row holds support, so size >= 1
+        out[routed] = _windowed_means(idx, av, peak[size[routed] - 1], p, ns[routed])
     rows = np.flatnonzero(~routed & (size > 0))
     if not len(rows):
-        return out, routed
+        return out
     n, k, m, half, lo, hi = (x[rows] for x in (ns, size, m, half, lo, hi))
 
     # the nearest support index outside the window on each side, if any
     left, right = lo > 0, hi < k
     j_lo = idx[np.maximum(lo - 1, 0)].astype(float)
     j_hi = idx[np.minimum(hi, k - 1)].astype(float)
-    t_lo, tail_lo = _sparse_extension(np.where(left, _ratio_down(n, j_lo, p), 0.0))
-    t_hi, tail_hi = _sparse_extension(np.where(right, _ratio_up(n, j_hi + 1.0, p), 0.0))
+    ratios = np.where((left, right), (_ratio_down(n, j_lo, p), _ratio_up(n, j_hi + 1.0, p)), 0.0)
+    (t_lo, t_hi), (tail_lo, tail_hi) = _sparse_extension(ratios)
     first = np.where(left, np.searchsorted(idx, j_lo.astype(np.int64) - t_lo), lo)
     last = np.searchsorted(idx, j_hi.astype(np.int64) + t_hi, side="right")
     count = np.where(right, np.minimum(last, k), hi) - first
@@ -520,7 +514,7 @@ def _sparse_rows(idx, av, peak, p, ns):
             value[r] = _whole_support_mean(idx, av, p, int(n[start + r]), int(k[start + r]))
         out[rows[block]] = value
         start = block.stop
-    return out, routed
+    return out
 
 
 # a lone row's terms as one run: _log_weighted's offsets (an array is
@@ -534,21 +528,19 @@ def _lone_row(window, peak, p: float, n: int) -> float:
     caller's np.errstate, with the bookkeeping on Python numbers.
 
     A row n >= 1 with a finite peak takes the block rows' routing, window,
-    extension, kept terms and certificate, so their bits: it reads the
-    support on m +- 2W, then, for a log-space row whose nearest support
-    index outside m +- W lies further out, on ranges of four times the
-    reach until it finds one or meets 0 or n, and once more for the kept
-    terms if they reach past what it read.  Every other row (n = 0, a
-    non-finite peak, a window that does not certify) is one batch row over
-    window(0, n).
+    extension, kept terms and certificate, so their bits.  It reads its
+    reach m +- 2W; a log-space row whose nearest support index outside m +-
+    W, or one of whose kept terms, lies past the reach reads window(0, n)
+    once and settles there.  A dense row is always routed: it reads its
+    reach alone.  Every other row (n = 0, a non-finite peak, a window that
+    does not certify) is one batch row over window(0, n).
     """
     top = peak(n)
     if n and math.isfinite(top):
         x = float(n)
         m, half = _mode(n, p), _window_halfwidth(n, p)
         a, b = m - half, m + half
-        reach = half
-        r_lo, r_hi = max(a - reach, 0), min(b + reach, n)
+        r_lo, r_hi = max(a - half, 0), min(b + half, n)
         idx, av = window(r_lo, r_hi)
         lo, hi = idx.searchsorted((a, b + 1)).tolist()
         if _routed(n, m, half, hi - lo):
@@ -562,10 +554,10 @@ def _lone_row(window, peak, p: float, n: int) -> float:
             if certified[0]:
                 return float(value[0])
         else:
-            while not ((lo or not r_lo) and (hi < len(idx) or r_hi == n)):
-                reach *= 4
-                r_lo, r_hi = max(a - reach, 0), min(b + reach, n)
-                idx, av = window(r_lo, r_hi)
+            if not ((lo or not r_lo) and (hi < len(idx) or r_hi == n)):
+                # a nearest support index outside m +- W may lie past the reach
+                r_lo, r_hi = 0, n
+                idx, av = window(0, n)
                 lo, hi = idx.searchsorted((a, b + 1)).tolist()
             if not len(idx):  # no support up to n
                 return 0.0
@@ -578,8 +570,8 @@ def _lone_row(window, peak, p: float, n: int) -> float:
             steps, tails = _sparse_extension(np.array(ratios))
             t_lo, t_hi = steps.tolist()
             k_lo, k_hi = max(j_lo - t_lo, 0), min(j_hi + t_hi, n)
-            if k_lo < r_lo or k_hi > r_hi:
-                idx, av = window(k_lo, k_hi)
+            if k_lo < r_lo or k_hi > r_hi:  # never after window(0, n)
+                idx, av = window(0, n)
                 lo, hi = idx.searchsorted((a, b + 1)).tolist()
             first, stop = idx.searchsorted((k_lo, k_hi + 1)).tolist()
             value, scale, masses = _log_weighted(x, p, idx[first:stop], av[first:stop], _ONE_RUN)
@@ -596,29 +588,28 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     """sum_{i in idx, i <= n} B(n,i,p) * av[i] for each n of the array ns.
 
     idx holds the sorted support indices, av their values; ns may come in
-    any order.  Row 0 is a_0 (-0.0 included) and rows past a NaN or a
-    +inf/-inf pair are NaN.  The others go in blocks of _BLOCK_ROWS through
-    _sparse_rows, whose routed rows (every row, where every index is
-    support) then go through _windowed_means.
+    any order.  One pass of running extrema gates every row: row 0 is a_0
+    (-0.0 included), and a row is NaN from the first support index whose
+    prefix holds a NaN, or both a +inf and a -inf, where the running max
+    plus the running min is NaN (huge finite terms overflow to +-inf there,
+    never to NaN); their larger magnitude is each row's peak.  The other
+    rows go in blocks of _BLOCK_ROWS through _sparse_rows.
     """
     ns = np.asarray(ns, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.zeros(len(ns))
         if len(idx) and idx[0] == 0:
             out[ns == 0] = av[0]
-        j = _first_nan_row(av)
+        top, bottom = np.maximum.accumulate(av), np.minimum.accumulate(av)
+        # NaN extrema stay NaN, and +inf and -inf stay: the mask only rises
+        j = int(np.isnan(top + bottom).searchsorted(True))
         nan_from = idx[j] if j < len(idx) else np.iinfo(np.int64).max
         out[ns >= nan_from] = np.nan
         rows = np.flatnonzero((ns > 0) & (ns < nan_from))
-        peak = np.abs(av)
-        np.maximum.accumulate(peak, out=peak)
+        peak = np.maximum(top, -bottom, out=top)
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS]
-            out[block], routed = _sparse_rows(idx, av, peak, p, ns[block])
-            block = block[routed]
-            if len(block):
-                n = ns[block]
-                out[block] = _windowed_means(idx, av, peak[idx.searchsorted(n, "right") - 1], p, n)
+            out[block] = _sparse_rows(idx, av, peak, p, ns[block])
     return out
 
 

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pmf_many
-from summakit.sequences import GeneratorSpec, sequence_from_spec
+from summakit.sequences import GeneratorSpec, islet_ranges, sequence_from_spec
 from summakit.transforms import binomial_mean_at, binomial_prefix
 
 
@@ -90,6 +90,20 @@ def test_lone_spike_means_pinned():
     ns = np.linspace(2e5, 2.1e6, 40).astype(np.int64)
     values = [binomial_mean_at(seq, 0.4, int(n)) for n in ns]
     assert digest([values]) == "c84c74f04f1cc215a2fc439835be6d262fbeb4ce47efb363fc67282cec1f12a4"
+
+
+def test_lone_islets_means_pinned():
+    # lone rows whose mode sits on an island (4**k / p), at an island's
+    # edges (e / p) and in the gap below it (4**k / (2 p)); taken while a
+    # gap row still grew its read fourfold until it met an island
+    seq = sequence_from_spec(GeneratorSpec("islets"))
+    values = []
+    for p in (0.3, 0.6):
+        edges = [e for lo, hi in islet_ranges(4**10) for e in (lo - 1, lo, hi, hi + 1)]
+        ns = [int(4**k / p) for k in range(5, 11)] + [int(e / p) for e in edges[12:]]
+        ns += [int(4**k / (2 * p)) for k in range(5, 11)]
+        values += [binomial_mean_at(seq, p, n) for n in ns]
+    assert digest([values]) == "04fc44f99bbe8f3545dc9d23dbea7f8d1cb9be262f243f35203d51e8a1e3ca36"
 
 
 def test_log_pmf_many_layouts_pinned():

@@ -1,5 +1,8 @@
+import ast
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +108,16 @@ class TestTransformCommand:
         assert code == 2 and out == ""
         assert err.startswith("summakit: error: ") and f"{name} must be finite" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["binomial", "cesaro", "pstar"])
+    def test_horizon_past_int64_exit_2(self, capsys, kind):
+        # the kernels hold indices as int64: 2**63 used to give an empty
+        # prefix or a traceback
+        code, out, err = run_cli(capsys, "transform", "--family", "geometric", "--a", "0.5",
+                                 "--kind", kind, "--p", "0.3", "--horizon", str(2**63))
+        assert code == 2 and out == ""
+        assert err == ("summakit: error: horizon must be an integer in [0, 2**63), "
+                       "got 9223372036854775808\n")
 
     def test_cesaro_alternating(self, capsys):
         code, out, _ = run_cli(
@@ -284,8 +297,9 @@ class TestMarkovLimitCommand:
             ("0,0\n.5,.5\n", "--row-tol", "1", "row 0 sums to 0 and cannot be normalized"),
             (".5,.5\n.2,.8\n", "--tol", "nan", "tol must be positive, got nan"),
             (".5,.5\n.2,.8\n", "--max-squarings", "0", "max_squarings must be at least 1, got 0"),
+            (".9,.1,0\n0,.9,.1\n.1,0,.9\n", "--tol", "inf", "tol must be finite, got inf"),
         ],
-        ids=["nan-row-tol", "negative-row-tol", "zero-row", "nan-tol", "no-squarings"],
+        ids=["nan-row-tol", "negative-row-tol", "zero-row", "nan-tol", "no-squarings", "inf-tol"],
     )
     def test_bad_options_exit_2(self, capsys, tmp_path, rows, option, value, message):
         path = tmp_path / "m.csv"
@@ -421,6 +435,20 @@ class TestRuntimeDependencies:
         # numpy is the one runtime dependency; scipy is a test-only oracle
         code = "__import__('summakit.cli') and 'scipy' in __import__('sys').modules"
         assert _child_stdout("0", code) == "False"
+
+    def test_sources_import_only_stdlib_numpy_and_summakit(self):
+        # every import statement of the package, lazy ones included
+        allowed = set(sys.stdlib_module_names) | {"numpy", "summakit"}
+        sources = sorted((Path(cli.__file__).parent).glob("*.py"))
+        assert len(sources) >= 9
+        found = set()
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    found.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.add(node.module.split(".")[0])
+        assert "numpy" in found and found - allowed == set()
 
 
 class TestOutputDiscipline:

@@ -155,6 +155,13 @@ class TestLimitMatrix:
         with pytest.raises(MatrixValidationError, match="tol must be positive, got nan"):
             limit_matrix(validate(np.eye(2)), tol=np.float64(np.nan))
 
+    def test_infinite_tol_rejected(self):
+        # an infinite tol passes the stopping test after one squaring: on
+        # this cycle that gives ((P + I) / 2)**2, not the limit
+        P = validate([[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 0.9]])
+        with pytest.raises(MatrixValidationError, match="tol must be finite, got inf"):
+            limit_matrix(P, tol=float("inf"))
+
     @pytest.mark.parametrize("max_squarings", [0, -3])
     def test_no_squarings_rejected(self, max_squarings):
         with pytest.raises(MatrixValidationError, match="max_squarings must be at least 1"):

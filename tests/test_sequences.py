@@ -356,17 +356,18 @@ class TestWindowRule:
 
     @pytest.mark.parametrize("name", sorted(WINDOW_SPECS) + ["explicit", "rule"])
     def test_bounds_are_checked(self, name):
-        # non-negative integers, as for prefix; hi < lo is an empty window
+        # non-negative integers below 2**63, as for prefix; hi < lo is an empty window
         if name == "explicit":
             seq = RealSequence.from_values(np.arange(10.0))
         elif name == "rule":
             seq = RealSequence.from_function(lambda h: -np.arange(h + 1.0))
         else:
             seq = sequence_from_spec(WINDOW_SPECS[name])
-        for lo, hi in [(-3, 2), (2, -1), (2.5, 4), (2, 4.0), (True, 3), (np.float64(1), 3)]:
+        for lo, hi in [(-3, 2), (2, -1), (2.5, 4), (2, 4.0), (True, 3), (np.float64(1), 3),
+                       (0, 2**63), (np.uint64(2**63), 3)]:
             with pytest.raises(ParameterDomainError):
                 seq.window(lo, hi)
-        for n in (-1, 2.5, 3.0, False):
+        for n in (-1, 2.5, 3.0, False, 2**63, np.uint64(2**64 - 1)):
             with pytest.raises(ParameterDomainError):
                 seq.peak(n)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -637,9 +637,10 @@ def sparse_reference(idx, av, p, ns, routed):
 
 
 @st.composite
-def sparse_supports(draw):
+def sparse_supports(draw, specials=()):
     """Sorted supports made of islands (possibly none, possibly at index 0)
-    separated by gaps of any length, with bounded values."""
+    separated by gaps of any length, with bounded values, up to six of them
+    replaced by values drawn from specials."""
     horizon = draw(st.integers(0, 2000))
     islands = draw(
         st.lists(st.tuples(st.integers(0, 2200), st.integers(1, 80)), min_size=0, max_size=5)
@@ -648,6 +649,10 @@ def sparse_supports(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signed = draw(st.booleans())
     av = rng.uniform(-1.0 if signed else 0.0, 1.0, len(idx))
+    if specials and idx:
+        spots = st.tuples(st.integers(0, len(idx) - 1), st.sampled_from(specials))
+        for i, value in draw(st.lists(spots, max_size=6)):
+            av[i] = value
     return horizon, np.array(idx, dtype=np.int64), av
 
 
@@ -670,6 +675,47 @@ class TestSparseKernel:
         np.testing.assert_array_equal(got[fallback], old[fallback])
         kept = ~fallback
         assert np.all(np.abs(got[kept] - exact[kept]) <= 4 * EPS * scale[kept])
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        support=sparse_supports(specials=(-0.0, math.inf, -math.inf, math.nan, 1e308, -1e308)),
+        p=st.floats(0.01, 0.99),
+    )
+    def test_nan_rows_start_at_the_first_nan_or_infinity_pair(self, support, p):
+        # the running extrema gate every row: rows from the first support
+        # index whose prefix holds a NaN, or both a +inf and a -inf, are NaN
+        # and not built, every row before it is built with the exact
+        # max |a_i| as its peak, and +-1e308 must not read as a pair
+        horizon, idx, av = support
+        nan_from = big_from = horizon + 1
+        signs = set()
+        for i, value in zip(idx.tolist(), av.tolist()):
+            if big_from > horizon and not abs(value) <= 1.0:
+                big_from = i
+            if math.isinf(value):
+                signs.add(value)
+            if math.isnan(value) or len(signs) == 2:
+                nan_from = min(i, nan_from)
+                break
+        gated = int(np.searchsorted(idx, nan_from))
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            rows = transforms._sparse_rows
+
+            def recorded(idx, av, peak, p, ns):
+                built.extend(ns.tolist())
+                running = np.maximum.accumulate(np.abs(av[:gated]))
+                np.testing.assert_array_equal(peak[:gated], running)
+                return rows(idx, av, peak, p, ns)
+
+            mp.setattr(transforms, "_sparse_rows", recorded)
+            got = transforms._binomial_means_sparse(idx, av, p, np.arange(horizon + 1))
+        assert sorted(built) == list(range(1, nan_from))
+        assert np.isnan(got[nan_from:]).all()
+        if len(idx) and idx[0] == 0 and nan_from > 0:
+            assert got[0].tobytes() == av[0].tobytes()
+        # rows whose terms are all bounded by 1 are numbers
+        assert not np.isnan(got[:big_from]).any()
 
     def test_any_order_of_rows(self):
         seq = sequence_from_spec(GeneratorSpec("islets"))
@@ -1157,7 +1203,8 @@ class TestMeanAtArray:
 
     @pytest.mark.parametrize("n", [-1, np.array([3, -1]), 3.0, np.array([1.0, 2.0]),
                                    np.array([[1, 2]]), np.int64(-2), [True],
-                                   np.array([2**63], dtype=np.uint64), True])
+                                   np.array([2**63], dtype=np.uint64), True,
+                                   2**63, np.uint64(2**63), 2**64 + 5])
     def test_bad_n_rejected(self, n):
         for seq in (constant(1.0), sequence_from_spec(GeneratorSpec("islets"))):
             with pytest.raises(ParameterDomainError):
@@ -1289,6 +1336,40 @@ class TestLoneQuery:
             binomial_mean_at(seq, 0.4, n)
             assert 0 < max(read) <= 60 * math.sqrt(n), spec
 
+    def test_lone_rows_read_at_most_twice(self, monkeypatch):
+        # a gap row whose reach m +- 2W holds no island on a side reads
+        # window(0, n) once and settles there; a row it hands over adds
+        # only the batch's read of window(0, n).  Each row is the batch row
+        # over window(0, n), bit for bit.
+        handed = count_handovers(monkeypatch)
+        cases = [("islets", p, [int(4**j / (2 * p)) for j in range(5, 11)]) for p in (0.3, 0.6)]
+        spikes = spike_indices(7.0, 2_000_000)
+        cases.append(("spikes", 0.9, [int(j / 0.9) for j in spikes[::25]]
+                      + np.linspace(2e5, 2.1e6, 12).astype(int).tolist()))
+        whole = 0
+        for family, p, ns in cases:
+            spec = GeneratorSpec(family, C=7.0) if family == "spikes" else GeneratorSpec(family)
+            seq = sequence_from_spec(spec)
+            rule = seq._rule
+            for n in ns:
+                window, peak = rule(n)
+                reads = []
+
+                def counted(lo, hi, window=window):
+                    reads.append((lo, hi))
+                    return window(lo, hi)
+
+                seq._rule = lambda h, rules=(counted, peak): rules
+                del handed[:]
+                got = binomial_mean_at(seq, p, n)
+                assert len(reads) <= 2 + len(handed) and handed in ([], [[n]]), (family, n)
+                if handed:
+                    assert reads[-1] == (0, n), (family, n)
+                whole += reads[:2].count((0, n))
+                ref = transforms._binomial_means_sparse(*window(0, n), p, np.array([n]))[0]
+                assert np.float64(got).tobytes() == ref.tobytes(), (family, n)
+        assert whole >= 5
+
     @pytest.mark.parametrize("family", ["alternating01", "signed_linear"])
     def test_dense_query_at_1e8(self, family):
         # exact means (1 + (1 - 2p)**n) / 2 and -n p (1 - 2p)**(n - 1), within
@@ -1325,6 +1406,27 @@ class TestLoneQuery:
             assert binomial_mean_at(seq, 0.5, 100) == binomial_prefix(seq, 0.5, 100).values[100]
             big = RealSequence.from_values(np.full(400, 1e300))
             assert binomial_mean_at(big, 0.3, 399) == binomial_prefix(big, 0.3, 399).values[399]
+
+
+class TestIndexBound:
+    """Indices past 2**63 - 1 do not fit the kernels' int64 arrays: every
+    entry point rejects them up front (point queries: test_bad_n_rejected;
+    windows and peaks: test_sequences)."""
+
+    @pytest.mark.parametrize("horizon", [2**63, np.uint64(2**63), 2**64 + 5])
+    def test_prefixes(self, horizon):
+        seq = RealSequence.geometric(0.5)
+        for call in (lambda: binomial_prefix(seq, 0.3, horizon),
+                     lambda: cesaro_prefix(seq, horizon), lambda: pstar_prefix(seq, 0.3, horizon),
+                     lambda: seq.prefix(horizon), lambda: weights(horizon, 0.3)):
+            with pytest.raises(ParameterDomainError, match="in \\[0, 2\\*\\*63\\)"):
+                call()
+
+    def test_largest_index_is_accepted(self):
+        # 0.85**(2**63 - 1) rounds to 0; the closed form builds nothing of size n
+        transforms._check_horizon(2**63 - 1)
+        assert binomial_mean_at(RealSequence.geometric(0.5), 0.3, 2**63 - 1) == 0.0
+        assert binomial_mean_at(RealSequence.geometric(0.5), 0.3, np.int64(2**63 - 1)) == 0.0
 
 
 def one_exit_cases():
