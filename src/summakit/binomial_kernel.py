@@ -5,7 +5,9 @@ Each mass computation is one routine, shared by every caller:
 * log_pmf_many: log masses by one elementwise formula, so trial counts up
   to 1e7 never overflow (log_pmf is its scalar form), with log k! from
   _log_factorial, numpy only: correctly rounded table entries below 2048,
-  Stirling's series above, within 2 ulp.
+  Stirling's series above, within 2 ulp.  A caller that needs log k! for
+  most k up to some top (a prefix of means) takes them once from
+  _log_factorials and passes that table; each mass keeps its bits.
 * _unit_window: ratio products from a unit seed at the mode over a window
   of one row or a column of rows, which keep relative accuracy in the far
   tails, and a bound on the mass outside; _row_mass normalises them.
@@ -134,30 +136,44 @@ def _log_factorial(x) -> np.ndarray:
     return out
 
 
-def log_pmf_many(n, p: float, indices, *, _counts=None) -> np.ndarray:
+def _log_factorials(top: int) -> np.ndarray:
+    """log k! for k = 0..top in one _log_factorial pass: entry for entry the
+    values log_pmf_many takes term by term, for its private ``_table``."""
+    return _log_factorial(np.arange(top + 1.0))
+
+
+def log_pmf_many(n, p: float, indices, *, _counts=None, _table=None) -> np.ndarray:
     """log P[X = i] for each index i inside the support of row n.
 
     ``n`` is a trial count or an integer array broadcast against
     ``indices``; with the private ``_counts`` (the log-space blocks of rows)
     it holds one n per row, and row r covers the next _counts[r] indices.
+    With the private ``_table`` (_log_factorials up to the largest n, and
+    integer n and indices) log k! is read from it instead of evaluated.
     One elementwise expression, so an entry depends only on its own (n, i):
-    every layout of equal (n, i) gives the same bits.
+    every layout of equal (n, i), with or without a table, gives the same
+    bits.
     """
-    n = np.asarray(n, dtype=float)
-    rows = n if _counts is None else np.repeat(n, _counts)
-    shape = np.broadcast(rows, indices).shape
-    k = math.prod(shape)
-    # i, n - i and n's own entries in one array: one _log_factorial pass
-    # keeps the fixed numpy cost of a short call low, and takes log n! once
-    x = np.empty(2 * k + n.size)
-    terms = x[: 2 * k].reshape((2,) + shape)
-    terms[0], x[2 * k :] = indices, n.ravel()
-    np.subtract(rows, terms[:1], out=terms[1:])
-    lf = _log_factorial(x)
-    head, lf = lf[2 * k :].reshape(n.shape), lf[: 2 * k].reshape(terms.shape)
+    if _table is not None:
+        i, rest = indices, (n if _counts is None else np.repeat(n, _counts)) - indices
+        head, lf_i, lf_rest = _table[n], _table[i], _table[rest]
+    else:
+        n = np.asarray(n, dtype=float)
+        rows = n if _counts is None else np.repeat(n, _counts)
+        shape = np.broadcast(rows, indices).shape
+        k = math.prod(shape)
+        # i, n - i and n's own entries in one array: one _log_factorial pass
+        # keeps the fixed numpy cost of a short call low, and takes log n! once
+        x = np.empty(2 * k + n.size)
+        i, rest = x[:k].reshape(shape), x[k : 2 * k].reshape(shape)
+        i[...], x[2 * k :] = indices, n.ravel()
+        np.subtract(rows, i, out=rest)
+        lf = _log_factorial(x)
+        head = lf[2 * k :].reshape(n.shape)
+        lf_i, lf_rest = lf[:k].reshape(shape), lf[k : 2 * k].reshape(shape)
     if _counts is not None:
         head = np.repeat(head, _counts)
-    return head - lf[0] - lf[1] + terms[0] * math.log(p) + terms[1] * math.log1p(-p)
+    return head - lf_i - lf_rest + i * math.log(p) + rest * math.log1p(-p)
 
 
 def _lib(n):

@@ -26,10 +26,13 @@ must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   again at twice the half-width, until it certifies or its window spans
   [0, n], where it drops no mass and its value is final.  Half-widths are
   a function of n alone, so a row gives the same bits in any batch, and no
-  row takes a full PMF row.  Rows of one half-width go in blocks over a
-  zero-filled buffer spanning only their windows: a bounded dense sequence
-  costs O(H sqrt(H)), a widened row (unbounded terms, or a**n with |a| < 1
-  given term by term) up to O(n).  Ratio products cost 13-30 ns a mass
+  row takes a full PMF row.  A row whose peak times its widest window
+  could overflow the window's sums weights its terms at a power of two
+  (_overflow_shift); every other row is weighted as it is.  Rows of one
+  half-width go in blocks over a zero-filled buffer spanning only their
+  windows: a bounded dense sequence costs O(H sqrt(H)), a widened row
+  (unbounded terms, or a**n with |a| < 1 given term by term) up to O(n).
+  Ratio products cost 13-30 ns a mass
   against about 60 ns in log space, and are accurate to about 1e-16 where
   log-space masses are off by up to about n eps log n.  The 1/4 is the best
   of a threshold sweep over eight islets prefixes (README).
@@ -41,10 +44,15 @@ must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   support still certifies; one that does not is summed over its whole
   support (_whole_support_mean, O(support) where widening is O(n)).  Terms
   are log_pmf_many masses summed by _log_weighted, in blocks of up to 2**11
-  rows and about 2**12 terms, which keeps peak memory small.  A row costs
-  one mass per kept support index: a bounded number for spikes past small
-  n, O(sqrt(n)) inside an islet, so their prefixes cost O(H) and
-  O(H sqrt(H)).
+  rows and about 2**12 terms, which keeps peak memory small.  A kernel
+  call whose rows cover at least half of 0..H, H its largest n (every
+  prefix), evaluates log k! once over 0..H (_log_factorials: H + 1
+  doubles, no more than the prefix) when its first log-space block needs
+  it, and its blocks and fallbacks read log i!, log (n - i)! and log n!
+  from that table; sampled rows (point-query arrays, lone rows) evaluate
+  them term by term, the same values.  A row costs one mass per kept
+  support index: a bounded number for spikes past small n, O(sqrt(n))
+  inside an islet, so their prefixes cost O(H) and O(H sqrt(H)).
 
 A lone row n >= 1 with a finite peak keeps its masses and weighted sums in
 those routines (log_pmf_many through _log_weighted, and _windowed_block) and
@@ -63,6 +71,7 @@ or sums the whole support.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -72,6 +81,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .binomial_kernel import (
     _certified,
+    _lib,
+    _log_factorials,
     _mode,
     _ratio_down,
     _ratio_up,
@@ -160,15 +171,16 @@ class RealSequence:
         """A sequence from exactly one rule: ``prefix(h)``, terms 0..h as a
         vector, or ``support(h)``, the sorted indices of the nonzero terms
         up to h with their values (a sparse sequence).  Windows and peaks
-        up to h are slices of one checked read of it up to h."""
+        up to h are slices of one checked read of it up to h: support
+        indices must be non-negative integers (integer-valued floats pass)
+        in strictly increasing order, one per value."""
         if (prefix is None) == (support is None):
             raise ParameterDomainError("a sequence takes exactly one rule: prefix or support")
 
         def rule(horizon):
             if support is None:
                 return _slices(np.arange(horizon + 1), seq._checked(prefix(horizon)))
-            idx, vals = support(horizon)
-            return _slices(np.asarray(idx, dtype=np.int64), seq._checked(vals))
+            return _slices(*seq._checked_support(*support(horizon)))
 
         seq = cls(name=name, nonneg=nonneg, sparse=support is not None, _rule=rule)
         return seq
@@ -203,6 +215,22 @@ class RealSequence:
                 f"sequence {self.name!r} is declared non-negative but has a negative term"
             )
         return values
+
+    def _checked_support(self, idx, vals):
+        raw, vals = np.asarray(idx), self._checked(vals)
+        with np.errstate(invalid="ignore"):  # NaN or inf: caught as non-integers
+            out = raw.astype(np.int64)
+        if out.shape != vals.shape:
+            problem = "not one value per index"
+        elif not (out == raw).all():
+            problem = "an index that is not an integer"
+        elif (out[1:] <= out[:-1]).any():
+            problem = "indices that are not strictly increasing"
+        elif len(out) and out[0] < 0:
+            problem = "a negative index"
+        else:
+            return out, vals
+        raise ParameterDomainError(f"sequence {self.name!r} has support with {problem}")
 
     def prefix(self, horizon: int) -> np.ndarray:
         """Terms 0..horizon as a vector."""
@@ -308,15 +336,16 @@ def cesaro_prefix(a: RealSequence, horizon: int) -> TransformedPrefix:
     return TransformedPrefix("cesaro", None, running_mean(seq))
 
 
-def _windowed_block(windows, offset, peak, p, ns, half):
+def _windowed_block(windows, offset, peak, p, ns, half, shift=None):
     """Windowed means for the rows ns, with a mask of the rows it certifies.
 
     windows[j + offset[r]] holds row r's terms from index j on and peak[r]
     is the largest |a_i| for i <= ns[r].  Each row weights its _unit_window
     products over offsets -half..half, divided by their sum.  Terms below 0
     are the buffer's zeros and terms past n are zeroed, so a non-finite
-    term beyond n cannot leak in.  A row depends only on its own n, half
-    and terms.
+    term beyond n cannot leak in.  With shift (_overflow_shift), row r's
+    terms and peak are weighted at 2**-shift[r] and its mean scaled back.
+    A row depends only on its own n, half, shift and terms.
     """
     n = ns.astype(float)
     m = _mode(n, p)
@@ -324,9 +353,14 @@ def _windowed_block(windows, offset, peak, p, ns, half):
     terms = windows[(m - half).astype(np.int64) + offset, : 2 * half + 1]
     if (m + half > n).any():
         terms[np.arange(-half, half + 1.0) > (n - m)[:, None]] = 0.0
+    if shift is not None:
+        np.ldexp(terms, -shift[:, None], out=terms)
+        peak = np.ldexp(peak, -shift)
     np.multiply(w, terms, out=terms)
     value = terms.sum(axis=1) / w.sum(axis=1)
     scale = np.abs(terms, out=terms).sum(axis=1)
+    if shift is not None:
+        value = np.ldexp(value, shift)
     return value, _certified(value, scale, dropped, peak)
 
 
@@ -344,6 +378,23 @@ _WINDOWED_MASSES = 2**15
 def _stepped(half):
     """half rounded up to a multiple of _HALF_STEP (an int, or an array)."""
     return -(-half // _HALF_STEP) * _HALF_STEP
+
+
+# No row with a peak below _SHIFT_FROM needs an _overflow_shift: its window
+# holds fewer than 2**64 indices.  Its callers skip the call below it.
+_SHIFT_FROM = 2.0**959
+
+
+def _overflow_shift(peak, span):
+    """The power-of-two exponents that keep a windowed row's sums finite,
+    for rows with peak and widest half-width span (arrays): the sums of a
+    window of up to 2 span + 1 unit-seeded products times terms stay below
+    peak * (2 span + 1), which at 2**-shift is below 2**1023.  0 for every
+    row where that product is below 2**1023 (or the peak is not finite), so
+    those rows keep their bits.  A lone row passes numbers."""
+    lib = _lib(peak)
+    bits = lib.frexp(peak)[1] + lib.frexp(2.0 * span + 1.0)[1] - 1023
+    return bits * (bits > 0)
 
 
 def _support_windows(idx, av, lo, hi):
@@ -379,13 +430,16 @@ def _windowed_means(idx, av, peak, p, ns):
     doubled while the row does not certify, up to the least such multiple
     that spans [0, n]: a function of n alone.  Each pass takes its rows in
     ascending n, in blocks of one half-width and fewer than
-    _WINDOWED_MASSES masses.
+    _WINDOWED_MASSES masses.  Rows whose peak could overflow their sums
+    are weighted at a power of two (_overflow_shift), decided once here.
     """
     value = np.empty(len(ns))
     order = np.argsort(ns, kind="stable")
     rows, peak = ns[order], peak[order]
     m = _mode(rows, p).astype(np.int64)
     spans = _stepped(np.maximum(m, rows - m))  # least to span [0, n]
+    scaled = peak.max() >= _SHIFT_FROM
+    shift = _overflow_shift(peak, spans) if scaled else None
     halves = _stepped(_window_halfwidth(rows, p)).astype(np.int64)
     while True:
         lo = m - halves
@@ -397,20 +451,26 @@ def _windowed_means(idx, av, peak, p, ns):
             stop = start + max(1, (_WINDOWED_MASSES - 1) // (2 * half + 1))
             block = slice(start, min(stop, halves.searchsorted(half, side="right")))
             value[order[block]], certified[block] = _windowed_block(
-                windows, offset[block], peak[block], p, rows[block], half
+                windows, offset[block], peak[block], p, rows[block], half,
+                shift[block] if scaled else None,
             )
             start = block.stop
         again = ~certified & (halves < spans)
         if not again.any():
             return value
         order, rows, peak, m, spans = (x[again] for x in (order, rows, peak, m, spans))
+        shift = shift[again] if scaled else None
         halves = np.minimum(2 * halves[again], spans)
 
 
 # Rows, and terms, per block of sparse rows; keep the block's arrays, and
-# peak memory, small.  log_pmf_many's temporaries hold 3 doubles a term:
-# at 2**13 terms they pass 128 KB (glibc's default mmap threshold) and a
-# call cost about twice as much per term as at 2**12.
+# peak memory, small.  2**12 terms is the knee on six spikes and three
+# islets prefixes (H = 12000, p from 0.05 to 0.97; least of 10-20
+# interleaved calls, with and without an earlier large free, 2-core Xeon
+# VM), their masses read from a log k! table: in total 2**11 costs 15-18%
+# more, 3 * 2**11 the same, 2**13 7-13% more (one run of six read it 7%
+# less) and 2**14 30-40% more.  Each array of one double a term is then
+# 32 KB, within a core's 48 KB L1 data cache.
 _BLOCK_ROWS = 2**11
 _BLOCK_TERMS = 2**12
 
@@ -448,28 +508,30 @@ def _routed(n, m, half, in_window):
     return _ROUTE_SHARE * in_window >= inside
 
 
-def _log_weighted(n, p, indices, values, offsets, counts=None):
+def _log_weighted(n, p, indices, values, offsets, counts=None, table=None):
     """Pairwise sums of masses times values, and of their absolute values,
     over the runs of terms starting at offsets, and the masses: exp of
-    log_pmf_many (counts is its _counts, one n per run)."""
-    masses = np.exp(log_pmf_many(n, p, indices, _counts=counts))
+    log_pmf_many (counts is its _counts, one n per run, table its _table)."""
+    masses = np.exp(log_pmf_many(n, p, indices, _counts=counts, _table=table))
     weighted = masses * values
     value = np.add.reduceat(weighted, offsets)
     scale = np.add.reduceat(np.abs(weighted, out=weighted), offsets)
     return value, scale, masses
 
 
-def _whole_support_mean(idx, av, p, n, k):
+def _whole_support_mean(idx, av, p, n, k, table):
     """sum_i B(n,i,p) * av[i] over the first k support indices, all <= n:
-    the log-space rows' fallback for a row they cannot certify."""
-    return np.exp(log_pmf_many(n, p, idx[:k])) @ av[:k]
+    the log-space rows' fallback for a row they cannot certify (table is
+    log_pmf_many's _table, or None)."""
+    return np.exp(log_pmf_many(n, p, idx[:k], _table=table)) @ av[:k]
 
 
-def _sparse_rows(idx, av, peak, p, ns):
+def _sparse_rows(idx, av, peak, p, ns, log_factorials):
     """_binomial_means_sparse for a block of rows n >= 1; peak[j] = max
     |av[:j+1]|.  Its routed rows go through one _windowed_means call, the
     others are log-space rows, summed over their whole support where they
-    do not certify."""
+    do not certify.  log_factorials, if given, returns the log k! table
+    their masses read (log_pmf_many's _table), built on its first call."""
     out = np.zeros(len(ns))
     size = np.searchsorted(idx, ns, side="right")  # support indices <= n
     m = _mode(ns, p)
@@ -483,6 +545,7 @@ def _sparse_rows(idx, av, peak, p, ns):
     if not len(rows):
         return out
     n, k, m, half, lo, hi = (x[rows] for x in (ns, size, m, half, lo, hi))
+    table = log_factorials() if log_factorials else None
 
     # the nearest support index outside the window on each side, if any
     left, right = lo > 0, hi < k
@@ -506,12 +569,12 @@ def _sparse_rows(idx, av, peak, p, ns):
         c = count[block]
         offsets = np.cumsum(c) - c
         pos = np.arange(offsets[-1] + c[-1]) + np.repeat(first[block] - offsets, c)
-        value, scale, masses = _log_weighted(n[block], p, idx[pos], av[pos], offsets, c)
+        value, scale, masses = _log_weighted(n[block], p, idx[pos], av[pos], offsets, c, table)
         dropped = masses[offsets + at_lo[block]] * tail_lo[block]
         dropped += masses[offsets + at_hi[block]] * tail_hi[block]
         certified = _certified(value, scale, dropped, peak[k[block] - 1])
         for r in np.flatnonzero(~certified):
-            value[r] = _whole_support_mean(idx, av, p, int(n[start + r]), int(k[start + r]))
+            value[r] = _whole_support_mean(idx, av, p, int(n[start + r]), int(k[start + r]), table)
         out[rows[block]] = value
         start = block.stop
     return out
@@ -548,8 +611,10 @@ def _lone_row(window, peak, p: float, n: int) -> float:
             sel = slice(*idx.searchsorted((m - wide, m + wide + 1)).tolist())
             terms = np.zeros((1, 2 * wide + 1))
             terms[0, idx[sel] - (m - wide)] = av[sel]
+            shift = _overflow_shift(top, _stepped(max(m, n - m))) if top >= _SHIFT_FROM else 0
             value, certified = _windowed_block(
-                terms, np.array([wide - m]), np.array([top]), p, np.array([n]), wide
+                terms, np.array([wide - m]), np.array([top]), p, np.array([n]), wide,
+                np.array([shift]) if shift else None,
             )
             if certified[0]:
                 return float(value[0])
@@ -593,7 +658,10 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     prefix holds a NaN, or both a +inf and a -inf, where the running max
     plus the running min is NaN (huge finite terms overflow to +-inf there,
     never to NaN); their larger magnitude is each row's peak.  The other
-    rows go in blocks of _BLOCK_ROWS through _sparse_rows.
+    rows go in blocks of _BLOCK_ROWS through _sparse_rows.  Where ns holds
+    at least half as many rows as 0..max(ns) has (every prefix), their
+    log-space masses read log k! from one table over 0..max(ns), built when
+    the first block needs it; sampled rows evaluate it term by term.
     """
     ns = np.asarray(ns, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -607,9 +675,11 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
         out[ns >= nan_from] = np.nan
         rows = np.flatnonzero((ns > 0) & (ns < nan_from))
         peak = np.maximum(top, -bottom, out=top)
+        last = int(ns.max(initial=0))
+        table = functools.cache(lambda: _log_factorials(last)) if 2 * len(ns) > last else None
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS]
-            out[block] = _sparse_rows(idx, av, peak, p, ns[block])
+            out[block] = _sparse_rows(idx, av, peak, p, ns[block], table)
     return out
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pmf_many
 from summakit.sequences import GeneratorSpec, islet_ranges, sequence_from_spec
 from summakit.transforms import binomial_mean_at, binomial_prefix
+from test_tracing_contract import huge_support
 
 
 def digest(arrays):
@@ -120,3 +121,26 @@ def test_log_pmf_many_layouts_pinned():
         arrays.append(log_pmf_many((ns + 4)[:, None], p, np.arange(5)))
         arrays.append(log_pmf_many(ns, p, indices, _counts=counts))
     assert digest(arrays) == "6daeadf9bf6f1b2f4fcf4effe2cce7c72b252aa574813cca36e1d40ba48d925f"
+
+
+def test_sparse_prefixes_pinned():
+    # log-space prefix rows: spikes rows whose kept indices cross k = 2048,
+    # where log k! goes from table entries to Stirling's series, and islets
+    # rows in the gaps between islands; taken while every term evaluated
+    # its own log k!, before prefixes read them from one table
+    arrays = []
+    for C in (0.5, 2.0):
+        seq = sequence_from_spec(GeneratorSpec("spikes", C=C))
+        arrays += [binomial_prefix(seq, p, 12_000).values for p in (0.05, 0.5, 0.97)]
+    assert digest(arrays) == "dc9b281a6ee6bcdbd8b7d2e96c866e90aef268cae982a635ad12c4c0a6f63dc0"
+    seq = sequence_from_spec(GeneratorSpec("islets"))
+    arrays = [binomial_prefix(seq, p, 9000).values for p in (0.2, 0.85)]
+    assert digest(arrays) == "7cdd0734f028a6d1346745f0c79941b0644e2c72ba9b387daa683e463d2d4efb"
+
+
+def test_whole_support_fallbacks_pinned():
+    # rows past a 1e300 term, which no window certifies, summed over their
+    # whole support (187, 656 and 720 rows); taken at the same point
+    seq = huge_support()
+    arrays = [binomial_prefix(seq, p, 1200).values for p in (0.3, 0.5, 0.9)]
+    assert digest(arrays) == "3c68051b5bee4e0dcd70591b8e3761190ce1a0aa951afa18e269bdbd8e26795a"

@@ -729,9 +729,9 @@ class TestProbeOpenProblem:
         routed = set()  # (p, n) of every row reaching the windowed kernel
         block = transforms._windowed_block
 
-        def recorded(windows, offset, peak, p, ns, half):
+        def recorded(windows, offset, peak, p, ns, half, *shift):
             routed.update((p, n) for n in ns.tolist())
-            return block(windows, offset, peak, p, ns, half)
+            return block(windows, offset, peak, p, ns, half, *shift)
 
         monkeypatch.setattr(transforms, "_windowed_block", recorded)
         for C, horizon in ((1.0, 200_000), (0.5, 20_000), (40.0, 50_000)):

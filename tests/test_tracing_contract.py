@@ -5,8 +5,10 @@ row its window cannot certify widens the window instead; weights still
 builds full rows).  A helper that reached the kernel another way would leave
 the traced counts at 0 for its work.
 
-Every log_pmf_many call makes one _log_factorial pass, so the passes count
-every log mass computed, whichever way it was reached.
+A log_pmf_many call makes one _log_factorial pass, or reads log k! from
+the table its caller built in one pass (_log_factorials, once per prefix
+kernel call), so the passes equal the per-term calls plus the tables built:
+every log mass computed was reached through a traced name.
 """
 
 import sys
@@ -22,34 +24,39 @@ from summakit.transforms import binomial_mean_at, binomial_prefix
 
 @pytest.fixture
 def traced(monkeypatch):
-    """Counting wrappers on the traced names, on _log_factorial, and on the
-    rows the windowed kernel rejects."""
-    seen = {"rows": [], "terms": [], "passes": 0, "rejected": []}
+    """Counting wrappers on the traced names, on _log_factorial, on the
+    log k! tables built, and on the rows the windowed kernel rejects."""
+    seen = {"rows": [], "terms": [], "per_term": 0, "passes": 0, "tables": 0, "rejected": []}
 
     def patch(owner, attr, record):
         fn = getattr(owner, attr)
 
         def counted(*args, **kwargs):
             out = fn(*args, **kwargs)
-            record(args, out)
+            record(args, kwargs, out)
             return out
 
         monkeypatch.setattr(owner, attr, counted)
 
-    def log_terms(args, out):
+    def log_terms(args, kwargs, out):
         seen["terms"].append(out.size)
+        seen["per_term"] += kwargs.get("_table") is None
 
-    def log_pass(args, out):
-        seen["passes"] += 1
+    def count(key):
+        def record(args, kwargs, out):
+            seen[key] += 1
 
-    patch(transforms, "_row_mass", lambda args, out: seen["rows"].append(args[0]))
+        return record
+
+    patch(transforms, "_row_mass", lambda args, kwargs, out: seen["rows"].append(args[0]))
     patch(transforms, "log_pmf_many", log_terms)
     patch(sequences, "log_pmf_many", log_terms)
-    patch(binomial_kernel, "_log_factorial", log_pass)
+    patch(binomial_kernel, "_log_factorial", count("passes"))
+    patch(transforms, "_log_factorials", count("tables"))
     patch(
         transforms,
         "_windowed_block",
-        lambda args, out: seen["rejected"].extend(args[4][~out[1]].tolist()),
+        lambda args, kwargs, out: seen["rejected"].extend(args[4][~out[1]].tolist()),
     )
     return seen
 
@@ -64,7 +71,7 @@ def huge_support():
 
 def log_masses_all_traced(seen):
     assert seen["passes"] > 0
-    assert len(seen["terms"]) == seen["passes"]
+    assert seen["passes"] == seen["per_term"] + seen["tables"]
     assert all(size > 0 for size in seen["terms"])
 
 
@@ -84,6 +91,21 @@ def test_sparse_block_path(traced):
     binomial_prefix(huge_support(), 0.5, 1200)  # whole-support fallbacks
     log_masses_all_traced(traced)
     assert traced["rows"] == []
+
+
+def test_one_table_per_prefix(traced):
+    # a sparse prefix reads log k! from one table, built in one pass; point
+    # queries over sampled rows, as explore makes them, and lone queries
+    # evaluate it term by term and build none
+    spikes = sequence_from_spec(GeneratorSpec("spikes", C=1.0))
+    binomial_prefix(spikes, 0.4, 12_000)
+    assert traced["tables"] == traced["passes"] == 1 and traced["per_term"] == 0
+    assert len(traced["terms"]) > 1
+    binomial_mean_at(spikes, 0.4, np.linspace(0, 2e6, 40).astype(np.int64))
+    binomial_mean_at(spikes, 0.4, 700_001)
+    binomial_mean_at(huge_support(), 0.5, 300)  # whole-support fallback
+    assert traced["tables"] == 1 and traced["per_term"] == traced["passes"] - 1 > 0
+    log_masses_all_traced(traced)
 
 
 def test_dense_fallback_rows(traced):

@@ -85,6 +85,46 @@ class TestRealSequence:
         with pytest.raises(ParameterDomainError):
             RealSequence.from_values([1.0, 2.0]).support(1)
 
+    @pytest.mark.parametrize(
+        "indices, size, problem",
+        [
+            ([3, 1, 5], 3, "not strictly increasing"),
+            ([1, 3, 3, 5], 4, "not strictly increasing"),
+            ([-1, 3, 5], 3, "negative"),
+            ([1, 5.7], 2, "not an integer"),
+            ([1.0, math.nan], 2, "not an integer"),
+            ([1.0, math.inf], 2, "not an integer"),
+            ([1, 3, 5], 2, "not one value per index"),
+            ([1, 3], 3, "not one value per index"),
+        ],
+    )
+    def test_support_rule_checked(self, indices, size, problem):
+        # unsorted indices used to raise a raw IndexError, a negative one was
+        # dropped, a repeated one weighted twice and 5.7 read as 5; a value
+        # short raised a raw IndexError, a value over was dropped
+        seq = RealSequence.from_function(
+            support=lambda h: (np.array(indices), np.ones(size)), name="bad rule"
+        )
+        for call in (
+            lambda: seq.support(10),
+            lambda: binomial_prefix(seq, 0.5, 10),
+            lambda: binomial_mean_at(seq, 0.5, 4),
+            lambda: binomial_mean_at(seq, 0.5, np.array([4, 9])),
+        ):
+            with pytest.raises(ParameterDomainError, match=f"'bad rule'.*{problem}"):
+                call()
+
+    def test_integer_valued_float_indices_accepted(self):
+        floats = RealSequence.from_function(
+            support=lambda h: (np.array([1.0, 3.0]), np.array([2.0, -1.0]))
+        )
+        ints = sparse_sequence([1, 3], [2.0, -1.0], "ints")
+        idx, vals = floats.support(4)
+        assert idx.dtype == np.int64 and idx.tolist() == [1, 3]
+        got = binomial_prefix(floats, 0.3, 10).values
+        assert got.tobytes() == binomial_prefix(ints, 0.3, 10).values.tobytes()
+        assert binomial_mean_at(floats, 0.3, 7) == got[7]
+
 
 class TestCesaro:
     def test_small_example(self):
@@ -203,9 +243,9 @@ def count_widened(monkeypatch):
     rows = []
     block = transforms._windowed_block
 
-    def counted(windows, offset, peak, p, ns, half):
+    def counted(windows, offset, peak, p, ns, half, *shift):
         rows.extend(ns[~first_pass(ns, p, half)].tolist())
-        return block(windows, offset, peak, p, ns, half)
+        return block(windows, offset, peak, p, ns, half, *shift)
 
     monkeypatch.setattr(transforms, "_windowed_block", counted)
     return rows
@@ -557,9 +597,9 @@ def count_sparse_fallbacks(monkeypatch):
     calls = []
     whole = transforms._whole_support_mean
 
-    def counted(idx, av, p, n, k):
+    def counted(idx, av, p, n, k, *table):
         calls.append(n)
-        return whole(idx, av, p, n, k)
+        return whole(idx, av, p, n, k, *table)
 
     monkeypatch.setattr(transforms, "_whole_support_mean", counted)
     return calls
@@ -588,9 +628,9 @@ def count_routed(monkeypatch):
     routed = []
     block = transforms._windowed_block
 
-    def counted(windows, offset, peak, p, ns, half):
+    def counted(windows, offset, peak, p, ns, half, *shift):
         routed.extend(ns[first_pass(ns, p, half)].tolist())
-        return block(windows, offset, peak, p, ns, half)
+        return block(windows, offset, peak, p, ns, half, *shift)
 
     monkeypatch.setattr(transforms, "_windowed_block", counted)
     return routed
@@ -687,11 +727,11 @@ class TestSparseKernel:
         # and not built, every row before it is built with the exact
         # max |a_i| as its peak, and +-1e308 must not read as a pair
         horizon, idx, av = support
-        nan_from = big_from = horizon + 1
+        nan_from = inf_from = horizon + 1
         signs = set()
         for i, value in zip(idx.tolist(), av.tolist()):
-            if big_from > horizon and not abs(value) <= 1.0:
-                big_from = i
+            if inf_from > horizon and not math.isfinite(value):
+                inf_from = i
             if math.isinf(value):
                 signs.add(value)
             if math.isnan(value) or len(signs) == 2:
@@ -702,11 +742,11 @@ class TestSparseKernel:
         with pytest.MonkeyPatch.context() as mp:
             rows = transforms._sparse_rows
 
-            def recorded(idx, av, peak, p, ns):
+            def recorded(idx, av, peak, p, ns, *table):
                 built.extend(ns.tolist())
                 running = np.maximum.accumulate(np.abs(av[:gated]))
                 np.testing.assert_array_equal(peak[:gated], running)
-                return rows(idx, av, peak, p, ns)
+                return rows(idx, av, peak, p, ns, *table)
 
             mp.setattr(transforms, "_sparse_rows", recorded)
             got = transforms._binomial_means_sparse(idx, av, p, np.arange(horizon + 1))
@@ -714,8 +754,26 @@ class TestSparseKernel:
         assert np.isnan(got[nan_from:]).all()
         if len(idx) and idx[0] == 0 and nan_from > 0:
             assert got[0].tobytes() == av[0].tobytes()
-        # rows whose terms are all bounded by 1 are numbers
-        assert not np.isnan(got[:big_from]).any()
+        # rows whose terms are all finite, +-1e308 included, are finite
+        assert np.isfinite(got[:inf_from]).all()
+
+    @pytest.mark.parametrize("p", [0.01, 0.5, 0.99])
+    def test_huge_finite_terms_do_not_overflow(self, p):
+        # the windowed sums of terms near the top of the double range used
+        # to overflow before their division (+inf for 1e308 everywhere, NaN
+        # for random signs); those rows are weighted at a power of two
+        rng = np.random.default_rng(3)
+        ns = np.array([1, 7, 400, 1000])
+        for values in (np.full(1001, 1e308), rng.choice([-1e308, 1e308], 1001)):
+            seq = RealSequence.from_values(values)
+            got = binomial_prefix(seq, p, 1000).values
+            assert np.isfinite(got).all()
+            assert binomial_mean_at(seq, p, ns).tobytes() == got[ns].tobytes()
+            lone = np.array([binomial_mean_at(seq, p, int(n)) for n in ns])
+            assert lone.tobytes() == got[ns].tobytes()
+            for n in ns.tolist():  # every |a_i| is 1e308: so is sum B |a|
+                exact = sparse_binomial_exact(range(n + 1), values, n, p)
+                assert abs(Fraction(got[n]) - exact) <= 4 * EPS * 1e308
 
     def test_any_order_of_rows(self):
         seq = sequence_from_spec(GeneratorSpec("islets"))
@@ -953,9 +1011,9 @@ class TestRoutedRows:
         routed = []  # (p, n) of every row reaching the windowed kernel
         block = transforms._windowed_block
 
-        def recorded(windows, offset, peak, p, ns, half):
+        def recorded(windows, offset, peak, p, ns, half, *shift):
             routed.extend((p, n) for n in ns[first_pass(ns, p, half)].tolist())
-            return block(windows, offset, peak, p, ns, half)
+            return block(windows, offset, peak, p, ns, half, *shift)
 
         monkeypatch.setattr(transforms, "_windowed_block", recorded)
 
@@ -1108,9 +1166,9 @@ class TestOneKernel:
             built.append(np.max(n))
             return kernel(n, p, indices, **kwargs)
 
-        def windowed(windows, offset, peak, p, ns, half):
+        def windowed(windows, offset, peak, p, ns, half, *shift):
             built.append(ns.max())
-            return block(windows, offset, peak, p, ns, half)
+            return block(windows, offset, peak, p, ns, half, *shift)
 
         monkeypatch.setattr(transforms, "log_pmf_many", logs)
         monkeypatch.setattr(transforms, "_windowed_block", windowed)
