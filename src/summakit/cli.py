@@ -5,7 +5,14 @@ Output goes to stdout (or --out PATH) as CSV with a header line or as a
 single JSON object.  A CSV float cell is exactly Python's
 ``format(v, ".17g")``: 17 significant digits, so a file round-trips without
 loss, with ``inf``, ``-inf``, ``nan`` and ``-0`` as Python prints them.  An
-integer cell is ``str(i)``.  ``_csv`` renders the table column by column.
+integer cell is ``str(i)``.  The JSON object is exactly what ``json.dumps``
+writes for the command, its params and either the table's rows and column
+names or the command's report: float tokens are ``repr(v)``, with ``NaN``,
+``Infinity`` and ``-Infinity`` for the non-finite values.  ``_csv`` renders
+the table column by column, as CSV, as the JSON rows, or as the report's
+list of records (``explore``'s samples), which is spliced into the
+``json.dumps`` text of the rest of the body; a report without a table
+(``table1``, ``markov-limit``) is one ``json.dumps`` call.
 Exit status: 0 success, 1 usage error (also an unreadable input or
 unwritable --out), 2 domain/validation error, 3 non-convergence.
 """
@@ -72,10 +79,7 @@ class _Payload:
     table: dict  # column name -> that column's cells (ndarray, range or list)
     report: dict | None = None  # the JSON body in place of rows and columns
     notes: list = field(default_factory=list)  # informational stderr lines
-
-
-def _cells(column):
-    return column.tolist() if isinstance(column, np.ndarray) else column
+    records: str | None = None  # the report key that holds the table as records
 
 
 def _plain(value):
@@ -85,19 +89,39 @@ def _plain(value):
     raise TypeError(f"{type(value).__name__} is not JSON serialisable")
 
 
-def _render(payload: _Payload, fmt: str) -> str:
-    if fmt == "csv":
-        from ._csv import csv_text  # loaded on first use, not at import
-
-        return csv_text(payload.table)
-    body = {"command": payload.command, "params": payload.params}
-    if payload.report is not None:
-        body["report"] = payload.report
-    else:
-        body["rows"] = list(zip(*map(_cells, payload.table.values())))
-        body["columns"] = list(payload.table)
+def _json(value) -> str:
     # a payload is built fresh for each call and holds no cycles
-    return json.dumps(body, default=_plain, check_circular=False) + "\n"
+    return json.dumps(value, default=_plain, check_circular=False)
+
+
+def _object(items) -> list:
+    """json.dumps of a dict as parts to join, from the JSON text of each of
+    its values (or the parts of it)."""
+    parts = ["{"]
+    for key, text in items:
+        parts += [", " if len(parts) > 1 else "", _json(key), ": "]
+        parts += text if isinstance(text, list) else [text]
+    return parts + ["}"]
+
+
+def _render(payload: _Payload, fmt: str) -> str:
+    head = {"command": payload.command, "params": payload.params}
+    if fmt == "json" and payload.report is not None and payload.records is None:
+        return _json(head | {"report": payload.report}) + "\n"
+    from ._csv import csv_text, json_rows  # loaded on first use, not at import
+
+    if fmt == "csv":
+        return csv_text(payload.table)
+    body = [(k, _json(v)) for k, v in head.items()]
+    if payload.report is None:
+        body += [("rows", json_rows(payload.table, _json)), ("columns", _json(list(payload.table)))]
+    else:
+        report = [
+            (k, json_rows(v, _json, keys=True) if k == payload.records else _json(v))
+            for k, v in payload.report.items()
+        ]
+        body.append(("report", _object(report)))
+    return "".join(_object(body) + ["\n"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,10 +327,13 @@ def _cmd_explore(args) -> _Payload:
         args.p, args.q, args.C, args.horizon, height_scale=args.height_scale
     )
     samples = report.samples
-    body = {k: v for k, v in vars(report).items() if k != "samples"}
-    body["samples"] = [dict(zip(samples, row)) for row in zip(*map(_cells, samples.values()))]
+    body = {k: v for k, v in vars(report).items() if k != "samples"} | {"samples": samples}
     return _Payload(
-        "explore", _pick(args, ("p", "q", "C", "height_scale", "horizon")), samples, report=body
+        "explore",
+        _pick(args, ("p", "q", "C", "height_scale", "horizon")),
+        samples,
+        report=body,
+        records="samples",
     )
 
 

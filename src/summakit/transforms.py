@@ -173,13 +173,14 @@ class RealSequence:
         up to h with their values (a sparse sequence).  Windows and peaks
         up to h are slices of one checked read of it up to h: support
         indices must be non-negative integers (integer-valued floats pass)
-        in strictly increasing order, one per value."""
+        in strictly increasing order, one per value, and a prefix rule
+        must give h + 1 terms in a 1-d vector."""
         if (prefix is None) == (support is None):
             raise ParameterDomainError("a sequence takes exactly one rule: prefix or support")
 
         def rule(horizon):
             if support is None:
-                return _slices(np.arange(horizon + 1), seq._checked(prefix(horizon)))
+                return _slices(np.arange(horizon + 1), seq._checked_prefix(prefix(horizon), horizon))
             return _slices(*seq._checked_support(*support(horizon)))
 
         seq = cls(name=name, nonneg=nonneg, sparse=support is not None, _rule=rule)
@@ -213,6 +214,15 @@ class RealSequence:
         if self.nonneg and np.count_nonzero(values < 0.0):
             raise ParameterDomainError(
                 f"sequence {self.name!r} is declared non-negative but has a negative term"
+            )
+        return values
+
+    def _checked_prefix(self, values, horizon):
+        values = self._checked(values)
+        if values.shape != (horizon + 1,):
+            raise ParameterDomainError(
+                f"sequence {self.name!r} has a prefix rule that gave shape {values.shape} "
+                f"for horizon {horizon}, not ({horizon + 1},)"
             )
         return values
 

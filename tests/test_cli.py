@@ -627,19 +627,58 @@ def _case_transform_signed(tmp_path):
     return case
 
 
-def _case_compare(tmp_path):
-    from summakit import PMFParams, pmf_row
+def _binomial_geometric(a, p, horizon):
+    from summakit import GeneratorSpec, binomial_prefix, sequence_from_spec
 
-    n, p, q = 9, 0.4, 0.7
-    row_p = pmf_row(PMFParams(int(n / p), p)).mass
-    row_q = pmf_row(PMFParams(int(n / q), q)).mass
+    spec = GeneratorSpec("geometric", a=float(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = binomial_prefix(sequence_from_spec(spec), p, horizon).values
+    argv = ("transform", "--family", "geometric", "--a", str(a), "--kind", "binomial",
+            "--p", str(p), "--horizon", str(horizon))
+    params = {"family": spec.label, "kind": "binomial", "horizon": horizon, "p": p}
+    return argv, params, ["n", "value"], [(n, float(v)) for n, v in enumerate(values)], None
+
+
+def _case_transform_infinities(tmp_path):
+    # (q + p a)**n = (-2)**n: +inf and -inf in turn, "Infinity" and "-Infinity"
+    case = _binomial_geometric(-5.0, 0.5, 1100)
+    values = [v for _, v in case[3]]
+    assert math.inf in values and -math.inf in values
+    return case
+
+
+def _case_transform_negative_zero(tmp_path):
+    # (-0.5)**n underflows to -0.0 at odd n past 1074
+    case = _binomial_geometric(-2.0, 0.5, 1500)
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0 for _, v in case[3])
+    return case
+
+
+def _case_compare(tmp_path):
+    return _compare(9, 0.4, 0.7)
+
+
+def _case_compare_long(tmp_path):
+    # several chunks of rows, two of its five columns one value each
+    case = _compare(200000, 0.3, 0.6)
+    assert len(case[3]) * len(case[2]) > 2**14
+    return case
+
+
+def _compare(n, p, q):
+    # the masses of the slice as the command computes them, over the slice
+    # and its certified window (a full row's masses differ in the last bits
+    # at n = 2e5)
+    from summakit.binomial_kernel import _row_mass
+
     span = range(max(0, math.floor(n - 5 * math.sqrt(n))), math.ceil(n + 5 * math.sqrt(n)) + 1)
-    at = [[float(row[i]) if i < len(row) else 0.0 for i in span] for row in (row_p, row_q)]
+    rows = [_row_mass(int(n / prob), prob, lo=span[0], hi=span[-1]) for prob in (p, q)]
+    at = [[float(row[i]) if i < len(row) else 0.0 for i in range(len(span))] for row in rows]
     measured = max(at[0]) / max(at[1])
     predicted = math.sqrt((1 - q) / (1 - p))
     rows = [(i, mp, mq, measured, predicted) for i, mp, mq in zip(span, *at)]
     columns = ["i", "mass_p", "mass_q", "peak_ratio_measured", "peak_ratio_predicted"]
-    argv = ("compare", "--p", "0.4", "--q", "0.7", "--n", "9")
+    argv = ("compare", "--p", str(p), "--q", str(q), "--n", str(n))
     return argv, {"p": p, "q": q, "n": n}, columns, rows, None
 
 
@@ -728,6 +767,13 @@ def _case_explore(tmp_path):
     return _explore(0.4, 0.7, 1.0, 200)
 
 
+def _case_explore_long(tmp_path):
+    # several thousand samples, more than one chunk of five-column rows
+    case = _explore(0.4, 0.7, 1.0, 600000)
+    assert len(case[3]) > 3000
+    return case
+
+
 def _case_explore_empty(tmp_path):
     # no spike at or below int(0.1 * 4) = 0: a header-only CSV, "samples": []
     case = _explore(0.1, 0.2, 1.0, 4)
@@ -739,8 +785,9 @@ def _case_explore_empty(tmp_path):
 @pytest.mark.parametrize(
     "case",
     [_case_pmf, _case_pmf_long, _case_weights, _case_transform, _case_transform_signed,
-     _case_compare, _case_markov_limit, _case_markov_identical_rows, _case_table1,
-     _case_explore, _case_explore_empty],
+     _case_transform_infinities, _case_transform_negative_zero, _case_compare,
+     _case_compare_long, _case_markov_limit, _case_markov_identical_rows, _case_table1,
+     _case_explore, _case_explore_long, _case_explore_empty],
     ids=lambda f: f.__name__[len("_case_"):],
 )
 def test_output_bytes(capsys, tmp_path, case, fmt):

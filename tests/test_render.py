@@ -1,6 +1,8 @@
-"""The CSV renderer against Python's own formatting: every float cell must be
-``format(v, ".17g")`` and every integer cell ``str(i)``, byte for byte."""
+"""The CSV and JSON renderers against Python's own formatting: every CSV
+float cell must be ``format(v, ".17g")``, every JSON float cell ``repr(v)``
+(json.dumps's spelling), and every integer cell ``str(i)``, byte for byte."""
 
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -8,10 +10,10 @@ from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from summakit._csv import _CHUNK_CELLS, csv_text, float_cells, int_cells
+from summakit._csv import _CHUNK_CELLS, csv_text, float_cells, int_cells, json_rows, repr_cells
 
 
 def cells_of(cells):
@@ -24,8 +26,9 @@ def check_floats(values):
     values = np.asarray(values, np.float64)
     cells, slow = float_cells(values)
     want = list(map(format, values.tolist(), repeat(".17g")))
-    # a float cell is left-aligned, and the S dtype drops its NUL padding
-    if b"\n".join(cells.view("S24").ravel().tolist()) != "\n".join(want).encode():
+    # a float cell is its slot's bytes without their NUL padding
+    text = b"\n".join(cells.view(f"S{cells.shape[1]}").ravel().tolist()).replace(b"\0", b"")
+    if text != "\n".join(want).encode():
         got = cells_of(cells)
         bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
         pytest.fail(f"{len(bad)} cells differ from format(), e.g. {bad[:5]}")
@@ -193,3 +196,167 @@ def test_chunks_and_repeated_values():
         "z": np.zeros(rows),
     }
     assert csv_text(table) == reference_csv(table)
+
+
+# ---------------------------------------------------------------- repr cells
+
+
+def check_reprs(values, spell=repr):
+    """repr_cells' cells equal spell() on every value; returns the fallback
+    count."""
+    values = np.asarray(values, np.float64)
+    cells, slow = repr_cells(values, spell)
+    want = [spell(v) for v in values.tolist()]
+    text = b"\n".join(cells.view(f"S{cells.shape[1]}").ravel().tolist()).replace(b"\0", b"")
+    if text != "\n".join(want).encode():
+        got = cells_of(cells)
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        pytest.fail(f"{len(bad)} cells differ from {spell.__name__}(), e.g. {bad[:5]}")
+    return int(slow.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+@example([-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 1e15, 1e16, 1e22, 2.0, 0.1,
+          0.30000000000000004])
+@example([0.0, math.inf, -math.inf, math.nan, 1.7976931348623157e308, 9.999999999999999e22,
+          1e23, 0.9999999999999999, 123456789012345.67, 1234567890123456.8])
+def test_repr_hypothesis_floats(values):
+    check_reprs(values)
+    check_reprs(values, json.dumps)
+
+
+def test_repr_json_spellings():
+    values = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1e16, 1e-5])
+    cells, slow = repr_cells(values, json.dumps)
+    assert cells_of(cells) == ["NaN", "Infinity", "-Infinity", "-0.0", "0.0", "1.0", "-1e+16",
+                               "1e-05"]
+    assert slow.tolist() == [True] * 3 + [False] * 5
+
+
+def test_repr_random_bit_patterns():
+    rng = np.random.default_rng(20261019)
+    slow = total = 0
+    for _ in range(5):  # 1e6 patterns, 2e5 at a time
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        slow += check_reprs(bits.view(np.float64))
+        total += bits.size
+    assert slow / total < 0.01
+
+
+def test_repr_common_values_take_no_fallback():
+    # uniforms, running means, short decimals, integers and exact 16-digit
+    # ties: none is a near-decision.  Integers of 17 to 20 digits often put
+    # a 16-digit decimal exactly on the midpoint between a double and its
+    # neighbour, which strtod settles by the parity of the mantissa:
+    # repr() decides those (28% of the doubles in [1e16, 1e17), 5% in
+    # [1e17, 1e18), few above).
+    rng = np.random.default_rng(5)
+    u = rng.random(50_000)
+    values = np.concatenate([
+        u, np.cumsum(u) / np.arange(1, u.size + 1), np.round(u * 1e6) / 1000,
+        rng.integers(-(10**15), 10**15, 20_000).astype(float), u * 10.0 ** rng.integers(-30, 15, u.size),
+    ])
+    assert check_reprs(values) == 0
+    assert check_reprs(u * 10.0 ** rng.integers(15, 30, u.size)) < 0.05 * u.size
+
+
+def test_repr_powers_of_ten_and_two_with_neighbours():
+    # below a power of two the gap to the lower neighbour is half as wide
+    powers = np.concatenate([[float(f"1e{k}") for k in range(-323, 309)],
+                             np.ldexp(1.0, np.arange(-1074, 1024))])
+    check_reprs(np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                                -powers]))
+
+
+def decimal_ties(digits, count=12):
+    """Doubles m * 2**-n that are (digits + 1)-digit decimals ending in 5: a
+    tie between two digits-digit decimals.  m 5**n must have that many
+    digits, and m < 2**53."""
+    ties = []
+    for n in range(1, 26):
+        first = -(-(10**digits) // 5**n) | 1  # the smallest odd m with digits + 1 digits
+        for m in range(first, min((10 ** (digits + 1) - 1) // 5**n + 1, 2**53), 2)[:count]:
+            ties.append(math.ldexp(m, -n))
+    return ties
+
+
+@pytest.mark.parametrize("digits", [15, 16])
+def test_repr_ties_and_near_ties(digits):
+    # a 15-digit tie never reads back (15-digit decimals are spaced wider
+    # than 4 ulps), so repr keeps all 16 digits; at a 16-digit tie both
+    # neighbours may read back, and repr() itself picks one
+    ties = decimal_ties(digits)
+    assert len(ties) > 150
+    for v in ties:
+        d = Decimal(v).as_tuple().digits
+        assert len(d) == digits + 1 and d[-1] == 5
+    ties = np.array(ties)
+    near = np.concatenate([np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+    check_reprs(np.concatenate([ties, -ties, near]))
+    if digits == 15:
+        assert all(len(Decimal(r).as_tuple().digits) == 16 for r in map(repr, ties.tolist()))
+
+
+def test_repr_short_decimals_and_their_neighbours():
+    # decimals of 1 to 17 digits read back to the nearest double, whose repr
+    # is often that decimal; one ulp off, it needs more digits
+    rng = np.random.default_rng(9)
+    texts = [f"{rng.integers(1, 10**k)}e{rng.integers(-40, 40)}" for k in range(1, 18) for _ in range(400)]
+    values = np.array(list(map(float, texts)))
+    check_reprs(np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)]))
+
+
+def test_repr_exponent_off_by_one_is_caught(monkeypatch):
+    # as for float_cells: with log10 one off on every value, each cell must
+    # still equal repr(), and no cell away from a power of ten may keep
+    # the wrong E
+    rng = np.random.default_rng(13)
+    spread = 10.0 ** rng.uniform(-300, 300, 5_000)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    log10 = np.log10
+    for shift in (-1.0, 1.0):
+        monkeypatch.setattr(np, "log10", lambda w, shift=shift: log10(w) + shift)
+        check_reprs(np.concatenate([spread, powers, np.nextafter(powers, np.inf)]))
+        assert repr_cells(spread)[1].all()
+
+
+def reference_json(table, keys=False):
+    """The row-by-row json.dumps the columnar rendering must equal."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    rows = [dict(zip(table, r)) if keys else list(r) for r in zip(*cols)]
+    return json.dumps(rows)
+
+
+@pytest.mark.parametrize("keys", [False, True])
+@pytest.mark.parametrize(
+    "table",
+    [
+        {},
+        {"x": []},
+        {"x": np.array([], np.float64), "i": range(0)},
+        {"x": [0.5, -0.0, 1e300], "n": [1, -2, 3], "mixed": ["a", 2.5, None]},
+        {"flag": np.array([True, False]), "s": np.array(["p_mid", "q_aligned"])},
+        {"i": range(5, -5, -3), "x": np.array([math.inf, -math.inf, math.nan, 0.0])},
+        {"unicode": ["é", "中"], "nul": ["a\0b", "\0"], "quote": ['"', "\\"]},
+        {"s": np.repeat(["p_aligned", "p_mid", "q_aligned", "q_mid"], [3, 2, 3, 2]),
+         "k": np.arange(10), "v": np.linspace(-1, 1, 10)},
+    ],
+    ids=lambda t: ",".join(t) or "empty",
+)
+def test_json_column_kinds(table, keys):
+    assert json_rows(table, json.dumps, keys) == reference_json(table, keys)
+
+
+def test_json_chunks_and_repeated_values():
+    rng = np.random.default_rng(4)
+    rows = 3 * _CHUNK_CELLS // 4 + 17
+    pool = rng.standard_normal(50) * 10.0 ** rng.integers(-30, 30, 50)
+    table = {
+        "i": range(rows + 5),
+        "x": pool[rng.integers(0, 50, rows)],
+        "y": rng.standard_normal(rows + 1),
+        "s": np.repeat(np.array(["a", "bb"]), [rows // 3, rows - rows // 3]),
+    }
+    for keys in (False, True):
+        assert json_rows(table, json.dumps, keys) == reference_json(table, keys)

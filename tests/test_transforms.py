@@ -114,6 +114,30 @@ class TestRealSequence:
             with pytest.raises(ParameterDomainError, match=f"'bad rule'.*{problem}"):
                 call()
 
+    @pytest.mark.parametrize(
+        "rule, shape",
+        [
+            (lambda h: np.ones(h), r"\(5,\)"),
+            (lambda h: np.ones(h + 2), r"\(7,\)"),
+            (lambda h: np.ones((h + 1, 1)), r"\(6, 1\)"),
+            (lambda h: 1.0, r"\(\)"),
+        ],
+    )
+    def test_prefix_rule_length_checked(self, rule, shape):
+        # a rule one term short gave prefix and cesaro_prefix 5 values, a raw
+        # IndexError from binomial_prefix, a raw ValueError from the scalar
+        # query and [nan] from the array query
+        seq = RealSequence.from_function(prefix=rule, name="bad rule")
+        for call in (
+            lambda: seq.prefix(5),
+            lambda: cesaro_prefix(seq, 5),
+            lambda: binomial_prefix(seq, 0.5, 5),
+            lambda: binomial_mean_at(seq, 0.5, 5),
+            lambda: binomial_mean_at(seq, 0.5, np.array([5])),
+        ):
+            with pytest.raises(ParameterDomainError, match=f"'bad rule'.*shape {shape}.*5"):
+                call()
+
     def test_integer_valued_float_indices_accepted(self):
         floats = RealSequence.from_function(
             support=lambda h: (np.array([1.0, 3.0]), np.array([2.0, -1.0]))
