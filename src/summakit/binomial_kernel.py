@@ -232,7 +232,8 @@ def _unit_window(n, m, p: float, below: int, above: int):
     nothing overflows, and the ratio into index -1 or n + 1 is 0.  The
     bound is, on each side that stops short of 0 or n, the edge product
     times r / (1 - r), r the ratio one step further out (ratios only fall
-    moving outward).
+    moving outward); where every row's span reaches 0 and n it is 0 and is
+    not computed.
     """
     rows = (len(n),) if isinstance(n, np.ndarray) else ()
     col, mode = (n[:, None], m[:, None]) if rows else (n, m)
@@ -252,6 +253,10 @@ def _unit_window(n, m, p: float, below: int, above: int):
     i *= q
     i /= t
     np.cumprod(i, axis=-1, out=w[..., :below][..., ::-1])
+    if rows and (m <= below).all() and (n - m <= above).all():
+        return w, np.zeros(rows)
+    if not rows and m <= below and n - m <= above:
+        return w, 0.0
     # w.T[0] and w.T[-1] are each row's edge products.  Past 0 or n the
     # ratios are <= 0, so a side that is not cut adds +-0.
     lo, hi = m - below, m + above

@@ -113,9 +113,29 @@ def compensated_cumsum(values) -> np.ndarray:
 
 
 def running_mean(values) -> np.ndarray:
-    """Cumulative means: entry k is the mean of values[0..k]."""
-    sums = compensated_cumsum(values)
-    sums /= np.arange(1, len(sums) + 1)
+    """Cumulative means: entry k is the mean of values[0..k].
+
+    Where the first non-finite running sum comes at a finite term, the sums
+    passed the double range while the means cannot: the scan is taken again
+    on the terms times 2**-e, e the bits of the count plus one, so no sum
+    of finite terms can overflow, and the means from that sum on are its
+    means scaled back by 2**e (inf and NaN terms act there as in the plain
+    scan).  Every other input, and every mean before that sum, takes the
+    one plain scan, whose overflow is therefore never the result's.
+    """
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        sums = compensated_cumsum(v)
+    count = np.arange(1, len(sums) + 1)
+    if len(sums) and not np.isfinite(sums[-1]):
+        first = int(np.isfinite(sums).argmin())
+        if np.isfinite(v[first]):
+            e = len(v).bit_length() + 1
+            scaled = compensated_cumsum(np.ldexp(v, -e))[first:] / count[first:]
+            sums[first:] = np.ldexp(scaled, e)
+            sums[:first] /= count[:first]
+            return sums
+    sums /= count
     return sums
 
 

@@ -7,9 +7,10 @@ takes its closed form (q + p a)**n (_geometric_means).  For any other, a
 prefix or an array of point queries is read once up to the largest n as its
 support (a dense sequence as the support of every index) and goes through
 one kernel call, _binomial_means_sparse.  A lone point query (_lone_row)
-reads its row's window, at most twice, through the sequence's one term rule
-(see RealSequence), the same terms by the same routines, so the same bits;
-a row those reads do not settle is one such kernel row.
+reads its row's window, at most twice (three times for a sparse sequence
+whose support fills its reach), through the sequence's one term rule (see
+RealSequence), the same terms by the same routines, so the same bits; a row
+those reads do not settle is one such kernel row.
 
 The masses come from binomial_kernel; this module only weights them.  Row 0
 is a_0 itself; a row whose terms up to n hold a NaN, or both a +inf and a
@@ -19,25 +20,37 @@ weighted near its mode m, inside the window m +- W with W = ceil(9 sqrt(n p
 q)) + 30, and certified (_certified): the mass it drops, times its peak,
 must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
 
-* Windowed (_windowed_means): a row whose window holds support on at least
-  1/4 of its indices inside [0, n] (every dense row; islets rows in and
-  near an island) weights its _unit_window products over m +- W', W' = W
-  rounded up to a multiple of 16.  A row that does not certify is weighted
-  again at twice the half-width, until it certifies or its window spans
-  [0, n], where it drops no mass and its value is final.  Half-widths are
-  a function of n alone, so a row gives the same bits in any batch, and no
-  row takes a full PMF row.  A row whose peak times its widest window
-  could overflow the window's sums weights its terms at a power of two
-  (_overflow_shift); every other row is weighted as it is.  Rows of one
-  half-width go in blocks over a zero-filled buffer spanning only their
-  windows: a bounded dense sequence costs O(H sqrt(H)), a widened row
-  (unbounded terms, or a**n with |a| < 1 given term by term) up to O(n).
-  Ratio products cost 13-30 ns a mass
+* Split (_split_means): a row n >= 1 whose support up to n is every index
+  0..n (every row of a dense sequence) and whose peak is below _SHIFT_FROM
+  is row j = n mod 8 of the block n0 = n - j, and B(n, .) = B(n0, .) *
+  B(j, .) (Vandermonde's identity, the semigroup of Euler means).  The
+  block weights one windowed mass row, row n0's _unit_window products over
+  m0 +- W' (W' as below, of n0), into 8 correlations c_k = sum_i B(n0, i)
+  a_{i+k}, and row j's mean is sum_k B(j, k) c_k: one window of masses for
+  8 rows, where a windowed row builds its own.  It certifies as a
+  windowed row does, with the mass B(n0, .) drops and the row's own peak,
+  against |mean| first and its sum B |a| only for the blocks that need it.
+  The rows it does not certify go to _windowed_means unchanged.
+* Windowed (_windowed_means): every other row whose window holds support
+  on at least 1/4 of its indices inside [0, n] (islets rows in and near an
+  island, dense rows of terms near the double range or past it) weights
+  its _unit_window products over m +- W', W' = W rounded up to a multiple
+  of 16.  A row that does not certify is weighted again at twice the
+  half-width, until it certifies or its window spans [0, n], where it
+  drops no mass and its value is final.  Half-widths are a function of n
+  alone, so a row gives the same bits in any batch, and no row takes a
+  full PMF row.  A row whose peak times its widest window could overflow
+  the window's sums weights its terms at a power of two (_overflow_shift);
+  every other row is weighted as it is.  Rows of one half-width go in
+  blocks over a zero-filled buffer spanning only their windows.  A bounded
+  dense sequence costs O(H sqrt(H)) either way, a split prefix about 8
+  times fewer masses; a widened row (unbounded terms, or a**n with |a| < 1
+  given term by term) up to O(n).  Ratio products cost 13-30 ns a mass
   against about 60 ns in log space, and are accurate to about 1e-16 where
   log-space masses are off by up to about n eps log n.  The 1/4 is the best
   of a threshold sweep over eight islets prefixes (README).
-* Log space (_sparse_rows, which also sends its routed rows to
-  _windowed_means, and _lone_row for a lone row): the
+* Log space (_sparse_rows, which also sends its routed rows to the split
+  and _windowed_means, and _lone_row for a lone row): the
   other rows weight the support indices in their window plus, on each
   side, the nearest support index outside it and every index up to where
   the mass has fallen a further 2**-64, so a row whose window holds no
@@ -55,17 +68,23 @@ must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   inside an islet, so their prefixes cost O(H) and O(H sqrt(H)).
 
 A lone row n >= 1 with a finite peak keeps its masses and weighted sums in
-those routines (log_pmf_many through _log_weighted, and _windowed_block) and
-its two extensions in one _sparse_extension call, and does its bookkeeping
-on Python numbers through the block rows' helpers: mode, half-width,
-routing and certificate.  It reads its reach m +- 2W, and a log-space row
-whose nearest support index or kept term lies past it reads window(0, n),
-its support up to n, once more.  A dense row is always routed and reads its
-reach alone: a lone alternating01 or signed_linear query at n = 1e8 takes
-5-7 ms and 6 MB, and a lone spikes query at n in [2e5, 2.1e6] about 39 us,
-2-core Xeon VM.  It has one exit for every other row: n = 0, a non-finite
-peak, or a row whose reads do not certify goes to _binomial_means_sparse as
-one row over window(0, n), which applies the row-0 and NaN rules, widens,
+those routines (log_pmf_many through _log_weighted, _split_block and
+_windowed_block) and its two extensions in one _sparse_extension call, and
+does its bookkeeping on Python numbers through the block rows' helpers:
+mode, half-width, routing, split and certificate.  A split row replays its
+block's first j + 1 correlations, padded to 8, by the same reductions.  It
+reads its reach m +- 2W, and a log-space row whose nearest support index or
+kept term lies past it reads window(0, n), its support up to n, once more.
+A dense row is always routed and reads its reach alone, widened to its
+block's window where that is wider (at small n): a lone alternating01
+query at n = 1e8 takes 2.4-5.6 ms and a signed_linear one 3-10 ms, in 7-11
+MB, row j of a block replaying j + 1 correlations, and a lone spikes query
+at n in [2e5, 2.1e6] about 39 us, 2-core Xeon VM.  A routed sparse
+row whose reach is all support is split only if its support up to n is all
+of 0..n: an empty window(0, 0) read says it is not, else window(0, n)
+tells.  It has one exit for every other row: n = 0, a non-finite peak, or a
+row whose reads do not certify goes to _binomial_means_sparse as one row
+over window(0, n), which applies the row-0 and NaN rules, splits, widens,
 or sums the whole support.
 """
 
@@ -409,8 +428,8 @@ def _overflow_shift(peak, span):
 
 def _support_windows(idx, av, lo, hi):
     """A zero-filled buffer holding av at idx over the windows [lo, hi) of
-    rows in ascending n, as windows of the widest width, with the offset of
-    each row: its window starts at windows[lo + offset].
+    rows in ascending n, with the offset of each row: its window starts at
+    buffer[lo + offset].
 
     Rows whose windows overlap share one run of the buffer and the others
     start runs of their own, so the buffer spans only the windows, plus one
@@ -425,10 +444,9 @@ def _support_windows(idx, av, lo, hi):
     first, count = idx.searchsorted(run_lo), idx.searchsorted(run_hi)
     count -= first
     pos = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
-    width = int((hi - lo).max())
-    buffer = np.zeros(base[-1] + run_hi[-1] - run_lo[-1] + width)
+    buffer = np.zeros(base[-1] + run_hi[-1] - run_lo[-1] + int((hi - lo).max()))
     buffer[idx[pos] + np.repeat(base - run_lo, count)] = av[pos]
-    return sliding_window_view(buffer, width), (base - run_lo)[np.cumsum(new) - 1]
+    return buffer, (base - run_lo)[np.cumsum(new) - 1]
 
 
 def _windowed_means(idx, av, peak, p, ns):
@@ -453,7 +471,8 @@ def _windowed_means(idx, av, peak, p, ns):
     halves = _stepped(_window_halfwidth(rows, p)).astype(np.int64)
     while True:
         lo = m - halves
-        windows, offset = _support_windows(idx, av, lo, lo + 2 * halves + 1)
+        buffer, offset = _support_windows(idx, av, lo, lo + 2 * halves + 1)
+        windows = sliding_window_view(buffer, 2 * int(halves.max()) + 1)
         certified = np.empty(len(rows), dtype=bool)
         start = 0
         while start < len(rows):
@@ -471,6 +490,152 @@ def _windowed_means(idx, av, peak, p, ns):
         order, rows, peak, m, spans = (x[again] for x in (order, rows, peak, m, spans))
         shift = shift[again] if scaled else None
         halves = np.minimum(2 * halves[again], spans)
+
+
+# A split block is the _SPLIT rows n0..n0 + _SPLIT - 1, n0 a multiple of
+# _SPLIT; split blocks of one half-width go in groups of at most
+# _SPLIT_MASSES products (or one block, if it alone has more).  On dense
+# prefixes (2-core Xeon VM) _SPLIT = 4 costs about 40% more than 8 and 16
+# no less, while a lone row replays up to _SPLIT correlations; 2**15
+# products cost 30-45% more than 2**17, and 2**18 is within noise of it.
+_SPLIT = 8
+_SPLIT_MASSES = 2**17
+
+
+def _triangle(p):
+    """B(j, k, p) for j, k < _SPLIT, +0 for k > j: the _unit_window rows of
+    j = 0.._SPLIT-1 over [0, j], each divided by its sum; the mask of the
+    entries above the diagonal; and each row's largest entry's k."""
+    j = np.arange(float(_SPLIT))
+    m = _mode(j, p)
+    below, above = int(m.max()), int((j - m).max())
+    w, _ = _unit_window(j, m, p, below, above)
+    k = np.arange(_SPLIT)
+    upper = k > j[:, None]
+    at = np.minimum(below + k - m[:, None].astype(np.int64), below + above)
+    t = np.where(upper, 0.0, np.take_along_axis(w, at, axis=1))
+    t /= t.sum(axis=1, keepdims=True)
+    return t, upper, m.astype(np.int64)
+
+
+def _split_block(buffer, first, n0, p, half, peak, triangle, count=_SPLIT, out=None):
+    """Means of the rows n0 + j, j < _SPLIT, of split blocks starting at
+    n0 (a float array), and a mask of the rows they certify.
+
+    B(n0 + j, .) = B(n0, .) * B(j, .) (Vandermonde's identity): block b
+    weights its terms with row n0's _unit_window products w over m0 +-
+    half into the correlations c_k = sum_i w_i a_{i+k}, k < count (_SPLIT,
+    or j + 1 for a lone row j: the rest are 0), and row j's mean is sum_k
+    B(j, k) c_k / sum_i w_i (_triangle_sums).  buffer[first[b] + i] holds
+    block b's term at index m0 - half + i; products at indices past n0
+    are +0, so c_k reads nothing past n0 + k.  peak[b, j] is row n0 + j's
+    largest |a_i|: a row certifies when w's dropped mass, relative to sum
+    w, times its peak is at most 2**-53 of |mean|, or else of its sum B |a|,
+    which is weighted only for the blocks holding such a row.  out, if
+    given, is a buffer for the products and the gathered terms: at least
+    len(n0) (count + 1) (2 half + count) doubles.  A row depends only on its n, its
+    terms and count, never on the other blocks.
+    """
+    m = _mode(n0, p)
+    w, dropped = _unit_window(n0, m, p, half, half)
+    width = 2 * half + 1
+    shape = (len(n0), count, width)
+    size = math.prod(shape)
+    if out is None:
+        out = np.empty(size + len(n0) * (width + count - 1))
+    terms = out[:size].reshape(shape)
+    # each block's terms once, and its count shifted windows as a view
+    span = out[size : size + len(n0) * (width + count - 1)].reshape(len(n0), -1)
+    buffer.take(first[:, None] + np.arange(width + count - 1), out=span, mode="clip")
+    shifts = np.ndarray(shape, buffer=span, strides=(span.strides[0], 8, 8))
+    np.multiply(shifts, w[:, None], out=terms)
+    if (m + half > n0).any():
+        np.copyto(terms, 0.0, where=(np.arange(-half, half + 1.0) > (n0 - m)[:, None])[:, None])
+    total = w.sum(axis=1)[:, None]
+    dropped = dropped[:, None] / total
+    value = _triangle_sums(terms, total, triangle)
+    certified = _certified(value, np.abs(value), dropped, peak)
+    fail = ~certified.all(axis=1)
+    if fail.any():
+        part = terms if fail.all() else terms[fail]
+        scale = _triangle_sums(np.abs(part, out=part), total[fail], triangle)
+        certified[fail] |= _certified(value[fail], scale, dropped[fail], peak[fail])
+    return value, certified
+
+
+def _triangle_sums(terms, total, triangle):
+    """sum_k B(j, k) c_k for every block b and row j < _SPLIT, c_k = sum_i
+    terms[b, k, i] / total[b] (a ratio of two sums of w, whose roundings
+    cancel for a nearly constant sequence), correlations k past terms'
+    count taken as 0.  Row j takes it as c_m + sum_k B(j, k) (c_k - c_m), m
+    the mode of B(j, .), so that the roundings of the triangle and of the
+    sum scale with how far the c_k spread, not with their size; B(j, m) >=
+    1 / (j + 1) keeps |c_m| within (j + 1) sum B |a|.  Every entry above
+    the diagonal is +0 (a correlation past a row's n may be inf)."""
+    c = np.zeros((len(terms), _SPLIT))
+    np.divide(terms.sum(axis=2), total, out=c[:, : terms.shape[1]])
+    t, upper, mode = triangle
+    ref = c[:, mode]
+    products = c[:, None] - ref[:, :, None]
+    products *= t
+    np.copyto(products, 0.0, where=upper)
+    return ref + products.sum(axis=2)
+
+
+def _split_means(idx, av, peak, p, ns):
+    """_split_block means of the rows ns (every n >= 1, any order) of the
+    sequence that is av at the sorted indices idx, which hold every index
+    up to max(ns); peak[r] is the largest |a_i| for i <= ns[r], below
+    _SHIFT_FROM.  Returns the means and a mask of the rows they certify.
+
+    Each block's half-width is its n0's W rounded up to a multiple of
+    _HALF_STEP, and each of its correlations sums that many terms: a
+    function of n alone.  The blocks go in ascending n0, in groups of one
+    half-width through one gather buffer.
+    """
+    j = ns % _SPLIT
+    order = np.argsort(ns - j, kind="stable")
+    starts = (ns - j)[order]
+    new = np.ones(len(ns), dtype=bool)
+    new[1:] = starts[1:] != starts[:-1]
+    n0, block = starts[new], np.empty(len(ns), dtype=np.int64)
+    block[order] = np.cumsum(new) - 1
+    peaks = np.zeros((len(n0), _SPLIT))  # rows not asked for certify at no cost
+    peaks[block, j] = peak
+    m = _mode(n0, p).astype(np.int64)
+    halves = _stepped(_window_halfwidth(n0, p)).astype(np.int64)
+    lo = m - halves
+    buffer, offset = _support_windows(idx, av, lo, lo + 2 * halves + _SPLIT)
+    triangle = _triangle(p)
+    out = np.empty(2 * max(_SPLIT_MASSES, _SPLIT * (2 * int(halves.max()) + 1)) + _SPLIT)
+    value = np.empty((len(n0), _SPLIT))
+    certified = np.empty((len(n0), _SPLIT), dtype=bool)
+    start = 0
+    while start < len(n0):
+        half = int(halves[start])
+        stop = start + max(1, _SPLIT_MASSES // (_SPLIT * (2 * half + 1)))
+        group = slice(start, min(stop, halves.searchsorted(half, side="right")))
+        value[group], certified[group] = _split_block(
+            buffer, lo[group] + offset[group], n0[group].astype(float), p, half, peaks[group],
+            triangle, out=out,
+        )
+        start = group.stop
+    return value[block, j], certified[block, j]
+
+
+def _routed_means(idx, av, peak, p, ns, whole):
+    """Means of the routed rows ns: those whose support up to n is every
+    index 0..n (whole) and whose peak is below _SHIFT_FROM by splitting
+    (_split_means), and the rows it does not certify, as every other row,
+    through _windowed_means."""
+    value = np.empty(len(ns))
+    split = whole & (peak < _SHIFT_FROM)  # a non-finite peak is not split
+    if split.any():
+        rows = np.flatnonzero(split)
+        value[rows], split[rows] = _split_means(idx, av, peak[rows], p, ns[rows])
+    if not split.all():
+        value[~split] = _windowed_means(idx, av, peak[~split], p, ns[~split])
+    return value
 
 
 # Rows, and terms, per block of sparse rows; keep the block's arrays, and
@@ -502,12 +667,12 @@ def _sparse_extension(ratio):
 
 
 # A row whose window m +- W holds support on at least 1/_ROUTE_SHARE of its
-# indices inside [0, n] is weighted by _windowed_means.
+# indices inside [0, n] is split or weighted by _windowed_means.
 _ROUTE_SHARE = 4
 
 
 def _routed(n, m, half, in_window):
-    """Which rows n >= 1 go to _windowed_means: those with in_window, the
+    """Which rows n >= 1 go to _routed_means: those with in_window, the
     support indices in the window m +- half, at least 1/_ROUTE_SHARE of
     the window's indices inside [0, n] (every row of a dense sequence); a
     lone row passes ints."""
@@ -538,9 +703,9 @@ def _whole_support_mean(idx, av, p, n, k, table):
 
 def _sparse_rows(idx, av, peak, p, ns, log_factorials):
     """_binomial_means_sparse for a block of rows n >= 1; peak[j] = max
-    |av[:j+1]|.  Its routed rows go through one _windowed_means call, the
-    others are log-space rows, summed over their whole support where they
-    do not certify.  log_factorials, if given, returns the log k! table
+    |av[:j+1]|.  Its routed rows go through one _routed_means call (split,
+    or windowed), the others are log-space rows, summed over their whole
+    support where they do not certify.  log_factorials, if given, returns the log k! table
     their masses read (log_pmf_many's _table), built on its first call."""
     out = np.zeros(len(ns))
     size = np.searchsorted(idx, ns, side="right")  # support indices <= n
@@ -550,7 +715,8 @@ def _sparse_rows(idx, av, peak, p, ns, log_factorials):
     hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), size)
     routed = _routed(ns, m, half, hi - lo)
     if routed.any():  # a routed row holds support, so size >= 1
-        out[routed] = _windowed_means(idx, av, peak[size[routed] - 1], p, ns[routed])
+        n, k = ns[routed], size[routed]
+        out[routed] = _routed_means(idx, av, peak[k - 1], p, n, k == n + 1)
     rows = np.flatnonzero(~routed & (size > 0))
     if not len(rows):
         return out
@@ -595,18 +761,30 @@ def _sparse_rows(idx, av, peak, p, ns, log_factorials):
 _ONE_RUN = np.zeros(1, dtype=np.intp)
 
 
-def _lone_row(window, peak, p: float, n: int) -> float:
-    """_binomial_means_sparse for the one row n of the sequence with window
-    rule window(lo, hi) and peak rule peak(n) (see RealSequence), under the
-    caller's np.errstate, with the bookkeeping on Python numbers.
+def _split_start(n: int, p: float):
+    """A lone row's place j in its split block, and the block's n0, mode
+    and half-width, as ints."""
+    j = n % _SPLIT
+    return j, n - j, _mode(n - j, p), _stepped(_window_halfwidth(n - j, p))
 
-    A row n >= 1 with a finite peak takes the block rows' routing, window,
-    extension, kept terms and certificate, so their bits.  It reads its
-    reach m +- 2W; a log-space row whose nearest support index outside m +-
-    W, or one of whose kept terms, lies past the reach reads window(0, n)
-    once and settles there.  A dense row is always routed: it reads its
-    reach alone.  Every other row (n = 0, a non-finite peak, a window that
-    does not certify) is one batch row over window(0, n).
+
+def _lone_row(window, peak, p: float, n: int, sparse: bool) -> float:
+    """_binomial_means_sparse for the one row n of the sequence with window
+    rule window(lo, hi) and peak rule peak(n) (see RealSequence), sparse or
+    dense, under the caller's np.errstate, with the bookkeeping on Python
+    numbers.
+
+    A row n >= 1 with a finite peak takes the block rows' routing, split,
+    window, extension, kept terms and certificate, so their bits.  It reads
+    its reach m +- 2W; a log-space row whose nearest support index outside
+    m +- W, or one of whose kept terms, lies past the reach reads window(0,
+    n) once and settles there.  A dense row is always routed and reads its
+    reach alone, widened to its split block's terms where that is larger:
+    it replays the block's first j + 1 correlations, j = n mod _SPLIT.  A
+    routed sparse row whose reach is all support splits if its support up
+    to n is all of 0..n: an empty window(0, 0) says it is not, else it
+    reads window(0, n) to know.  Every other row (n = 0, a non-finite peak,
+    a window that does not certify) is one batch row over window(0, n).
     """
     top = peak(n)
     if n and math.isfinite(top):
@@ -614,9 +792,33 @@ def _lone_row(window, peak, p: float, n: int) -> float:
         m, half = _mode(n, p), _window_halfwidth(n, p)
         a, b = m - half, m + half
         r_lo, r_hi = max(a - half, 0), min(b + half, n)
+        split = top < _SHIFT_FROM
+        if split and not sparse:  # every index is support: read the block's terms too
+            j, n0, m0, h0 = _split_start(n, p)
+            r_lo, r_hi = min(r_lo, max(m0 - h0, 0)), max(r_hi, min(m0 + h0 + j, n))
         idx, av = window(r_lo, r_hi)
         lo, hi = idx.searchsorted((a, b + 1)).tolist()
         if _routed(n, m, half, hi - lo):
+            if split and sparse:  # it splits if its support is 0..n
+                full = len(idx) == r_hi - r_lo + 1
+                if full and (r_lo, r_hi) != (0, n) and len(window(0, 0)[0]):
+                    r_lo, r_hi = 0, n
+                    idx, av = window(0, n)
+                split = len(idx) == n + 1
+            if split:
+                j, n0, m0, h0 = _split_start(n, p)
+                base = m0 - h0
+                sel = slice(*idx.searchsorted((base, m0 + h0 + j + 1)).tolist())
+                terms = np.zeros(2 * h0 + j + 1)
+                terms[idx[sel] - base] = av[sel]
+                peaks = np.zeros((1, _SPLIT))
+                peaks[0, j] = top
+                value, certified = _split_block(
+                    terms, np.zeros(1, np.int64), np.array([float(n0)]), p, h0, peaks,
+                    _triangle(p), j + 1,
+                )
+                if certified[0, j]:
+                    return float(value[0, j])
             wide = _stepped(half)
             sel = slice(*idx.searchsorted((m - wide, m + wide + 1)).tolist())
             terms = np.zeros((1, 2 * wide + 1))
@@ -769,7 +971,7 @@ def binomial_mean_at(a: RealSequence, p: float, n):
         if a._ratio is not None:
             return float(_geometric_means(a._ratio, p, np.array([n]))[0])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _lone_row(*a._rule(n), p, n)
+            return _lone_row(*a._rule(n), p, n, a.sparse)
     ns = np.asarray(n)
     if ns.ndim == 1 and (ns.dtype.kind in "iu" or not ns.size):
         ns = ns.astype(np.int64)  # a uint64 past 2**63 wraps negative: rejected below

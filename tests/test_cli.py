@@ -2,12 +2,13 @@ import ast
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from summakit import cli
+from summakit import GeneratorSpec, cli, sequence_from_spec
 from summakit.cli import build_parser, main
 
 
@@ -127,6 +128,22 @@ class TestTransformCommand:
         _, rows = csv_rows(out)
         values = [float(r[1]) for r in rows]
         np.testing.assert_allclose(values, [1.0, 0.5, 2 / 3, 0.5, 0.6], rtol=0, atol=0)
+
+    def test_cesaro_of_huge_spikes_stays_finite(self, capsys):
+        # every term is at most 2e307, so every mean is finite, though the
+        # running sums pass the double range from n = 182 on
+        argv = ("transform", "--family", "spikes", "--C", "1", "--height-scale", "1e306",
+                "--kind", "cesaro", "--horizon", "400")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out)
+        values = [float(r[1]) for r in rows]
+        terms = sequence_from_spec(GeneratorSpec("spikes", C=1.0, height_scale=1e306)).prefix(400)
+        total = Fraction(0)
+        for n, (term, value) in enumerate(zip(terms, values)):
+            total += Fraction(term)
+            exact = total / (n + 1)
+            assert abs(Fraction(value) - exact) <= Fraction(2.0**-52) * abs(exact), n
 
     def test_binomial_signed_linear_half(self, capsys):
         code, out, _ = run_cli(

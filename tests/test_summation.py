@@ -5,11 +5,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from summakit import GeneratorSpec, cesaro_prefix, estimate_limit, run_table1, sequence_from_spec
+from summakit import (
+    GeneratorSpec,
+    RealSequence,
+    binomial_prefix,
+    cesaro_prefix,
+    estimate_limit,
+    pstar_prefix,
+    run_table1,
+    sequence_from_spec,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
-from summakit.summation import power_dd, running_mean, suffix_sums, two_product, two_sum
+from summakit.summation import (
+    compensated_cumsum,
+    power_dd,
+    running_mean,
+    suffix_sums,
+    two_product,
+    two_sum,
+)
 from summakit.binomial_kernel import _row_mass
 
 U = Fraction(1, 2**53)
@@ -130,12 +146,74 @@ def test_nan_term_propagates(j):
     np.testing.assert_array_equal(sums[j + 1 :], suffix_sums(values[j + 1 :]))
 
 
+HUGE_TERMS = [
+    np.full(5, 1e308),
+    np.full(7, np.finfo(float).max),
+    np.array([1.7e308, -1e308, 1.7e308, 1.7e308, 3e-300, -1.7e308, 1.7e308]),
+    np.random.default_rng(4).uniform(1e307, 1.79e308, 600),
+    np.random.default_rng(5).uniform(-1.0, 1.0, 600) * 1.79e308,
+]
+
+
+def check_running_means(terms, means):
+    """Each mean within one rounding of sum |terms| / (n + 1) of the exact
+    mean of the terms."""
+    assert np.isfinite(means).all()
+    total, scale = Fraction(0), Fraction(0)
+    for n, term in enumerate(terms):
+        total += Fraction(term)
+        scale += abs(Fraction(term))
+        assert abs(Fraction(means[n]) - total / (n + 1)) <= Fraction(2.0**-52) * scale / (n + 1), n
+
+
+@pytest.mark.parametrize("values", HUGE_TERMS)
+def test_cesaro_means_of_huge_finite_terms(values):
+    # the running sums pass the double range, the means of finite terms
+    # cannot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means = cesaro_prefix(RealSequence.from_values(values), len(values) - 1).values
+    check_running_means(values, means)
+
+
+@pytest.mark.parametrize("values", [HUGE_TERMS[0], *HUGE_TERMS[2:]])
+def test_pstar_means_of_huge_finite_terms(values):
+    # the Cesaro means of binomial means near 1e308 (all-DBL_MAX terms are
+    # left out: some of their binomial means round past it, to +inf)
+    seq = RealSequence.from_values(values)
+    binomial = binomial_prefix(seq, 0.3, len(values) - 1).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means = pstar_prefix(seq, 0.3, len(values) - 1).values
+    check_running_means(binomial, means)
+
+
+def test_plain_means_keep_their_bits():
+    # a sum that stays in range takes the one plain scan: the scaled one is
+    # only taken from the first sum that passes the double range
+    values = np.random.default_rng(6).uniform(-1.0, 1.0, 1000) * 1e300
+    plain = compensated_cumsum(values) / np.arange(1, 1001)
+    assert running_mean(values).tobytes() == plain.tobytes()
+    values[700:] = 1.79e308
+    with np.errstate(over="ignore"):
+        head = compensated_cumsum(values) / np.arange(1, 1001)
+    first = int(np.isfinite(head).argmin())
+    assert 700 < first < 1000
+    means = running_mean(values)
+    assert means[:first].tobytes() == head[:first].tobytes() and np.isfinite(means).all()
+
+
 def test_overflowing_cesaro_means_diverge():
     spec = GeneratorSpec("geometric", a=3.0)
-    # the data's sum overflows at n = 646, and still warns
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        means = cesaro_prefix(sequence_from_spec(spec), 700).values
-    assert np.isposinf(means[646:]).all() and np.isfinite(means[:646]).all()
+    # the sum of the finite terms passes the double range at n = 646, where
+    # the mean is still finite; the terms are +inf from n = 647 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = sequence_from_spec(spec)
+        means = cesaro_prefix(seq, 700).values
+    assert np.isposinf(means[647:]).all() and np.isfinite(means[:647]).all()
+    exact = sum(map(Fraction, seq.prefix(646))) / 647
+    assert abs(Fraction(means[646]) - exact) <= Fraction(2.0**-52) * exact
     assert estimate_limit(means).status == "diverges_to_infinity"
     report = run_table1(0.3, 0.6, 700, families=[spec])
     assert report.verdicts[spec.label]["cesaro"].status == "diverges_to_infinity"

@@ -584,14 +584,22 @@ class TestGeometricMeans:
         # window rejects widened instead of taking a full PMF row: 1132 values
         # moved at p = 0.3 (worst error against the exact (1 - p/2)**n
         # 2.38e-14 -> 2.39e-14 relative) and 1245 at p = 0.6 (1.18e-13 ->
-        # 1.09e-14)
+        # 1.09e-14).  Both explicit vectors were re-pinned when dense rows
+        # came to be split (one mass row per block of _SPLIT rows): uniform
+        # moved 1447 values at p = 0.3 and 1472 at 0.6, each by at most one
+        # ulp, and on 54 rows each against exact rationals the worst error
+        # went from 1.69 to 1.56 eps of sum B |a| at p = 0.3 and from 0.41
+        # to 0.49 at 0.6; 0.5**n moved its rows up to 318 (227) and 239
+        # (153) whose split certifies, worst relative error among them
+        # 3.61e-15 -> 3.68e-15 and 8.9e-16 -> 9.8e-16, the rows' worst
+        # overall unchanged (2.45e-14, 5.76e-15)
         expected = {
             "geometric(a=-3)": "ec62d210bd8c3904",
             "geometric(a=-1)": "fb7a88184f0012fd",
             "geometric(a=0)": "c8ef9286565bb43a",
             "geometric(a=1)": "0cdddae4893f8097",
-            "explicit uniform": "b47848a4895acedd",
-            "explicit 0.5**n": "d58c01948269a3a8",
+            "explicit uniform": "45c1afb5236d9b45",
+            "explicit 0.5**n": "5c2d810a43dbb13f",
         }
         rng = np.random.default_rng(2024)
         seqs = {
@@ -646,17 +654,23 @@ def sparse_rows_old(idx, av, p, ns):
 
 
 def count_routed(monkeypatch):
-    """Record the n of every row that reaches _windowed_block, once, on its
-    first window: the rows weighted by the windowed kernel, certified or
-    widened."""
+    """Record the n of every row that is split (_split_means) or reaches
+    _windowed_block on its first window: the rows weighted by the windowed
+    kernel, split, certified or widened.  A split row the split does not
+    certify is recorded twice."""
     routed = []
-    block = transforms._windowed_block
+    block, split = transforms._windowed_block, transforms._split_means
 
     def counted(windows, offset, peak, p, ns, half, *shift):
         routed.extend(ns[first_pass(ns, p, half)].tolist())
         return block(windows, offset, peak, p, ns, half, *shift)
 
+    def counted_split(idx, av, peak, p, ns):
+        routed.extend(ns.tolist())
+        return split(idx, av, peak, p, ns)
+
     monkeypatch.setattr(transforms, "_windowed_block", counted)
+    monkeypatch.setattr(transforms, "_split_means", counted_split)
     return routed
 
 
@@ -1351,6 +1365,121 @@ def lone_rows(p, horizon):
     rows.update(int(e / p) for e in edges if e / p <= horizon)
     rows.update(e for e in edges if e <= horizon)
     return np.array(sorted(rows))
+
+
+def count_split(monkeypatch):
+    """Record (n, certified) for every row _split_means weights."""
+    rows = []
+    split = transforms._split_means
+
+    def counted(idx, av, peak, p, ns):
+        value, certified = split(idx, av, peak, p, ns)
+        rows.extend(zip(ns.tolist(), certified.tolist()))
+        return value, certified
+
+    monkeypatch.setattr(transforms, "_split_means", counted)
+    return rows
+
+
+def split_reference(values, p, n):
+    """Row n = n0 + j as a split row weights it, summed exactly (math.fsum):
+    sum_k B(j, k) sum_i M(n0, i) a_{i+k} over the whole row n0, M its
+    _row_mass masses and B(j, .) the split's own triangle, with the same sum
+    over |a_i|.  The masses are the split's own ratio products, so the gap
+    is the split's truncation and rounding, as full_row_exact isolates the
+    windowed kernel's; both share the products' drift in far tails."""
+    j = n % transforms._SPLIT
+    mass, row = _row_mass(n - j, p), transforms._triangle(p)[0][j]
+    terms = np.concatenate([row[k] * mass * values[k : n - j + k + 1] for k in range(j + 1)])
+    return math.fsum(terms), math.fsum(np.abs(terms))
+
+
+def adversarial_vectors(horizon):
+    """500-term blocks of 0 and of random signs of 1e6, and 1e-3 terms with
+    1e12 at every 997th index: rows whose kept sum is tiny next to their
+    peak, which only the certificate keeps from the split."""
+    rng = np.random.default_rng(3)
+    blocks = np.zeros(horizon + 1)
+    for start in range(500, horizon + 1, 1000):
+        blocks[start : start + 500] = rng.choice([-1e6, 1e6], len(blocks[start : start + 500]))
+    spikes = np.full(horizon + 1, 1e-3)
+    spikes[::997] = 1e12
+    return {"blocks": blocks, "spikes": spikes}
+
+
+class TestSplitRows:
+    """A dense row n = n0 + j, n0 a multiple of _SPLIT, takes B(n, .) =
+    B(n0, .) * B(j, .): one windowed mass row per block of rows, certified
+    against |mean| or else its sum B |a|; the rows it does not certify go
+    to _windowed_means unchanged, and a lone row replays its block."""
+
+    @pytest.mark.parametrize("p", [1e-6, 0.003, 0.3, 0.5, 0.97, 1 - 1e-6])
+    def test_exact_rationals(self, monkeypatch, p):
+        # the first and last row of blocks near 1, in the middle and at the
+        # end, where H = 1003 leaves the last block short
+        horizon, step = 1003, transforms._SPLIT
+        rows = [1, step - 1, step, 2 * step - 1, 496, 503, 992, 999, 1000, horizon]
+        rng = np.random.default_rng(int(p * 1e6))
+        kinds = {"signed": rng.uniform(-1.0, 1.0, horizon + 1),
+                 "nonneg": rng.uniform(0.0, 1.0, horizon + 1),
+                 "signs": rng.choice([-1.0, 1.0], horizon + 1)}
+        name = list(kinds)[[1e-6, 0.003, 0.3, 0.5, 0.97, 1 - 1e-6].index(p) % 3]
+        values = kinds[name]
+        split = count_split(monkeypatch)
+        got = binomial_prefix(RealSequence.from_values(values), p, horizon).values
+        certified = dict(split)
+        for n in rows:
+            assert certified[n], (name, n)
+            exact = sparse_binomial_exact(range(n + 1), values, n, p)
+            scale = sparse_binomial_exact(range(n + 1), np.abs(values), n, p)
+            assert abs(Fraction(got[n]) - exact) <= 2 * Fraction(EPS) * scale, (name, n)
+
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_adversarial_vectors(self, monkeypatch, p):
+        horizon = 12_000
+        for name, values in adversarial_vectors(horizon).items():
+            split = count_split(monkeypatch)
+            got = binomial_prefix(RealSequence.from_values(values), p, horizon).values
+            rows = np.array([n for n, ok in split if ok])
+            failed = np.array([n for n, ok in split if not ok])
+            # rows the split does not certify are weighted as unsplit rows
+            assert len(failed) > 100, name
+            idx, peak = np.arange(horizon + 1), np.maximum.accumulate(np.abs(values))
+            unsplit = transforms._windowed_means(idx, values, peak[failed], p, failed)
+            assert got[failed].tobytes() == unsplit.tobytes(), name
+            # and uncertified, the split would have been far off on some
+            raw, _ = transforms._split_means(idx, values, peak[failed], p, failed)
+            scale = transforms._windowed_means(idx, np.abs(values), peak[failed], p, failed)
+            assert (np.abs(raw - unsplit) > 1e6 * EPS * scale).any(), name
+            for n in rows[::151]:
+                ref, scale = split_reference(values, p, int(n))
+                assert abs(got[n] - ref) <= 4 * EPS * scale, (name, n)
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.93])
+    def test_same_bits_across_block_edges(self, p):
+        # rows around block edges near 1, 1e3 and 1e6: prefix entries (up
+        # to 1e3), a shuffled array call with repeats and scalar calls
+        step = transforms._SPLIT
+        rng = np.random.default_rng(17)
+        values = rng.uniform(-1.0, 1.0, 10**6 + 40)
+        full = sparse_sequence(np.arange(1200), values[:1200], "all support")
+        gapped = sparse_sequence(np.arange(1, 1200), values[1:1200], "support from 1")
+        families = {"alternating01": sequence_from_spec(GeneratorSpec("alternating01")),
+                    "signed_linear": sequence_from_spec(GeneratorSpec("signed_linear")),
+                    "explicit": RealSequence.from_values(values),
+                    "all support": full, "support from 1": gapped}
+        for edge in (step, 125 * step, 125_000 * step):
+            ns = np.arange(max(edge - step - 3, 0), edge + step + 3)
+            for name, seq in families.items():
+                if seq.sparse and edge > 1000:
+                    continue
+                batch = rng.permutation(np.concatenate([ns, ns[::3]]))
+                array = binomial_mean_at(seq, p, batch)
+                scalar = np.array([binomial_mean_at(seq, p, int(n)) for n in batch])
+                assert array.tobytes() == scalar.tobytes(), (name, edge)
+                if edge < 1100:
+                    prefix = binomial_prefix(seq, p, int(ns[-1])).values
+                    assert array.tobytes() == prefix[batch].tobytes(), (name, edge)
 
 
 class TestLoneQuery:
