@@ -14,7 +14,7 @@ import numpy as np
 
 from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pmf_many
 from summakit.sequences import GeneratorSpec, islet_ranges, sequence_from_spec
-from summakit.transforms import binomial_mean_at, binomial_prefix
+from summakit.transforms import RealSequence, binomial_mean_at, binomial_prefix
 from test_tracing_contract import huge_support
 
 
@@ -144,3 +144,32 @@ def test_whole_support_fallbacks_pinned():
     seq = huge_support()
     arrays = [binomial_prefix(seq, p, 1200).values for p in (0.3, 0.5, 0.9)]
     assert digest(arrays) == "3c68051b5bee4e0dcd70591b8e3761190ce1a0aa951afa18e269bdbd8e26795a"
+
+
+def ratio_product_rows():
+    """Rows weighted by the ratio-product kernel that the pins above do not
+    reach: dense prefixes split into blocks, rows that widen their window,
+    rows weighted at a power of two, and lone rows at both ends of a block."""
+    rng = np.random.default_rng(28)
+    dense = [sequence_from_spec(GeneratorSpec("alternating01")),
+             sequence_from_spec(GeneratorSpec("signed_linear")),
+             RealSequence.from_values(rng.standard_normal(4001))]
+    arrays = [binomial_prefix(seq, p, 4000).values for seq in dense for p in (0.003, 0.3, 0.97)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays.append(binomial_prefix(RealSequence.from_values((-3.0) ** np.arange(801.0)),
+                                      0.45, 800).values)
+        ones = np.ones(3001)
+        ones[900] = np.inf
+        arrays.append(binomial_prefix(RealSequence.from_values(ones), 0.3, 3000).values)
+        # random signs of 1e308: every row is weighted at a power of two
+        huge = RealSequence.from_values(rng.choice([-1e308, 1e308], 1501))
+        arrays += [binomial_prefix(huge, p, 1500).values for p in (0.3, 0.8)]
+    ns = [n0 + j for n0 in (8, 4000, 10**6, 10**8) for j in (0, 7)]
+    arrays += [[binomial_mean_at(seq, p, n) for n in ns] for seq in dense[:2] for p in (0.3, 0.97)]
+    return arrays
+
+
+def test_ratio_product_rows_pinned():
+    # taken before the split and windowed rows became one block kernel
+    got = digest(ratio_product_rows())
+    assert got == "2f5b33048b98f9c0134e8d9032ebfb52d591d98a1f89759f817d41484468ec4b"
