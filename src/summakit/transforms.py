@@ -20,72 +20,69 @@ weighted near its mode m, inside the window m +- W with W = ceil(9 sqrt(n p
 q)) + 30, and certified (_certified): the mass it drops, times its peak,
 must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
 
-* Split (_split_means): a row n >= 1 whose support up to n is every index
-  0..n (every row of a dense sequence) and whose peak is below _SHIFT_FROM
-  is row j = n mod 8 of the block n0 = n - j, and B(n, .) = B(n0, .) *
-  B(j, .) (Vandermonde's identity, the semigroup of Euler means).  The
-  block weights one windowed mass row, row n0's _unit_window products over
-  m0 +- W' (W' as below, of n0), into 8 correlations c_k = sum_i B(n0, i)
-  a_{i+k}, and row j's mean is sum_k B(j, k) c_k: one window of masses for
-  8 rows, where a windowed row builds its own.  It certifies as a
-  windowed row does, with the mass B(n0, .) drops and the row's own peak,
-  against |mean| first and its sum B |a| only for the blocks that need it.
-  The rows it does not certify go to _windowed_means unchanged.
-* Windowed (_windowed_means): every other row whose window holds support
-  on at least 1/4 of its indices inside [0, n] (islets rows in and near an
-  island, dense rows of terms near the double range or past it) weights
-  its _unit_window products over m +- W', W' = W rounded up to a multiple
-  of 16.  A row that does not certify is weighted again at twice the
-  half-width, until it certifies or its window spans [0, n], where it
-  drops no mass and its value is final.  Half-widths are a function of n
+* Ratio products (_routed_means): a row n >= 1 whose window holds support
+  on at least 1/4 of its indices inside [0, n] (every dense row, islets
+  rows in and near an island, spike rows at small n) is weighted by one
+  kernel, _block, in a block of rows that share one window of _unit_window
+  products.  B(n0 + j, .) = B(n0, .) * B(j, .) (Vandermonde's identity,
+  the semigroup of Euler means): a block weights row n0's products over
+  m0 +- W' (W' = W of n0 rounded up to a multiple of 16) into the
+  correlations c_k = sum_i B(n0, i) a_{i+k}, k < count.  A row whose
+  support up to n is every index 0..n and whose peak is below _SHIFT_FROM
+  is row j = n mod 8 of the split block n0 = n - j, and its mean is sum_k
+  B(j, k) c_k: one window of masses for 8 rows.  Every other row, and a
+  split row its block does not certify, is a windowed row, a block of one
+  row (n0 = n) whose mean is c_0; one that does not certify is weighted
+  again at twice the half-width, until it certifies or its window spans
+  [0, n], where its value is final.  Half-widths are a function of n
   alone, so a row gives the same bits in any batch, and no row takes a
   full PMF row.  A row whose peak times its widest window could overflow
-  the window's sums weights its terms at a power of two (_overflow_shift);
-  every other row is weighted as it is.  Rows of one half-width go in
-  blocks over a zero-filled buffer spanning only their windows.  A bounded
-  dense sequence costs O(H sqrt(H)) either way, a split prefix about 8
-  times fewer masses; a widened row (unbounded terms, or a**n with |a| < 1
-  given term by term) up to O(n).  Ratio products cost 13-30 ns a mass
-  against about 60 ns in log space, and are accurate to about 1e-16 where
-  log-space masses are off by up to about n eps log n.  The 1/4 is the best
-  of a threshold sweep over eight islets prefixes (README).
-* Log space (_sparse_rows, which also sends its routed rows to the split
-  and _windowed_means, and _lone_row for a lone row): the
-  other rows weight the support indices in their window plus, on each
-  side, the nearest support index outside it and every index up to where
-  the mass has fallen a further 2**-64, so a row whose window holds no
-  support still certifies; one that does not is summed over its whole
-  support (_whole_support_mean, O(support) where widening is O(n)).  Terms
-  are log_pmf_many masses summed by _log_weighted, in blocks of up to 2**11
-  rows and about 2**12 terms, which keeps peak memory small.  A kernel
-  call whose rows cover at least half of 0..H, H its largest n (every
-  prefix), evaluates log k! once over 0..H (_log_factorials: H + 1
-  doubles, no more than the prefix) when its first log-space block needs
-  it, and its blocks and fallbacks read log i!, log (n - i)! and log n!
-  from that table; sampled rows (point-query arrays, lone rows) evaluate
-  them term by term, the same values.  A row costs one mass per kept
-  support index: a bounded number for spikes past small n, O(sqrt(n))
-  inside an islet, so their prefixes cost O(H) and O(H sqrt(H)).
+  the sums weights its terms at a power of two (_overflow_shift), its mean
+  held within its peak.  One driver, _blocks, takes a call's split blocks,
+  then each widening pass's windowed rows, in groups of one half-width,
+  over one zero-filled buffer spanning only their windows and one product
+  buffer that every group reuses.  A bounded dense sequence costs O(H
+  sqrt(H)), a split prefix 8 times fewer masses; a widened row (unbounded
+  terms, or a**n with |a| < 1 given term by term) up to O(n).  Ratio
+  products cost 13-30 ns a mass against about 60 ns in log space, and are
+  accurate to about 1e-16 where log-space masses are off by up to about n
+  eps log n.  The 1/4 is the best of a threshold sweep over eight islets
+  prefixes (README).
+* Log space (_sparse_rows, which also sends its routed rows to
+  _routed_means, and _lone_row for a lone row): the other rows weight the
+  support indices in their window plus, on each side, the nearest support
+  index outside it and every index up to where the mass has fallen a further
+  2**-64, so a row whose window holds no support still certifies; one that
+  does not is summed over its whole support (_whole_support_mean, O(support)
+  where widening is O(n)).  Terms are log_pmf_many masses summed by
+  _log_weighted, in blocks of up to 2**11 rows and about 2**12 terms, which
+  keeps peak memory small.  A kernel call whose rows cover at least half of
+  0..H, H its largest n (every prefix), evaluates log k! once over 0..H
+  (_log_factorials: H + 1 doubles, no more than the prefix) when its first
+  log-space block needs it, and its blocks and fallbacks read log i!,
+  log (n - i)! and log n! from that table; sampled rows (point-query arrays, lone
+  rows) evaluate them term by term, the same values.  A row costs one mass
+  per kept support index: a bounded number for spikes past small n,
+  O(sqrt(n)) inside an islet, so their prefixes cost O(H) and O(H sqrt(H)).
 
 A lone row n >= 1 with a finite peak keeps its masses and weighted sums in
-those routines (log_pmf_many through _log_weighted, _split_block and
-_windowed_block) and its two extensions in one _sparse_extension call, and
-does its bookkeeping on Python numbers through the block rows' helpers:
-mode, half-width, routing, split and certificate.  A split row replays its
-block's first j + 1 correlations, padded to 8, by the same reductions.  It
-reads its reach m +- 2W, and a log-space row whose nearest support index or
-kept term lies past it reads window(0, n), its support up to n, once more.
-A dense row is always routed and reads its reach alone, widened to its
-block's window where that is wider (at small n): a lone alternating01
-query at n = 1e8 takes 2.4-5.6 ms and a signed_linear one 3-10 ms, in 7-11
-MB, row j of a block replaying j + 1 correlations, and a lone spikes query
-at n in [2e5, 2.1e6] about 39 us, 2-core Xeon VM.  A routed sparse
-row whose reach is all support is split only if its support up to n is all
-of 0..n: an empty window(0, 0) read says it is not, else window(0, n)
-tells.  It has one exit for every other row: n = 0, a non-finite peak, or a
-row whose reads do not certify goes to _binomial_means_sparse as one row
-over window(0, n), which applies the row-0 and NaN rules, splits, widens,
-or sums the whole support.
+those routines (log_pmf_many through _log_weighted, and _block) and its two
+extensions in one _sparse_extension call, and does its bookkeeping on Python
+numbers through the block rows' helpers: mode, half-width, routing, split
+and certificate.  A split row replays its block's first j + 1 correlations,
+padded to 8, by the same reductions.  It reads its reach m +- 2W, and a
+log-space row whose nearest support index or kept term lies past it reads
+window(0, n), its support up to n, once more.  A dense row is always routed
+and reads its reach alone, widened to its block's window where that is wider
+(at small n): a lone alternating01 query at n = 1e8 takes 2.4-5.6 ms and a
+signed_linear one 3-10 ms, in 7-11 MB, row j of a block replaying j + 1
+correlations, and a lone spikes query at n in [2e5, 2.1e6] about 39 us,
+2-core Xeon VM.  A routed sparse row whose reach is all support is split
+only if its support up to n is all of 0..n: an empty window(0, 0) read says
+it is not, else window(0, n) tells.  It has one exit for every other row:
+n = 0, a non-finite peak, or a row whose reads do not certify goes to
+_binomial_means_sparse as one row over window(0, n), which applies the row-0
+and NaN rules, splits, widens, or sums the whole support.
 """
 
 from __future__ import annotations
@@ -96,7 +93,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .binomial_kernel import (
     _certified,
@@ -365,43 +361,8 @@ def cesaro_prefix(a: RealSequence, horizon: int) -> TransformedPrefix:
     return TransformedPrefix("cesaro", None, running_mean(seq))
 
 
-def _windowed_block(windows, offset, peak, p, ns, half, shift=None):
-    """Windowed means for the rows ns, with a mask of the rows it certifies.
-
-    windows[j + offset[r]] holds row r's terms from index j on and peak[r]
-    is the largest |a_i| for i <= ns[r].  Each row weights its _unit_window
-    products over offsets -half..half, divided by their sum.  Terms below 0
-    are the buffer's zeros and terms past n are zeroed, so a non-finite
-    term beyond n cannot leak in.  With shift (_overflow_shift), row r's
-    terms and peak are weighted at 2**-shift[r] and its mean scaled back.
-    A row depends only on its own n, half, shift and terms.
-    """
-    n = ns.astype(float)
-    m = _mode(n, p)
-    w, dropped = _unit_window(n, m, p, half, half)
-    terms = windows[(m - half).astype(np.int64) + offset, : 2 * half + 1]
-    if (m + half > n).any():
-        terms[np.arange(-half, half + 1.0) > (n - m)[:, None]] = 0.0
-    if shift is not None:
-        np.ldexp(terms, -shift[:, None], out=terms)
-        peak = np.ldexp(peak, -shift)
-    np.multiply(w, terms, out=terms)
-    value = terms.sum(axis=1) / w.sum(axis=1)
-    scale = np.abs(terms, out=terms).sum(axis=1)
-    if shift is not None:
-        value = np.ldexp(value, shift)
-    return value, _certified(value, scale, dropped, peak)
-
-
-# A windowed row's half-width is W rounded up to a multiple of _HALF_STEP;
-# rows of one half-width go in blocks of fewer than _WINDOWED_MASSES masses.
-# 2**15 is the knee on seven dense and three islets prefixes (H in [1500,
-# 9000]; least of 15 interleaved calls, 2-core Xeon VM) once an earlier
-# large free has raised glibc's mmap threshold, as in any long-lived
-# process: 2**14 costs 3-15% more, 2**13 18-42%, and 3 * 2**14 or 2**16
-# are within 4%.  In a fresh process the larger blocks swing by up to 2x.
+# A block's half-width is W of its n0 rounded up to a multiple of _HALF_STEP.
 _HALF_STEP = 16
-_WINDOWED_MASSES = 2**15
 
 
 def _stepped(half):
@@ -449,57 +410,11 @@ def _support_windows(idx, av, lo, hi):
     return buffer, (base - run_lo)[np.cumsum(new) - 1]
 
 
-def _windowed_means(idx, av, peak, p, ns):
-    """_windowed_block means of the rows ns (every n >= 1, any order) of
-    the sequence that is av at the sorted indices idx and 0 elsewhere;
-    peak[r] is the largest |a_i| for i <= ns[r].
-
-    A row's half-width is its W rounded up to a multiple of _HALF_STEP,
-    doubled while the row does not certify, up to the least such multiple
-    that spans [0, n]: a function of n alone.  Each pass takes its rows in
-    ascending n, in blocks of one half-width and fewer than
-    _WINDOWED_MASSES masses.  Rows whose peak could overflow their sums
-    are weighted at a power of two (_overflow_shift), decided once here.
-    """
-    value = np.empty(len(ns))
-    order = np.argsort(ns, kind="stable")
-    rows, peak = ns[order], peak[order]
-    m = _mode(rows, p).astype(np.int64)
-    spans = _stepped(np.maximum(m, rows - m))  # least to span [0, n]
-    scaled = peak.max() >= _SHIFT_FROM
-    shift = _overflow_shift(peak, spans) if scaled else None
-    halves = _stepped(_window_halfwidth(rows, p)).astype(np.int64)
-    while True:
-        lo = m - halves
-        buffer, offset = _support_windows(idx, av, lo, lo + 2 * halves + 1)
-        windows = sliding_window_view(buffer, 2 * int(halves.max()) + 1)
-        certified = np.empty(len(rows), dtype=bool)
-        start = 0
-        while start < len(rows):
-            half = int(halves[start])
-            stop = start + max(1, (_WINDOWED_MASSES - 1) // (2 * half + 1))
-            block = slice(start, min(stop, halves.searchsorted(half, side="right")))
-            value[order[block]], certified[block] = _windowed_block(
-                windows, offset[block], peak[block], p, rows[block], half,
-                shift[block] if scaled else None,
-            )
-            start = block.stop
-        again = ~certified & (halves < spans)
-        if not again.any():
-            return value
-        order, rows, peak, m, spans = (x[again] for x in (order, rows, peak, m, spans))
-        shift = shift[again] if scaled else None
-        halves = np.minimum(2 * halves[again], spans)
-
-
 # A split block is the _SPLIT rows n0..n0 + _SPLIT - 1, n0 a multiple of
-# _SPLIT; split blocks of one half-width go in groups of at most
-# _SPLIT_MASSES products (or one block, if it alone has more).  On dense
-# prefixes (2-core Xeon VM) _SPLIT = 4 costs about 40% more than 8 and 16
-# no less, while a lone row replays up to _SPLIT correlations; 2**15
-# products cost 30-45% more than 2**17, and 2**18 is within noise of it.
+# _SPLIT.  On dense prefixes (2-core Xeon VM) _SPLIT = 4 costs about 40%
+# more than 8 and 16 no less, while a lone row replays up to _SPLIT
+# correlations.
 _SPLIT = 8
-_SPLIT_MASSES = 2**17
 
 
 def _triangle(p):
@@ -518,35 +433,41 @@ def _triangle(p):
     return t, upper, m.astype(np.int64)
 
 
-def _split_block(buffer, first, n0, p, half, peak, triangle, count=_SPLIT, out=None):
-    """Means of the rows n0 + j, j < _SPLIT, of split blocks starting at
-    n0 (a float array), and a mask of the rows they certify.
+def _block(buffer, first, n0, p, half, peak, triangle=None, count=1, shift=None, out=None):
+    """Means of the blocks of rows starting at n0 (a float array), and a
+    mask of the rows they certify.
 
-    B(n0 + j, .) = B(n0, .) * B(j, .) (Vandermonde's identity): block b
-    weights its terms with row n0's _unit_window products w over m0 +-
-    half into the correlations c_k = sum_i w_i a_{i+k}, k < count (_SPLIT,
-    or j + 1 for a lone row j: the rest are 0), and row j's mean is sum_k
-    B(j, k) c_k / sum_i w_i (_triangle_sums).  buffer[first[b] + i] holds
-    block b's term at index m0 - half + i; products at indices past n0
-    are +0, so c_k reads nothing past n0 + k.  peak[b, j] is row n0 + j's
-    largest |a_i|: a row certifies when w's dropped mass, relative to sum
-    w, times its peak is at most 2**-53 of |mean|, or else of its sum B |a|,
-    which is weighted only for the blocks holding such a row.  out, if
-    given, is a buffer for the products and the gathered terms: at least
-    len(n0) (count + 1) (2 half + count) doubles.  A row depends only on its n, its
-    terms and count, never on the other blocks.
+    Block b weights its terms with row n0's _unit_window products w over
+    m0 +- half into the correlations c_k = sum_i w_i a_{i+k} / sum_i w_i,
+    k < count.  A windowed row is a block of one row (no triangle, count
+    1) whose mean is c_0.  A split block (triangle from _triangle) is the
+    rows n0 + j, j < _SPLIT, and row j's mean is sum_k B(j, k) c_k
+    (_triangle_sums), count _SPLIT, or j + 1 for a lone row j (the rest
+    are 0).  buffer[first[b] + i] holds block b's term at index m0 - half +
+    i; products at indices past n0 are +0, so c_k reads nothing past n0 +
+    k.  peak[b, j] is row j's largest |a_i|: a row certifies when w's
+    dropped mass, relative to sum w, times its peak is at most 2**-53 of
+    |mean|, or else of its sum B |a|, which is weighted only for the blocks
+    holding such a row.  With shift (_overflow_shift), block b's terms and
+    peak are weighted at 2**-shift[b], and a mean so scaled is held within
+    its peak, so that scaling it back cannot round past DBL_MAX.  out, if
+    given, is a buffer for the products: at least len(n0) count (2 half +
+    1) doubles.  A row depends only on its n, its terms, count and shift,
+    never on the other blocks.
     """
     m = _mode(n0, p)
     w, dropped = _unit_window(n0, m, p, half, half)
     width = 2 * half + 1
     shape = (len(n0), count, width)
     size = math.prod(shape)
-    if out is None:
-        out = np.empty(size + len(n0) * (width + count - 1))
-    terms = out[:size].reshape(shape)
-    # each block's terms once, and its count shifted windows as a view
-    span = out[size : size + len(n0) * (width + count - 1)].reshape(len(n0), -1)
-    buffer.take(first[:, None] + np.arange(width + count - 1), out=span, mode="clip")
+    terms = (np.empty(size) if out is None else out[:size]).reshape(shape)
+    # each block's terms once (rows of the view whose row i starts at
+    # buffer[i]), and its count shifted windows as a view
+    reach = width + count - 1
+    span = np.ndarray((len(buffer) - reach + 1, reach), buffer=buffer, strides=(8, 8))[first]
+    if shift is not None:
+        np.ldexp(span, -shift[:, None], out=span)
+        peak = np.ldexp(peak, -shift[:, None])
     shifts = np.ndarray(shape, buffer=span, strides=(span.strides[0], 8, 8))
     np.multiply(shifts, w[:, None], out=terms)
     if (m + half > n0).any():
@@ -554,12 +475,16 @@ def _split_block(buffer, first, n0, p, half, peak, triangle, count=_SPLIT, out=N
     total = w.sum(axis=1)[:, None]
     dropped = dropped[:, None] / total
     value = _triangle_sums(terms, total, triangle)
+    if shift is not None:
+        np.copyto(value, np.clip(value, -peak, peak), where=shift[:, None] > 0)
     certified = _certified(value, np.abs(value), dropped, peak)
     fail = ~certified.all(axis=1)
     if fail.any():
         part = terms if fail.all() else terms[fail]
         scale = _triangle_sums(np.abs(part, out=part), total[fail], triangle)
         certified[fail] |= _certified(value[fail], scale, dropped[fail], peak[fail])
+    if shift is not None:
+        value = np.ldexp(value, shift[:, None])
     return value, certified
 
 
@@ -567,11 +492,14 @@ def _triangle_sums(terms, total, triangle):
     """sum_k B(j, k) c_k for every block b and row j < _SPLIT, c_k = sum_i
     terms[b, k, i] / total[b] (a ratio of two sums of w, whose roundings
     cancel for a nearly constant sequence), correlations k past terms'
-    count taken as 0.  Row j takes it as c_m + sum_k B(j, k) (c_k - c_m), m
-    the mode of B(j, .), so that the roundings of the triangle and of the
-    sum scale with how far the c_k spread, not with their size; B(j, m) >=
-    1 / (j + 1) keeps |c_m| within (j + 1) sum B |a|.  Every entry above
-    the diagonal is +0 (a correlation past a row's n may be inf)."""
+    count taken as 0; with no triangle, c_0 alone.  Row j takes it as c_m
+    + sum_k B(j, k) (c_k - c_m), m the mode of B(j, .), so that the
+    roundings of the triangle and of the sum scale with how far the c_k
+    spread, not with their size; B(j, m) >= 1 / (j + 1) keeps |c_m| within
+    (j + 1) sum B |a|.  Every entry above the diagonal is +0 (a
+    correlation past a row's n may be inf)."""
+    if triangle is None:
+        return terms.sum(axis=2) / total
     c = np.zeros((len(terms), _SPLIT))
     np.divide(terms.sum(axis=2), total, out=c[:, : terms.shape[1]])
     t, upper, mode = triangle
@@ -582,59 +510,84 @@ def _triangle_sums(terms, total, triangle):
     return ref + products.sum(axis=2)
 
 
-def _split_means(idx, av, peak, p, ns):
-    """_split_block means of the rows ns (every n >= 1, any order) of the
-    sequence that is av at the sorted indices idx, which hold every index
-    up to max(ns); peak[r] is the largest |a_i| for i <= ns[r], below
-    _SHIFT_FROM.  Returns the means and a mask of the rows they certify.
+# Blocks of one half-width go in groups of at most _GROUP_MASSES masses
+# (or one block, if it alone has more): a split group weights _SPLIT
+# products a mass, a windowed group one.  Swept on alternating01,
+# signed_linear, normal and islets prefixes (2-core Xeon VM): in one
+# process 2**14, 2**15 and 2**16 are within 2% at H = 1e3 and 1e4 and
+# within noise at 1e5; in fresh processes (p = 0.3, median of 5 calls)
+# 2**14 took 37.6-40.3 ms at H = 3500 and 349-382 ms at H = 2e4, 2**15
+# 35.0-36.6 and 315-337 ms, 2**16 36.2-50.5 and 329-330 ms.
+_GROUP_MASSES = 2**15
 
-    Each block's half-width is its n0's W rounded up to a multiple of
-    _HALF_STEP, and each of its correlations sums that many terms: a
-    function of n alone.  The blocks go in ascending n0, in groups of one
-    half-width through one gather buffer.
+
+def _blocks(idx, av, n0, halves, peaks, p, triangle, count, shift):
+    """_block means and certified mask of the blocks starting at n0 (in
+    ascending order, with non-decreasing half-widths halves) of the
+    sequence that is av at the sorted indices idx and 0 elsewhere; peaks,
+    triangle, count and shift (or None) as _block takes them.
+
+    The blocks go in groups of one half-width and at most _GROUP_MASSES
+    masses, through one buffer of terms spanning only their windows and
+    one product buffer no larger than the largest group needs.
     """
-    j = ns % _SPLIT
-    order = np.argsort(ns - j, kind="stable")
-    starts = (ns - j)[order]
-    new = np.ones(len(ns), dtype=bool)
-    new[1:] = starts[1:] != starts[:-1]
-    n0, block = starts[new], np.empty(len(ns), dtype=np.int64)
-    block[order] = np.cumsum(new) - 1
-    peaks = np.zeros((len(n0), _SPLIT))  # rows not asked for certify at no cost
-    peaks[block, j] = peak
-    m = _mode(n0, p).astype(np.int64)
-    halves = _stepped(_window_halfwidth(n0, p)).astype(np.int64)
-    lo = m - halves
-    buffer, offset = _support_windows(idx, av, lo, lo + 2 * halves + _SPLIT)
-    triangle = _triangle(p)
-    out = np.empty(2 * max(_SPLIT_MASSES, _SPLIT * (2 * int(halves.max()) + 1)) + _SPLIT)
-    value = np.empty((len(n0), _SPLIT))
-    certified = np.empty((len(n0), _SPLIT), dtype=bool)
+    lo = _mode(n0, p).astype(np.int64) - halves
+    buffer, offset = _support_windows(idx, av, lo, lo + 2 * halves + count)
+    first, n0 = lo + offset, n0.astype(float)
+    widest = 2 * int(halves[-1]) + 1
+    out = np.empty(count * min(len(n0) * widest, max(_GROUP_MASSES, widest)))
+    value, certified = np.empty(peaks.shape), np.empty(peaks.shape, dtype=bool)
     start = 0
     while start < len(n0):
         half = int(halves[start])
-        stop = start + max(1, _SPLIT_MASSES // (_SPLIT * (2 * half + 1)))
-        group = slice(start, min(stop, halves.searchsorted(half, side="right")))
-        value[group], certified[group] = _split_block(
-            buffer, lo[group] + offset[group], n0[group].astype(float), p, half, peaks[group],
-            triangle, out=out,
+        stop = start + max(1, _GROUP_MASSES // (2 * half + 1))
+        g = slice(start, min(stop, halves.searchsorted(half, side="right")))
+        value[g], certified[g] = _block(
+            buffer, first[g], n0[g], p, half, peaks[g], triangle, count,
+            None if shift is None else shift[g], out,
         )
-        start = group.stop
-    return value[block, j], certified[block, j]
+        start = g.stop
+    return value, certified
 
 
 def _routed_means(idx, av, peak, p, ns, whole):
-    """Means of the routed rows ns: those whose support up to n is every
-    index 0..n (whole) and whose peak is below _SHIFT_FROM by splitting
-    (_split_means), and the rows it does not certify, as every other row,
-    through _windowed_means."""
+    """Means of the routed rows ns (every n >= 1, any order) of the
+    sequence that is av at the sorted indices idx and 0 elsewhere; peak[r]
+    is the largest |a_i| for i <= ns[r], and whole[r] whether its support
+    up to n is every index 0..n.
+
+    Split blocks take W of n0 rounded up to a multiple of _HALF_STEP, a
+    windowed row its own, doubled while it does not certify, up to the
+    least such multiple that spans [0, n].  Whether a row is weighted at a
+    power of two (_overflow_shift) is decided once here.
+    """
     value = np.empty(len(ns))
     split = whole & (peak < _SHIFT_FROM)  # a non-finite peak is not split
     if split.any():
         rows = np.flatnonzero(split)
-        value[rows], split[rows] = _split_means(idx, av, peak[rows], p, ns[rows])
-    if not split.all():
-        value[~split] = _windowed_means(idx, av, peak[~split], p, ns[~split])
+        j = ns[rows] % _SPLIT
+        n0 = np.sort(ns[rows] - j)
+        n0 = n0[np.diff(n0, prepend=-1) > 0]
+        block = n0.searchsorted(ns[rows] - j)
+        peaks = np.zeros((len(n0), _SPLIT))  # rows not asked for certify at no cost
+        peaks[block, j] = peak[rows]
+        halves = _stepped(_window_halfwidth(n0, p)).astype(np.int64)
+        means, certified = _blocks(idx, av, n0, halves, peaks, p, _triangle(p), _SPLIT, None)
+        value[rows], split[rows] = means[block, j], certified[block, j]
+    rows = np.flatnonzero(~split)
+    rows = rows[np.argsort(ns[rows], kind="stable")]
+    n, top = ns[rows], peak[rows]
+    m = _mode(n, p).astype(np.int64)
+    spans = _stepped(np.maximum(m, n - m))  # least to span [0, n]
+    shift = _overflow_shift(top, spans) if np.max(top, initial=0.0) >= _SHIFT_FROM else None
+    halves = _stepped(_window_halfwidth(n, p)).astype(np.int64)
+    while len(rows):
+        means, certified = _blocks(idx, av, n, halves, top[:, None], p, None, 1, shift)
+        value[rows] = means[:, 0]
+        again = ~certified[:, 0] & (halves < spans)
+        rows, n, top, spans = (x[again] for x in (rows, n, top, spans))
+        shift = None if shift is None else shift[again]
+        halves = np.minimum(2 * halves[again], spans)
     return value
 
 
@@ -757,8 +710,18 @@ def _sparse_rows(idx, av, peak, p, ns, log_factorials):
 
 
 # a lone row's terms as one run: _log_weighted's offsets (an array is
-# about 0.5 us faster in each reduceat than the list [0])
+# about 0.5 us faster in each reduceat than the list [0]) and _block's first
 _ONE_RUN = np.zeros(1, dtype=np.intp)
+
+
+def _lone_block(idx, av, n0, p, half, peak, triangle=None, count=1, shift=None):
+    """_block for the one block n0 (an int) of a lone row, its terms read
+    from the support idx and values av of the row's reads."""
+    base = _mode(n0, p) - half
+    sel = slice(*idx.searchsorted((base, base + 2 * half + count)).tolist())
+    terms = np.zeros(2 * half + count)
+    terms[idx[sel] - base] = av[sel]
+    return _block(terms, _ONE_RUN, np.array([float(n0)]), p, half, peak, triangle, count, shift)
 
 
 def _split_start(n: int, p: float):
@@ -806,30 +769,19 @@ def _lone_row(window, peak, p: float, n: int, sparse: bool) -> float:
                     idx, av = window(0, n)
                 split = len(idx) == n + 1
             if split:
-                j, n0, m0, h0 = _split_start(n, p)
-                base = m0 - h0
-                sel = slice(*idx.searchsorted((base, m0 + h0 + j + 1)).tolist())
-                terms = np.zeros(2 * h0 + j + 1)
-                terms[idx[sel] - base] = av[sel]
+                j, n0, _, h0 = _split_start(n, p)
                 peaks = np.zeros((1, _SPLIT))
                 peaks[0, j] = top
-                value, certified = _split_block(
-                    terms, np.zeros(1, np.int64), np.array([float(n0)]), p, h0, peaks,
-                    _triangle(p), j + 1,
-                )
+                value, certified = _lone_block(idx, av, n0, p, h0, peaks, _triangle(p), j + 1)
                 if certified[0, j]:
                     return float(value[0, j])
-            wide = _stepped(half)
-            sel = slice(*idx.searchsorted((m - wide, m + wide + 1)).tolist())
-            terms = np.zeros((1, 2 * wide + 1))
-            terms[0, idx[sel] - (m - wide)] = av[sel]
             shift = _overflow_shift(top, _stepped(max(m, n - m))) if top >= _SHIFT_FROM else 0
-            value, certified = _windowed_block(
-                terms, np.array([wide - m]), np.array([top]), p, np.array([n]), wide,
-                np.array([shift]) if shift else None,
+            value, certified = _lone_block(
+                idx, av, n, p, _stepped(half), np.array([[top]]),
+                shift=np.array([shift]) if shift else None,
             )
-            if certified[0]:
-                return float(value[0])
+            if certified[0, 0]:
+                return float(value[0, 0])
         else:
             if not ((lo or not r_lo) and (hi < len(idx) or r_hi == n)):
                 # a nearest support index outside m +- W may lie past the reach

@@ -731,13 +731,14 @@ class TestProbeOpenProblem:
         # space, within 4 eps of the log-space sum they were always checked
         # against.
         routed = set()  # (p, n) of every row reaching the windowed kernel
-        block = transforms._windowed_block
+        block = transforms._block
 
-        def recorded(windows, offset, peak, p, ns, half, *shift):
-            routed.update((p, n) for n in ns.tolist())
-            return block(windows, offset, peak, p, ns, half, *shift)
+        def recorded(buffer, first, n0, p, half, peak, triangle=None, *rest):
+            if triangle is None:  # a windowed row
+                routed.update((p, n) for n in n0.astype(np.int64).tolist())
+            return block(buffer, first, n0, p, half, peak, triangle, *rest)
 
-        monkeypatch.setattr(transforms, "_windowed_block", recorded)
+        monkeypatch.setattr(transforms, "_block", recorded)
         for C, horizon in ((1.0, 200_000), (0.5, 20_000), (40.0, 50_000)):
             routed.clear()
             report = probe_open_problem(0.35, 0.8, C, horizon)

@@ -176,10 +176,9 @@ def test_cesaro_means_of_huge_finite_terms(values):
     check_running_means(values, means)
 
 
-@pytest.mark.parametrize("values", [HUGE_TERMS[0], *HUGE_TERMS[2:]])
+@pytest.mark.parametrize("values", HUGE_TERMS)
 def test_pstar_means_of_huge_finite_terms(values):
-    # the Cesaro means of binomial means near 1e308 (all-DBL_MAX terms are
-    # left out: some of their binomial means round past it, to +inf)
+    # the Cesaro means of binomial means near 1e308, DBL_MAX included
     seq = RealSequence.from_values(values)
     binomial = binomial_prefix(seq, 0.3, len(values) - 1).values
     with warnings.catch_warnings():

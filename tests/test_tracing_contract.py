@@ -53,11 +53,13 @@ def traced(monkeypatch):
     patch(sequences, "log_pmf_many", log_terms)
     patch(binomial_kernel, "_log_factorial", count("passes"))
     patch(transforms, "_log_factorials", count("tables"))
-    patch(
-        transforms,
-        "_windowed_block",
-        lambda args, kwargs, out: seen["rejected"].extend(args[4][~out[1]].tolist()),
-    )
+
+    def rejected(args, kwargs, out):
+        n0, triangle = args[2], args[6]
+        if triangle is None:  # windowed rows
+            seen["rejected"].extend(n0[~out[1][:, 0]].astype(np.int64).tolist())
+
+    patch(transforms, "_block", rejected)
     return seen
 
 

@@ -256,22 +256,31 @@ def count_full_rows(monkeypatch):
 
 
 def first_pass(ns, p, half):
-    """Which rows of a _windowed_block call are on their first window, W
+    """Which windowed rows of a _block call are on their first window, W
     rounded up to a multiple of 16, and not weighted again wider."""
     return half <= np.ceil(_window_halfwidth(ns.astype(float), p) / 16.0) * 16.0
 
 
+def asked(n0, peak):
+    """The rows n0 + j of split blocks that were asked for: they hold their
+    peak (> 0 in the tests that record them), the others 0."""
+    b, j = np.nonzero(peak > 0)
+    return (n0[b] + j).astype(np.int64), b, j
+
+
 def count_widened(monkeypatch):
-    """Record the n of every row the windowed kernel weights again over a
-    wider window than its first, once per widening pass."""
+    """Record the n of every row the windowed kernel (a _block call with no
+    triangle) weights again over a wider window than its first, once per
+    widening pass."""
     rows = []
-    block = transforms._windowed_block
+    block = transforms._block
 
-    def counted(windows, offset, peak, p, ns, half, *shift):
-        rows.extend(ns[~first_pass(ns, p, half)].tolist())
-        return block(windows, offset, peak, p, ns, half, *shift)
+    def counted(buffer, first, n0, p, half, peak, triangle=None, *rest):
+        if triangle is None:
+            rows.extend(n0[~first_pass(n0, p, half)].astype(np.int64).tolist())
+        return block(buffer, first, n0, p, half, peak, triangle, *rest)
 
-    monkeypatch.setattr(transforms, "_windowed_block", counted)
+    monkeypatch.setattr(transforms, "_block", counted)
     return rows
 
 
@@ -654,23 +663,22 @@ def sparse_rows_old(idx, av, p, ns):
 
 
 def count_routed(monkeypatch):
-    """Record the n of every row that is split (_split_means) or reaches
-    _windowed_block on its first window: the rows weighted by the windowed
-    kernel, split, certified or widened.  A split row the split does not
-    certify is recorded twice."""
+    """Record the n of every row that is split (asked for of a _block call
+    with a triangle) or reaches _block as a windowed row on its first
+    window: the rows weighted by the ratio-product kernel, split,
+    certified or widened.  A split row the split does not certify is
+    recorded twice."""
     routed = []
-    block, split = transforms._windowed_block, transforms._split_means
+    block = transforms._block
 
-    def counted(windows, offset, peak, p, ns, half, *shift):
-        routed.extend(ns[first_pass(ns, p, half)].tolist())
-        return block(windows, offset, peak, p, ns, half, *shift)
+    def counted(buffer, first, n0, p, half, peak, triangle=None, *rest):
+        if triangle is None:
+            routed.extend(n0[first_pass(n0, p, half)].astype(np.int64).tolist())
+        else:
+            routed.extend(asked(n0, peak)[0].tolist())
+        return block(buffer, first, n0, p, half, peak, triangle, *rest)
 
-    def counted_split(idx, av, peak, p, ns):
-        routed.extend(ns.tolist())
-        return split(idx, av, peak, p, ns)
-
-    monkeypatch.setattr(transforms, "_windowed_block", counted)
-    monkeypatch.setattr(transforms, "_split_means", counted_split)
+    monkeypatch.setattr(transforms, "_block", counted)
     return routed
 
 
@@ -799,19 +807,24 @@ class TestSparseKernel:
     def test_huge_finite_terms_do_not_overflow(self, p):
         # the windowed sums of terms near the top of the double range used
         # to overflow before their division (+inf for 1e308 everywhere, NaN
-        # for random signs); those rows are weighted at a power of two
+        # for random signs); those rows are weighted at a power of two, and
+        # a mean so weighted is held within its peak (means of DBL_MAX
+        # rounded past it, to +inf, when scaled back)
         rng = np.random.default_rng(3)
         ns = np.array([1, 7, 400, 1000])
-        for values in (np.full(1001, 1e308), rng.choice([-1e308, 1e308], 1001)):
+        top = np.finfo(float).max
+        for values in (np.full(1001, 1e308), np.full(1001, top),
+                       rng.choice([-1e308, 1e308], 1001)):
+            peak = float(np.abs(values).max())
             seq = RealSequence.from_values(values)
             got = binomial_prefix(seq, p, 1000).values
-            assert np.isfinite(got).all()
+            assert np.isfinite(got).all() and (np.abs(got) <= peak).all()
             assert binomial_mean_at(seq, p, ns).tobytes() == got[ns].tobytes()
             lone = np.array([binomial_mean_at(seq, p, int(n)) for n in ns])
             assert lone.tobytes() == got[ns].tobytes()
-            for n in ns.tolist():  # every |a_i| is 1e308: so is sum B |a|
+            for n in ns.tolist():  # every |a_i| is the peak: so is sum B |a|
                 exact = sparse_binomial_exact(range(n + 1), values, n, p)
-                assert abs(Fraction(got[n]) - exact) <= 4 * EPS * 1e308
+                assert abs(Fraction(got[n]) - exact) <= 4 * EPS * peak
 
     def test_any_order_of_rows(self):
         seq = sequence_from_spec(GeneratorSpec("islets"))
@@ -1047,13 +1060,15 @@ class TestRoutedRows:
         # removes exactly the terms the routed rows took in log space.
         terms = count_terms(monkeypatch)
         routed = []  # (p, n) of every row reaching the windowed kernel
-        block = transforms._windowed_block
+        block = transforms._block
 
-        def recorded(windows, offset, peak, p, ns, half, *shift):
-            routed.extend((p, n) for n in ns[first_pass(ns, p, half)].tolist())
-            return block(windows, offset, peak, p, ns, half, *shift)
+        def recorded(buffer, first, n0, p, half, peak, triangle=None, *rest):
+            if triangle is None:
+                rows = n0[first_pass(n0, p, half)].astype(np.int64)
+                routed.extend((p, n) for n in rows.tolist())
+            return block(buffer, first, n0, p, half, peak, triangle, *rest)
 
-        monkeypatch.setattr(transforms, "_windowed_block", recorded)
+        monkeypatch.setattr(transforms, "_block", recorded)
 
         def counted(run, share=transforms._ROUTE_SHARE):
             del terms[:], routed[:]
@@ -1198,18 +1213,18 @@ class TestOneKernel:
         # rows from the NaN (or the second infinity of a +inf/-inf pair) on
         # are NaN without a mass being taken for them
         built = []
-        kernel, block = transforms.log_pmf_many, transforms._windowed_block
+        kernel, block = transforms.log_pmf_many, transforms._block
 
         def logs(n, p, indices, **kwargs):
             built.append(np.max(n))
             return kernel(n, p, indices, **kwargs)
 
-        def windowed(windows, offset, peak, p, ns, half, *shift):
-            built.append(ns.max())
-            return block(windows, offset, peak, p, ns, half, *shift)
+        def ratios(buffer, first, n0, p, half, peak, triangle=None, count=1, *rest):
+            built.append(n0.max() + count - 1)  # the last row its correlations reach
+            return block(buffer, first, n0, p, half, peak, triangle, count, *rest)
 
         monkeypatch.setattr(transforms, "log_pmf_many", logs)
-        monkeypatch.setattr(transforms, "_windowed_block", windowed)
+        monkeypatch.setattr(transforms, "_block", ratios)
         idx = np.array([0, 4, 30, 90, 150, 200, 201, 202, 203, 205, 400, 1000, 1001])
         vals = np.ones(len(idx))
         if term == "pair":
@@ -1368,16 +1383,19 @@ def lone_rows(p, horizon):
 
 
 def count_split(monkeypatch):
-    """Record (n, certified) for every row _split_means weights."""
+    """Record (n, certified, mean) for every row a split block (a _block
+    call with a triangle) was asked for."""
     rows = []
-    split = transforms._split_means
+    block = transforms._block
 
-    def counted(idx, av, peak, p, ns):
-        value, certified = split(idx, av, peak, p, ns)
-        rows.extend(zip(ns.tolist(), certified.tolist()))
+    def counted(buffer, first, n0, p, half, peak, triangle=None, *rest):
+        value, certified = block(buffer, first, n0, p, half, peak, triangle, *rest)
+        if triangle is not None:
+            n, b, j = asked(n0, peak)
+            rows.extend(zip(n.tolist(), certified[b, j].tolist(), value[b, j].tolist()))
         return value, certified
 
-    monkeypatch.setattr(transforms, "_split_means", counted)
+    monkeypatch.setattr(transforms, "_block", counted)
     return rows
 
 
@@ -1410,8 +1428,8 @@ def adversarial_vectors(horizon):
 class TestSplitRows:
     """A dense row n = n0 + j, n0 a multiple of _SPLIT, takes B(n, .) =
     B(n0, .) * B(j, .): one windowed mass row per block of rows, certified
-    against |mean| or else its sum B |a|; the rows it does not certify go
-    to _windowed_means unchanged, and a lone row replays its block."""
+    against |mean| or else its sum B |a|; the rows it does not certify are
+    weighted as windowed rows, and a lone row replays its block."""
 
     @pytest.mark.parametrize("p", [1e-6, 0.003, 0.3, 0.5, 0.97, 1 - 1e-6])
     def test_exact_rationals(self, monkeypatch, p):
@@ -1427,7 +1445,7 @@ class TestSplitRows:
         values = kinds[name]
         split = count_split(monkeypatch)
         got = binomial_prefix(RealSequence.from_values(values), p, horizon).values
-        certified = dict(split)
+        certified = {n: ok for n, ok, _ in split}
         for n in rows:
             assert certified[n], (name, n)
             exact = sparse_binomial_exact(range(n + 1), values, n, p)
@@ -1440,16 +1458,16 @@ class TestSplitRows:
         for name, values in adversarial_vectors(horizon).items():
             split = count_split(monkeypatch)
             got = binomial_prefix(RealSequence.from_values(values), p, horizon).values
-            rows = np.array([n for n, ok in split if ok])
-            failed = np.array([n for n, ok in split if not ok])
+            rows = np.array([n for n, ok, _ in split if ok])
+            failed = np.array([n for n, ok, _ in split if not ok])
             # rows the split does not certify are weighted as unsplit rows
             assert len(failed) > 100, name
             idx, peak = np.arange(horizon + 1), np.maximum.accumulate(np.abs(values))
-            unsplit = transforms._windowed_means(idx, values, peak[failed], p, failed)
+            unsplit = transforms._routed_means(idx, values, peak[failed], p, failed, False)
             assert got[failed].tobytes() == unsplit.tobytes(), name
             # and uncertified, the split would have been far off on some
-            raw, _ = transforms._split_means(idx, values, peak[failed], p, failed)
-            scale = transforms._windowed_means(idx, np.abs(values), peak[failed], p, failed)
+            raw = np.array([mean for _, ok, mean in split if not ok])
+            scale = transforms._routed_means(idx, np.abs(values), peak[failed], p, failed, False)
             assert (np.abs(raw - unsplit) > 1e6 * EPS * scale).any(), name
             for n in rows[::151]:
                 ref, scale = split_reference(values, p, int(n))
