@@ -7,10 +7,9 @@ takes its closed form (q + p a)**n (_geometric_means).  For any other, a
 prefix or an array of point queries is read once up to the largest n as its
 support (a dense sequence as the support of every index) and goes through
 one kernel call, _binomial_means_sparse.  A lone point query (_lone_row)
-reads its row's window, at most twice (three times for a sparse sequence
-whose support fills its reach), through the sequence's one term rule (see
-RealSequence), the same terms by the same routines, so the same bits; a row
-those reads do not settle is one such kernel row.
+reads its row's window, at most twice, through the sequence's one term rule
+(see RealSequence), the same terms by the same routines, so the same bits;
+a row those reads do not settle is one such kernel row.
 
 The masses come from binomial_kernel; this module only weights them.  Row 0
 is a_0 itself; a row whose terms up to n hold a NaN, or both a +inf and a
@@ -28,11 +27,11 @@ must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   the semigroup of Euler means): a block weights row n0's products over
   m0 +- W' (W' = W of n0 rounded up to a multiple of 16) into the
   correlations c_k = sum_i B(n0, i) a_{i+k}, k < count.  A row whose
-  support up to n is every index 0..n and whose peak is below _SHIFT_FROM
-  is row j = n mod 8 of the split block n0 = n - j, and its mean is sum_k
-  B(j, k) c_k: one window of masses for 8 rows.  Every other row, and a
-  split row its block does not certify, is a windowed row, a block of one
-  row (n0 = n) whose mean is c_0; one that does not certify is weighted
+  peak is below _SHIFT_FROM, whatever its support, is row j = n mod 8 of
+  the split block n0 = n - j, and its mean is sum_k B(j, k) c_k: one
+  window of masses for 8 rows.  A split row its block does not certify,
+  and a row with a huge or non-finite peak, is a windowed row, a block of
+  one row (n0 = n) whose mean is c_0; one that does not certify is weighted
   again at twice the half-width, until it certifies or its window spans
   [0, n], where its value is final.  Half-widths are a function of n
   alone, so a row gives the same bits in any batch, and no row takes a
@@ -42,8 +41,9 @@ must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   then each widening pass's windowed rows, in groups of one half-width,
   over one zero-filled buffer spanning only their windows and one product
   buffer that every group reuses.  A bounded dense sequence costs O(H
-  sqrt(H)), a split prefix 8 times fewer masses; a widened row (unbounded
-  terms, or a**n with |a| < 1 given term by term) up to O(n).  Ratio
+  sqrt(H)), a split prefix, dense or islets, 8 times fewer masses; a
+  widened row (unbounded terms, or a**n with |a| < 1 given term by term)
+  up to O(n).  Ratio
   products cost 13-30 ns a mass against about 60 ns in log space, and are
   accurate to about 1e-16 where log-space masses are off by up to about n
   eps log n.  The 1/4 is the best of a threshold sweep over eight islets
@@ -69,20 +69,18 @@ A lone row n >= 1 with a finite peak keeps its masses and weighted sums in
 those routines (log_pmf_many through _log_weighted, and _block) and its two
 extensions in one _sparse_extension call, and does its bookkeeping on Python
 numbers through the block rows' helpers: mode, half-width, routing, split
-and certificate.  A split row replays its block's first j + 1 correlations,
-padded to 8, by the same reductions.  It reads its reach m +- 2W, and a
-log-space row whose nearest support index or kept term lies past it reads
-window(0, n), its support up to n, once more.  A dense row is always routed
-and reads its reach alone, widened to its block's window where that is wider
-(at small n): a lone alternating01 query at n = 1e8 takes 2.4-5.6 ms and a
-signed_linear one 3-10 ms, in 7-11 MB, row j of a block replaying j + 1
-correlations, and a lone spikes query at n in [2e5, 2.1e6] about 39 us,
-2-core Xeon VM.  A routed sparse row whose reach is all support is split
-only if its support up to n is all of 0..n: an empty window(0, 0) read says
-it is not, else window(0, n) tells.  It has one exit for every other row:
-n = 0, a non-finite peak, or a row whose reads do not certify goes to
-_binomial_means_sparse as one row over window(0, n), which applies the row-0
-and NaN rules, splits, widens, or sums the whole support.
+and certificate.  It reads its reach m +- 2W.  A routed row splits from
+those terms, which hold its block's window (W >= 30), replaying the block's
+first j + 1 correlations, padded to 8, by the same reductions: a lone
+alternating01 query at n = 1e8 takes 2.3-5.6 ms and a signed_linear one
+3-10 ms, in 7-11 MB, a lone islets query in an island at n = 4**9 / p
+about 0.15-0.22 ms, and a lone spikes query at n in [2e5, 2.1e6] about 39
+us, 2-core Xeon VM.  A log-space row whose nearest support index or kept
+term lies past the reach reads window(0, n), its support up to n, once
+more.  It has one exit for every other row: n = 0, a non-finite peak, or a
+row whose reads do not certify goes to _binomial_means_sparse as one row
+over window(0, n), which applies the row-0 and NaN rules, splits, widens,
+or sums the whole support.
 """
 
 from __future__ import annotations
@@ -417,10 +415,12 @@ def _support_windows(idx, av, lo, hi):
 _SPLIT = 8
 
 
+@functools.lru_cache(maxsize=1)
 def _triangle(p):
     """B(j, k, p) for j, k < _SPLIT, +0 for k > j: the _unit_window rows of
     j = 0.._SPLIT-1 over [0, j], each divided by its sum; the mask of the
-    entries above the diagonal; and each row's largest entry's k."""
+    entries above the diagonal; and each row's largest entry's k.  All
+    three read-only, in one slot: the last p's stay in memory."""
     j = np.arange(float(_SPLIT))
     m = _mode(j, p)
     below, above = int(m.max()), int((j - m).max())
@@ -430,7 +430,9 @@ def _triangle(p):
     at = np.minimum(below + k - m[:, None].astype(np.int64), below + above)
     t = np.where(upper, 0.0, np.take_along_axis(w, at, axis=1))
     t /= t.sum(axis=1, keepdims=True)
-    return t, upper, m.astype(np.int64)
+    m = m.astype(np.int64)
+    t.flags.writeable = upper.flags.writeable = m.flags.writeable = False
+    return t, upper, m
 
 
 def _block(buffer, first, n0, p, half, peak, triangle=None, count=1, shift=None, out=None):
@@ -550,19 +552,20 @@ def _blocks(idx, av, n0, halves, peaks, p, triangle, count, shift):
     return value, certified
 
 
-def _routed_means(idx, av, peak, p, ns, whole):
+def _routed_means(idx, av, peak, p, ns):
     """Means of the routed rows ns (every n >= 1, any order) of the
     sequence that is av at the sorted indices idx and 0 elsewhere; peak[r]
-    is the largest |a_i| for i <= ns[r], and whole[r] whether its support
-    up to n is every index 0..n.
+    is the largest |a_i| for i <= ns[r].
 
-    Split blocks take W of n0 rounded up to a multiple of _HALF_STEP, a
-    windowed row its own, doubled while it does not certify, up to the
+    A row whose peak is below _SHIFT_FROM is split, whatever its support;
+    split blocks take W of n0 rounded up to a multiple of _HALF_STEP.  A
+    windowed row (one the split does not certify, or a huge or non-finite
+    peak) takes its own, doubled while it does not certify, up to the
     least such multiple that spans [0, n].  Whether a row is weighted at a
     power of two (_overflow_shift) is decided once here.
     """
     value = np.empty(len(ns))
-    split = whole & (peak < _SHIFT_FROM)  # a non-finite peak is not split
+    split = peak < _SHIFT_FROM  # a non-finite peak is not split
     if split.any():
         rows = np.flatnonzero(split)
         j = ns[rows] % _SPLIT
@@ -620,7 +623,7 @@ def _sparse_extension(ratio):
 
 
 # A row whose window m +- W holds support on at least 1/_ROUTE_SHARE of its
-# indices inside [0, n] is split or weighted by _windowed_means.
+# indices inside [0, n] goes to _routed_means: split, or windowed.
 _ROUTE_SHARE = 4
 
 
@@ -668,8 +671,7 @@ def _sparse_rows(idx, av, peak, p, ns, log_factorials):
     hi = np.minimum(np.searchsorted(idx, (m + half).astype(np.int64), side="right"), size)
     routed = _routed(ns, m, half, hi - lo)
     if routed.any():  # a routed row holds support, so size >= 1
-        n, k = ns[routed], size[routed]
-        out[routed] = _routed_means(idx, av, peak[k - 1], p, n, k == n + 1)
+        out[routed] = _routed_means(idx, av, peak[size[routed] - 1], p, ns[routed])
     rows = np.flatnonzero(~routed & (size > 0))
     if not len(rows):
         return out
@@ -725,29 +727,26 @@ def _lone_block(idx, av, n0, p, half, peak, triangle=None, count=1, shift=None):
 
 
 def _split_start(n: int, p: float):
-    """A lone row's place j in its split block, and the block's n0, mode
-    and half-width, as ints."""
+    """A lone row's place j in its split block, and the block's n0 and
+    half-width, as ints."""
     j = n % _SPLIT
-    return j, n - j, _mode(n - j, p), _stepped(_window_halfwidth(n - j, p))
+    return j, n - j, _stepped(_window_halfwidth(n - j, p))
 
 
-def _lone_row(window, peak, p: float, n: int, sparse: bool) -> float:
+def _lone_row(window, peak, p: float, n: int) -> float:
     """_binomial_means_sparse for the one row n of the sequence with window
-    rule window(lo, hi) and peak rule peak(n) (see RealSequence), sparse or
-    dense, under the caller's np.errstate, with the bookkeeping on Python
-    numbers.
+    rule window(lo, hi) and peak rule peak(n) (see RealSequence), under the
+    caller's np.errstate, with the bookkeeping on Python numbers.
 
     A row n >= 1 with a finite peak takes the block rows' routing, split,
     window, extension, kept terms and certificate, so their bits.  It reads
-    its reach m +- 2W; a log-space row whose nearest support index outside
-    m +- W, or one of whose kept terms, lies past the reach reads window(0,
-    n) once and settles there.  A dense row is always routed and reads its
-    reach alone, widened to its split block's terms where that is larger:
-    it replays the block's first j + 1 correlations, j = n mod _SPLIT.  A
-    routed sparse row whose reach is all support splits if its support up
-    to n is all of 0..n: an empty window(0, 0) says it is not, else it
-    reads window(0, n) to know.  Every other row (n = 0, a non-finite peak,
-    a window that does not certify) is one batch row over window(0, n).
+    its reach m +- 2W.  A routed row whose peak is below _SHIFT_FROM
+    splits from those terms, which hold its split block's window (W >=
+    30): it replays the block's first j + 1 correlations, j = n mod
+    _SPLIT.  A log-space row whose nearest support index outside m +- W,
+    or one of whose kept terms, lies past the reach reads window(0, n)
+    once and settles there.  Every other row (n = 0, a non-finite peak, a
+    window that does not certify) is one batch row over window(0, n).
     """
     top = peak(n)
     if n and math.isfinite(top):
@@ -755,21 +754,11 @@ def _lone_row(window, peak, p: float, n: int, sparse: bool) -> float:
         m, half = _mode(n, p), _window_halfwidth(n, p)
         a, b = m - half, m + half
         r_lo, r_hi = max(a - half, 0), min(b + half, n)
-        split = top < _SHIFT_FROM
-        if split and not sparse:  # every index is support: read the block's terms too
-            j, n0, m0, h0 = _split_start(n, p)
-            r_lo, r_hi = min(r_lo, max(m0 - h0, 0)), max(r_hi, min(m0 + h0 + j, n))
         idx, av = window(r_lo, r_hi)
         lo, hi = idx.searchsorted((a, b + 1)).tolist()
         if _routed(n, m, half, hi - lo):
-            if split and sparse:  # it splits if its support is 0..n
-                full = len(idx) == r_hi - r_lo + 1
-                if full and (r_lo, r_hi) != (0, n) and len(window(0, 0)[0]):
-                    r_lo, r_hi = 0, n
-                    idx, av = window(0, n)
-                split = len(idx) == n + 1
-            if split:
-                j, n0, _, h0 = _split_start(n, p)
+            if top < _SHIFT_FROM:
+                j, n0, h0 = _split_start(n, p)
                 peaks = np.zeros((1, _SPLIT))
                 peaks[0, j] = top
                 value, certified = _lone_block(idx, av, n0, p, h0, peaks, _triangle(p), j + 1)
@@ -923,7 +912,7 @@ def binomial_mean_at(a: RealSequence, p: float, n):
         if a._ratio is not None:
             return float(_geometric_means(a._ratio, p, np.array([n]))[0])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _lone_row(*a._rule(n), p, n, a.sparse)
+            return _lone_row(*a._rule(n), p, n)
     ns = np.asarray(n)
     if ns.ndim == 1 and (ns.dtype.kind in "iu" or not ns.size):
         ns = ns.astype(np.int64)  # a uint64 past 2**63 wraps negative: rejected below

@@ -707,10 +707,11 @@ def routed_by_rule(seq, p, ns):
     return (ns > 0) & (4 * (ones[hi + 1] - ones[lo]) >= hi - lo + 1)
 
 
-def sparse_reference(idx, av, p, ns, routed):
-    """sparse_rows_old, except that a routed row's exact sums come from its
-    full PMF row over the zero-filled prefix (full_row_exact), the
-    reference of the windowed kernel, not from log-space masses."""
+def sparse_reference(idx, av, p, ns, routed, split=()):
+    """sparse_rows_old, except that a routed row's exact sums come from the
+    zero-filled prefix by routed_reference (split: count_split's records,
+    if kept), the reference of the ratio-product kernel, not from
+    log-space masses."""
     ns = np.asarray(ns)
     old, exact, scale = sparse_rows_old(idx, av, p, ns)
     dense = np.isin(ns, routed)
@@ -718,7 +719,7 @@ def sparse_reference(idx, av, p, ns, routed):
         values = np.zeros(ns.max() + 1)
         keep = idx <= ns.max()
         values[idx[keep]] = av[keep]
-        exact[dense], scale[dense] = full_row_exact(values, p, ns[dense])
+        exact[dense], scale[dense] = routed_reference(values, p, ns[dense], split)
     return old, exact, scale
 
 
@@ -754,8 +755,9 @@ class TestSparseKernel:
         with pytest.MonkeyPatch.context() as mp:
             calls = count_sparse_fallbacks(mp)
             routed = count_routed(mp)
+            split = count_split(mp)
             got = transforms._binomial_means_sparse(idx, av, p, ns)
-        old, exact, scale = sparse_reference(idx, av, p, ns, routed)
+        old, exact, scale = sparse_reference(idx, av, p, ns, routed, split)
         fallback = np.zeros(len(ns), dtype=bool)
         fallback[calls] = True
         np.testing.assert_array_equal(got[fallback], old[fallback])
@@ -843,6 +845,7 @@ class TestSparseKernel:
         # support, and a widened row gives the same bits in any batch.
         calls = count_sparse_fallbacks(monkeypatch)
         widened = count_widened(monkeypatch)
+        split = count_split(monkeypatch)
         idx = np.arange(0, 1000, 3)
         av = 2.0**idx
         ns = np.arange(1001)
@@ -851,7 +854,7 @@ class TestSparseKernel:
         assert len(rows) >= 500 and calls == []
         values = np.zeros(1001)
         values[idx] = av
-        ref, scale = full_row_exact(values, 0.3)
+        ref, scale = routed_reference(values, 0.3, ns, split)
         assert np.all(np.abs(got - ref) <= 4 * EPS * scale)
         shuffled = np.random.default_rng(4).permutation(np.concatenate([rows, rows[::5]]))
         batch = transforms._binomial_means_sparse(idx, av, 0.3, shuffled)
@@ -1030,11 +1033,12 @@ class TestRoutedRows:
     @pytest.mark.parametrize("p, horizon", [(0.3, 9104), (0.7, 6000)])
     def test_prefix_rows_match_full_rows(self, monkeypatch, p, horizon):
         routed = count_routed(monkeypatch)
+        split = count_split(monkeypatch)
         seq = sequence_from_spec(GeneratorSpec("islets"))
         got = binomial_prefix(seq, p, horizon).values
-        rows = np.array(routed[::7])
-        assert len(rows) >= 200
-        ref, scale = full_row_exact(seq.prefix(horizon), p, rows)
+        rows = np.unique(routed)[::7]
+        assert len(rows) >= 200 and sum(ok for _, ok, _ in split) >= len(rows)
+        ref, scale = routed_reference(seq.prefix(horizon), p, rows, split)
         assert np.all(np.abs(got[rows] - ref) <= 4 * EPS * scale)
 
     @pytest.mark.parametrize("n, p", [(5800, 0.640625), (6900, 0.6484375), (216_000, 0.3125)])
@@ -1059,14 +1063,18 @@ class TestRoutedRows:
         # window; every other row keeps its log-space terms, so routing
         # removes exactly the terms the routed rows took in log space.
         terms = count_terms(monkeypatch)
-        routed = []  # (p, n) of every row reaching the windowed kernel
+        routed = []  # (p, n) of every row split, or windowed on its first window
         block = transforms._block
 
         def recorded(buffer, first, n0, p, half, peak, triangle=None, *rest):
+            value, certified = block(buffer, first, n0, p, half, peak, triangle, *rest)
             if triangle is None:
-                rows = n0[first_pass(n0, p, half)].astype(np.int64)
-                routed.extend((p, n) for n in rows.tolist())
-            return block(buffer, first, n0, p, half, peak, triangle, *rest)
+                rows = n0[first_pass(n0, p, half)].astype(np.int64).tolist()
+            else:  # a row the split does not certify is recorded as windowed
+                n, b, j = asked(n0, peak)
+                rows = n[certified[b, j]].tolist()
+            routed.extend((p, n) for n in rows)
+            return value, certified
 
         monkeypatch.setattr(transforms, "_block", recorded)
 
@@ -1105,6 +1113,7 @@ class TestRoutedRows:
     @pytest.mark.parametrize("p", [0.5, 0.7, 0.85])
     def test_island_rows_are_routed_and_gap_rows_are_not(self, monkeypatch, p):
         routed = count_routed(monkeypatch)
+        split = count_split(monkeypatch)
         seq = sequence_from_spec(GeneratorSpec("islets"))
         n = np.arange(1, 150_000, 11)
         binomial_mean_at(seq, p, n)
@@ -1117,7 +1126,9 @@ class TestRoutedRows:
         assert inside.sum() >= 100 and empty.sum() >= 1000
         is_routed = np.isin(n, routed)
         assert is_routed[inside].all() and not is_routed[empty].any()
-        assert is_routed.sum() == len(routed)  # each row once
+        # each row once, and a second time as a windowed row where the
+        # split does not certify it
+        assert is_routed.sum() == len(routed) - sum(not ok for _, ok, _ in split)
 
     def test_memory_at_two_million(self):
         # rows around the 4**10 island at n ~ 2e6: the windowed kernel's
@@ -1399,6 +1410,15 @@ def count_split(monkeypatch):
     return rows
 
 
+def routed_reference(values, p, ns, split):
+    """full_row_exact at the rows ns, except that a row a split block
+    certified (split: count_split's records) takes split_reference."""
+    certified = {n for n, ok, _ in split if ok}
+    sums = [split_reference(values, p, n) if n in certified
+            else [x[0] for x in full_row_exact(values, p, [n])] for n in np.asarray(ns).tolist()]
+    return np.array(sums, dtype=float).reshape(-1, 2).T
+
+
 def split_reference(values, p, n):
     """Row n = n0 + j as a split row weights it, summed exactly (math.fsum):
     sum_k B(j, k) sum_i M(n0, i) a_{i+k} over the whole row n0, M its
@@ -1426,10 +1446,11 @@ def adversarial_vectors(horizon):
 
 
 class TestSplitRows:
-    """A dense row n = n0 + j, n0 a multiple of _SPLIT, takes B(n, .) =
-    B(n0, .) * B(j, .): one windowed mass row per block of rows, certified
-    against |mean| or else its sum B |a|; the rows it does not certify are
-    weighted as windowed rows, and a lone row replays its block."""
+    """A routed row n = n0 + j, n0 a multiple of _SPLIT, dense or sparse,
+    takes B(n, .) = B(n0, .) * B(j, .): one windowed mass row per block of
+    rows, certified against |mean| or else its sum B |a|; the rows it does
+    not certify are weighted as windowed rows, and a lone row replays its
+    block."""
 
     @pytest.mark.parametrize("p", [1e-6, 0.003, 0.3, 0.5, 0.97, 1 - 1e-6])
     def test_exact_rationals(self, monkeypatch, p):
@@ -1460,14 +1481,17 @@ class TestSplitRows:
             got = binomial_prefix(RealSequence.from_values(values), p, horizon).values
             rows = np.array([n for n, ok, _ in split if ok])
             failed = np.array([n for n, ok, _ in split if not ok])
-            # rows the split does not certify are weighted as unsplit rows
+            # rows the split does not certify are weighted as unsplit rows:
+            # with _SHIFT_FROM at 0 no row splits, and every shift is 0
             assert len(failed) > 100, name
             idx, peak = np.arange(horizon + 1), np.maximum.accumulate(np.abs(values))
-            unsplit = transforms._routed_means(idx, values, peak[failed], p, failed, False)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(transforms, "_SHIFT_FROM", 0.0)
+                unsplit = transforms._routed_means(idx, values, peak[failed], p, failed)
+                scale = transforms._routed_means(idx, np.abs(values), peak[failed], p, failed)
             assert got[failed].tobytes() == unsplit.tobytes(), name
             # and uncertified, the split would have been far off on some
             raw = np.array([mean for _, ok, mean in split if not ok])
-            scale = transforms._routed_means(idx, np.abs(values), peak[failed], p, failed, False)
             assert (np.abs(raw - unsplit) > 1e6 * EPS * scale).any(), name
             for n in rows[::151]:
                 ref, scale = split_reference(values, p, int(n))
@@ -1498,6 +1522,95 @@ class TestSplitRows:
                 if edge < 1100:
                     prefix = binomial_prefix(seq, p, int(ns[-1])).values
                     assert array.tobytes() == prefix[batch].tobytes(), (name, edge)
+
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_island_and_spike_rows_split_in_any_call(self, monkeypatch, p):
+        # rows n = 0 and 7 (mod 8) around the island centres 4**k / p and
+        # spike rows at small n: split and certified, and the same bits in
+        # a prefix (up to k = 7), a shuffled array call with repeats and
+        # scalar calls
+        split = count_split(monkeypatch)
+        rng = np.random.default_rng(int(10 * p))
+        islets = sequence_from_spec(GeneratorSpec("islets"))
+        spikes = sequence_from_spec(GeneratorSpec("spikes", C=1.0))
+        centres = [8 * (int(4**k / p) // 8) for k in range(5, 10)]
+        rows = {"islets": np.add.outer(centres, [-8, -1, 0, 7, 8, 15]).ravel(),
+                "spikes": np.array([n for n in range(1, 48) if n % 8 in (0, 7)])}
+        for (name, ns), seq in zip(rows.items(), (islets, spikes)):
+            del split[:]
+            batch = rng.permutation(np.concatenate([ns, ns[::2]]))
+            array = binomial_mean_at(seq, p, batch)
+            assert {n for n, ok, _ in split if ok} == set(ns.tolist()), name
+            scalar = np.array([binomial_mean_at(seq, p, int(n)) for n in batch])
+            assert array.tobytes() == scalar.tobytes(), name
+            short = batch <= 4**7 / p + 16
+            prefix = binomial_prefix(seq, p, int(batch[short].max())).values
+            assert array[short].tobytes() == prefix[batch[short]].tobytes(), name
+
+    @pytest.mark.parametrize("p", [0.375, 0.5, 0.8125])
+    def test_signed_support_with_gaps_takes_the_abs_pass(self, monkeypatch, p):
+        # islands of (-1)**i with gaps between them: a row inside an island
+        # has |mean| near (1 - 2p)**n, far below what its dropped mass
+        # times its peak needs, so its split block weights sum B |a| too.
+        # Dyadic p keeps q exact, so the split rows are within 4 eps of sum
+        # B |a| of exact rationals as of their split_reference.
+        abs_pass = []  # rows asked for of split blocks whose |a| pass ran
+        block, sums, calls = transforms._block, transforms._triangle_sums, []
+
+        def counted_sums(terms, total, triangle):
+            calls.append(triangle is not None)
+            return sums(terms, total, triangle)
+
+        def counted(buffer, first, n0, p, half, peak, triangle=None, *rest):
+            del calls[:]
+            out = block(buffer, first, n0, p, half, peak, triangle, *rest)
+            if sum(calls) == 2:
+                abs_pass.extend(asked(n0, peak)[0].tolist())
+            return out
+
+        monkeypatch.setattr(transforms, "_triangle_sums", counted_sums)
+        monkeypatch.setattr(transforms, "_block", counted)
+        split = count_split(monkeypatch)
+        horizon = 3000
+        idx = np.concatenate([np.arange(40, 700), np.arange(760, 1900), np.arange(2000, 2900)])
+        seq = sparse_sequence(idx, (-1.0) ** idx, "signed islands")
+        got = binomial_prefix(seq, p, horizon).values
+        certified = np.array(sorted(n for n, ok, _ in split if ok))
+        assert len(set(abs_pass) & set(certified.tolist())) >= 100
+        values, sample = seq.prefix(horizon), certified[::37]
+        for n in sample.tolist():
+            ref, scale = split_reference(values, p, n)
+            assert abs(got[n] - ref) <= 4 * EPS * scale, n
+            exact = sparse_binomial_exact(idx, values[idx], n, p)
+            scale = sparse_binomial_exact(idx, np.ones(len(idx)), n, p)
+            assert abs(Fraction(got[n]) - exact) <= 4 * Fraction(EPS) * scale, n
+        lone = np.array([binomial_mean_at(seq, p, n) for n in sample.tolist()])
+        assert lone.tobytes() == got[sample].tobytes()
+
+    def test_lone_reach_holds_the_split_window(self):
+        # a lone row reads its reach m +- 2W alone and splits from those
+        # terms: they must hold its split block's window m0 - h0 .. m0 + h0
+        # + j inside [0, n], which W >= 30 gives
+        ns = np.unique(np.concatenate([np.arange(1, 5000), np.geomspace(5000, 1e12, 3000)
+                                       .astype(np.int64)])).tolist()
+        for p in (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.77, 0.95, 0.999, 1 - 1e-9):
+            for n in ns:
+                m, half = _mode(n, p), _window_halfwidth(n, p)
+                j, n0, h0 = transforms._split_start(n, p)
+                m0 = _mode(n0, p)
+                assert max(m - 2 * half, 0) <= max(m0 - h0, 0), (n, p)
+                assert min(m0 + h0 + j, n) <= min(m + 2 * half, n), (n, p)
+        # and a lone routed row reads its reach, once
+        for n, p in ((7, 0.3), (1000, 0.05), (10**6 + 7, 0.5)):
+            reads = []
+
+            def window(lo, hi):
+                reads.append((lo, hi))
+                return np.arange(lo, hi + 1), np.ones(hi - lo + 1)
+
+            assert binomial_mean_at(RealSequence.from_window(window, lambda n: 1.0), p, n) == 1.0
+            m, half = _mode(n, p), _window_halfwidth(n, p)
+            assert reads == [(max(m - 2 * half, 0), min(m + 2 * half, n))], (n, p)
 
 
 class TestLoneQuery:
