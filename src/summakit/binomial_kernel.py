@@ -149,13 +149,14 @@ def log_pmf_many(n, p: float, indices, *, _counts=None, _table=None) -> np.ndarr
     ``indices``; with the private ``_counts`` (the log-space blocks of rows)
     it holds one n per row, and row r covers the next _counts[r] indices.
     With the private ``_table`` (_log_factorials up to the largest n, and
-    integer n and indices) log k! is read from it instead of evaluated.
-    One elementwise expression, so an entry depends only on its own (n, i):
-    every layout of equal (n, i), with or without a table, gives the same
-    bits.
+    integer n and an integer array of indices) log k! is read from it
+    instead of evaluated.  One elementwise expression, evaluated in place
+    on the buffer of the log i! it reads, so an entry depends only on its
+    own (n, i): every layout of equal (n, i), with or without a table,
+    gives the same bits.
     """
     if _table is not None:
-        i, rest = indices, (n if _counts is None else np.repeat(n, _counts)) - indices
+        i, rest = indices, (n if _counts is None else n.repeat(_counts)) - indices
         head, lf_i, lf_rest = _table[n], _table[i], _table[rest]
     else:
         n = np.asarray(n, dtype=float)
@@ -172,8 +173,13 @@ def log_pmf_many(n, p: float, indices, *, _counts=None, _table=None) -> np.ndarr
         head = lf[2 * k :].reshape(n.shape)
         lf_i, lf_rest = lf[:k].reshape(shape), lf[k : 2 * k].reshape(shape)
     if _counts is not None:
-        head = np.repeat(head, _counts)
-    return head - lf_i - lf_rest + i * math.log(p) + rest * math.log1p(-p)
+        head = head.repeat(_counts)
+    # head - lf_i - lf_rest + i log p + rest log q, left to right, in place
+    out = np.subtract(head, lf_i, out=lf_i)
+    out -= lf_rest
+    out += np.multiply(i, math.log(p), out=lf_rest)
+    out += np.multiply(rest, math.log1p(-p), out=lf_rest)
+    return out
 
 
 def _lib(n):

@@ -43,11 +43,11 @@ must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   buffer that every group reuses.  A bounded dense sequence costs O(H
   sqrt(H)), a split prefix, dense or islets, 8 times fewer masses; a
   widened row (unbounded terms, or a**n with |a| < 1 given term by term)
-  up to O(n).  Ratio
-  products cost 13-30 ns a mass against about 60 ns in log space, and are
-  accurate to about 1e-16 where log-space masses are off by up to about n
-  eps log n.  The 1/4 is the best of a threshold sweep over eight islets
-  prefixes (README).
+  up to O(n).  Ratio products cost 13-30 ns a mass against about 25 ns a
+  term in log space with a log k! table (a prefix) and 45 ns without
+  (sampled rows), and are accurate to about 1e-16 where log-space masses
+  are off by up to about n eps log n.  The 1/4 is the best of a threshold
+  sweep over eight islets prefixes (README).
 * Log space (_sparse_rows, which also sends its routed rows to
   _routed_means, and _lone_row for a lone row): the other rows weight the
   support indices in their window plus, on each side, the nearest support
@@ -55,9 +55,13 @@ must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   2**-64, so a row whose window holds no support still certifies; one that
   does not is summed over its whole support (_whole_support_mean, O(support)
   where widening is O(n)).  Terms are log_pmf_many masses summed by
-  _log_weighted, in blocks of up to 2**11 rows and about 2**12 terms, which
-  keeps peak memory small.  A kernel call whose rows cover at least half of
-  0..H, H its largest n (every prefix), evaluates log k! once over 0..H
+  _log_weighted, in blocks of up to 2**13 rows and about 2**14 terms, which
+  keeps peak memory small; a block only weights its terms, in the buffer
+  log_pmf_many returns, and one pass a call then certifies every row.
+  Where the call's support values hold one sign (every islets and spikes
+  sequence), |mean| is a row's sum B |a| bit for bit, and no second sum
+  is taken.  A kernel call whose rows cover at least half of 0..H, H its
+  largest n (every prefix), evaluates log k! once over 0..H
   (_log_factorials: H + 1 doubles, no more than the prefix) when its first
   log-space block needs it, and its blocks and fallbacks read log i!,
   log (n - i)! and log n! from that table; sampled rows (point-query arrays, lone
@@ -74,7 +78,7 @@ those terms, which hold its block's window (W >= 30), replaying the block's
 first j + 1 correlations, padded to 8, by the same reductions: a lone
 alternating01 query at n = 1e8 takes 2.3-5.6 ms and a signed_linear one
 3-10 ms, in 7-11 MB, a lone islets query in an island at n = 4**9 / p
-about 0.15-0.22 ms, and a lone spikes query at n in [2e5, 2.1e6] about 39
+about 0.15-0.22 ms, and a lone spikes query at n in [2e5, 2.1e6] about 30
 us, 2-core Xeon VM.  A log-space row whose nearest support index or kept
 term lies past the reach reads window(0, n), its support up to n, once
 more.  It has one exit for every other row: n = 0, a non-finite peak, or a
@@ -595,15 +599,17 @@ def _routed_means(idx, av, peak, p, ns):
 
 
 # Rows, and terms, per block of sparse rows; keep the block's arrays, and
-# peak memory, small.  2**12 terms is the knee on six spikes and three
-# islets prefixes (H = 12000, p from 0.05 to 0.97; least of 10-20
-# interleaved calls, with and without an earlier large free, 2-core Xeon
-# VM), their masses read from a log k! table: in total 2**11 costs 15-18%
-# more, 3 * 2**11 the same, 2**13 7-13% more (one run of six read it 7%
-# less) and 2**14 30-40% more.  Each array of one double a term is then
-# 32 KB, within a core's 48 KB L1 data cache.
-_BLOCK_ROWS = 2**11
-_BLOCK_TERMS = 2**12
+# peak memory, small.  Swept with masses evaluated in place on six prefixes
+# (spikes C = 1, 0.5 and 2 at p = 0.5, 0.3 and 0.8 to H = 2e4, 1e4 and
+# 3e3; islets at p = 0.5, 0.3 and 0.8 to H = 2e4, 5e3 and 1e4; least of 12
+# interleaved calls, two runs, 2-core Xeon VM): against 2**11 rows and
+# 2**12 terms, in total 2**13 rows cost 3% less, and 10-11% less with
+# 2**13 terms and 15% less with 2**14; at 2**14 terms, 2**12 and 2**14
+# rows cost 10-14% and 12% less; 2**15 terms cost more again.  First calls
+# in fresh processes agree (median of 6: 85, 72 and 72 ms at 2**12, 2**13
+# and 2**14 terms).  An array of one double a term is then 128 KB.
+_BLOCK_ROWS = 2**13
+_BLOCK_TERMS = 2**14
 
 # Past the nearest support index outside a row's window, the kept range goes
 # on outward until the mass has fallen by 2**-64.  log 2**-64 and 1 are also
@@ -639,15 +645,20 @@ def _routed(n, m, half, in_window):
     return _ROUTE_SHARE * in_window >= inside
 
 
-def _log_weighted(n, p, indices, values, offsets, counts=None, table=None):
-    """Pairwise sums of masses times values, and of their absolute values,
-    over the runs of terms starting at offsets, and the masses: exp of
-    log_pmf_many (counts is its _counts, one n per run, table its _table)."""
-    masses = np.exp(log_pmf_many(n, p, indices, _counts=counts, _table=table))
-    weighted = masses * values
+def _log_weighted(n, p, indices, values, offsets, edges, signed, counts=None, table=None):
+    """Pairwise sums of masses times values over the runs of terms starting
+    at offsets; the same sums of their absolute values, taken as |sums|
+    unless signed (where no run mixes signs they are those bit for bit);
+    and the masses at the term positions edges.  The masses are exp of
+    log_pmf_many (counts is its _counts, one n per run, table its _table),
+    weighted in its buffer."""
+    weighted = log_pmf_many(n, p, indices, _counts=counts, _table=table)
+    np.exp(weighted, out=weighted)
+    at = weighted[edges]
+    weighted *= values
     value = np.add.reduceat(weighted, offsets)
-    scale = np.add.reduceat(np.abs(weighted, out=weighted), offsets)
-    return value, scale, masses
+    scale = np.add.reduceat(np.abs(weighted, out=weighted), offsets) if signed else abs(value)
+    return value, scale, at
 
 
 def _whole_support_mean(idx, av, p, n, k, table):
@@ -657,12 +668,15 @@ def _whole_support_mean(idx, av, p, n, k, table):
     return np.exp(log_pmf_many(n, p, idx[:k], _table=table)) @ av[:k]
 
 
-def _sparse_rows(idx, av, peak, p, ns, log_factorials):
+def _sparse_rows(idx, av, peak, p, ns, log_factorials, signed):
     """_binomial_means_sparse for a block of rows n >= 1; peak[j] = max
     |av[:j+1]|.  Its routed rows go through one _routed_means call (split,
-    or windowed), the others are log-space rows, summed over their whole
-    support where they do not certify.  log_factorials, if given, returns the log k! table
-    their masses read (log_pmf_many's _table), built on its first call."""
+    or windowed), the others are log-space rows: blocks of terms weight
+    them, then one pass certifies them all, with |value| as their sum B |a|
+    unless signed (av holds both signs), and sums those that fail over
+    their whole support.  log_factorials, if given, returns the log k!
+    table their masses read (log_pmf_many's _table), built on its first
+    call."""
     out = np.zeros(len(ns))
     size = np.searchsorted(idx, ns, side="right")  # support indices <= n
     m = _mode(ns, p)
@@ -688,26 +702,29 @@ def _sparse_rows(idx, av, peak, p, ns, log_factorials):
     last = np.searchsorted(idx, j_hi.astype(np.int64) + t_hi, side="right")
     count = np.where(right, np.minimum(last, k), hi) - first
     # where j_lo and j_hi sit among a row's terms (any term where absent)
-    at_lo = np.where(left, lo - 1 - first, 0)
-    at_hi = np.where(right, hi - first, 0)
+    at = np.where((left, right), (lo - 1 - first, hi - first), 0)
 
-    ends = np.cumsum(count)
+    value, scale = np.empty((2, len(rows)))
+    edges = np.empty((2, len(rows)))
+    ends = count.cumsum()
     start = 0
     while start < len(rows):
-        stop = np.searchsorted(ends, ends[start] - count[start] + _BLOCK_TERMS, "right")
+        stop = ends.searchsorted(ends[start] - count[start] + _BLOCK_TERMS, "right")
         block = slice(start, max(stop, start + 1))
         # row r weights the support slice idx[first[r]:first[r] + count[r]]
         c = count[block]
-        offsets = np.cumsum(c) - c
-        pos = np.arange(offsets[-1] + c[-1]) + np.repeat(first[block] - offsets, c)
-        value, scale, masses = _log_weighted(n[block], p, idx[pos], av[pos], offsets, c, table)
-        dropped = masses[offsets + at_lo[block]] * tail_lo[block]
-        dropped += masses[offsets + at_hi[block]] * tail_hi[block]
-        certified = _certified(value, scale, dropped, peak[k[block] - 1])
-        for r in np.flatnonzero(~certified):
-            value[r] = _whole_support_mean(idx, av, p, int(n[start + r]), int(k[start + r]), table)
-        out[rows[block]] = value
+        offsets = c.cumsum() - c
+        pos = np.arange(offsets[-1] + c[-1]) + (first[block] - offsets).repeat(c)
+        value[block], scale[block], edges[:, block] = _log_weighted(
+            n[block], p, idx[pos], av[pos], offsets, at[:, block] + offsets, signed, c, table
+        )
         start = block.stop
+    dropped = edges[0] * tail_lo
+    dropped += edges[1] * tail_hi
+    certified = _certified(value, scale, dropped, peak[k - 1])
+    for r in np.flatnonzero(~certified).tolist():
+        value[r] = _whole_support_mean(idx, av, p, int(n[r]), int(k[r]), table)
+    out[rows] = value
     return out
 
 
@@ -792,10 +809,12 @@ def _lone_row(window, peak, p: float, n: int) -> float:
                 idx, av = window(0, n)
                 lo, hi = idx.searchsorted((a, b + 1)).tolist()
             first, stop = idx.searchsorted((k_lo, k_hi + 1)).tolist()
-            value, scale, masses = _log_weighted(x, p, idx[first:stop], av[first:stop], _ONE_RUN)
             # where j_lo and j_hi sit among the terms (any term where absent)
-            at_lo, at_hi = lo - 1 - first if left else 0, hi - first if right else 0
-            dropped = float(masses[at_lo] * tails[0] + masses[at_hi] * tails[1])
+            at = [lo - 1 - first if left else 0, hi - first if right else 0]
+            value, scale, edge = _log_weighted(
+                x, p, idx[first:stop], av[first:stop], _ONE_RUN, at, signed=True
+            )
+            dropped = float(edge[0] * tails[0] + edge[1] * tails[1])
             value = float(value[0])
             if _certified(value, float(scale[0]), dropped, top):
                 return value
@@ -810,8 +829,11 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     (-0.0 included), and a row is NaN from the first support index whose
     prefix holds a NaN, or both a +inf and a -inf, where the running max
     plus the running min is NaN (huge finite terms overflow to +-inf there,
-    never to NaN); their larger magnitude is each row's peak.  The other
-    rows go in blocks of _BLOCK_ROWS through _sparse_rows.  Where ns holds
+    never to NaN); their larger magnitude is each row's peak, and the last
+    extrema tell whether av holds one sign (a NaN counts as both).  The
+    other rows go in blocks of _BLOCK_ROWS through _sparse_rows, which
+    certifies each block's log-space rows in one pass, by |mean| where av
+    holds one sign and by sum B |a| where it holds both.  Where ns holds
     at least half as many rows as 0..max(ns) has (every prefix), their
     log-space masses read log k! from one table over 0..max(ns), built when
     the first block needs it; sampled rows evaluate it term by term.
@@ -827,12 +849,15 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
         nan_from = idx[j] if j < len(idx) else np.iinfo(np.int64).max
         out[ns >= nan_from] = np.nan
         rows = np.flatnonzero((ns > 0) & (ns < nan_from))
+        # support values of one sign (every islets and spikes sequence)
+        # leave sum B |a| = |sum B a| in each row
+        signed = bool(len(av)) and not (bottom[-1] >= 0.0 or top[-1] <= 0.0)
         peak = np.maximum(top, -bottom, out=top)
         last = int(ns.max(initial=0))
         table = functools.cache(lambda: _log_factorials(last)) if 2 * len(ns) > last else None
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS]
-            out[block] = _sparse_rows(idx, av, peak, p, ns[block], table)
+            out[block] = _sparse_rows(idx, av, peak, p, ns[block], table, signed)
     return out
 
 

@@ -16,6 +16,7 @@ from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pm
 from summakit.sequences import GeneratorSpec, islet_ranges, sequence_from_spec
 from summakit.transforms import RealSequence, binomial_mean_at, binomial_prefix
 from test_tracing_contract import huge_support
+from test_transforms import count_sparse_fallbacks
 
 
 def digest(arrays):
@@ -158,6 +159,40 @@ def test_whole_support_fallbacks_pinned():
     seq = huge_support()
     arrays = [binomial_prefix(seq, p, 1200).values for p in (0.3, 0.5, 0.9)]
     assert digest(arrays) == "3c68051b5bee4e0dcd70591b8e3761190ce1a0aa951afa18e269bdbd8e26795a"
+
+
+def mixed_signs():
+    """Support values of both signs: +-1 pairs about the modes of rows 400
+    and 8000 at p = 0.5, a 1e62 term at 5 and a 1e300 term at 2308, which
+    their log-space windows do not hold."""
+    idx = np.array([5, 40, 190, 210, 600, 2308, 2507, 3990, 4010, 5000])
+    vals = np.array([1e62, -2.0, 1.0, -1.0, 0.5, 1e300, 1.0, 1.0, -1.0, -0.5])
+    return RealSequence.from_function(support=lambda h: (idx[idx <= h], vals[idx <= h]))
+
+
+def test_mixed_sign_rows_pinned(monkeypatch):
+    # a support of both signs certifies with sum B |a| taken term by term:
+    # row 400 at p = 0.5 cancels to 6e-14 of it and certifies (its bound
+    # on the 1e62 term is 2e-23 of it, but 3e-10 of |mean|); row 8000 cancels
+    # to 2e-12 of it, but its bound on the 1e300 term fails, so it is
+    # summed over its whole support.  Taken before log-space rows were
+    # certified in one pass a call, and one-signed supports with |mean|
+    calls = count_sparse_fallbacks(monkeypatch)
+    seq = mixed_signs()
+    ns = np.array([400, 8000, 400, 7, 3001, 8000, 2500, 9000])
+    arrays = []
+    for p in (0.3, 0.5):
+        arrays.append(binomial_prefix(seq, p, 9000).values)
+        arrays.append(binomial_mean_at(seq, p, ns))
+    arrays.append([binomial_mean_at(seq, 0.5, int(n)) for n in ns])
+    assert digest(arrays) == "98fbb55e47600856bc734c1e4c64acda5c2e49c8d7302d19e784ed492b25c215"
+    del calls[:]
+    means = binomial_mean_at(seq, 0.5, np.array([400, 8000]))
+    assert calls == [8000]
+    idx, av = seq.support(8000)
+    for n, mean in zip((400, 8000), means):
+        scale = np.exp(log_pmf_many(n, 0.5, idx[idx <= n])) @ np.abs(av[idx <= n])
+        assert 0 < abs(mean) < 1e-11 * scale
 
 
 def ratio_product_rows():

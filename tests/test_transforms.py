@@ -828,6 +828,39 @@ class TestSparseKernel:
                 exact = sparse_binomial_exact(range(n + 1), values, n, p)
                 assert abs(Fraction(got[n]) - exact) <= 4 * EPS * peak
 
+    def test_bits_do_not_depend_on_block_sizes(self, monkeypatch):
+        # a log-space row's terms, sums and certificate are its own: the
+        # blocks of rows and of terms that carry it leave its bits alone
+        spikes = sequence_from_spec(GeneratorSpec("spikes", C=1.0))
+        islets = sequence_from_spec(GeneratorSpec("islets"))
+        ns = np.random.default_rng(6).integers(1, 2_000_000, 40)
+        ns = np.concatenate([ns, ns[:10], [0, 1, 2, 1]])
+
+        def bits():
+            return [binomial_prefix(spikes, 0.3, 4000).values.tobytes(),
+                    binomial_prefix(islets, 0.6, 3000).values.tobytes(),
+                    binomial_mean_at(spikes, 0.45, ns).tobytes()]
+
+        expected = bits()
+        for rows in (7, 64, transforms._BLOCK_ROWS):
+            for terms in (64, transforms._BLOCK_TERMS):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(transforms, "_BLOCK_ROWS", rows)
+                    mp.setattr(transforms, "_BLOCK_TERMS", terms)
+                    assert bits() == expected, (rows, terms)
+
+    def test_negated_spikes_give_negated_means(self):
+        # a one-signed support certifies a row with |mean| as its sum B |a|,
+        # which it is bit for bit, so spikes of height -sqrt(i) give the
+        # negated means (and 0 where they are 0)
+        ns = np.random.default_rng(7).integers(1, 2_000_000, 30)
+        up, down = (sequence_from_spec(GeneratorSpec("spikes", C=1.0, height_scale=s))
+                    for s in (1.0, -1.0))
+        for p in (0.3, 0.7):
+            np.testing.assert_array_equal(binomial_prefix(down, p, 6000).values,
+                                          -binomial_prefix(up, p, 6000).values)
+            np.testing.assert_array_equal(binomial_mean_at(down, p, ns), -binomial_mean_at(up, p, ns))
+
     def test_any_order_of_rows(self):
         seq = sequence_from_spec(GeneratorSpec("islets"))
         idx, av = seq.support(5000)
@@ -1063,20 +1096,18 @@ class TestRoutedRows:
         # window; every other row keeps its log-space terms, so routing
         # removes exactly the terms the routed rows took in log space.
         terms = count_terms(monkeypatch)
-        routed = []  # (p, n) of every row split, or windowed on its first window
-        block = transforms._block
+        # (p, n) of every routed row, once for each time its call's ns holds
+        # it: with routing off each of them takes its log-space terms (the
+        # q-series of the first probe asks for rows 1 and 4 twice), whichever
+        # blocks of rows the copies fall in
+        routed = []
+        routed_means = transforms._routed_means
 
-        def recorded(buffer, first, n0, p, half, peak, triangle=None, *rest):
-            value, certified = block(buffer, first, n0, p, half, peak, triangle, *rest)
-            if triangle is None:
-                rows = n0[first_pass(n0, p, half)].astype(np.int64).tolist()
-            else:  # a row the split does not certify is recorded as windowed
-                n, b, j = asked(n0, peak)
-                rows = n[certified[b, j]].tolist()
-            routed.extend((p, n) for n in rows)
-            return value, certified
+        def recorded(idx, av, peak, p, ns):
+            routed.extend((p, n) for n in ns.tolist())
+            return routed_means(idx, av, peak, p, ns)
 
-        monkeypatch.setattr(transforms, "_block", recorded)
+        monkeypatch.setattr(transforms, "_routed_means", recorded)
 
         def counted(run, share=transforms._ROUTE_SHARE):
             del terms[:], routed[:]
