@@ -13,22 +13,23 @@ Each mass computation is one routine, shared by every caller:
   tails, and a bound on the mass outside; _row_mass normalises them.
 * _certified: the 2**-53 test of a window's dropped mass.
 
-Tail masses outside a band around n p (tail_mass_outside) come from one
-cached table per row: O(n) to build, then O(log n) per radius.  Its tails
-are compensated sums of the row's masses, corrected for the rounding of
-q = 1 - p, within 6e-15 relative of exact rationals for n < 3000.
+Tail masses outside a band around n p (tail_mass_outside) come from a
+row's two tail tables, P[X <= a] and P[X >= b], then O(1) per radius.
+Every fourth row seeds them afresh in O(n) from compensated sums of its
+masses, corrected for the rounding of q = 1 - p; the rows between step
+from it by X' = X + Bernoulli(p), a few vector operations each.  Tails
+are within 7e-15 relative of exact rationals for n < 3000.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ParameterDomainError, PreconditionError
-from .summation import suffix_sums, two_sum
+from .summation import compensated_cumsum, suffix_sums, two_sum
 
 __all__ = [
     "PMFParams",
@@ -311,43 +312,91 @@ def pmf_row(params: PMFParams) -> PMFRow:
     return PMFRow(params, _row_mass(params.n, params.p))
 
 
-@functools.lru_cache(maxsize=1)
+# A tail table is seeded afresh at every row that is a multiple of
+# _TAIL_SEED and stepped from there to the rows up to the next seed.
+_TAIL_SEED = 4
+# (n, p, left, right) of the row _tail_row returned last; p = 0 matches none
+_tail_slot = (-1, 0.0, None, None)
+
+
+def _tail_seed(n: int, p: float):
+    """Tail tables of seed row (n, p): left[a] = P[X <= a] and right[b] =
+    P[X >= b] for a, b = 0..n.  Two read-only doubles per index.
+
+    The masses are the full-row _unit_window products with one first-order
+    correction.  Their q = fl(1 - p) misses 1 - p by e, exactly known from
+    TwoSum, and every ratio carries it, so product i drifts by about
+    (i - n p) e / q relative: 8.6e-14 at n = 2999, p = 0.3.  Each product
+    is multiplied by 1 - (i - n p) e / q, which leaves their own roundings
+    and moves the row's sum by O(e**2).  left is their compensated prefix
+    sums (summation.compensated_cumsum), right their compensated suffix
+    sums, so each entry sums its small far-tail masses first and is the
+    sum of the masses it covers up to about one rounding; both are divided
+    by the compensated total left[n].  Building costs O(n): the row and
+    two scans over it.
+    """
+    m = int(_mode(n, p))
+    w, _ = _unit_window(n, m, p, m, n - m)
+    q, e = two_sum(1.0, -p)
+    if e:
+        w *= 1.0 - (np.arange(n + 1.0) - n * p) * (e / q)
+    left = compensated_cumsum(w)
+    total = left[-1]
+    left /= total
+    right = suffix_sums(w) / total
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
+def _tail_step(left, right, p: float):
+    """The tail tables of row n + 1 from those of row n.
+
+    X' = X + Y with Y a Bernoulli(p) trial, so P[X' <= a] = q P[X <= a] +
+    p P[X <= a - 1] and P[X' >= b] = q P[X >= b] + p P[X >= b - 1], with
+    P[X <= n + 1] = P[X >= -1] = 1 and P[X <= -1] = P[X >= n + 1] = 0
+    (q = fl(1 - p)).  A sum of two positive products: each entry takes on
+    at most about 1.5 ulp of relative error, and the rounding of q about
+    e / q more, where the raw-mass recurrence over a whole triangle would
+    compound n steps.  O(n): a few vector operations.
+    """
+    q = 1.0 - p
+    size = len(left) + 1
+    lo, hi = np.empty(size), np.empty(size)
+    np.multiply(left, q, out=lo[:-1])
+    lo[-1] = q
+    lo[1:] += p * left
+    np.multiply(right, q, out=hi[:-1])
+    hi[-1] = 0.0
+    hi[1:] += p * right
+    hi[0] += p
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
 def _tail_row(n: int, p: float):
-    """Tail table of row (n, p): the distances |i - n p| in ascending order,
-    and at each of their positions the total mass of the indices at that
-    position or further out.  Two read-only doubles per index.
+    """Tail tables (left, right) of row (n, p), as _tail_seed's: the seed
+    row n0 = n - n % _TAIL_SEED stepped n - n0 times by _tail_step.
 
-    A radius r selects {i : |i - n p| >= r}: the positions from the first
-    distance >= r on, so a query is one searchsorted and one lookup.  The
-    indices fall in two presorted runs, i < n p with the distance falling
-    and i >= n p with it rising, and a stable sort (timsort) merges them in
-    linear time.  The tails are compensated suffix sums
-    (summation.suffix_sums), taken from the far ends inward so the small
-    masses come first: each is the sum of the masses it covers, up to about
-    one rounding.  Building costs O(n): the row and a few passes over it.
-
-    The masses are _row_mass's with one first-order correction.  Its q =
-    fl(1 - p) misses 1 - p by e, exactly known from TwoSum, and every ratio
-    carries it, so mass i drifts by about (i - n p) e / q relative: 8.6e-14
-    at n = 2999, p = 0.3.  Each mass is multiplied by 1 - (i - n p) e / q,
-    which leaves the masses' own roundings (tails within 6e-15 relative
-    for n < 3000) and moves the row's sum by O(e**2).
-
-    One slot: a sweep of tail queries at one (n, p) builds the table once,
-    and the last table queried stays in memory until another (n, p)
+    So a row is at most three steps from its seed, about 4.5 ulp of
+    relative error more (tails within 7e-15 relative of exact rationals
+    for n < 3000), and its bits depend on (n, p) alone.  One slot holds the
+    row returned last: a query at that row reads it, a later row of the
+    same seed steps forward from it, and any other row seeds afresh.  A
+    sweep of consecutive n at one p thus makes one seed and up to three
+    steps a seed, and the last table stays in memory until another row
     replaces it.
     """
-    offset = np.arange(n + 1, dtype=float) - n * p
-    q, e = two_sum(1.0, -p)
-    mass = _row_mass(n, p)
-    if e:
-        mass *= 1.0 - offset * (e / q)
-    dist = np.abs(offset)
-    order = np.argsort(dist, kind="stable")
-    dist = dist[order]
-    tails = suffix_sums(mass[order])
-    tails.flags.writeable = dist.flags.writeable = False
-    return tails, dist
+    global _tail_slot
+    row, slot_p, left, right = _tail_slot
+    if row == n and slot_p == p:
+        return left, right
+    if not (slot_p == p and row < n and row // _TAIL_SEED == n // _TAIL_SEED):
+        row = n - n % _TAIL_SEED
+        left, right = _tail_seed(row, p)
+    for _ in range(n - row):
+        left, right = _tail_step(left, right, p)
+    _tail_slot = (n, p, left, right)
+    return left, right
 
 
 def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | np.ndarray:
@@ -355,26 +404,53 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
 
     ``radius`` may be an array of radii; the result is then an array of the
     same shape whose entries equal the scalar calls bit for bit.  A
-    negative or NaN radius is rejected.
+    negative or NaN radius is rejected.  The distance |i - n p| is the
+    double |fl(i - c)|, c = fl(n p).
 
-    The first query at an (n, p) builds its tail table in O(n) (see
-    _tail_row); each radius then costs one O(log n) search of it and one
-    lookup.  A tail is a compensated sum of the row's masses, so its error
-    is about theirs: within 6e-15 relative of the exact tail for n < 3000,
-    wherever that is a normal double.
+    Those indices are two runs, 0..a below c and b..n from c on, so the
+    tail is left[a] + right[b] of the row's tables (see _tail_row), which
+    the first query at an (n, p) builds or steps to in O(n).  Each radius
+    then costs O(1).  For n < 2**52, c - i is exact for integers i < c, so
+    a = floor(c - r), except where fl(c - r) rounds up onto an integer; on
+    the right fl(i - c) can round, but never past the integer b, so b is
+    ceil(c + r) or one more.  Either way the run may take one index too
+    many, the one nearest c, and one test of its distance drops it.  A tail is a sum of two table
+    entries, so its error is about theirs: within 7e-15 relative of the
+    exact tail for n < 3000, wherever that is a normal double.
     """
+    n, p = params.n, params.p
     if type(radius) is float:  # sweeps make many scalar calls: no array round trip
         if not radius >= 0.0:  # a NaN fails it too
             raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
-        tails, dist = _tail_row(params.n, params.p)
-        j = dist.searchsorted(radius)
-        return float(tails[j]) if j <= params.n else 0.0
+        if radius > n:  # every distance is at most n
+            return 0.0
+        left, right = _tail_row(n, p)
+        c = n * p
+        k = math.ceil(c)  # the first index of the right run
+        a = math.floor(c - radius)
+        if a >= k:
+            a = k - 1
+        if a >= 0 and c - a < radius:
+            a -= 1
+        b = math.ceil(c + radius)  # at least k, as c + r >= c
+        if b <= n and b - c < radius:
+            b += 1
+        return (float(left[a]) if a >= 0 else 0.0) + (float(right[b]) if b <= n else 0.0)
     radii = np.asarray(radius, dtype=float)
     if not (radii >= 0.0).all():
         raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
-    tails, dist = _tail_row(params.n, params.p)
-    j = dist.searchsorted(radii)
-    out = np.where(j <= params.n, tails[np.minimum(j, params.n)], 0.0)
+    left, right = _tail_row(n, p)
+    c = n * p
+    k = math.ceil(c)
+    # the scalar path's arithmetic; a radius above n selects nothing, as n + 1
+    r = np.minimum(radii, n + 1.0)
+    a = np.minimum(np.floor(c - r), k - 1)
+    a -= (a >= 0) & (c - a < r)
+    b = np.ceil(c + r)
+    b += (b <= n) & (b - c < r)
+    a, b = a.astype(np.intp), b.astype(np.intp)
+    out = np.where(a >= 0, left[np.maximum(a, 0)], 0.0)
+    out += np.where(b <= n, right[np.minimum(b, n)], 0.0)
     return float(out) if radii.ndim == 0 else out
 
 

@@ -391,9 +391,14 @@ class TestTailMass:
         assert got <= 2.0 * math.exp(-(8.0 / 3.0))
 
 
+# _tail_row's slot holding no row
+EMPTY_SLOT = (-1, 0.0, None, None)
+
+
 def uncached_tail(n, p, radius):
-    """tail_mass_outside from a table built afresh; the cache is left as it is."""
-    with mock.patch.object(binomial_kernel, "_tail_row", _tail_row.__wrapped__):
+    """tail_mass_outside from a fresh slot (a seed and its steps); the slot
+    is left as it is."""
+    with mock.patch.object(binomial_kernel, "_tail_slot", EMPTY_SLOT):
         return tail_mass_outside(PMFParams(n, p), radius)
 
 
@@ -424,20 +429,41 @@ class TestTailMassSweeps:
 
     def test_interleaved_calls_match_uncached(self):
         pairs = [(300, 0.2), (301, 0.2), (300, 0.7), (300, 0.2), (5, 0.5), (301, 0.2)]
-        _tail_row.cache_clear()
-        for n, p in pairs * 2:
-            for radius in (0.0, 1.5, 7.0, 30.0):
-                assert tail_mass_outside(PMFParams(n, p), radius) == uncached_tail(n, p, radius)
+        with mock.patch.object(binomial_kernel, "_tail_slot", EMPTY_SLOT):
+            for n, p in pairs * 2:
+                for radius in (0.0, 1.5, 7.0, 30.0):
+                    got = tail_mass_outside(PMFParams(n, p), radius)
+                    assert got == uncached_tail(n, p, radius)
 
     def test_cached_row_is_read_only(self):
-        tail_mass_outside(PMFParams(120, 0.35), 4.0)
-        mass, dist = _tail_row(120, 0.35)
-        assert _tail_row.cache_info().hits >= 1
+        tail_mass_outside(PMFParams(121, 0.35), 4.0)  # a stepped row
+        left, right = _tail_row(121, 0.35)
+        slot = binomial_kernel._tail_slot
+        assert slot[2] is left and slot[3] is right  # read from the slot, not rebuilt
         with pytest.raises(ValueError):
-            mass[0] = 1.0
+            left[0] = 1.0
         with pytest.raises(ValueError):
-            dist[:] = 0.0
-        assert tail_mass_outside(PMFParams(120, 0.35), 4.0) == uncached_tail(120, 0.35, 4.0)
+            right[:] = 0.0
+        assert tail_mass_outside(PMFParams(121, 0.35), 4.0) == uncached_tail(121, 0.35, 4.0)
+
+    def test_rows_do_not_depend_on_call_history(self):
+        # rows n0 - 1 .. n0 + 4 of seed n0 = 2996 reach three seeds; each
+        # visit order, with rows of a second p in between, reads every row
+        # from the slot, from a step of it or from a new seed
+        rows, p, other = range(2995, 3001), 0.3, 0.71
+        alphas = np.arange(0.5, p * math.sqrt(rows[0]), 0.5)
+        fresh = {n: [uncached_tail(n, p, float(math.sqrt(n) * a)) for a in alphas] for n in rows}
+        shuffled = list(rows)
+        np.random.default_rng(5).shuffle(shuffled)
+        with mock.patch.object(binomial_kernel, "_tail_slot", EMPTY_SLOT):
+            for order in (list(rows), list(rows)[::-1], shuffled):
+                for n in order:
+                    got = [tail_mass_outside(PMFParams(n, p), float(math.sqrt(n) * a)) for a in alphas]
+                    assert got == fresh[n], n
+                    radii = np.sqrt(n) * alphas
+                    assert np.array_equal(tail_mass_outside(PMFParams(n, p), radii), fresh[n])
+                    if n % 2:
+                        tail_mass_outside(PMFParams(n, other), 3.0)
 
 
 # the acceptance grid of the tail tests: radii 0, 0.25, criterion 4's
@@ -446,8 +472,8 @@ class TestTailMassSweeps:
 TAIL_NS = (0, 1, 2, 5, 17, 60, 300, 1000, 2999)
 TAIL_PS = (1 / 64, 0.1, 0.3, 0.5, 0.77, 61 / 64)
 # a masked pairwise sum over _row_mass's row is off by up to 7.49e-14 on
-# this grid, at n = 2999, p = 0.3 (the row's drift, see _tail_row); the
-# corrected table measured 5.6e-15 there
+# this grid, at n = 2999, p = 0.3 (the row's drift, see _tail_seed); the
+# corrected sorted table measured 5.6e-15 there, the stepped tables 6.6e-15
 TAIL_REL_BOUND = 7.5e-14
 
 
@@ -475,6 +501,21 @@ class TestTailAccuracy:
                     else:
                         assert gap / (den * b) <= (n + 1) * 2.0**-1073, (n, p, g)
         assert worst <= TAIL_REL_BOUND
+
+    def test_stepped_rows_match_exact_tails(self):
+        # offsets 0..3 from seed 2996: the seed and one to three steps
+        for n in range(2996, 3000):
+            for p in (0.1, 0.3, 61 / 64):
+                radii = tail_radii(n, p)
+                got = uncached_tail(n, p, np.array(radii))
+                nums, den = tails_exact(n, p, radii)
+                for g, num in zip(got.tolist(), nums):
+                    a, b = g.as_integer_ratio()
+                    gap = abs(a * den - num * b)
+                    if num * 2**1022 >= den:  # as in test_matches_exact_tails
+                        assert gap / (num * b) <= TAIL_REL_BOUND, (n, p, g)
+                    else:
+                        assert gap / (den * b) <= (n + 1) * 2.0**-1073, (n, p, g)
 
     def test_edges_and_monotone(self):
         for n in TAIL_NS:
@@ -510,12 +551,41 @@ class TestTailInputs:
         with pytest.raises(ParameterDomainError):
             tail_mass_outside(self.PARAMS, radius)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 7, 17, 60])
+    @pytest.mark.parametrize("p", [0.1, 1 / 3, 0.7, 61 / 64])
+    def test_boundary_radii_select_the_distance_set(self, n, p):
+        # every double distance |i - n p| and its neighbours (on the right
+        # fl(i - n p) rounds: at n = 7, p = 0.1 the distance of 7 is 6.3
+        # rounded), against the exact tail of the set the distances select
+        # and against the table entries of its two runs, bit for bit
+        params = PMFParams(n, p)
+        dist = np.abs(np.arange(n + 1.0) - n * p)
+        near = [math.nextafter(d, side) for d in dist.tolist() for side in (-math.inf, math.inf)]
+        radii = [d for d in [*dist.tolist(), *near] if d >= 0.0] + [0.0, -0.0, math.inf, 1e300]
+        got = tail_mass_outside(params, np.array(radii))
+        left, right = _tail_row(n, p)
+        k = math.ceil(n * p)
+        nums, den = tails_exact(n, p, radii)
+        for r, g, num in zip(radii, got.tolist(), nums):
+            assert tail_mass_outside(params, r) == g
+            sel = dist >= r
+            a, b = int(sel[:k].sum()) - 1, n + 1 - int(sel[k:].sum())
+            assert sel[: a + 1].all() and sel[b:].all()  # two runs, 0..a and b..n
+            assert g == (left[a] if a >= 0 else 0.0) + (right[b] if b <= n else 0.0), r
+            x, y = g.as_integer_ratio()
+            assert (num == x == 0) or abs(x * den - num * y) / (num * y) <= TAIL_REL_BOUND, (r, g)
+
     def test_sweep_builds_its_table_once(self):
-        _tail_row.cache_clear()
-        for alpha in np.arange(1, 41) * 0.25:
-            tail_mass_outside(PMFParams(2500, 0.37), math.sqrt(2500) * float(alpha))
-        info = _tail_row.cache_info()
-        assert info.misses == 1 and info.hits == 39
+        # rows 1..3 of seed 2500 take one seed and a step each, row 2504 seeds
+        seeds = mock.patch.object(binomial_kernel, "_tail_seed", wraps=binomial_kernel._tail_seed)
+        steps = mock.patch.object(binomial_kernel, "_tail_step", wraps=binomial_kernel._tail_step)
+        counts = []
+        with mock.patch.object(binomial_kernel, "_tail_slot", EMPTY_SLOT), seeds as seed, steps as step:
+            for n in range(2501, 2505):
+                for alpha in np.arange(1, 41) * 0.25:
+                    tail_mass_outside(PMFParams(n, 0.37), math.sqrt(n) * float(alpha))
+                counts.append((seed.call_count, step.call_count))
+        assert counts == [(1, 1), (1, 2), (1, 3), (2, 3)]
 
     def test_table_is_two_read_only_doubles_per_index(self):
         n = 777
