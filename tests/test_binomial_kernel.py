@@ -446,6 +446,18 @@ class TestTailMassSweeps:
             right[:] = 0.0
         assert tail_mass_outside(PMFParams(121, 0.35), 4.0) == uncached_tail(121, 0.35, 4.0)
 
+    def test_p_alone_changes_the_slot_row(self):
+        # one n at p = 0.3, 0.7 and 0.3 again, an array call in between:
+        # the slot's n matches throughout, so only p tells the rows apart
+        n, radii = 1501, [0.0, 2.0, 9.5, 20.0, 38.0, math.inf]
+        fresh = {p: [uncached_tail(n, p, r) for r in radii] for p in (0.3, 0.7)}
+        with mock.patch.object(binomial_kernel, "_tail_slot", EMPTY_SLOT):
+            for p in (0.3, 0.7, 0.3):
+                params = PMFParams(n, p)
+                assert [tail_mass_outside(params, r) for r in radii] == fresh[p], p
+                assert tail_mass_outside(params, np.array(radii)).tolist() == fresh[p], p
+                assert [tail_mass_outside(params, r) for r in radii] == fresh[p], p
+
     def test_rows_do_not_depend_on_call_history(self):
         # rows n0 - 1 .. n0 + 4 of seed n0 = 2996 reach three seeds; each
         # visit order, with rows of a second p in between, reads every row

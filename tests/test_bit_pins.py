@@ -9,10 +9,18 @@ says otherwise.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
-from summakit.binomial_kernel import _mode, _row_mass, _window_halfwidth, log_pmf_many
+from summakit.binomial_kernel import (
+    PMFParams,
+    _mode,
+    _row_mass,
+    _window_halfwidth,
+    log_pmf_many,
+    tail_mass_outside,
+)
 from summakit.sequences import GeneratorSpec, islet_ranges, sequence_from_spec
 from summakit.transforms import RealSequence, binomial_mean_at, binomial_prefix
 from test_tracing_contract import huge_support
@@ -222,3 +230,35 @@ def test_ratio_product_rows_pinned():
     # taken before the split and windowed rows became one block kernel
     got = digest(ratio_product_rows())
     assert got == "2f5b33048b98f9c0134e8d9032ebfb52d591d98a1f89759f817d41484468ec4b"
+
+
+def tail_grid():
+    """(n, p, radii) over rows up to 3000: for each p = k/64 and for 0.1 and
+    0.3, whose q = 1 - p is not exact, a seed row and its three stepped
+    rows (every n mod 4), and rows 0..3 and 2996..2999.  The radii are
+    criterion 4's alpha sqrt(n), 0, inf, and a few double distances
+    |i - n p| with their one-ulp neighbours."""
+    rng = np.random.default_rng(32)
+    out = []
+    for p in [k / 64 for k in range(1, 64)] + [0.1, 0.3]:
+        n0 = 4 * int(rng.integers(1, 749))
+        for n in [*range(4), *range(n0, n0 + 4), *range(2996, 3000)]:
+            alphas = np.arange(0.5, p * math.sqrt(n), 0.5)
+            dist = np.abs(rng.integers(0, n + 1, 6) - n * p)
+            c = math.ceil(n * p)
+            dist = [*dist.tolist(), abs(c - 1 - n * p), abs(c - n * p)]
+            near = [math.nextafter(d, side) for d in dist for side in (-math.inf, math.inf)]
+            radii = [0.0, *(math.sqrt(n) * alphas).tolist(), *dist, *near, math.inf]
+            out.append((n, p, [r for r in radii if r >= 0.0]))
+    return out
+
+
+def test_tails_pinned():
+    # taken while each radius was an O(1) read of the stepped tail tables
+    # and scalar float radii read them through numpy scalars
+    arrays = []
+    for n, p, radii in tail_grid():
+        params = PMFParams(n, p)
+        arrays.append([tail_mass_outside(params, r) for r in radii])
+        arrays.append(tail_mass_outside(params, np.array(radii)))
+    assert digest(arrays) == "4835de980c1c24c182c2d21c821df3869443370b488a8d0845a27ee0619f5ac9"
