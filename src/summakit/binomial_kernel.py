@@ -16,9 +16,10 @@ Each mass computation is one routine, shared by every caller:
 Tail masses outside a band around n p (tail_mass_outside) come from a
 row's two tail tables, P[X <= a] and P[X >= b], then O(1) per radius.
 Every fourth row seeds them afresh in O(n) from compensated sums of its
-masses, corrected for the rounding of q = 1 - p; the rows between step
-from it by X' = X + Bernoulli(p), a few vector operations each.  Tails
-are within 7e-15 relative of exact rationals for n < 3000.
+masses, corrected for the rounding of q = 1 - p, both tables in one
+scan; the rows between step from it by X' = X + Bernoulli(p), a few
+vector operations each.  Tails are within 7e-15 relative of exact
+rationals for n < 3000.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterDomainError, PreconditionError
-from .summation import compensated_cumsum, suffix_sums, two_sum
+from .summation import two_sum
 
 __all__ = [
     "PMFParams",
@@ -315,8 +316,10 @@ def pmf_row(params: PMFParams) -> PMFRow:
 # A tail table is seeded afresh at every row that is a multiple of
 # _TAIL_SEED and stepped from there to the rows up to the next seed.
 _TAIL_SEED = 4
-# (n, p, left, right) of the row _tail_row returned last; p = 0 matches none
-_tail_slot = (-1, 0.0, None, None)
+# (n, p, left, right, c, k, left_view, right_view) of the row _tail_row
+# returned last: its tables, c = fl(n p), k = ceil(c) and memoryviews of
+# the tables, which a scalar query reads; p = 0 matches none
+_tail_slot = (-1, 0.0, None, None, 0.0, 0, None, None)
 
 
 def _tail_seed(n: int, p: float):
@@ -329,21 +332,49 @@ def _tail_seed(n: int, p: float):
     (i - n p) e / q relative: 8.6e-14 at n = 2999, p = 0.3.  Each product
     is multiplied by 1 - (i - n p) e / q, which leaves their own roundings
     and moves the row's sum by O(e**2).  left is their compensated prefix
-    sums (summation.compensated_cumsum), right their compensated suffix
-    sums, so each entry sums its small far-tail masses first and is the
-    sum of the masses it covers up to about one rounding; both are divided
-    by the compensated total left[n].  Building costs O(n): the row and
-    two scans over it.
+    sums and right their compensated suffix sums, so each entry sums its
+    small far-tail masses first and is the sum of the masses it covers up
+    to about one rounding; both are divided by the compensated total
+    left[n].
+
+    Both scans are one Sum2 pass over a (2, n + 1) array of the masses and
+    their reverse: a cumulative sum along each row, TwoSum's error of each
+    step, and the cumulative sum of the errors added back.  A cumulative
+    sum along a row adds left to right as np.cumsum of that row alone does,
+    elementwise operations do not depend on the layout, and each row's
+    error sum starts from a 0 that adds nothing (the TwoSum across the
+    break between the rows is dropped), so left has the bits of
+    summation.compensated_cumsum and right, row 1 read backwards, those of
+    suffix_sums.  The masses are finite by construction (each product is
+    at most the unit seed, and the correction is within n 2**-53 of 1, as
+    e is 0 for p >= 1/2 and e / q <= 2**-53 below), so their sums are too,
+    and the pass needs neither np.errstate nor compensated_cumsum's test
+    for a non-finite sum.  Building costs O(n): the row and one scan.
     """
     m = int(_mode(n, p))
     w, _ = _unit_window(n, m, p, m, n - m)
     q, e = two_sum(1.0, -p)
+    v = np.empty((2, n + 1))
     if e:
-        w *= 1.0 - (np.arange(n + 1.0) - n * p) * (e / q)
-    left = compensated_cumsum(w)
-    total = left[-1]
-    left /= total
-    right = suffix_sums(w) / total
+        np.multiply(w, 1.0 - (np.arange(n + 1.0) - n * p) * (e / q), out=v[0])
+    else:
+        v[0] = w
+    v[1] = v[0, ::-1]
+    s = np.add.accumulate(v, axis=1)
+    # TwoSum's error (a - (s - z)) + (b - z), z = s - a, of each step of
+    # the flattened rows into err[1:], then 0 at the start of each row
+    flat, terms = s.ravel(), v.ravel()[1:]
+    err = np.empty(2 * n + 2)
+    z = np.subtract(flat[1:], flat[:-1], out=err[1:])
+    terms -= z
+    np.subtract(flat[1:], z, out=z)
+    np.subtract(flat[:-1], z, out=z)
+    z += terms
+    err[0] = err[n + 1] = 0.0
+    err = err.reshape(2, n + 1)
+    s += np.add.accumulate(err, axis=1, out=err)
+    total = s[0, -1]
+    left, right = s[0] / total, s[1, ::-1] / total  # both in index order
     left.flags.writeable = right.flags.writeable = False
     return left, right
 
@@ -384,10 +415,12 @@ def _tail_row(n: int, p: float):
     same seed steps forward from it, and any other row seeds afresh.  A
     sweep of consecutive n at one p thus makes one seed and up to three
     steps a seed, and the last table stays in memory until another row
-    replaces it.
+    replaces it.  The slot also holds c = fl(n p), k = ceil(c) and
+    memoryviews of the two tables, from which a scalar tail_mass_outside
+    query at this row reads its two entries as Python floats.
     """
     global _tail_slot
-    row, slot_p, left, right = _tail_slot
+    row, slot_p, left, right = _tail_slot[:4]
     if row == n and slot_p == p:
         return left, right
     if not (slot_p == p and row < n and row // _TAIL_SEED == n // _TAIL_SEED):
@@ -395,8 +428,13 @@ def _tail_row(n: int, p: float):
         left, right = _tail_seed(row, p)
     for _ in range(n - row):
         left, right = _tail_step(left, right, p)
-    _tail_slot = (n, p, left, right)
+    c = n * p
+    _tail_slot = (n, p, left, right, c, math.ceil(c), memoryview(left), memoryview(right))
     return left, right
+
+
+# the radii a scalar query takes (bool is an int, np.float64 a float)
+_REAL_NUMBERS = (int, float, np.integer, np.floating)
 
 
 def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | np.ndarray:
@@ -414,19 +452,29 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
     a = floor(c - r), except where fl(c - r) rounds up onto an integer; on
     the right fl(i - c) can round, but never past the integer b, so b is
     ceil(c + r) or one more.  Either way the run may take one index too
-    many, the one nearest c, and one test of its distance drops it.  A tail is a sum of two table
-    entries, so its error is about theirs: within 7e-15 relative of the
-    exact tail for n < 3000, wherever that is a normal double.
+    many, the one nearest c, and one test of its distance drops it.  A
+    tail is a sum of two table entries, so its error is about theirs:
+    within 7e-15 relative of the exact tail for n < 3000, wherever that is
+    a normal double.
+
+    A real scalar radius (a float, an int or bool, a numpy integer or
+    floating scalar) is taken as the double float() gives, exact for
+    integers below 2**53 as in the array call, and returns a Python float.
+    At the (n, p) of _tail_row's slot it reads c, k and the two table
+    entries straight off the slot, with no numpy call; at any other row it
+    calls _tail_row first.  Every other radius takes the array path.
     """
     n, p = params.n, params.p
+    if type(radius) is not float and isinstance(radius, _REAL_NUMBERS):
+        radius = float(radius)
     if type(radius) is float:  # sweeps make many scalar calls: no array round trip
         if not radius >= 0.0:  # a NaN fails it too
             raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
         if radius > n:  # every distance is at most n
             return 0.0
-        left, right = _tail_row(n, p)
-        c = n * p
-        k = math.ceil(c)  # the first index of the right run
+        if _tail_slot[0] != n or _tail_slot[1] != p:
+            _tail_row(n, p)
+        _, _, _, _, c, k, left, right = _tail_slot  # k: the right run's first index
         a = math.floor(c - radius)
         if a >= k:
             a = k - 1
@@ -435,7 +483,7 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
         b = math.ceil(c + radius)  # at least k, as c + r >= c
         if b <= n and b - c < radius:
             b += 1
-        return (float(left[a]) if a >= 0 else 0.0) + (float(right[b]) if b <= n else 0.0)
+        return (left[a] if a >= 0 else 0.0) + (right[b] if b <= n else 0.0)
     radii = np.asarray(radius, dtype=float)
     if not (radii >= 0.0).all():
         raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")

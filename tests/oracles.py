@@ -258,3 +258,27 @@ def generate(spec: GeneratorSpec, i: int) -> float:
     while j < i:
         j += math.ceil(spec.C * math.sqrt(j))
     return spec.height_scale * math.sqrt(i) if j == i else 0.0
+
+
+def limit_matrix_squaring(P, tol=1e-12, max_squarings=64):
+    """The plain repeated-squaring loop behind markov.limit_matrix, a fresh
+    array for every product and difference: (A, iterations, residual_fix,
+    residual_idem), or None where max_squarings pass without convergence."""
+
+    def norm(X):
+        return float(np.abs(X).sum(axis=1).max())
+
+    P = np.asarray(P, dtype=float)
+    M = (P + np.eye(len(P))) / 2.0
+    for k in range(1, max_squarings + 1):
+        M2 = M @ M
+        delta = norm(M2 - M)
+        M = M2
+        if delta <= tol:
+            break
+    else:
+        return None
+    A = np.clip(M, 0.0, None)
+    A /= A.sum(axis=1)[:, None]
+    fix = max(norm(A @ P - A), norm(P @ A - A))
+    return A, k, fix, norm(A @ A - A)

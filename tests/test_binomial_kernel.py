@@ -27,9 +27,12 @@ from summakit.binomial_kernel import (
     _mode,
     _row_mass,
     _tail_row,
+    _tail_seed,
+    _unit_window,
     log_pmf,
     log_pmf_many,
 )
+from summakit.summation import compensated_cumsum, suffix_sums, two_sum
 
 from oracles import pmf_exact_double, pmf_row_exact_doubles, tails_exact
 
@@ -392,7 +395,7 @@ class TestTailMass:
 
 
 # _tail_row's slot holding no row
-EMPTY_SLOT = (-1, 0.0, None, None)
+EMPTY_SLOT = (-1, 0.0, None, None, 0.0, 0, None, None)
 
 
 def uncached_tail(n, p, radius):
@@ -540,6 +543,30 @@ class TestTailAccuracy:
                 assert abs(tail_mass_outside(params, 0.0) - 1.0) <= 1e-12
 
 
+class NoNumpy:
+    """Stands in for binomial_kernel's numpy: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 600, 1500, 2996])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9, 61 / 64])
+def test_seed_has_the_bits_of_the_two_scans(n, p):
+    # the fused scan against compensated_cumsum and suffix_sums of the
+    # seed's masses, each divided by the compensated total
+    m = int(_mode(n, p))
+    w, _ = _unit_window(n, m, p, m, n - m)
+    q, e = two_sum(1.0, -p)
+    if e:
+        w *= 1.0 - (np.arange(n + 1.0) - n * p) * (e / q)
+    left, right = _tail_seed(n, p)
+    total = compensated_cumsum(w)[-1]
+    assert np.array_equal(left, compensated_cumsum(w) / total)
+    assert np.array_equal(right, suffix_sums(w) / total)
+    assert not (left.flags.writeable or right.flags.writeable)
+
+
 class TestTailInputs:
     PARAMS = PMFParams(300, 0.3)
 
@@ -598,6 +625,19 @@ class TestTailInputs:
                     tail_mass_outside(PMFParams(n, 0.37), math.sqrt(n) * float(alpha))
                 counts.append((seed.call_count, step.call_count))
         assert counts == [(1, 1), (1, 2), (1, 3), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "radius", [12, 12.0, np.float64(12.0), np.float32(12.0), np.int64(12), np.uint8(3), True]
+    )
+    def test_real_scalars_read_the_slot(self, radius):
+        # every real scalar takes the double float() gives it, and at the
+        # slot's row reads the slot without a numpy call
+        params = PMFParams(1500, 0.3)
+        row = tail_mass_outside(params, np.array([float(radius)]))  # fills the slot
+        with mock.patch.object(binomial_kernel, "np", NoNumpy()):
+            got = tail_mass_outside(params, radius)
+        assert type(got) is float and got == row[0]
+        assert got == uncached_tail(1500, 0.3, float(radius))
 
     def test_table_is_two_read_only_doubles_per_index(self):
         n = 777

@@ -14,6 +14,8 @@ from summakit import (
 )
 from summakit.markov import inf_norm
 
+from oracles import limit_matrix_squaring
+
 
 def random_stochastic(rng, dim, sparsity=0.0):
     M = rng.random((dim, dim)) ** 2
@@ -23,6 +25,33 @@ def random_stochastic(rng, dim, sparsity=0.0):
             if M[r].sum() == 0.0:
                 M[r, rng.integers(dim)] = 1.0
     return M / M.sum(axis=1)[:, None]
+
+
+def chain_of_shape(rng, dim, shape):
+    """A row-stochastic matrix: dense, three entries a row, cyclic
+    permutations on random blocks (periodic), or absorbing states reached
+    through a sparse rest."""
+    if shape == "dense":
+        M = rng.random((dim, dim))
+    elif shape == "sparse":
+        M = np.zeros((dim, dim))
+        for r in range(dim):
+            k = min(dim, 3)
+            M[r, rng.choice(dim, size=k, replace=False)] = rng.random(k) + 0.1
+    elif shape == "blocks":
+        M = np.zeros((dim, dim))
+        order, start = rng.permutation(dim), 0
+        while start < dim:
+            block = order[start : start + int(rng.integers(2, max(3, dim // 2) + 1))]
+            M[block, np.roll(block, -1)] = 1.0
+            start += len(block)
+    else:
+        absorbing = rng.choice(dim, size=max(1, dim // 10), replace=False)
+        M = rng.random((dim, dim)) * (rng.random((dim, dim)) < 0.05)
+        M[:, absorbing] += 0.01
+        M[absorbing] = 0.0
+        M[absorbing, absorbing] = 1.0
+    return M / M.sum(axis=1, keepdims=True)
 
 
 class TestValidate:
@@ -138,6 +167,19 @@ class TestLimitMatrix:
             assert report.residual_fix <= 1e-9
             assert report.residual_idem <= 1e-9
             assert np.max(np.abs(report.A.matrix.sum(axis=1) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "blocks", "absorbing"])
+    def test_bits_of_the_plain_squaring_loop(self, shape):
+        # reused buffers in place of a fresh array a product: A, the
+        # squaring count and both residuals keep every bit
+        rng = np.random.default_rng(32)
+        for dim in (1, 2, 5, 31, 120):
+            P = validate(chain_of_shape(rng, dim, shape))
+            report = limit_matrix(P)
+            A, iterations, fix, idem = limit_matrix_squaring(P.matrix)
+            assert np.array_equal(report.A.matrix, A), (shape, dim)
+            assert (report.iterations, report.residual_fix, report.residual_idem) == (
+                iterations, fix, idem), (shape, dim)
 
     def test_non_convergence_carries_residual(self):
         P = validate([[0.9999, 0.0001], [0.0001, 0.9999]])
