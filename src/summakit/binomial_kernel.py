@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterDomainError, PreconditionError
-from .summation import two_sum
+from .summation import compensated_cumsum, two_sum
 
 __all__ = [
     "PMFParams",
@@ -335,44 +335,21 @@ def _tail_seed(n: int, p: float):
     sums and right their compensated suffix sums, so each entry sums its
     small far-tail masses first and is the sum of the masses it covers up
     to about one rounding; both are divided by the compensated total
-    left[n].
-
-    Both scans are one Sum2 pass over a (2, n + 1) array of the masses and
-    their reverse: a cumulative sum along each row, TwoSum's error of each
-    step, and the cumulative sum of the errors added back.  A cumulative
-    sum along a row adds left to right as np.cumsum of that row alone does,
-    elementwise operations do not depend on the layout, and each row's
-    error sum starts from a 0 that adds nothing (the TwoSum across the
-    break between the rows is dropped), so left has the bits of
-    summation.compensated_cumsum and right, row 1 read backwards, those of
-    suffix_sums.  The masses are finite by construction (each product is
-    at most the unit seed, and the correction is within n 2**-53 of 1, as
-    e is 0 for p >= 1/2 and e / q <= 2**-53 below), so their sums are too,
-    and the pass needs neither np.errstate nor compensated_cumsum's test
-    for a non-finite sum.  Building costs O(n): the row and one scan.
+    left[n].  Both come from one summation.compensated_cumsum scan over
+    the masses and their reverse as the two rows of one array, so left has
+    the bits of compensated_cumsum(w) and right, the second row read
+    backwards, those of suffix_sums(w).  Building costs O(n): the row and
+    one scan.
     """
     m = int(_mode(n, p))
     w, _ = _unit_window(n, m, p, m, n - m)
     q, e = two_sum(1.0, -p)
-    v = np.empty((2, n + 1))
+    v = np.empty((2, n + 1))  # the masses and their reverse, cheaper than np.stack
+    v[0] = w
     if e:
-        np.multiply(w, 1.0 - (np.arange(n + 1.0) - n * p) * (e / q), out=v[0])
-    else:
-        v[0] = w
+        v[0] *= 1.0 - (np.arange(n + 1.0) - n * p) * (e / q)
     v[1] = v[0, ::-1]
-    s = np.add.accumulate(v, axis=1)
-    # TwoSum's error (a - (s - z)) + (b - z), z = s - a, of each step of
-    # the flattened rows into err[1:], then 0 at the start of each row
-    flat, terms = s.ravel(), v.ravel()[1:]
-    err = np.empty(2 * n + 2)
-    z = np.subtract(flat[1:], flat[:-1], out=err[1:])
-    terms -= z
-    np.subtract(flat[1:], z, out=z)
-    np.subtract(flat[:-1], z, out=z)
-    z += terms
-    err[0] = err[n + 1] = 0.0
-    err = err.reshape(2, n + 1)
-    s += np.add.accumulate(err, axis=1, out=err)
+    s = compensated_cumsum(v)
     total = s[0, -1]
     left, right = s[0] / total, s[1, ::-1] / total  # both in index order
     left.flags.writeable = right.flags.writeable = False
@@ -433,10 +410,6 @@ def _tail_row(n: int, p: float):
     return left, right
 
 
-# the radii a scalar query takes (bool is an int, np.float64 a float)
-_REAL_NUMBERS = (int, float, np.integer, np.floating)
-
-
 def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | np.ndarray:
     """Total mass at indices i with |i - n p| >= radius.
 
@@ -457,24 +430,21 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
     within 7e-15 relative of the exact tail for n < 3000, wherever that is
     a normal double.
 
-    A real scalar radius (a float, an int or bool, a numpy integer or
-    floating scalar) is taken as the double float() gives, exact for
-    integers below 2**53 as in the array call, and returns a Python float.
-    At the (n, p) of _tail_row's slot it reads c, k and the two table
-    entries straight off the slot, with no numpy call; at any other row it
-    calls _tail_row first.  Every other radius takes the array path.
+    A Python float radius returns a Python float.  At the (n, p) of
+    _tail_row's slot it reads c, k and the two table entries straight off
+    the slot, with no numpy call; at any other row it calls _tail_row
+    first.  Every other radius takes the array path.
     """
     n, p = params.n, params.p
-    if type(radius) is not float and isinstance(radius, _REAL_NUMBERS):
-        radius = float(radius)
     if type(radius) is float:  # sweeps make many scalar calls: no array round trip
         if not radius >= 0.0:  # a NaN fails it too
             raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
         if radius > n:  # every distance is at most n
             return 0.0
-        if _tail_slot[0] != n or _tail_slot[1] != p:
+        row, slot_p, _, _, c, k, left, right = _tail_slot  # k: the right run's first index
+        if row != n or slot_p != p:
             _tail_row(n, p)
-        _, _, _, _, c, k, left, right = _tail_slot  # k: the right run's first index
+            _, _, _, _, c, k, left, right = _tail_slot
         a = math.floor(c - radius)
         if a >= k:
             a = k - 1

@@ -116,21 +116,12 @@ def limit_matrix(P: StochasticMatrix, tol: float = 1e-12, max_squarings: int = 6
         raise MatrixValidationError(f"tol must be finite, got {float(tol)!r}")
     if max_squarings < 1:
         raise MatrixValidationError(f"max_squarings must be at least 1, got {max_squarings!r}")
-    # each product, difference and row sum goes into a buffer of the call
-    # (inf_norm's arithmetic, in place), so no squaring allocates
     M = lazy(P).matrix
-    M2, diff, sums = np.empty_like(M), np.empty_like(M), np.empty(P.dim)
-
-    def moved(X, Y):
-        """inf_norm(X - Y)."""
-        np.abs(np.subtract(X, Y, out=diff), out=diff)
-        return float(np.add.reduce(diff, axis=1, out=sums).max())
-
     delta = np.inf
     for k in range(1, max_squarings + 1):
-        np.matmul(M, M, out=M2)
-        delta = moved(M2, M)
-        M, M2 = M2, M
+        M2 = M @ M
+        delta = inf_norm(M2 - M)
+        M = M2
         if delta <= tol:
             break
     else:
@@ -139,16 +130,16 @@ def limit_matrix(P: StochasticMatrix, tol: float = 1e-12, max_squarings: int = 6
             residual=delta,
         )
     # tidy float drift so A is itself a valid stochastic matrix
-    A = np.clip(M, 0.0, None, out=M)
+    A = np.clip(M, 0.0, None)
     A /= A.sum(axis=1)[:, None]
     Pm = P.matrix
-    residual_fix = max(moved(np.matmul(A, Pm, out=M2), A), moved(np.matmul(Pm, A, out=M2), A))
-    return LimitReport(
+    report = LimitReport(
         A=StochasticMatrix(A),
         iterations=k,
-        residual_fix=residual_fix,
-        residual_idem=moved(np.matmul(A, A, out=M2), A),
+        residual_fix=max(inf_norm(A @ Pm - A), inf_norm(Pm @ A - A)),
+        residual_idem=inf_norm(A @ A - A),
     )
+    return report
 
 
 def cesaro_matrix(P: StochasticMatrix, N: int) -> np.ndarray:

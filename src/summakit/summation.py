@@ -1,10 +1,11 @@
 """Compensated running sums: one vectorised scan serves every long sum.
 
-Cesaro means, p* means and the suffix sums behind weight tables all go
-through compensated_cumsum, which evaluates Sum2 of Ogita, Rump & Oishi
-(Accurate Sum and Dot Product, SIAM J. Sci. Comput. 2005) at every prefix:
-the plain cumulative sum, plus the cumulative sum of the exact rounding
-error of each of its steps (Knuth's TwoSum).  Entry k is within
+Cesaro means, p* means, the suffix sums behind weight tables and the
+binomial tail tables all go through compensated_cumsum, which evaluates
+Sum2 of Ogita, Rump & Oishi (Accurate Sum and Dot Product, SIAM J. Sci.
+Comput. 2005) at every prefix: the plain cumulative sum, plus the
+cumulative sum of the exact rounding error of each of its steps (Knuth's
+TwoSum).  Entry k is within
 u |S_k| + gamma_k**2 * sum_{i<=k} |v_i| of the exact prefix sum S_k
 (u = 2**-53, gamma_k = k u / (1 - k u)), i.e. as accurate as summing in
 twice the working precision and rounding once.  Where the plain cumulative
@@ -26,16 +27,11 @@ import numpy as np
 _SPLITTER = 2.0**27 + 1.0
 
 
-def _two_sum_err(a, b, s):
-    """Knuth's TwoSum: the exact rounding error of s = fl(a + b)."""
-    z = s - a
-    return (a - (s - z)) + (b - z)
-
-
 def two_sum(a, b):
-    """s = fl(a + b) and err with s + err == a + b exactly."""
+    """s = fl(a + b) and err with s + err == a + b exactly (Knuth's TwoSum)."""
     s = a + b
-    return s, _two_sum_err(a, b, s)
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
 
 
 def _split(x):
@@ -96,19 +92,29 @@ def power_dd(hi: float, lo: float, ns: np.ndarray):
 
 
 def compensated_cumsum(values) -> np.ndarray:
-    """Prefix sums of a vector, entry k = Sum2(values[0..k])."""
+    """Prefix sums along the last axis, entry k = Sum2(values[..., 0..k]).
+
+    Each row of a 2-D input is scanned on its own, with the bits a 1-D call
+    on that row gives: a cumulative sum adds along the row from the left,
+    and the rest is elementwise.
+    """
     v = np.asarray(values, dtype=float)
-    s = np.cumsum(v)
+    s = np.add.accumulate(v, axis=-1)
+    a, b, t = s[..., :-1], v[..., 1:], s[..., 1:]
     # the compensation's own inf - inf past a non-finite sum is not the data's
     with np.errstate(invalid="ignore"):
-        # TwoSum: s[k] + err[k-1] == s[k-1] + v[k] exactly
-        err = _two_sum_err(s[:-1], v[1:], s[1:])
-    # once a partial sum is non-finite every later one is, so s[-1] tells;
-    # err is non-finite only where s already is, and zeroing it there
-    # leaves those sums as they are
-    if not np.isfinite(s[-1:]).all():
+        # two_sum's error (a - (t - z)) + (b - z), z = t - a, of each step,
+        # in place on two temporaries: t + err == a + b exactly
+        z = t - a
+        err = t - z
+        np.subtract(a, err, out=err)
+        err += np.subtract(b, z, out=z)
+    # once a partial sum is non-finite every later one of its row is, so
+    # the last column tells; err is non-finite only where s already is, and
+    # zeroing it there leaves those sums, and every other row, as they are
+    if not np.isfinite(s[..., -1:]).all():
         err[~np.isfinite(err)] = 0.0
-    s[1:] += np.cumsum(err)
+    t += np.add.accumulate(err, axis=-1, out=err)
     return s
 
 

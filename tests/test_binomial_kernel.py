@@ -543,18 +543,11 @@ class TestTailAccuracy:
                 assert abs(tail_mass_outside(params, 0.0) - 1.0) <= 1e-12
 
 
-class NoNumpy:
-    """Stands in for binomial_kernel's numpy: any use of it fails."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} used")
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 600, 1500, 2996])
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.9, 61 / 64])
 def test_seed_has_the_bits_of_the_two_scans(n, p):
-    # the fused scan against compensated_cumsum and suffix_sums of the
-    # seed's masses, each divided by the compensated total
+    # the one two-row scan against compensated_cumsum and suffix_sums of
+    # the seed's masses, each divided by the compensated total
     m = int(_mode(n, p))
     w, _ = _unit_window(n, m, p, m, n - m)
     q, e = two_sum(1.0, -p)
@@ -625,19 +618,6 @@ class TestTailInputs:
                     tail_mass_outside(PMFParams(n, 0.37), math.sqrt(n) * float(alpha))
                 counts.append((seed.call_count, step.call_count))
         assert counts == [(1, 1), (1, 2), (1, 3), (2, 3)]
-
-    @pytest.mark.parametrize(
-        "radius", [12, 12.0, np.float64(12.0), np.float32(12.0), np.int64(12), np.uint8(3), True]
-    )
-    def test_real_scalars_read_the_slot(self, radius):
-        # every real scalar takes the double float() gives it, and at the
-        # slot's row reads the slot without a numpy call
-        params = PMFParams(1500, 0.3)
-        row = tail_mass_outside(params, np.array([float(radius)]))  # fills the slot
-        with mock.patch.object(binomial_kernel, "np", NoNumpy()):
-            got = tail_mass_outside(params, radius)
-        assert type(got) is float and got == row[0]
-        assert got == uncached_tail(1500, 0.3, float(radius))
 
     def test_table_is_two_read_only_doubles_per_index(self):
         n = 777

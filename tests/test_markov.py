@@ -170,8 +170,8 @@ class TestLimitMatrix:
 
     @pytest.mark.parametrize("shape", ["dense", "sparse", "blocks", "absorbing"])
     def test_bits_of_the_plain_squaring_loop(self, shape):
-        # reused buffers in place of a fresh array a product: A, the
-        # squaring count and both residuals keep every bit
+        # the reference loop of a fresh array a product: any rewrite of
+        # limit_matrix keeps A, the squaring count and both residuals
         rng = np.random.default_rng(32)
         for dim in (1, 2, 5, 31, 120):
             P = validate(chain_of_shape(rng, dim, shape))

@@ -146,6 +146,23 @@ def test_nan_term_propagates(j):
     np.testing.assert_array_equal(sums[j + 1 :], suffix_sums(values[j + 1 :]))
 
 
+def test_rows_of_a_2d_scan_keep_their_1d_bits():
+    # one finite row of ill-conditioned terms beside rows with an inf, a
+    # NaN and inf - inf: each finite row keeps its compensation, and each
+    # row equals its own 1-D scan bit for bit
+    rng = np.random.default_rng(9)
+    rows = np.stack([rng.standard_normal(40) * 10.0 ** rng.integers(-8, 9, 40) for _ in range(4)])
+    rows[1, 5], rows[2, 30] = math.inf, math.nan
+    rows[3, 7], rows[3, 8] = math.inf, -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the inf - inf row's own
+        got = compensated_cumsum(rows)
+        want = [compensated_cumsum(row) for row in rows]
+    for row, one in zip(got, want):
+        np.testing.assert_array_equal(row, one)
+    assert not np.array_equal(got[0], np.cumsum(rows[0]))  # compensated
+
+
 HUGE_TERMS = [
     np.full(5, 1e308),
     np.full(7, np.finfo(float).max),
