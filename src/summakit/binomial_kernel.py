@@ -414,9 +414,9 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
     """Total mass at indices i with |i - n p| >= radius.
 
     ``radius`` may be an array of radii; the result is then an array of the
-    same shape whose entries equal the scalar calls bit for bit.  A
-    negative or NaN radius is rejected.  The distance |i - n p| is the
-    double |fl(i - c)|, c = fl(n p).
+    same shape (a float for 0-d), each entry the scalar call's.  A negative
+    or NaN radius is rejected.  The distance |i - n p| is the double
+    |fl(i - c)|, c = fl(n p).
 
     Those indices are two runs, 0..a below c and b..n from c on, so the
     tail is left[a] + right[b] of the row's tables (see _tail_row), which
@@ -433,10 +433,10 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
     A Python float radius returns a Python float.  At the (n, p) of
     _tail_row's slot it reads c, k and the two table entries straight off
     the slot, with no numpy call; at any other row it calls _tail_row
-    first.  Every other radius takes the array path.
+    first.  Every other radius is taken as an array, entry by entry.
     """
     n, p = params.n, params.p
-    if type(radius) is float:  # sweeps make many scalar calls: no array round trip
+    if type(radius) is float:
         if not radius >= 0.0:  # a NaN fails it too
             raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
         if radius > n:  # every distance is at most n
@@ -455,21 +455,8 @@ def tail_mass_outside(params: PMFParams, radius: float | np.ndarray) -> float | 
             b += 1
         return (left[a] if a >= 0 else 0.0) + (right[b] if b <= n else 0.0)
     radii = np.asarray(radius, dtype=float)
-    if not (radii >= 0.0).all():
-        raise ParameterDomainError(f"radius must be non-negative, got {radius!r}")
-    left, right = _tail_row(n, p)
-    c = n * p
-    k = math.ceil(c)
-    # the scalar path's arithmetic; a radius above n selects nothing, as n + 1
-    r = np.minimum(radii, n + 1.0)
-    a = np.minimum(np.floor(c - r), k - 1)
-    a -= (a >= 0) & (c - a < r)
-    b = np.ceil(c + r)
-    b += (b <= n) & (b - c < r)
-    a, b = a.astype(np.intp), b.astype(np.intp)
-    out = np.where(a >= 0, left[np.maximum(a, 0)], 0.0)
-    out += np.where(b <= n, right[np.minimum(b, n)], 0.0)
-    return float(out) if radii.ndim == 0 else out
+    out = np.array([tail_mass_outside(params, r) for r in radii.ravel().tolist()])
+    return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)
 
 
 def chernoff_bound(params: PMFParams, alpha: float) -> float:

@@ -184,7 +184,8 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
     positions that earlier ones walked; its heights are height_scale times
     the chain's square roots, which rise, so the peak up to n is that of
     the last spike: |height_scale| times its root, exactly (a product's
-    rounding is sign-symmetric and monotone).  The first islet starts at 3.
+    rounding is sign-symmetric and monotone), +-inf past the double range.
+    The first islet starts at 3.
     """
     f, name = spec.family, spec.label
     if f == "geometric":
@@ -204,7 +205,8 @@ def sequence_from_spec(spec: GeneratorSpec) -> RealSequence:
 
         def window(lo, hi):
             idx, roots = chain.between(lo, hi)
-            return idx, scale * roots
+            with np.errstate(over="ignore"):  # a height past the double range
+                return idx, scale * roots
 
         def peak(n):
             roots = chain.between(0, n)[1]

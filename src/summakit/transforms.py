@@ -12,12 +12,13 @@ reads its row's window, at most twice, through the sequence's one term rule
 a row those reads do not settle is one such kernel row.
 
 The masses come from binomial_kernel; this module only weights them.  Row 0
-is a_0 itself; a row whose terms up to n hold a NaN, or both a +inf and a
--inf, is NaN and is not built.  One pass of running extrema finds those rows
-and every row's peak, the largest |a_i| for i <= n.  Any other row is
-weighted near its mode m, inside the window m +- W with W = ceil(9 sqrt(n p
-q)) + 30, and certified (_certified): the mass it drops, times its peak,
-must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
+is a_0 itself, and a row whose terms up to n are not all finite is not
+built: its weights are all positive, so it is +-inf for one infinity and NaN
+for a NaN or both.  One pass of running extrema finds those rows and every
+other row's peak, the largest |a_i| for i <= n.  Any other row is weighted
+near its mode m, inside the window m +- W with W = ceil(9 sqrt(n p q)) +
+30, and certified (_certified): the mass it drops, times its peak, must be
+at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
 
 * Ratio products (_routed_means): a row n >= 1 whose window holds support
   on at least 1/4 of its indices inside [0, n] (every dense row, islets
@@ -30,12 +31,12 @@ must be at most 2**-53 of the row's kept sum_i B(n,i,p) |a_i|.
   peak is below _SHIFT_FROM, whatever its support, is row j = n mod 8 of
   the split block n0 = n - j, and its mean is sum_k B(j, k) c_k: one
   window of masses for 8 rows.  A split row its block does not certify,
-  and a row with a huge or non-finite peak, is a windowed row, a block of
-  one row (n0 = n) whose mean is c_0; one that does not certify is weighted
-  again at twice the half-width, until it certifies or its window spans
-  [0, n], where its value is final.  Half-widths are a function of n
-  alone, so a row gives the same bits in any batch, and no row takes a
-  full PMF row.  A row whose peak times its widest window could overflow
+  and a row with a huge peak, is a windowed row, a block of one row (n0 =
+  n) whose mean is c_0; one that does not certify is weighted again at
+  twice the half-width, until it certifies or its window spans [0, n],
+  where its value is final.  Half-widths are a function of n alone, so a
+  row gives the same bits in any batch, and no row takes a full PMF
+  row.  A row whose peak times its widest window could overflow
   the sums weights its terms at a power of two (_overflow_shift), its mean
   held within its peak.  One driver, _blocks, takes a call's split blocks,
   then each widening pass's windowed rows, in groups of one half-width,
@@ -81,10 +82,11 @@ alternating01 query at n = 1e8 takes 2.3-5.6 ms and a signed_linear one
 about 0.15-0.22 ms, and a lone spikes query at n in [2e5, 2.1e6] about 30
 us, 2-core Xeon VM.  A log-space row whose nearest support index or kept
 term lies past the reach reads window(0, n), its support up to n, once
-more.  It has one exit for every other row: n = 0, a non-finite peak, or a
-row whose reads do not certify goes to _binomial_means_sparse as one row
-over window(0, n), which applies the row-0 and NaN rules, splits, widens,
-or sums the whole support.
+more.  It has one exit for every other row: n = 0, a non-finite peak, a
+routed row with a peak of _SHIFT_FROM or more, or a row whose reads do not
+certify goes to _binomial_means_sparse as one row over window(0, n), which
+applies the row-0 and non-finite rules, splits, widens, or sums the whole
+support.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ import numpy as np
 
 from .binomial_kernel import (
     _certified,
-    _lib,
     _log_factorials,
     _mode,
     _ratio_down,
@@ -382,10 +383,9 @@ def _overflow_shift(peak, span):
     for rows with peak and widest half-width span (arrays): the sums of a
     window of up to 2 span + 1 unit-seeded products times terms stay below
     peak * (2 span + 1), which at 2**-shift is below 2**1023.  0 for every
-    row where that product is below 2**1023 (or the peak is not finite), so
-    those rows keep their bits.  A lone row passes numbers."""
-    lib = _lib(peak)
-    bits = lib.frexp(peak)[1] + lib.frexp(2.0 * span + 1.0)[1] - 1023
+    row where that product is below 2**1023, so those rows keep their
+    bits."""
+    bits = np.frexp(peak)[1] + np.frexp(2.0 * span + 1.0)[1] - 1023
     return bits * (bits > 0)
 
 
@@ -450,16 +450,16 @@ def _block(buffer, first, n0, p, half, peak, triangle=None, count=1, shift=None,
     rows n0 + j, j < _SPLIT, and row j's mean is sum_k B(j, k) c_k
     (_triangle_sums), count _SPLIT, or j + 1 for a lone row j (the rest
     are 0).  buffer[first[b] + i] holds block b's term at index m0 - half +
-    i; products at indices past n0 are +0, so c_k reads nothing past n0 +
-    k.  peak[b, j] is row j's largest |a_i|: a row certifies when w's
-    dropped mass, relative to sum w, times its peak is at most 2**-53 of
-    |mean|, or else of its sum B |a|, which is weighted only for the blocks
-    holding such a row.  With shift (_overflow_shift), block b's terms and
-    peak are weighted at 2**-shift[b], and a mean so scaled is held within
-    its peak, so that scaling it back cannot round past DBL_MAX.  out, if
-    given, is a buffer for the products: at least len(n0) count (2 half +
-    1) doubles.  A row depends only on its n, its terms, count and shift,
-    never on the other blocks.
+    i, a finite one; products at indices past n0 are 0, so c_k reads
+    nothing past n0 + k.  peak[b, j] is row j's largest |a_i|: a row
+    certifies when w's dropped mass, relative to sum w, times its peak is
+    at most 2**-53 of |mean|, or else of its sum B |a|, which is weighted
+    only for the blocks holding such a row.  With shift (_overflow_shift),
+    block b's terms and peak are weighted at 2**-shift[b], and a mean so
+    scaled is held within its peak, so that scaling it back cannot round
+    past DBL_MAX.  out, if given, is a buffer for the products: at least
+    len(n0) count (2 half + 1) doubles.  A row depends only on its n, its
+    terms, count and shift, never on the other blocks.
     """
     m = _mode(n0, p)
     w, dropped = _unit_window(n0, m, p, half, half)
@@ -476,8 +476,6 @@ def _block(buffer, first, n0, p, half, peak, triangle=None, count=1, shift=None,
         peak = np.ldexp(peak, -shift[:, None])
     shifts = np.ndarray(shape, buffer=span, strides=(span.strides[0], 8, 8))
     np.multiply(shifts, w[:, None], out=terms)
-    if (m + half > n0).any():
-        np.copyto(terms, 0.0, where=(np.arange(-half, half + 1.0) > (n0 - m)[:, None])[:, None])
     total = w.sum(axis=1)[:, None]
     dropped = dropped[:, None] / total
     value = _triangle_sums(terms, total, triangle)
@@ -502,8 +500,9 @@ def _triangle_sums(terms, total, triangle):
     + sum_k B(j, k) (c_k - c_m), m the mode of B(j, .), so that the
     roundings of the triangle and of the sum scale with how far the c_k
     spread, not with their size; B(j, m) >= 1 / (j + 1) keeps |c_m| within
-    (j + 1) sum B |a|.  Every entry above the diagonal is +0 (a
-    correlation past a row's n may be inf)."""
+    (j + 1) sum B |a|.  Every entry above the diagonal is +0: a
+    correlation past a row's n may overflow to inf on huge finite terms
+    that the row itself does not hold."""
     if triangle is None:
         return terms.sum(axis=2) / total
     c = np.zeros((len(terms), _SPLIT))
@@ -563,13 +562,13 @@ def _routed_means(idx, av, peak, p, ns):
 
     A row whose peak is below _SHIFT_FROM is split, whatever its support;
     split blocks take W of n0 rounded up to a multiple of _HALF_STEP.  A
-    windowed row (one the split does not certify, or a huge or non-finite
-    peak) takes its own, doubled while it does not certify, up to the
-    least such multiple that spans [0, n].  Whether a row is weighted at a
-    power of two (_overflow_shift) is decided once here.
+    windowed row (one the split does not certify, or a huge peak) takes its
+    own, doubled while it does not certify, up to the least such multiple
+    that spans [0, n].  Whether a row is weighted at a power of two
+    (_overflow_shift) is decided once here.
     """
     value = np.empty(len(ns))
-    split = peak < _SHIFT_FROM  # a non-finite peak is not split
+    split = peak < _SHIFT_FROM
     if split.any():
         rows = np.flatnonzero(split)
         j = ns[rows] % _SPLIT
@@ -733,14 +732,15 @@ def _sparse_rows(idx, av, peak, p, ns, log_factorials, signed):
 _ONE_RUN = np.zeros(1, dtype=np.intp)
 
 
-def _lone_block(idx, av, n0, p, half, peak, triangle=None, count=1, shift=None):
-    """_block for the one block n0 (an int) of a lone row, its terms read
-    from the support idx and values av of the row's reads."""
+def _lone_block(idx, av, n0, p, half, peak, count):
+    """_block for the one split block n0 (an int) of a lone row, count its
+    correlations, its terms read from the support idx and values av of the
+    row's reads."""
     base = _mode(n0, p) - half
     sel = slice(*idx.searchsorted((base, base + 2 * half + count)).tolist())
     terms = np.zeros(2 * half + count)
     terms[idx[sel] - base] = av[sel]
-    return _block(terms, _ONE_RUN, np.array([float(n0)]), p, half, peak, triangle, count, shift)
+    return _block(terms, _ONE_RUN, np.array([float(n0)]), p, half, peak, _triangle(p), count)
 
 
 def _split_start(n: int, p: float):
@@ -762,8 +762,10 @@ def _lone_row(window, peak, p: float, n: int) -> float:
     30): it replays the block's first j + 1 correlations, j = n mod
     _SPLIT.  A log-space row whose nearest support index outside m +- W,
     or one of whose kept terms, lies past the reach reads window(0, n)
-    once and settles there.  Every other row (n = 0, a non-finite peak, a
-    window that does not certify) is one batch row over window(0, n).
+    once and settles there.  Every other row (n = 0, a non-finite peak,
+    which the batch's gate settles, a routed row with a larger peak or a
+    split that does not certify, a log-space window that does not
+    certify) is one batch row over window(0, n).
     """
     top = peak(n)
     if n and math.isfinite(top):
@@ -778,16 +780,9 @@ def _lone_row(window, peak, p: float, n: int) -> float:
                 j, n0, h0 = _split_start(n, p)
                 peaks = np.zeros((1, _SPLIT))
                 peaks[0, j] = top
-                value, certified = _lone_block(idx, av, n0, p, h0, peaks, _triangle(p), j + 1)
+                value, certified = _lone_block(idx, av, n0, p, h0, peaks, j + 1)
                 if certified[0, j]:
                     return float(value[0, j])
-            shift = _overflow_shift(top, _stepped(max(m, n - m))) if top >= _SHIFT_FROM else 0
-            value, certified = _lone_block(
-                idx, av, n, p, _stepped(half), np.array([[top]]),
-                shift=np.array([shift]) if shift else None,
-            )
-            if certified[0, 0]:
-                return float(value[0, 0])
         else:
             if not ((lo or not r_lo) and (hi < len(idx) or r_hi == n)):
                 # a nearest support index outside m +- W may lie past the reach
@@ -825,18 +820,19 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
     """sum_{i in idx, i <= n} B(n,i,p) * av[i] for each n of the array ns.
 
     idx holds the sorted support indices, av their values; ns may come in
-    any order.  One pass of running extrema gates every row: row 0 is a_0
-    (-0.0 included), and a row is NaN from the first support index whose
-    prefix holds a NaN, or both a +inf and a -inf, where the running max
-    plus the running min is NaN (huge finite terms overflow to +-inf there,
-    never to NaN); their larger magnitude is each row's peak, and the last
-    extrema tell whether av holds one sign (a NaN counts as both).  The
-    other rows go in blocks of _BLOCK_ROWS through _sparse_rows, which
-    certifies each block's log-space rows in one pass, by |mean| where av
-    holds one sign and by sum B |a| where it holds both.  Where ns holds
-    at least half as many rows as 0..max(ns) has (every prefix), their
-    log-space masses read log k! from one table over 0..max(ns), built when
-    the first block needs it; sampled rows evaluate it term by term.
+    any order.  One pass of running extrema gates every row.  Row 0 is a_0
+    (-0.0 included).  A row whose terms up to n are not all finite is
+    settled: its weights are all positive, so it is the running max plus
+    the running min at its last support index, +-inf for one infinity and
+    the canonical NaN for a NaN or both.  The other rows get only the
+    support before the first non-finite term, with the larger magnitude
+    of the extrema as each row's peak, and go in blocks of _BLOCK_ROWS
+    through _sparse_rows, which certifies each block's log-space rows in
+    one pass, by |mean| where those terms hold one sign and by sum B |a|
+    where they hold both.  Where ns holds at least half as many rows as
+    0..max(ns) has (every prefix), their log-space masses read log k! from
+    one table over 0..max(ns), built when the first block needs it;
+    sampled rows evaluate it term by term.
     """
     ns = np.asarray(ns, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -844,15 +840,20 @@ def _binomial_means_sparse(idx: np.ndarray, av: np.ndarray, p: float, ns) -> np.
         if len(idx) and idx[0] == 0:
             out[ns == 0] = av[0]
         top, bottom = np.maximum.accumulate(av), np.minimum.accumulate(av)
-        # NaN extrema stay NaN, and +inf and -inf stay: the mask only rises
-        j = int(np.isnan(top + bottom).searchsorted(True))
-        nan_from = idx[j] if j < len(idx) else np.iinfo(np.int64).max
-        out[ns >= nan_from] = np.nan
-        rows = np.flatnonzero((ns > 0) & (ns < nan_from))
+        peak = np.maximum(top, -bottom)
+        # the first non-finite term: peak only rises, and a NaN in it stays
+        j = int(np.count_nonzero(np.isfinite(peak)))
+        settled = ns >= (idx[j] if j < len(idx) else np.iinfo(np.int64).max)
+        if j < len(idx):
+            at = idx.searchsorted(ns[settled], side="right") - 1
+            value = top[at] + bottom[at]
+            value[np.isnan(value)] = np.nan  # inf + -inf is a NaN of either sign
+            out[settled] = value
+            idx, av, peak = idx[:j], av[:j], peak[:j]
+        rows = np.flatnonzero((ns > 0) & ~settled)
         # support values of one sign (every islets and spikes sequence)
         # leave sum B |a| = |sum B a| in each row
-        signed = bool(len(av)) and not (bottom[-1] >= 0.0 or top[-1] <= 0.0)
-        peak = np.maximum(top, -bottom, out=top)
+        signed = bool(j) and not (bottom[j - 1] >= 0.0 or top[j - 1] <= 0.0)
         last = int(ns.max(initial=0))
         table = functools.cache(lambda: _log_factorials(last)) if 2 * len(ns) > last else None
         for start in range(0, len(rows), _BLOCK_ROWS):
@@ -1000,6 +1001,8 @@ def split_xyz(a: RealSequence, p: float, n: int) -> SplitSums:
 
     Block boundaries floor(p n -/+ eps(n)) are clamped to [0, n]; empty
     blocks contribute 0, so x + y + z always covers indices 0..n exactly once.
+    Block sums are exact (math.fsum) and, where one could pass the double
+    range, taken at a power of two, so a sum past DBL_MAX is +-inf.
     """
     _check_prob(p)
     _check_horizon(n, "n")
@@ -1008,9 +1011,14 @@ def split_xyz(a: RealSequence, p: float, n: int) -> SplitSums:
     eps = epsilon(n)
     lo = math.floor(p * n - eps)  # last plateau index
     hi = math.floor(p * n + eps)  # first tail index
-    terms = table.weights * seq
-    x = math.fsum(terms[0 : min(lo, n) + 1]) if lo >= 0 else 0.0
+    # n + 1 products of weights up to 1/p <= 2**(1 - frexp(p)) and terms up
+    # to the peak stay below 2**1023 at 2**-shift
+    peak = float(np.abs(seq).max())
+    shift = max(math.frexp(n + 1)[1] + math.frexp(peak)[1] + 1 - math.frexp(p)[1] - 1023, 0)
+    terms = table.weights * np.ldexp(seq, -shift)
+    scale = 2.0**shift  # a Python float product saturates to +-inf, unlike ldexp
+    x = math.fsum(terms[0 : min(lo, n) + 1]) * scale if lo >= 0 else 0.0
     y_start, y_stop = max(lo + 1, 0), min(hi - 1, n) + 1
-    y = math.fsum(terms[y_start:y_stop]) if y_stop > y_start else 0.0
-    z = math.fsum(terms[max(hi, 0) : n + 1]) if hi <= n else 0.0
+    y = math.fsum(terms[y_start:y_stop]) * scale if y_stop > y_start else 0.0
+    z = math.fsum(terms[max(hi, 0) : n + 1]) * scale if hi <= n else 0.0
     return SplitSums(x, y, z, int(n), p)

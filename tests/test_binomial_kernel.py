@@ -416,6 +416,12 @@ class TestTailMassSweeps:
             assert np.array_equal(got, loop)
             grid = radii[:12].reshape(3, 4)
             assert np.array_equal(tail_mass_outside(params, grid), got[:12].reshape(3, 4))
+            zero_d = [tail_mass_outside(params, np.array(r)) for r in radii]
+            assert all(type(t) is float for t in zero_d) and zero_d == loop
+            ints = range(0, n + 2, max(1, n // 7))
+            assert [tail_mass_outside(params, k) for k in ints] == [
+                tail_mass_outside(params, float(k)) for k in ints
+            ]
 
     def test_scalar_returns_float(self):
         got = tail_mass_outside(PMFParams(50, 0.4), 3)

@@ -227,9 +227,12 @@ def ratio_product_rows():
 
 
 def test_ratio_product_rows_pinned():
-    # taken before the split and windowed rows became one block kernel
+    # taken before the split and windowed rows became one block kernel, and
+    # again when rows past an infinite term became that infinity without
+    # being weighted: rows 900-1026 of the +inf prefix went from NaN to
+    # +inf, every other byte of the 17 arrays kept its bits
     got = digest(ratio_product_rows())
-    assert got == "2f5b33048b98f9c0134e8d9032ebfb52d591d98a1f89759f817d41484468ec4b"
+    assert got == "30e4add43c1eec7487308e7fdcd48e9a36753b1bf67cdf131353aa1781805e10"
 
 
 def tail_grid():

@@ -16,6 +16,7 @@ from summakit import (
     HorizonError,
     ParameterDomainError,
     RealSequence,
+    binomial_mean_at,
     binomial_prefix,
     cesaro_prefix,
     estimate_limit,
@@ -353,6 +354,23 @@ class TestWindowRule:
         roots = np.sqrt(rng.integers(1, 10**12, 2000).astype(float))
         for h in rng.uniform(-1e3, 1e3, 50):
             assert same_bits(abs(h) * roots, np.abs(h * roots))
+
+    def test_heights_past_the_double_range_are_infinite(self):
+        # spikes of height 1e307 sqrt(n) pass DBL_MAX at n = 324 and are +inf
+        # terms, with no numpy warning; every binomial mean from there on is
+        # +inf, and the rows before keep the bits they had before the gate
+        seq = sequence_from_spec(GeneratorSpec("spikes", C=1.0, height_scale=1e307))
+        ns = np.concatenate([np.arange(40_000, 0, -97), np.arange(318, 330)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(seq.peak(323)) and seq.peak(324) == math.inf
+            got = binomial_prefix(seq, 0.5, 40_000).values
+            batch = binomial_mean_at(seq, 0.5, ns)
+            lone = np.array([binomial_mean_at(seq, 0.5, int(n)) for n in ns])
+        digest = hashlib.sha256(got[:324].tobytes()).hexdigest()
+        assert digest == "d5240d002ab12f5203708b39505f1acc3bac9153b636cebc3dac37871bbfa433"
+        assert (got[324:] == math.inf).all()
+        assert batch.tobytes() == lone.tobytes() == got[ns].tobytes()
 
     @pytest.mark.parametrize("name", sorted(WINDOW_SPECS) + ["explicit", "rule"])
     def test_bounds_are_checked(self, name):

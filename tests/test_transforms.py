@@ -326,13 +326,13 @@ class TestWindowedKernel:
         assert calls == []
 
     def test_unbounded_fallback_is_bit_identical(self, monkeypatch):
-        # (-3)**n overflows at n = 647 (to -inf), so row 647 cannot certify
-        # and is weighted over [0, n] at once; from row 648 on both
-        # infinities are present and the rows are NaN without being built.
-        # Earlier rows certify in their first window only while the tail it
-        # drops, times 3**n, stays below 2**-53 of (1 + 2p)**n; the others
-        # widen.  No row takes a full PMF row, and a widened row gives the
-        # same bits in a prefix, an array call and a scalar call.
+        # (-3)**n overflows at n = 647 (to -inf), so row 647 is -inf and,
+        # from row 648 on, where both infinities are present, the rows are
+        # NaN, all without being built.  Earlier rows certify in their first
+        # window only while the tail it drops, times 3**n, stays below
+        # 2**-53 of (1 + 2p)**n; the others widen.  No row takes a full PMF
+        # row, and a widened row gives the same bits in a prefix, an array
+        # call and a scalar call.
         calls = count_full_rows(monkeypatch)
         widened = count_widened(monkeypatch)
         with np.errstate(over="ignore"):
@@ -342,9 +342,9 @@ class TestWindowedKernel:
             del widened[:]
             got = binomial_prefix(seq, p, 2000).values
             rows = np.unique(widened)
-            assert rows.max() == 647 and len(rows) >= 100
+            assert rows.max() == 646 and len(rows) >= 100
             ref = full_row_loop(values, p)
-            assert not np.isfinite(got[647]) and not np.isfinite(ref[647])
+            assert got[647] == -math.inf and not np.isfinite(ref[647])
             assert np.isnan(got[648:]).all() and np.isnan(ref[648:]).all()
             finite = np.arange(647)
             scale = (1.0 + 2.0 * p) ** finite
@@ -415,16 +415,19 @@ class TestWindowedKernel:
 
     @pytest.mark.parametrize("p", [0.25, 0.6, 0.9])
     def test_certain_nan_rows_match_full_rows(self, monkeypatch, p):
-        # (-3)**n overflows at n = 647; every later row holds both
-        # infinities and is NaN without being built
+        # (-3)**n overflows at n = 647 (to -inf), the exact mean of row 647;
+        # every later row holds both infinities and is NaN, and none of
+        # them is built.  The full-row reference need not read row 647 as
+        # -inf: at p = 0.25 it reads NaN.
         calls = count_full_rows(monkeypatch)
         widened = count_widened(monkeypatch)
         with np.errstate(over="ignore"):
             seq = RealSequence.from_values((-3.0) ** np.arange(4001.0))
         got = binomial_prefix(seq, p, 4000).values
         ref = full_row_loop(seq.prefix(4000), p)
-        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
-        assert np.isnan(got[648:]).all() and max(widened) == 647 and calls == []
+        np.testing.assert_array_equal(np.isnan(got[:647]), np.isnan(ref[:647]))
+        assert got[647] == -math.inf and not np.isfinite(ref[647])
+        assert np.isnan(got[648:]).all() and max(widened) < 647 and calls == []
 
     def test_nan_term_skips_later_rows(self, monkeypatch):
         calls = count_full_rows(monkeypatch)
@@ -771,36 +774,39 @@ class TestSparseKernel:
     )
     def test_nan_rows_start_at_the_first_nan_or_infinity_pair(self, support, p):
         # the running extrema gate every row: rows from the first support
-        # index whose prefix holds a NaN, or both a +inf and a -inf, are NaN
-        # and not built, every row before it is built with the exact
-        # max |a_i| as its peak, and +-1e308 must not read as a pair
+        # index holding a non-finite term are not built, and are NaN from
+        # the first NaN, or the second of a +inf and a -inf, and that first
+        # term's infinity before it; every row before it is built from the
+        # finite terms alone, with the exact max |a_i| as its peak, and
+        # +-1e308 must not read as an infinity
         horizon, idx, av = support
         nan_from = inf_from = horizon + 1
+        gated = len(idx)  # the first non-finite term's place in the support
         signs = set()
-        for i, value in zip(idx.tolist(), av.tolist()):
-            if inf_from > horizon and not math.isfinite(value):
-                inf_from = i
+        for k, (i, value) in enumerate(zip(idx.tolist(), av.tolist())):
+            if gated == len(idx) and not math.isfinite(value):
+                inf_from, gated = min(i, inf_from), k
             if math.isinf(value):
                 signs.add(value)
             if math.isnan(value) or len(signs) == 2:
                 nan_from = min(i, nan_from)
                 break
-        gated = int(np.searchsorted(idx, nan_from))
         built = []
         with pytest.MonkeyPatch.context() as mp:
             rows = transforms._sparse_rows
 
             def recorded(idx, av, peak, p, ns, *table):
                 built.extend(ns.tolist())
-                running = np.maximum.accumulate(np.abs(av[:gated]))
-                np.testing.assert_array_equal(peak[:gated], running)
+                assert len(av) == gated and np.isfinite(av).all()
+                np.testing.assert_array_equal(peak, np.maximum.accumulate(np.abs(av)))
                 return rows(idx, av, peak, p, ns, *table)
 
             mp.setattr(transforms, "_sparse_rows", recorded)
             got = transforms._binomial_means_sparse(idx, av, p, np.arange(horizon + 1))
-        assert sorted(built) == list(range(1, nan_from))
-        assert np.isnan(got[nan_from:]).all()
-        if len(idx) and idx[0] == 0 and nan_from > 0:
+        assert sorted(built) == list(range(1, inf_from))
+        assert got[nan_from:].tobytes() == np.full(horizon + 1 - nan_from, np.nan).tobytes()
+        assert (got[inf_from:nan_from] == av[gated : gated + 1]).all()
+        if len(idx) and idx[0] == 0 and inf_from > 0:
             assert got[0].tobytes() == av[0].tobytes()
         # rows whose terms are all finite, +-1e308 included, are finite
         assert np.isfinite(got[:inf_from]).all()
@@ -902,13 +908,12 @@ class TestSparseKernel:
         av[100] = math.inf  # index 200
         ns = np.arange(401)
         got = transforms._binomial_means_sparse(idx, av, 0.5, ns)
-        # half the indices are support: every row n >= 1 is routed, and the
-        # rows holding the inf widen to [0, n] and are final there
-        assert sorted(routed) == list(range(1, 401))
-        finite = [n for n in routed if n < 200]
-        old, exact, scale = sparse_reference(idx, av, 0.5, ns, finite)
+        # half the indices are support: every row 1 <= n < 200 is routed,
+        # and the rows holding the inf are +inf without being built
+        assert sorted(routed) == list(range(1, 200))
+        old, exact, scale = sparse_reference(idx, av, 0.5, ns, routed)
         assert np.all(np.abs(got[:200] - exact[:200]) <= 4 * EPS * scale[:200])
-        assert np.isinf(got[200:]).all()
+        assert (got[200:] == math.inf).all()
         np.testing.assert_array_equal(got[200:], old[200:])
 
     def test_islet_gap_rows_against_scipy(self, monkeypatch):
@@ -1250,10 +1255,64 @@ class TestOneKernel:
                 assert np.isfinite(prefix[:300]).all() and (prefix[300:700] == math.inf).all()
                 assert prefix[700:].tobytes() == nan
 
+    @pytest.mark.parametrize("case", ["+inf", "-inf", "pair", "nan"])
+    @pytest.mark.parametrize("p", [0.2, 0.7])
+    def test_non_finite_rows_are_exact(self, monkeypatch, case, p):
+        # every weight is positive, so from the first infinity on a row is
+        # that infinity, and from a NaN, or the second infinity of a pair,
+        # the canonical NaN: dense or sparse, in a prefix, an array call and
+        # a scalar call, and without a mass or a non-finite term weighted
+        spots = {"+inf": {300: math.inf}, "-inf": {300: -math.inf},
+                 "pair": {300: math.inf, 700: -math.inf}, "nan": {300: math.nan}}[case]
+        values = np.linspace(-1.0, 1.0, 1001)
+        for at, term in spots.items():
+            values[at] = term
+        expected = np.full(701, np.nan)  # rows 300..1000
+        if case != "nan":
+            expected[: 400 if case == "pair" else 701] = spots[300]
+        idx = np.union1d(np.arange(0, 1001, 3), list(spots))
+        reached = []
+        kernel, block = transforms.log_pmf_many, transforms._block
+
+        def logs(n, p, indices, **kwargs):
+            reached.append(int(np.max(n)))
+            return kernel(n, p, indices, **kwargs)
+
+        def ratios(buffer, first, n0, p, half, peak, triangle=None, *rest):
+            assert np.isfinite(buffer).all()
+            rows = n0 if triangle is None else asked(n0, peak)[0]
+            reached.extend(np.asarray(rows, dtype=np.int64).tolist())
+            return block(buffer, first, n0, p, half, peak, triangle, *rest)
+
+        monkeypatch.setattr(transforms, "log_pmf_many", logs)
+        monkeypatch.setattr(transforms, "_block", ratios)
+        ns = np.random.default_rng(1).permutation(1001)
+        for seq in (RealSequence.from_values(values), sparse_sequence(idx, values[idx], case)):
+            prefix = binomial_prefix(seq, p, 1000).values
+            assert np.isfinite(prefix[:300]).all()
+            assert prefix[300:].tobytes() == expected.tobytes()
+            assert binomial_mean_at(seq, p, ns).tobytes() == prefix[ns].tobytes()
+            scalar = np.array([binomial_mean_at(seq, p, n) for n in range(1001)])
+            assert scalar.tobytes() == prefix.tobytes()
+        assert reached and max(reached) < 300
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_huge_terms_past_a_split_row_keep_its_bits(self, p):
+        # terms of 1e308 from index 13 on are finite, but a correlation of
+        # the split block of rows 8-15 past row 9 can overflow on them; the
+        # rows the block asks for keep their bits in any call
+        values = np.random.default_rng(0).uniform(-1.0, 1.0, 41)
+        values[13:] = 1e308
+        seq = RealSequence.from_values(values)
+        prefix = binomial_prefix(seq, p, 40).values
+        scalar = np.array([binomial_mean_at(seq, p, n) for n in range(41)])
+        assert scalar.tobytes() == prefix.tobytes() and np.isfinite(prefix).all()
+
     @pytest.mark.parametrize("term", [math.nan, "pair"])
     def test_sparse_nan_builds_no_later_row(self, monkeypatch, term):
-        # rows from the NaN (or the second infinity of a +inf/-inf pair) on
-        # are NaN without a mass being taken for them
+        # rows from the first non-finite term on take no mass: they are NaN
+        # from the NaN (or the second infinity of a +inf/-inf pair) on, and
+        # +inf from the pair's first infinity
         built = []
         kernel, block = transforms.log_pmf_many, transforms._block
 
@@ -1278,7 +1337,10 @@ class TestOneKernel:
         batch = binomial_mean_at(seq, 0.4, np.array([3000, 199, 200, 5]))
         assert np.isnan(got[200:]).all() and not np.isnan(got[:200]).any()
         assert batch.tobytes() == got[[3000, 199, 200, 5]].tobytes()
-        assert max(built) == 199
+        if term == "pair":
+            assert (got[90:200] == math.inf).all() and max(built) == 89
+        else:
+            assert max(built) == 199
 
 
 class TestMeanAtArray:
@@ -1802,11 +1864,21 @@ class TestIndexBound:
         assert binomial_mean_at(RealSequence.geometric(0.5), 0.3, np.int64(2**63 - 1)) == 0.0
 
 
+def _huge_signed_linear(lo, hi):
+    """(-1)**i i 1e300 on [lo, hi]: its peak up to n is n 1e300."""
+    i = np.arange(lo, hi + 1)
+    f = i * 1e300
+    return i, np.where(i % 2 == 0, f, -f)
+
+
 def one_exit_cases():
     """Sequences and rows that a lone query hands to the batch kernel: row 0
     with a_0 = -0.0, rows past a NaN term, a +inf term and a +inf/-inf pair,
-    the rows of a term too large to certify, and rows of explicit 1.002**n
-    that widen (the largest), with rows before them that do not."""
+    the rows of a term too large to certify, rows of explicit 1.002**n
+    that widen (the largest), with rows before them that do not, routed
+    rows whose split does not certify but their first window does (rows
+    647 and 839 at p = 0.5), and routed rows of a closed-form window rule
+    with a peak of 2**959 or more."""
     out = {}
     for name, spots in {"nan": {150: math.nan}, "inf": {150: math.inf},
                         "pair": {150: math.inf, 200: -math.inf}}.items():
@@ -1821,12 +1893,18 @@ def one_exit_cases():
     source, ns = SCALAR_PATH_CASES["huge"]
     out["huge"] = (sparse_sequence(*source, "huge"), ns)
     out["1.002**n"] = (RealSequence.from_values(1.002 ** np.arange(20_001.0)), [150, 8000, 20_000])
+    spiked = np.ones(1001)
+    spiked[600] = 1e16
+    out["split fails"] = (RealSequence.from_values(spiked), [600, 647, 839])
+    out["peak 2**959"] = (RealSequence.from_window(_huge_signed_linear, lambda n: n * 1e300),
+                          [1, 7, 400, 5000])
     return out
 
 
 class TestOneExit:
-    """A lone row its first window cannot settle (n = 0, a non-finite peak,
-    a rejected window) is one batch row over window(0, n), bit for bit."""
+    """A lone row its reads cannot settle (n = 0, a non-finite peak, a split
+    or a log-space window that does not certify, a routed row with a peak
+    of 2**959 or more) is one batch row over window(0, n), bit for bit."""
 
     @pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
     def test_scalar_is_the_batch_row(self, monkeypatch, p):
@@ -1857,6 +1935,12 @@ class TestOneExit:
         assert handed == []
         assert binomial_mean_at(cases["1.002**n"][0], 0.05, 20_000) > 0.0
         assert handed == [[20_000]] and 20_000 in widened
+        del handed[:], widened[:]
+        assert binomial_mean_at(cases["split fails"][0], 0.5, 647) > 0.0
+        assert handed == [[647]] and widened == []
+        del handed[:]
+        assert binomial_mean_at(cases["peak 2**959"][0], 0.5, 400) != 0.0
+        assert handed == [[400]]
 
 
 class TestCompose:
@@ -1994,6 +2078,38 @@ class TestSplit:
                 parts = split_xyz(seq, p, n)
                 whole = float(weights(n, p).weights @ seq.prefix(n))
                 assert abs((parts.x + parts.y + parts.z) - whole) <= 1e-9 * (1 + abs(whole))
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    def test_terms_near_the_double_range_against_fractions(self, p):
+        # weights reach 1/p, so products and block sums of terms near 1e308
+        # pass the double range: a block is within (n + 1) 2**-53 sum |w a|
+        # of its exact sum over the weights, or +-inf where that sum is past
+        # it; terms that cannot overflow keep the plain sums' bits
+        n = 40
+        rng = np.random.default_rng(34)
+        scale = rng.choice([1e308, 1e3, 1e-300], n + 1)
+        mixed = rng.uniform(-1.0, 1.0, n + 1) * scale
+        w = weights(n, p).weights
+        lo, hi = math.floor(p * n - epsilon(n)), math.floor(p * n + epsilon(n))
+        blocks = (range(0, min(lo, n) + 1), range(max(lo + 1, 0), min(hi - 1, n) + 1),
+                  range(max(hi, 0), n + 1))
+        outcomes = set()
+        for values in (np.full(n + 1, 1e308), mixed):
+            parts = split_xyz(RealSequence.from_values(values), p, n)
+            for got, block in zip((parts.x, parts.y, parts.z), blocks):
+                products = [Fraction(w[i]) * Fraction(values[i]) for i in block]
+                exact, bound = sum(products, Fraction(0)), sum(map(abs, products), Fraction(0))
+                bound *= Fraction(n + 1, 2**53)
+                if math.isinf(got):
+                    assert abs(exact) + bound >= OVERFLOW and (got > 0) == (exact > 0)
+                else:
+                    assert abs(Fraction(got) - exact) <= bound
+                outcomes.add(math.isinf(got))
+            small = values * 1e-300
+            parts = split_xyz(RealSequence.from_values(small), p, n)
+            plain = [math.fsum(w[list(b)] * small[list(b)]) for b in blocks]
+            assert [parts.x, parts.y, parts.z] == plain
+        assert outcomes == {True, False}
 
     def test_signed_source_mixed_tolerance(self):
         # signed sums leave a near-zero reference; agreement is relative with
